@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-compare race vet lint cover experiments examples soak clean
+.PHONY: all build test bench bench-json bench-compare perfbench race vet lint cover experiments examples soak clean
 
 all: build lint test
 
@@ -45,6 +45,16 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare \
 		-names lp_sparse_solve_placement,lp_sparse_solve_mmsfp_sized,lp_dual_warm_rhs,lp_pivot_heavy_ft,dijkstra_tree,yen_k25,online_fault_reroute,serve_lookup,plan_swap,decide_alg1,decide_mindelay \
 		BENCH_pr10.json /tmp/bench_head.json
+
+# End-to-end and per-layer benchmark (BENCHMARK.json, perfbench/): every
+# workload once with end-to-end metrics (--trace 0) and once with per-layer
+# metrics (--trace 1), each ending in one JSON result line.
+perfbench:
+	for w in drift serve paper; do \
+		for t in 0 1; do \
+			python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace $$t || exit 1; \
+		done; \
+	done
 
 # Full suite under the race detector (also a CI job).
 race:

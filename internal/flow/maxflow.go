@@ -13,7 +13,8 @@ func MaxFlow(g *graph.Graph, src, dst graph.NodeID) *Result {
 	if src == dst {
 		return &Result{Arc: make([]float64, g.NumArcs())}
 	}
-	r := newResNet(g)
+	r := newResNet(g, nil, nil)
+	defer resNetPool.Put(r)
 	queue := make([]int, 0, r.n)
 	parent := make([]int, r.n)
 	for {

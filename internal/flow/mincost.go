@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"jcr/internal/graph"
 )
@@ -49,14 +50,30 @@ type resNet struct {
 	cost []float64
 	orig []graph.ArcID // orig[a]: the input arc this residual arc came from
 
-	// Dijkstra scratch, reused across the successive-shortest-path
-	// augmentations (one dijkstra call per augmentation adds up on dense
-	// instances; reusing the labels and the heap keeps the inner loop
-	// allocation-free).
+	// Dijkstra scratch and node potentials, reused across the
+	// successive-shortest-path augmentations (one dijkstra call per
+	// augmentation adds up on dense instances; reusing the labels and the
+	// heap keeps the inner loop allocation-free).
 	dist   []float64
 	parent []int
 	done   []bool
 	heap   []hEnt
+	pot    []float64
+}
+
+// resNetPool recycles residual networks, arrays included, across flows:
+// routing solves one flow per item per round, and building a fresh
+// network for each dominated the allocation of an hourly replan.
+// Concurrent callers (par.Do fan-out) each draw their own network.
+var resNetPool = sync.Pool{New: func() any { return new(resNet) }}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // hEnt is a binary-heap entry for Dijkstra: node v with tentative label d.
@@ -65,24 +82,39 @@ type hEnt struct {
 	d float64
 }
 
-func newResNet(g *graph.Graph) *resNet {
+// newResNet builds the residual network of g. capOf, when non-nil,
+// overrides the capacity of every arc of g. Each sink appends one
+// zero-cost arc of capacity Amount from its node to an added super sink
+// (node g.NumNodes()), in the order given, after g's arcs; its residual
+// pair carries orig = g.NumArcs() + its position in sinks.
+func newResNet(g *graph.Graph, capOf func(graph.ArcID) float64, sinks []Demand) *resNet {
 	n := g.NumNodes()
 	m := g.NumArcs()
-	r := &resNet{
-		n:    n,
-		head: make([]int, n),
-		next: make([]int, 0, 2*m),
-		to:   make([]int, 0, 2*m),
-		cap:  make([]float64, 0, 2*m),
-		cost: make([]float64, 0, 2*m),
-		orig: make([]graph.ArcID, 0, 2*m),
+	if sinks != nil {
+		n++
 	}
+	ra := 2 * (m + len(sinks))
+	r := resNetPool.Get().(*resNet)
+	r.n = n
+	r.head = resize(r.head, n)
+	r.next = resize(r.next, ra)[:0]
+	r.to = resize(r.to, ra)[:0]
+	r.cap = resize(r.cap, ra)[:0]
+	r.cost = resize(r.cost, ra)[:0]
+	r.orig = resize(r.orig, ra)[:0]
 	for v := range r.head {
 		r.head[v] = -1
 	}
 	for id := 0; id < m; id++ {
 		a := g.Arc(id)
-		r.addPair(a.From, a.To, a.Cap, a.Cost, id)
+		c := a.Cap
+		if capOf != nil {
+			c = capOf(id)
+		}
+		r.addPair(a.From, a.To, c, a.Cost, id)
+	}
+	for j, d := range sinks {
+		r.addPair(d.Node, n-1, d.Amount, 0, m+j)
 	}
 	return r
 }
@@ -144,11 +176,9 @@ func (r *resNet) heapPop() hEnt {
 // the residual arc entering v on the shortest path. The returned slices are
 // the receiver's scratch, valid until the next call.
 func (r *resNet) dijkstra(src int, pot []float64) (dist []float64, parent []int) {
-	if r.dist == nil {
-		r.dist = make([]float64, r.n)
-		r.parent = make([]int, r.n)
-		r.done = make([]bool, r.n)
-	}
+	r.dist = resize(r.dist, r.n)
+	r.parent = resize(r.parent, r.n)
+	r.done = resize(r.done, r.n)
 	dist, parent, done := r.dist, r.parent, r.done
 	for v := range dist {
 		dist[v] = math.Inf(1)
@@ -205,8 +235,49 @@ func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.Node
 	if src == dst {
 		return &Result{Arc: make([]float64, g.NumArcs())}, nil
 	}
-	r := newResNet(g)
-	pot := make([]float64, r.n)
+	r := newResNet(g, nil, nil)
+	defer resNetPool.Put(r)
+	if err := r.ship(ctx, src, dst, value); err != nil {
+		return nil, err
+	}
+	return r.extract(g, src), nil
+}
+
+// Demand is one sink of a multi-sink flow: Amount units must arrive at
+// Node.
+type Demand struct {
+	Node   graph.NodeID
+	Amount float64
+}
+
+// MinCostFlowToSinks ships every sink's Amount from src to its Node at
+// minimum cost and returns the arc flow, indexed like g's arcs. It solves
+// the super-sink construction (a zero-cost arc of capacity Amount from
+// each sink to one added node, in the order given) on a residual network
+// built straight from g, so g is neither copied nor mutated. capOf, when
+// non-nil, overrides g's arc capacities. The residual arcs, and hence the
+// flow, are those MinCostFlowContext computes on a copy of g with the same
+// capacities and the sink arcs appended. It returns
+// ErrInsufficientCapacity if the network cannot carry the total demand.
+func MinCostFlowToSinks(ctx context.Context, g *graph.Graph, capOf func(graph.ArcID) float64, src graph.NodeID, sinks []Demand) ([]float64, error) {
+	r := newResNet(g, capOf, sinks)
+	defer resNetPool.Put(r)
+	var total float64
+	for _, d := range sinks {
+		total += d.Amount
+	}
+	if err := r.ship(ctx, src, r.n-1, total); err != nil {
+		return nil, err
+	}
+	return r.extract(g, src).Arc, nil
+}
+
+// ship runs successive shortest paths from src to dst until value units
+// are shipped (as much as possible for an infinite value).
+func (r *resNet) ship(ctx context.Context, src, dst int, value float64) error {
+	r.pot = resize(r.pot, r.n)
+	pot := r.pot
+	clear(pot)
 	remaining := value
 	// Relative tolerance: float dust at ~1e6 request-rate scale must not
 	// read as unroutable demand.
@@ -217,7 +288,7 @@ func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.Node
 	for remaining > tol {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("flow: canceled with %.6g units unshipped: %w", remaining, err)
+				return fmt.Errorf("flow: canceled with %.6g units unshipped: %w", remaining, err)
 			}
 		}
 		dist, parent := r.dijkstra(src, pot)
@@ -225,7 +296,7 @@ func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.Node
 			if math.IsInf(value, 1) {
 				break // max flow reached
 			}
-			return nil, fmt.Errorf("%w: %.6g units unroutable from %d to %d",
+			return fmt.Errorf("%w: %.6g units unroutable from %d to %d",
 				ErrInsufficientCapacity, remaining, src, dst)
 		}
 		for v := 0; v < r.n; v++ {
@@ -254,12 +325,14 @@ func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.Node
 		}
 		remaining -= bottleneck
 	}
-	return r.extract(g, src), nil
+	return nil
 }
 
+// extract reads the flow on g's arcs off the residual network; the sink
+// arcs of MinCostFlowToSinks come after them and are left out.
 func (r *resNet) extract(g *graph.Graph, src graph.NodeID) *Result {
 	res := &Result{Arc: make([]float64, g.NumArcs())}
-	for k := 0; k < len(r.to); k += 2 {
+	for k := 0; k < 2*g.NumArcs(); k += 2 {
 		// Flow on the original arc equals the residual capacity of the
 		// backward arc.
 		f := r.cap[k+1]

@@ -18,18 +18,7 @@ func EvaluateServing(s *Spec, paths []ServingPath, pl *Placement) (cost float64,
 	loads = make([]float64, g.NumArcs())
 	for k := range paths {
 		sp := &paths[k]
-		nodes := sp.Path.Nodes(g)
-		if len(nodes) == 0 {
-			continue
-		}
-		cut := 0
-		for j := len(nodes) - 1; j >= 0; j-- {
-			if pl.Stores[nodes[j]][sp.Req.Item] {
-				cut = j
-				break
-			}
-		}
-		for j := cut; j < len(sp.Path.Arcs); j++ {
+		for j := servedFrom(g, sp, pl); j < len(sp.Path.Arcs); j++ {
 			id := sp.Path.Arcs[j]
 			loads[id] += sp.Rate
 			cost += sp.Rate * g.Arc(id).Cost
@@ -45,6 +34,21 @@ func EvaluateServing(s *Spec, paths []ServingPath, pl *Placement) (cost float64,
 		}
 	}
 	return cost, loads, maxUtil
+}
+
+// servedFrom returns the position, in sp.Path.Nodes order, of the node
+// nearest the requester that stores the requested item under pl, or 0 when
+// none does: the path is paid from that node on. It walks the arcs rather
+// than materializing the node list, as it runs for every path of every
+// evaluation.
+func servedFrom(g *graph.Graph, sp *ServingPath, pl *Placement) int {
+	arcs := sp.Path.Arcs
+	for j := len(arcs); j >= 1; j-- {
+		if pl.Stores[g.Arc(arcs[j-1]).To][sp.Req.Item] {
+			return j
+		}
+	}
+	return 0
 }
 
 // ShortestServingPaths builds one serving path per request: the least-cost

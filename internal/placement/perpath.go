@@ -2,6 +2,7 @@ package placement
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -37,8 +38,12 @@ const (
 	PerPathGreedy
 )
 
-// perPathLPLimit caps the number of auxiliary z variables for PerPathAuto;
-// beyond it the dense simplex becomes the bottleneck and greedy is used.
+// perPathLPLimit caps, for PerPathAuto, the (path, link) pairs of the
+// serving paths, i.e. the z variables of Eq. (15) before the presolve;
+// beyond it greedy is used. The presolved LP stays far smaller than this
+// count; what grows with it is the saving enumeration and pipage rounding's
+// derivative evaluations. Moving the cap would change which method Auto
+// picks, and so the outputs, on existing instances.
 const perPathLPLimit = 1500
 
 // PerPathSaving evaluates the cost saving F_{r,f}(x) of Eq. (14): for each
@@ -70,19 +75,7 @@ func PerPathCost(s *Spec, paths []ServingPath, pl *Placement) float64 {
 // to the requester) storing the item.
 func pathCostUnder(s *Spec, sp *ServingPath, pl *Placement) (full, remaining float64) {
 	g := s.G
-	nodes := sp.Path.Nodes(g)
-	if len(nodes) == 0 {
-		return 0, 0
-	}
-	item := sp.Req.Item
-	// Find the cached position nearest the requester (last index).
-	cut := 0 // 0 means "no cached node": pay the whole path
-	for j := len(nodes) - 1; j >= 0; j-- {
-		if pl.Stores[nodes[j]][item] {
-			cut = j
-			break
-		}
-	}
+	cut := servedFrom(g, sp, pl)
 	for j, id := range sp.Path.Arcs {
 		w := g.Arc(id).Cost
 		full += w
@@ -292,9 +285,11 @@ func enumerateSavings(ctx context.Context, s *Spec, paths []ServingPath, nodeIdx
 				// worthless; no variable needed.
 				continue
 			}
+			// The z's of one path share downstream's array: each
+			// sees its own prefix, which later appends never touch.
 			out = append(out, zref{
 				weight: sp.Rate * w,
-				idx:    append([]int(nil), downstream...),
+				idx:    downstream[:len(downstream):len(downstream)],
 			})
 		}
 		return out, nil
@@ -309,33 +304,83 @@ func enumerateSavings(ctx context.Context, s *Spec, paths []ServingPath, nodeIdx
 	return zs, nil
 }
 
-// placePerPathLP solves the LP form of (15) and pipage-rounds the result.
-// solver, when non-nil, warm-starts the LP from the previous round's basis.
-func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers int, solver *lp.Solver) (*Placement, error) {
-	g := s.G
-	var nodes []graph.NodeID
-	nodeIdx := make([]int, g.NumNodes())
+// presolveSavings reduces the z variables of the Eq. (15) LP before the LP
+// is built. Every z maximizes weight * z, weight > 0, subject to
+// z <= min(1, sum_{v in D} x_v) with 0 <= x <= 1, so at any optimum z
+// equals that bound, and the reduction keeps the feasible x-set and the
+// optimal value:
+//   - D empty: z is fixed at 0 and dropped;
+//   - |D| = 1: z equals its x, so the weight moves onto x's objective
+//     coefficient (xWeight) and z's row and column vanish;
+//   - equal D: the z's are equal, so they merge into one column whose
+//     weight is their sum.
+//
+// Weights are summed in the order of zs (path order), and the merged
+// columns keep the order of their first occurrence, so the reduced LP is
+// deterministic. A merged column's idx is D as a sorted list; zs is not
+// modified (its idx lists may share arrays, see enumerateSavings).
+func presolveSavings(zs []zref, nx int) (xWeight []float64, merged []zref) {
+	xWeight = make([]float64, nx)
+	col := make(map[string]int)
+	var set []int
+	var key []byte
+	for _, z := range zs {
+		switch len(z.idx) {
+		case 0:
+			continue
+		case 1:
+			xWeight[z.idx[0]] += z.weight
+			continue
+		}
+		set = append(set[:0], z.idx...)
+		sort.Ints(set)
+		key = key[:0]
+		for _, j := range set {
+			key = binary.AppendUvarint(key, uint64(j))
+		}
+		if k, ok := col[string(key)]; ok {
+			merged[k].weight += z.weight
+			continue
+		}
+		col[string(key)] = len(merged)
+		merged = append(merged, zref{weight: z.weight, idx: append([]int(nil), set...)})
+	}
+	return xWeight, merged
+}
+
+// cacheNodes lists the nodes holding x variables in the Eq. (15) LP (a
+// positive capacity and not pinned) and maps every node to its position
+// in that list, -1 for the others.
+func cacheNodes(s *Spec) (nodes []graph.NodeID, nodeIdx []int) {
+	nodeIdx = make([]int, s.G.NumNodes())
 	for v := range nodeIdx {
 		nodeIdx[v] = -1
-	}
-	for v := 0; v < g.NumNodes(); v++ {
 		if s.CacheCap[v] > 0 && !s.IsPinned(v) {
 			nodeIdx[v] = len(nodes)
 			nodes = append(nodes, v)
 		}
 	}
+	return nodes, nodeIdx
+}
+
+// buildPerPathLP builds the presolved Eq. (15) LP: columns x_{v,i} for the
+// cacheable nodes (row major, node then item), then one z column per
+// distinct downstream set of two or more nodes (see presolveSavings); rows
+// z <= sum_D x per z column, then one cache-capacity row per node.
+func buildPerPathLP(ctx context.Context, s *Spec, paths []ServingPath, nodes []graph.NodeID, nodeIdx []int, workers int) (*lp.Problem, error) {
 	nx := len(nodes) * s.NumItems
 	xIdx := func(vi, i int) int { return vi*s.NumItems + i }
-
 	// One z variable per (path, link) whose saving is not already
 	// guaranteed by a pinned node downstream of the link.
 	zs, err := enumerateSavings(ctx, s, paths, nodeIdx, xIdx, workers)
 	if err != nil {
 		return nil, fmt.Errorf("placement: per-path enumeration: %w", err)
 	}
+	xWeight, zs := presolveSavings(zs, nx)
 	prob := lputil.NewProblem(nx + len(zs))
 	prob.SetSense(lp.Maximize)
-	for j := 0; j < nx; j++ {
+	for j, w := range xWeight {
+		prob.SetObjectiveCoeff(j, w)
 		prob.SetBounds(j, 0, 1)
 	}
 	row := lp.NewRowBuilder(prob)
@@ -358,6 +403,18 @@ func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers i
 		if err := row.Constrain(lp.LE, s.CacheCap[v]); err != nil {
 			return nil, fmt.Errorf("placement: per-path LP: %w", err)
 		}
+	}
+	return prob, nil
+}
+
+// placePerPathLP solves the LP form of (15) and pipage-rounds the result.
+// solver, when non-nil, warm-starts the LP from the previous round's basis.
+func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers int, solver *lp.Solver) (*Placement, error) {
+	g := s.G
+	nodes, nodeIdx := cacheNodes(s)
+	prob, err := buildPerPathLP(ctx, s, paths, nodes, nodeIdx, workers)
+	if err != nil {
+		return nil, err
 	}
 	sol, err := lputil.SolveWith(ctx, solver, "placement: per-path LP", prob)
 	if err != nil {

@@ -388,28 +388,23 @@ func recoverInOrder(ctx context.Context, aux *graph.Auxiliary, active []itemDema
 	flows := make([][]float64, len(active))
 	var cost float64
 	for _, k := range order {
-		gg := g.Clone()
-		for id := 0; id < g.NumArcs(); id++ {
-			if !aux.IsVirtualArc(id) {
-				gg.SetArcCap(id, residual[id])
+		// Real arcs carry what earlier items left; item k's own virtual
+		// arcs carry its supply caps when given.
+		vs := aux.VirtualSource[k]
+		capOf := func(id graph.ArcID) float64 {
+			a := g.Arc(id)
+			switch {
+			case !aux.IsVirtualArc(id):
+				return residual[id]
+			case supplyCaps != nil && a.From == vs && aux.VirtualArc[k][a.To] == id:
+				return supplyCaps[k][a.To]
 			}
+			return a.Cap
 		}
-		if supplyCaps != nil {
-			for _, v := range sortedArcKeys(aux.VirtualArc[k]) {
-				gg.SetArcCap(aux.VirtualArc[k][v], supplyCaps[k][v])
-			}
-		}
-		super := gg.AddNode()
-		var total float64
-		for _, t := range active[k].sorted {
-			gg.AddArc(t, super, 0, active[k].sinks[t])
-			total += active[k].sinks[t]
-		}
-		res, err := flow.MinCostFlowContext(ctx, gg, aux.VirtualSource[k], super, total)
+		f, err := flow.MinCostFlowToSinks(ctx, g, capOf, vs, active[k].sinkDemands())
 		if err != nil {
 			return nil, 0, fmt.Errorf("item %d: %w", active[k].item, err)
 		}
-		f := res.Arc[:g.NumArcs()]
 		flows[k] = f
 		for id, v := range f {
 			if !aux.IsVirtualArc(id) {

@@ -84,7 +84,7 @@ type Options struct {
 	BestEffort bool
 	// Workers bounds the worker pool for the independent per-item
 	// min-cost flows (the MMSFP fast path, where each item's flow is
-	// computed on its own clone of the auxiliary graph). Zero or negative
+	// computed on its own residual network). Zero or negative
 	// means GOMAXPROCS. Results are merged in item order, so the output
 	// is identical for any worker count (see internal/par).
 	Workers int
@@ -263,9 +263,15 @@ func RouteContext(ctx context.Context, s *placement.Spec, pl *placement.Placemen
 			byReq[pf.Sink] = append(byReq[pf.Sink], pf)
 		}
 		for _, sink := range sinkOrder {
+			// The options become base-graph paths once here, not once
+			// per rounding trial.
+			list := byReq[sink]
+			for j := range list {
+				list[j].Path, _ = aux.StripVirtual(list[j].Path)
+			}
 			all = append(all, reqOptions{
 				rq:   placement.Request{Item: ad.item, Node: sink},
-				list: byReq[sink],
+				list: list,
 			})
 		}
 	}
@@ -273,8 +279,7 @@ func RouteContext(ctx context.Context, s *placement.Spec, pl *placement.Placemen
 		var paths []placement.ServingPath
 		for _, ro := range all {
 			for _, pf := range ro.list {
-				base, _ := aux.StripVirtual(pf.Path)
-				paths = append(paths, placement.ServingPath{Req: ro.rq, Path: base, Rate: pf.Amount})
+				paths = append(paths, placement.ServingPath{Req: ro.rq, Path: pf.Path, Rate: pf.Amount})
 			}
 		}
 		cost, loads, maxUtil := placement.EvaluateServing(s, paths, pl)
@@ -292,6 +297,7 @@ func RouteContext(ctx context.Context, s *placement.Spec, pl *placement.Placemen
 		return 0
 	}
 	var best *Result
+	var spare []placement.ServingPath // a losing trial's paths, reused
 	for trial := 0; trial < opts.RoundingTrials; trial++ {
 		if ctx != nil && best != nil {
 			// Keep the incumbent rounding instead of erroring: at least
@@ -301,7 +307,10 @@ func RouteContext(ctx context.Context, s *placement.Spec, pl *placement.Placemen
 				break
 			}
 		}
-		paths := make([]placement.ServingPath, 0, len(all))
+		paths := spare[:0]
+		if paths == nil {
+			paths = make([]placement.ServingPath, 0, len(all))
+		}
 		for _, ro := range all {
 			var total float64
 			for _, pf := range ro.list {
@@ -318,15 +327,19 @@ func RouteContext(ctx context.Context, s *placement.Spec, pl *placement.Placemen
 					pick -= pf.Amount
 				}
 			}
-			base, _ := aux.StripVirtual(chosen.Path)
-			paths = append(paths, placement.ServingPath{Req: ro.rq, Path: base, Rate: demandOf(ro)})
+			paths = append(paths, placement.ServingPath{Req: ro.rq, Path: chosen.Path, Rate: demandOf(ro)})
 		}
 		cost, loads, maxUtil := placement.EvaluateServing(s, paths, pl)
 		cand := &Result{Paths: paths, Cost: cost, Loads: loads, MaxUtilization: maxUtil, Method: method, Unserved: unserved, Decomposed: dinfo}
 		if best == nil ||
 			cand.MaxUtilization < best.MaxUtilization-utilTol ||
 			(math.Abs(cand.MaxUtilization-best.MaxUtilization) <= utilTol && cand.Cost < best.Cost) {
+			if best != nil {
+				spare = best.Paths
+			}
 			best = cand
+		} else {
+			spare = paths
 		}
 	}
 	return best, nil
@@ -412,8 +425,8 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 	g := aux.G
 	// 1. Independent per-item min-cost flows, each respecting the link
 	// capacities on its own. The items are independent here — each one
-	// routes on its own clone of the auxiliary graph — so they fan out on
-	// the bounded pool; flows[k] is written only by item k's worker and
+	// routes on its own residual network over the shared, read-only
+	// auxiliary graph — so they fan out on the bounded pool; flows[k] is written only by item k's worker and
 	// the aggregation below runs sequentially in item order.
 	flows := make([][]float64, len(active))
 	if err := par.Do(ctx, opts.Workers, len(active), func(k int) error {
@@ -511,10 +524,6 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 	return flows, MethodSequential, nil, nil
 }
 
-// itemMinCostFlow routes one item's demands from its virtual source via a
-// super-sink min-cost flow. residual, if non-nil, overrides arc capacities;
-// unlimited ignores capacities entirely (the capacity-oblivious last
-// resort, whose congestion the caller measures).
 // sortedSinks returns the sink nodes of a demand map in ascending node
 // order, giving map-backed loops a deterministic iteration sequence.
 func sortedSinks(sinks map[graph.NodeID]float64) []graph.NodeID {
@@ -526,37 +535,38 @@ func sortedSinks(sinks map[graph.NodeID]float64) []graph.NodeID {
 	return out
 }
 
+// sinkDemands lists an item's demands in ascending sink order: the sink
+// arcs' positions influence which of several equal-cost flows the solver
+// returns, so map iteration order must not leak into the flow. The order
+// is precomputed when the demand set is built (see itemDemand.sorted);
+// this runs once per item per solve and must not re-sort.
+func (ad *itemDemand) sinkDemands() []flow.Demand {
+	out := make([]flow.Demand, len(ad.sorted))
+	for j, t := range ad.sorted {
+		out[j] = flow.Demand{Node: t, Amount: ad.sinks[t]}
+	}
+	return out
+}
+
+// itemMinCostFlow routes one item's demands from its virtual source via a
+// super-sink min-cost flow on the auxiliary graph. residual, if non-nil,
+// overrides the capacities of the real arcs; unlimited ignores capacities
+// entirely (the capacity-oblivious last resort, whose congestion the
+// caller measures).
 func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDemand, residual []float64, unlimited bool) ([]float64, error) {
-	gg := aux.G.Clone()
+	var capOf func(graph.ArcID) float64
 	switch {
 	case unlimited:
-		for id := 0; id < aux.G.NumArcs(); id++ {
-			gg.SetArcCap(id, graph.Unlimited)
-		}
+		capOf = func(graph.ArcID) float64 { return graph.Unlimited }
 	case residual != nil:
-		for id := 0; id < aux.G.NumArcs(); id++ {
+		capOf = func(id graph.ArcID) float64 {
 			if aux.IsVirtualArc(id) {
-				continue
+				return aux.G.Arc(id).Cap
 			}
-			gg.SetArcCap(id, residual[id])
+			return residual[id]
 		}
 	}
-	super := gg.AddNode()
-	var total float64
-	// Sorted sink order: the demand arcs' IDs influence which of several
-	// equal-cost flows the solver returns, so map iteration order must not
-	// leak into the graph construction. The order is precomputed when the
-	// demand set is built (see itemDemand.sorted) — this loop runs once per
-	// item per solve and must not re-sort.
-	for _, t := range ad.sorted {
-		gg.AddArc(t, super, 0, ad.sinks[t])
-		total += ad.sinks[t]
-	}
-	res, err := flow.MinCostFlowContext(ctx, gg, aux.VirtualSource[k], super, total)
-	if err != nil {
-		return nil, err
-	}
-	return res.Arc[:aux.G.NumArcs()], nil
+	return flow.MinCostFlowToSinks(ctx, aux.G, capOf, aux.VirtualSource[k], ad.sinkDemands())
 }
 
 // multicommodityLP solves the coupled MMSFP exactly: one flow variable per

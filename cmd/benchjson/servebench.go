@@ -5,9 +5,9 @@ import (
 	"math/rand"
 
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/placement"
 	"jcr/internal/serve"
+	"jcr/internal/strategy"
 )
 
 // serveBenchState is the serving-layer benchmark fixture: a data plane
@@ -58,7 +58,7 @@ func serveBench() *serveBenchState {
 	if err != nil {
 		fatal(err)
 	}
-	dec, err := online.RNRPolicy{}.Decide(context.Background(), s, graph.AllPairs(g))
+	dec, _, err := strategy.MustNew("rnr", strategy.Options{}).Decide(context.Background(), strategy.Instance{Spec: s, Dist: graph.AllPairs(g)})
 	if err != nil {
 		fatal(err)
 	}

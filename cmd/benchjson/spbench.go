@@ -9,6 +9,7 @@ import (
 	"jcr/internal/graph"
 	"jcr/internal/online"
 	"jcr/internal/placement"
+	"jcr/internal/strategy"
 )
 
 // spGraph builds the shortest-path benchmark topology: a random connected
@@ -167,21 +168,21 @@ func rerouteHours() []online.HourInput {
 	return rerouteHorizon
 }
 
-// rnrOnlyPolicy never plans serving paths, forcing every request of every
-// hour through the online fallback reroute.
-type rnrOnlyPolicy struct{}
+// rnrOnly is a strategy that never plans serving paths, forcing every
+// request of every hour through the online fallback reroute.
+type rnrOnly struct{}
 
-func (rnrOnlyPolicy) Name() string { return "rnr-only" }
+func (rnrOnly) Name() string { return "rnr-only" }
 
-func (rnrOnlyPolicy) Decide(_ context.Context, spec *placement.Spec, _ [][]float64) (*online.Decision, error) {
-	return &online.Decision{Placement: spec.NewPlacement()}, nil
+func (rnrOnly) Decide(_ context.Context, inst strategy.Instance) (*strategy.Plan, strategy.Stats, error) {
+	return &strategy.Plan{Placement: inst.Spec.NewPlacement()}, strategy.Stats{Iterations: 1}, nil
 }
 
 // faultReroute runs the online controller over the fault horizon, with the
 // cross-hour tree engine (the after side) or with every tree cold (the
 // before side, Options.NoTreeReuse).
 func faultReroute(noTreeReuse bool) error {
-	_, err := online.Run(context.Background(), rnrOnlyPolicy{}, rerouteHours(),
+	_, err := online.Run(context.Background(), rnrOnly{}, rerouteHours(),
 		online.Options{Resilient: true, NoTreeReuse: noTreeReuse})
 	return err
 }

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	jcrserve [-hours 12] [-lookups 100000] [-policy rnr|alternating]
+//	jcrserve [-hours 12] [-lookups 100000] [-policy rnr|alternating|<strategy>]
 //	jcrserve -kill-cp 6                 # control plane dies at hour 6
 //	jcrserve -corrupt-push 4 -corrupt-hours 2
 //	jcrserve -concurrent               # race load against live plan swaps
@@ -30,11 +30,11 @@ import (
 
 	"jcr/internal/faults"
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/par"
 	"jcr/internal/placement"
 	"jcr/internal/rng"
 	"jcr/internal/serve"
+	"jcr/internal/strategy"
 )
 
 func main() {
@@ -51,7 +51,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		lookups      = fs.Int("lookups", 100000, "lookups fired per hour")
 		loadWorkers  = fs.Int("load-workers", 0, "load-generator workers (0 = GOMAXPROCS)")
 		seed         = fs.Int64("seed", 1, "random seed for demand drift and load sampling")
-		policyName   = fs.String("policy", "rnr", "replan policy: rnr (greedy + nearest replica) or alternating (warm-started pipeline)")
+		policyName   = fs.String("policy", "rnr", "replan strategy: rnr (greedy + nearest replica), alternating (warm-started pipeline), or any other registered strategy")
 		killCP       = fs.Int("kill-cp", -1, "hour at which the control plane dies for the rest of the run (-1 = never)")
 		corruptPush  = fs.Int("corrupt-push", -1, "first hour of the corrupted-push window (-1 = never)")
 		corruptHours = fs.Int("corrupt-hours", 1, "length of the corrupted-push window")
@@ -67,14 +67,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "jcrserve: -hours and -corrupt-hours must be positive, -lookups non-negative")
 		return 2
 	}
-	var policy online.Policy
-	switch *policyName {
-	case "rnr":
-		policy = online.RNRPolicy{}
-	case "alternating":
-		policy = &online.AlternatingPolicy{WarmStart: true, BestEffort: true, Rng: rand.New(rand.NewSource(*seed))}
-	default:
-		fmt.Fprintf(stderr, "jcrserve: unknown policy %q\n", *policyName)
+	opts := strategy.Options{Seed: *seed}
+	if *policyName == "alternating" {
+		opts = strategy.Options{WarmStart: true, BestEffort: true, Rng: rand.New(rand.NewSource(*seed))}
+	}
+	st, err := strategy.New(*policyName, opts)
+	if err != nil {
+		fmt.Fprintln(stderr, "jcrserve:", err)
 		return 2
 	}
 
@@ -91,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *corruptPush >= 0 {
 		scenario = faults.Merge("chaos", scenario, faults.CorruptedPush(*corruptPush, *corruptHours))
 	}
-	cp, err := serve.NewControlPlane(policy, dp, serve.ControlPlaneOptions{
+	cp, err := serve.NewControlPlaneForStrategy(st, dp, serve.ControlPlaneOptions{
 		DecideTimeout: *timeout,
 		MaxRetries:    *retries,
 		Backoff:       10 * time.Millisecond,

@@ -1,18 +1,20 @@
 // Online operation: re-optimize caching and routing every hour from
 // Gaussian-process demand forecasts and serve the realized demand,
-// comparing adaptive, warm-started, and frozen policies on cost,
+// comparing adaptive, warm-started, and frozen strategies on cost,
 // congestion, and placement churn (items moved per hour).
 //
 //	go run ./examples/online
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"jcr"
 	"jcr/internal/experiments"
 	"jcr/internal/online"
+	"jcr/internal/strategy"
 )
 
 func main() {
@@ -40,20 +42,24 @@ func main() {
 	}
 
 	fmt.Println("online edge caching over 8 hours (decisions on GPR forecasts):")
-	fmt.Printf("%-28s %14s %12s %8s\n", "policy", "total cost", "mean cong.", "churn")
-	for _, pol := range []online.Policy{
-		&online.AlternatingPolicy{},
-		&online.AlternatingPolicy{WarmStart: true},
-		&online.StaticPolicy{Inner: &online.AlternatingPolicy{}},
-		online.SPPolicy{Origin: sc.Net.Origin},
-		online.RNRPolicy{},
+	fmt.Printf("%-28s %14s %12s %8s\n", "strategy", "total cost", "mean cong.", "churn")
+	alternating := func(o strategy.Options) strategy.Strategy { return strategy.MustNew("alternating", o) }
+	for _, e := range []struct {
+		label string
+		st    strategy.Strategy
+	}{
+		{"alternating", alternating(strategy.Options{})},
+		{"alternating (warm start)", alternating(strategy.Options{WarmStart: true})},
+		{"static alternating", &strategy.Static{Inner: alternating(strategy.Options{})}},
+		{"SP [38]", strategy.MustNew("sp", strategy.Options{})},
+		{"greedy + RNR", strategy.MustNew("rnr", strategy.Options{})},
 	} {
-		series, err := online.Simulate(pol, hours)
+		series, err := online.Run(context.Background(), e.st, hours, online.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-28s %14.4g %12.3f %8d\n",
-			series.Policy, series.TotalCost(), series.MeanCongestion(), series.TotalChurn())
+			e.label, series.TotalCost(), series.MeanCongestion(), series.TotalChurn())
 	}
 	fmt.Println("\nchurn counts cache entries changed between consecutive hours. The")
 	fmt.Println("cold-started optimizer tracks demand drift at the price of churn;")

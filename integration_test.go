@@ -1,6 +1,7 @@
 package jcr_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,10 +94,14 @@ func TestEndToEndEdgeCaching(t *testing.T) {
 	}
 
 	// 6. The online simulator accepts the same spec as a static hour.
-	series, err := jcr.SimulateOnline(&jcr.AlternatingPolicy{}, []jcr.OnlineHour{
+	alt, err := jcr.NewStrategy("alternating", jcr.StrategyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := jcr.RunOnline(context.Background(), alt, []jcr.OnlineHour{
 		{Hour: 0, Decision: spec, Truth: spec, Dist: dist},
 		{Hour: 1, Decision: spec, Truth: spec, Dist: dist},
-	})
+	}, jcr.OnlineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"jcr/internal/faults"
 	"jcr/internal/graph"
 	"jcr/internal/online"
+	"jcr/internal/strategy"
 )
 
 // faultIntensities are the swept per-hour link-failure probabilities: 0 is
@@ -14,14 +15,14 @@ import (
 // rare (one outage per 20 link-hours) to hostile (one per ~3).
 var faultIntensities = []float64{0, 0.05, 0.15, 0.3}
 
-// FigFault is the robustness extension: the online policies re-optimize
+// FigFault is the robustness extension: the online strategies re-optimize
 // hourly while a seeded fault injector degrades the network underneath
 // them — random link outages of increasing intensity, a mid-window cache
 // failure with content loss, a capacity degradation, and an unanticipated
 // demand surge. Decisions run under the hardened controller
 // (online.Run with Resilient retry and fallback), so a failed or
 // infeasible decision degrades to the last-known-good placement instead
-// of aborting the run. Figures, per policy, against failure intensity:
+// of aborting the run. Figures, per strategy, against failure intensity:
 //   - FaultA: mean per-hour routing cost
 //   - FaultB: mean per-hour congestion
 //   - FaultC: served fraction of realized demand
@@ -46,7 +47,7 @@ func FigFault(ctx context.Context, cfg *Config, window int) ([]Figure, error) {
 	samples := mcSamples(cfg)
 	err := runSampleSet(ctx, cfg, samples, func(s *sample) error {
 		mc := s.MC
-		// One workload per Monte-Carlo run; every intensity and policy
+		// One workload per Monte-Carlo run; every intensity and strategy
 		// sees the same hours, so curves differ only by the faults.
 		base := make([]*Run, window)
 		for h := 0; h < window; h++ {
@@ -66,14 +67,13 @@ func FigFault(ctx context.Context, cfg *Config, window int) ([]Figure, error) {
 			if err != nil {
 				return err
 			}
-			for _, pol := range faultPolicies(sc) {
-				series, err := online.Run(ctx, pol, hours, online.Options{
-					Resilient:  true,
-					MaxRetries: 1,
-					Validate:   true,
+			for _, e := range faultRoster() {
+				series, err := online.Run(ctx, e.st, hours, online.Options{
+					Retry:     strategy.Retry{MaxRetries: 1, Validate: true},
+					Resilient: true,
 				})
 				if err != nil {
-					return fmt.Errorf("fault mc %d intensity %g policy %s: %w", mc, intensity, pol.Name(), err)
+					return fmt.Errorf("fault mc %d intensity %g strategy %s: %w", mc, intensity, e.label, err)
 				}
 				var cost, cong float64
 				for _, h := range series.Hours {
@@ -81,10 +81,10 @@ func FigFault(ctx context.Context, cfg *Config, window int) ([]Figure, error) {
 					cong += h.Congestion
 				}
 				n := float64(len(series.Hours))
-				s.add(cCost, series.Policy, intensity, cost/n)
-				s.add(cCong, series.Policy, intensity, cong/n)
-				s.add(cServed, series.Policy, intensity, series.ServedFraction())
-				s.add(cStale, series.Policy, intensity, float64(series.DegradedHours()))
+				s.add(cCost, e.label, intensity, cost/n)
+				s.add(cCong, e.label, intensity, cong/n)
+				s.add(cServed, e.label, intensity, series.ServedFraction())
+				s.add(cStale, e.label, intensity, float64(series.DegradedHours()))
 			}
 		}
 		return nil
@@ -101,14 +101,14 @@ func FigFault(ctx context.Context, cfg *Config, window int) ([]Figure, error) {
 	return figs, nil
 }
 
-// faultPolicies builds fresh policy instances (the alternating policy is
+// faultRoster builds fresh strategy instances (the alternating strategy is
 // stateful across hours) for one simulated trace.
-func faultPolicies(sc *Scenario) []online.Policy {
-	return []online.Policy{
-		&online.AlternatingPolicy{WarmStart: true, BestEffort: true},
-		online.SPPolicy{Origin: sc.Net.Origin},
-		online.KSPPolicy{Origin: sc.Net.Origin, K: 3},
-		online.RNRPolicy{},
+func faultRoster() []labeled {
+	return []labeled{
+		{"alternating (warm start)", strategy.MustNew("alternating", strategy.Options{WarmStart: true, BestEffort: true})},
+		{"SP [38]", strategy.MustNew("sp", strategy.Options{})},
+		{"3-SP [3]", strategy.MustNew("ksp", strategy.Options{})},
+		{"greedy + RNR", strategy.MustNew("rnr", strategy.Options{})},
 	}
 }
 

@@ -14,7 +14,8 @@ var updatePreRefactor = flag.Bool("update-prerefactor", false, "rewrite the pre-
 // preRefactorRender produces the rendered outputs the strategy-layer
 // refactor must preserve bit for bit: Fig. 5 (the Alg. 1 / greedy vs
 // [3]/[38] comparison), the fault-robustness extension (the online
-// controller and its policies), Table 2 (the qualitative summary built on
+// controller and its policies), the online experiment (plain, warm-started
+// and static alternating against the fixed-path baselines), Table 2 (the qualitative summary built on
 // the alternating optimizer) and the regime comparison (exact solvers and
 // both alternating variants). All use tinyConfig with no injected clock,
 // so every byte is a pure function of the seed.
@@ -44,6 +45,17 @@ func preRefactorRender(t *testing.T, id string) string {
 			b.WriteByte('\n')
 		}
 		return b.String()
+	case "online":
+		figs, err := Online(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for i := range figs {
+			b.WriteString(figs[i].Render())
+			b.WriteByte('\n')
+		}
+		return b.String()
 	case "tables":
 		t2, err := Table2(cfg)
 		if err != nil {
@@ -64,7 +76,7 @@ func preRefactorRender(t *testing.T, id string) string {
 // the strategy-layer extraction: rewiring the solvers behind
 // internal/strategy must not change a single byte of them.
 func TestPreRefactorOutputsBitForBit(t *testing.T) {
-	for _, id := range []string{"fig5", "fault", "tables"} {
+	for _, id := range []string{"fig5", "fault", "tables", "online"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			got := preRefactorRender(t, id)

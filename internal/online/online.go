@@ -1,19 +1,22 @@
 // Package online simulates the paper's operational setting (Section 6):
 // a network provider adjusts caching and routing decisions on an hourly
 // basis from predicted demand, then serves whatever demand actually
-// arrives. It walks a view trace hour by hour, re-optimizes with a
-// pluggable policy, and records per-hour routing cost, congestion, and
-// placement churn (items moved between consecutive hours - the operational
-// cost of re-optimizing that a one-shot evaluation cannot see).
+// arrives. Run walks a view trace hour by hour, re-optimizes with any
+// strategy.Strategy (the paper's algorithms or the Section 6 baselines),
+// and records per-hour routing cost, congestion, and placement churn
+// (items moved between consecutive hours - the operational cost of
+// re-optimizing that a one-shot evaluation cannot see).
 //
-// Beyond the strict replay (Simulate), Run hardens the hourly control loop
-// for degraded networks: each decision runs under a context deadline with
-// bounded retry, its output can be validated against the feasibility
-// invariants of internal/check, and any failure — timeout, solver error,
-// infeasible output — degrades gracefully to the last-known-good placement
-// with failed-link-aware nearest-replica rerouting instead of aborting the
-// simulation. Per-hour degradation state (decision source, retries,
-// unserved and unanticipated demand) is recorded in HourMetrics.
+// With zero Options, Run is the strict replay: it aborts on the first
+// decision error. Non-zero Options harden the hourly control loop for
+// degraded networks: each decision runs through strategy.Retry (a context
+// deadline with bounded retry, and validation against the feasibility
+// invariants of internal/check), and with Resilient any failure — timeout,
+// solver error, infeasible output — degrades gracefully to the
+// last-known-good placement with failed-link-aware nearest-replica
+// rerouting instead of aborting the simulation. Per-hour degradation state
+// (decision source, retries, unserved and unanticipated demand) is
+// recorded in HourMetrics.
 package online
 
 import (
@@ -21,50 +24,24 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
-	"jcr/internal/check"
 	"jcr/internal/graph"
 	"jcr/internal/placement"
+	"jcr/internal/strategy"
 )
 
 // rateEps is the request rate below which a decided total is treated as
 // zero (the decision did not anticipate the request).
 const rateEps = 1e-12
 
-// Decision is one hour's chosen placement and serving paths.
-type Decision struct {
-	Placement *placement.Placement
-	// Paths serve the decision demand; the simulator rescales them to
-	// the realized demand (requests the decision did not anticipate fall
-	// back to route-to-nearest-replica).
-	Paths []placement.ServingPath
-	// Unserved maps requests the decision knowingly leaves unserved
-	// (no replica reachable on the degraded network, reported by
-	// best-effort routing) to their decision-demand rate. Nil when the
-	// decision serves everything.
-	Unserved map[placement.Request]float64
-}
-
-// Policy decides one hour's placement and routing from the decision spec.
-type Policy interface {
-	// Name labels the policy in results.
-	Name() string
-	// Decide computes the hour's decision; dist is the all-pairs
-	// least-cost matrix of spec.G. ctx, when non-nil, carries the
-	// decision deadline; a policy that honors it returns promptly once
-	// the deadline passes (the library solvers all do).
-	Decide(ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error)
-}
-
 // DecisionSource records where an hour's applied decision came from.
 type DecisionSource int
 
 // Decision sources.
 const (
-	// SourceFresh is a successful decision from the policy this hour.
+	// SourceFresh is a successful decision from the strategy this hour.
 	SourceFresh DecisionSource = iota
-	// SourceStale means the policy failed (error, timeout, or invalid
+	// SourceStale means the strategy failed (error, timeout, or invalid
 	// output) and the hour ran on the last-known-good placement with
 	// nearest-replica rerouting.
 	SourceStale
@@ -112,10 +89,11 @@ type HourMetrics struct {
 	Retries int
 }
 
-// Series is a policy's full simulation record.
+// Series is a strategy's full simulation record.
 type Series struct {
-	Policy string
-	Hours  []HourMetrics
+	// Strategy is the name of the strategy that decided the hours.
+	Strategy string
+	Hours    []HourMetrics
 }
 
 // TotalCost sums the per-hour costs.
@@ -199,7 +177,7 @@ func (s *Series) TotalUnanticipated() float64 {
 	return t
 }
 
-// HourInput is one hour of workload: the demand the policy sees and the
+// HourInput is one hour of workload: the demand the strategy sees and the
 // demand that actually arrives, over a shared network.
 type HourInput struct {
 	Hour     int
@@ -208,66 +186,43 @@ type HourInput struct {
 	Dist     [][]float64
 }
 
-// Options harden the control loop of Run. The zero value reproduces
-// Simulate exactly: no deadline, no retries, no validation, abort on the
-// first policy error.
+// Options harden the control loop of Run. The zero value is the strict
+// replay: no deadline, no retries, no validation, abort on the first
+// decision error.
 type Options struct {
+	// Retry hardens each hour's decision: per-attempt deadline, bounded
+	// retries with backoff, and validation of the plan (see
+	// strategy.Retry; a DecideTimeout requires a non-nil Run context).
+	// A decision that still fails degrades the hour (Resilient) or aborts
+	// the run.
+	Retry strategy.Retry
 	// Resilient degrades to the last-known-good placement with
 	// nearest-replica rerouting when a decision fails (error, timeout,
 	// or invalid output), instead of aborting the simulation. Unserved
 	// and unreachable demand is then accounted in HourMetrics rather
 	// than erroring.
 	Resilient bool
-	// DecideTimeout bounds each Decide attempt via a derived context
-	// deadline. Requires a non-nil parent context; zero means no
-	// deadline.
-	DecideTimeout time.Duration
-	// MaxRetries is how many times a failed Decide is retried before
-	// the hour is declared degraded (or the run aborts, if not
-	// Resilient).
-	MaxRetries int
-	// Backoff is the wait between retry attempts. The wait itself is
-	// performed by Sleep, which the binary injects (library code never
-	// owns a timer); with a nil Sleep the backoff duration is skipped
-	// and retries are immediate, which is also what deterministic tests
-	// want.
-	Backoff time.Duration
-	// Sleep waits the given duration or until ctx is done, returning
-	// ctx's error if it fired first. Binaries pass a real timer-backed
-	// implementation; nil means no waiting between retries.
-	Sleep func(ctx context.Context, d time.Duration) error
-	// Validate checks every fresh decision against the feasibility
-	// invariants (cache capacities, path integrity, declared-unserved
-	// service accounting) before applying it; an invalid decision is
-	// treated as a failed attempt.
-	Validate bool
 	// NoTreeReuse disables the shortest-path-tree engine that carries
 	// repaired trees across consecutive hours of the truth evaluation
 	// (fault hours reuse the previous hour's trees, incrementally fixed
 	// for the links that moved). The engine is bit-for-bit invisible in
 	// every metric — disabling it only recomputes each tree cold — so
 	// this switch exists for A/B timing and determinism tests, mirroring
-	// AlternatingPolicy.NoSolverReuse.
+	// strategy.Options.NoSolverReuse.
 	NoTreeReuse bool
 }
 
-// Simulate runs the policy over the given hours, aborting on the first
-// policy error (the strict historical behavior).
-func Simulate(policy Policy, hours []HourInput) (*Series, error) {
-	return Run(nil, policy, hours, Options{})
-}
-
-// Run walks the hours under the given hardening options. ctx, when
-// non-nil, cancels the whole simulation between hours and carries the
-// per-decision deadline of Options.DecideTimeout.
-func Run(ctx context.Context, policy Policy, hours []HourInput, opts Options) (*Series, error) {
-	if opts.DecideTimeout > 0 && ctx == nil {
-		return nil, errors.New("online: Options.DecideTimeout requires a non-nil context")
+// Run walks the hours, deciding each with st under the given hardening
+// options. ctx, when non-nil, cancels the whole simulation between hours
+// and carries the per-decision deadline of Options.Retry.DecideTimeout.
+func Run(ctx context.Context, st strategy.Strategy, hours []HourInput, opts Options) (*Series, error) {
+	if opts.Retry.DecideTimeout > 0 && ctx == nil {
+		return nil, errors.New("online: Options.Retry.DecideTimeout requires a non-nil context")
 	}
-	if opts.MaxRetries < 0 || opts.DecideTimeout < 0 || opts.Backoff < 0 {
+	if opts.Retry.MaxRetries < 0 || opts.Retry.DecideTimeout < 0 || opts.Retry.Backoff < 0 {
 		return nil, fmt.Errorf("online: negative Options values: %+v", opts)
 	}
-	out := &Series{Policy: policy.Name()}
+	out := &Series{Strategy: st.Name()}
 	var eng *graph.Engine // nil when NoTreeReuse: every truth tree cold
 	if !opts.NoTreeReuse {
 		eng = graph.NewEngine()
@@ -278,33 +233,28 @@ func Run(ctx context.Context, policy Policy, hours []HourInput, opts Options) (*
 	for _, h := range hours {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("online: %s at hour %d: %w", policy.Name(), h.Hour, err)
+				return nil, fmt.Errorf("online: %s at hour %d: %w", st.Name(), h.Hour, err)
 			}
 		}
-		dec, retries, derr := decideWithRetry(ctx, policy, h, opts)
-		if derr == nil && opts.Validate {
-			if verr := validateDecision(h.Decision, dec); verr != nil {
-				derr = fmt.Errorf("invalid decision: %w", verr)
-			}
-		}
+		plan, retries, derr := opts.Retry.Decide(ctx, st, strategy.Instance{Spec: h.Decision, Dist: h.Dist})
 		source := SourceFresh
 		if derr != nil {
 			if !opts.Resilient {
-				return nil, fmt.Errorf("online: %s at hour %d: %w", policy.Name(), h.Hour, derr)
+				return nil, fmt.Errorf("online: %s at hour %d: %w", st.Name(), h.Hour, derr)
 			}
-			dec = fallbackDecision(h, lastGood)
+			plan = fallbackPlan(h, lastGood)
 			source = SourceStale
 		} else {
 			if stale {
 				source = SourceRepaired
 			}
-			lastGood = dec.Placement
+			lastGood = plan.Placement
 		}
 		stale = source == SourceStale
 
-		ev, err := evaluateOnTruth(h, dec, opts.Resilient, eng)
+		ev, err := evaluateOnTruth(h, plan, opts.Resilient, eng)
 		if err != nil {
-			return nil, fmt.Errorf("online: %s at hour %d: %w", policy.Name(), h.Hour, err)
+			return nil, fmt.Errorf("online: %s at hour %d: %w", st.Name(), h.Hour, err)
 		}
 		unanticipated := ev.unanticipated
 		if source == SourceStale {
@@ -316,77 +266,24 @@ func Run(ctx context.Context, policy Policy, hours []HourInput, opts Options) (*
 			Hour:          h.Hour,
 			Cost:          ev.cost,
 			Congestion:    ev.cong,
-			Churn:         churn(prev, dec.Placement),
+			Churn:         churn(prev, plan.Placement),
 			Demand:        ev.demand,
 			Unserved:      ev.unserved,
 			Unanticipated: unanticipated,
 			Source:        source,
 			Retries:       retries,
 		})
-		prev = dec.Placement
+		prev = plan.Placement
 	}
 	return out, nil
 }
 
-// decideWithRetry runs Decide up to 1+MaxRetries times, each attempt under
-// its own DecideTimeout deadline, waiting Backoff between attempts. It
-// returns the number of failed attempts before the returned outcome.
-func decideWithRetry(ctx context.Context, policy Policy, h HourInput, opts Options) (*Decision, int, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 && opts.Backoff > 0 && opts.Sleep != nil {
-			if err := opts.Sleep(ctx, opts.Backoff); err != nil {
-				return nil, attempt, lastErr
-			}
-		}
-		dec, err := decideOnce(ctx, policy, h, opts.DecideTimeout)
-		if err == nil {
-			return dec, attempt, nil
-		}
-		lastErr = err
-		if ctx != nil && ctx.Err() != nil {
-			// The simulation deadline itself (not just this attempt's)
-			// is gone; retrying cannot succeed.
-			return nil, attempt, lastErr
-		}
-		if attempt >= opts.MaxRetries {
-			return nil, attempt, lastErr
-		}
-	}
-}
-
-// decideOnce is one Decide attempt under its own deadline.
-func decideOnce(ctx context.Context, policy Policy, h HourInput, timeout time.Duration) (*Decision, error) {
-	dctx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	dec, err := policy.Decide(dctx, h.Decision, h.Dist)
-	if err != nil {
-		return nil, err
-	}
-	if dec == nil || dec.Placement == nil {
-		return nil, errors.New("policy returned no decision")
-	}
-	return dec, nil
-}
-
-// validateDecision checks a fresh decision against the feasibility
-// invariants on the decision spec: cache capacities (Eq. 1f) and serving
-// integrity with declared-unserved accounting (Eq. 1b-1c; congestion is
-// permitted, as in the paper's evaluation).
-func validateDecision(spec *placement.Spec, dec *Decision) error {
-	return check.PartialFlow(spec, dec.Placement, dec.Paths, dec.Unserved, true)
-}
-
-// fallbackDecision builds the degraded hour's decision: the last-known-good
+// fallbackPlan builds the degraded hour's plan: the last-known-good
 // placement (or the pinned-only placement if no decision ever succeeded),
 // evicted down to the current — possibly degraded — cache capacities. It
 // carries no paths, so every request is served by nearest-replica routing
 // on the hour's distance matrix, which reflects the failed links.
-func fallbackDecision(h HourInput, lastGood *placement.Placement) *Decision {
+func fallbackPlan(h HourInput, lastGood *placement.Placement) *strategy.Plan {
 	var pl *placement.Placement
 	if lastGood != nil {
 		pl = lastGood.Clone()
@@ -394,7 +291,7 @@ func fallbackDecision(h HourInput, lastGood *placement.Placement) *Decision {
 		pl = h.Decision.NewPlacement()
 	}
 	h.Decision.EvictToFit(pl)
-	return &Decision{Placement: pl}
+	return &strategy.Plan{Placement: pl}
 }
 
 // churn counts differing cache entries; the first hour has zero churn.
@@ -419,7 +316,7 @@ type hourEval struct {
 	demand, unserved, unanticipated float64
 }
 
-// evaluateOnTruth rescales the decision's serving paths to the realized
+// evaluateOnTruth rescales the plan's serving paths to the realized
 // demand, serving unanticipated requests from their nearest replica. With
 // bestEffort, demand with no reachable replica is accounted as unserved
 // instead of failing the hour (degraded networks legitimately strand
@@ -427,7 +324,7 @@ type hourEval struct {
 // historical behavior. The engine, when non-nil, serves the nearest-replica
 // trees from its cross-hour cache (identical bit for bit to computing them
 // cold); the local map still memoizes within the hour either way.
-func evaluateOnTruth(h HourInput, dec *Decision, bestEffort bool, eng *graph.Engine) (hourEval, error) {
+func evaluateOnTruth(h HourInput, dec *strategy.Plan, bestEffort bool, eng *graph.Engine) (hourEval, error) {
 	var ev hourEval
 	truth := h.Truth
 	byReq := map[placement.Request][]placement.ServingPath{}

@@ -13,7 +13,11 @@ import (
 	"jcr/internal/faults"
 	"jcr/internal/graph"
 	"jcr/internal/placement"
+	"jcr/internal/strategy"
 )
+
+// alternating builds the registry's alternating strategy.
+func alternating(o strategy.Options) strategy.Strategy { return strategy.MustNew("alternating", o) }
 
 // buildHours makes a small multi-hour workload whose hot item flips
 // between the two edge caches at hour 2, with a mild prediction error.
@@ -59,11 +63,11 @@ func buildHours(t *testing.T) []HourInput {
 
 func TestSimulateAlternatingAdapts(t *testing.T) {
 	hours := buildHours(t)
-	adaptive, err := Simulate(&AlternatingPolicy{Rng: rand.New(rand.NewSource(1))}, hours)
+	adaptive, err := Run(nil, alternating(strategy.Options{Rng: rand.New(rand.NewSource(1))}), hours, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := Simulate(&StaticPolicy{Inner: &AlternatingPolicy{Rng: rand.New(rand.NewSource(1))}}, hours)
+	static, err := Run(nil, &strategy.Static{Inner: alternating(strategy.Options{Rng: rand.New(rand.NewSource(1))})}, hours, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +95,11 @@ func TestSimulateAlternatingAdapts(t *testing.T) {
 
 func TestWarmStartReducesChurn(t *testing.T) {
 	hours := buildHours(t)
-	cold, err := Simulate(&AlternatingPolicy{Rng: rand.New(rand.NewSource(2))}, hours)
+	cold, err := Run(nil, alternating(strategy.Options{Rng: rand.New(rand.NewSource(2))}), hours, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Simulate(&AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(2))}, hours)
+	warm, err := Run(nil, alternating(strategy.Options{WarmStart: true, Rng: rand.New(rand.NewSource(2))}), hours, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +110,17 @@ func TestWarmStartReducesChurn(t *testing.T) {
 
 func TestBaselinePolicies(t *testing.T) {
 	hours := buildHours(t)
-	for _, pol := range []Policy{
-		SPPolicy{Origin: 0},
-		RNRPolicy{},
-		&AlternatingPolicy{Fractional: true, Rng: rand.New(rand.NewSource(3))},
+	for _, pol := range []strategy.Strategy{
+		strategy.MustNew("sp", strategy.Options{}),
+		strategy.MustNew("ksp", strategy.Options{}),
+		strategy.MustNew("rnr", strategy.Options{}),
+		alternating(strategy.Options{Fractional: true, Rng: rand.New(rand.NewSource(3))}),
 	} {
-		s, err := Simulate(pol, hours)
+		s, err := Run(nil, pol, hours, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
-		if s.Policy != pol.Name() || len(s.Hours) != len(hours) {
+		if s.Strategy != pol.Name() || len(s.Hours) != len(hours) {
 			t.Errorf("%s: malformed series", pol.Name())
 		}
 		for _, h := range s.Hours {
@@ -127,7 +132,7 @@ func TestBaselinePolicies(t *testing.T) {
 }
 
 func TestSeriesAggregates(t *testing.T) {
-	s := &Series{Policy: "x", Hours: []HourMetrics{
+	s := &Series{Strategy: "x", Hours: []HourMetrics{
 		{Cost: 10, Congestion: 1, Churn: 2},
 		{Cost: 20, Congestion: 3, Churn: 0},
 	}}
@@ -141,7 +146,7 @@ func TestSeriesAggregates(t *testing.T) {
 }
 
 func TestSimulateErrorPropagation(t *testing.T) {
-	// An hour whose decision spec is broken must surface the policy
+	// An hour whose decision spec is broken must surface the strategy
 	// error with context, not panic.
 	g := graph.New(2)
 	g.AddEdge(0, 1, 1, 10)
@@ -151,9 +156,9 @@ func TestSimulateErrorPropagation(t *testing.T) {
 		CacheCap: []float64{0}, // wrong length
 		Rates:    [][]float64{{0, 1}},
 	}
-	_, err := Simulate(&AlternatingPolicy{}, []HourInput{{
+	_, err := Run(nil, alternating(strategy.Options{}), []HourInput{{
 		Hour: 0, Decision: bad, Truth: bad, Dist: graph.AllPairs(g),
-	}})
+	}}, Options{})
 	if err == nil {
 		t.Fatal("broken spec accepted")
 	}
@@ -171,7 +176,7 @@ func TestEvaluateOnTruthUnanticipated(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 2}},
 	}
-	dec := &Decision{Placement: s.NewPlacement()}
+	dec := &strategy.Plan{Placement: s.NewPlacement()}
 	ev, err := evaluateOnTruth(HourInput{Truth: s, Dist: graph.AllPairs(g)}, dec, false, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -187,32 +192,40 @@ func TestEvaluateOnTruthUnanticipated(t *testing.T) {
 	}
 }
 
-// scriptedPolicy runs a per-call function, for fault-injection tests.
-type scriptedPolicy struct {
+// scriptedStrategy is a strategy that runs a per-call function, for
+// fault-injection tests.
+type scriptedStrategy struct {
 	name  string
 	calls int
-	fn    func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error)
+	fn    func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*strategy.Plan, error)
 }
 
-func (p *scriptedPolicy) Name() string { return p.name }
+func (p *scriptedStrategy) Name() string { return p.name }
 
-func (p *scriptedPolicy) Decide(ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+func (p *scriptedStrategy) Decide(ctx context.Context, inst strategy.Instance) (*strategy.Plan, strategy.Stats, error) {
 	call := p.calls
 	p.calls++
-	return p.fn(call, ctx, spec, dist)
+	plan, err := p.fn(call, ctx, inst.Spec, inst.Dist)
+	return plan, strategy.Stats{Iterations: 1}, err
+}
+
+// decide runs st on one spec, dropping the stats.
+func decide(ctx context.Context, st strategy.Strategy, spec *placement.Spec, dist [][]float64) (*strategy.Plan, error) {
+	plan, _, err := st.Decide(ctx, strategy.Instance{Spec: spec, Dist: dist})
+	return plan, err
 }
 
 // TestFaultResilientIdleIsBitForBit: with no faults and no failing
-// decisions, the hardened Run must reproduce the strict Simulate series
+// decisions, the hardened Run must reproduce the strict zero-options series
 // exactly — same costs, congestion, and churn at every hour.
 func TestFaultResilientIdleIsBitForBit(t *testing.T) {
 	hours := buildHours(t)
-	strict, err := Simulate(&AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(7))}, hours)
+	strict, err := Run(nil, alternating(strategy.Options{WarmStart: true, Rng: rand.New(rand.NewSource(7))}), hours, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := Run(context.Background(), &AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(7))},
-		hours, Options{Resilient: true, MaxRetries: 2, Validate: true})
+	hard, err := Run(context.Background(), alternating(strategy.Options{WarmStart: true, Rng: rand.New(rand.NewSource(7))}),
+		hours, Options{Resilient: true, Retry: strategy.Retry{MaxRetries: 2, Validate: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,19 +257,19 @@ func TestFaultTimeoutDegradesToLastKnownGood(t *testing.T) {
 	hours := buildHours(t)
 	good := hours[0].Decision.NewPlacement()
 	good.Stores[2][0] = true // cache the hot item at edge node 2
-	pol := &scriptedPolicy{
+	pol := &scriptedStrategy{
 		name: "block-on-second",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*strategy.Plan, error) {
 			if call == 1 || call == 2 { // hours 1 and 2 hang until the deadline
 				<-ctx.Done()
 				return nil, ctx.Err()
 			}
-			return &Decision{Placement: good.Clone()}, nil
+			return &strategy.Plan{Placement: good.Clone()}, nil
 		},
 	}
 	series, err := Run(context.Background(), pol, hours, Options{
-		Resilient:     true,
-		DecideTimeout: 20 * time.Millisecond,
+		Resilient: true,
+		Retry:     strategy.Retry{DecideTimeout: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,10 +293,10 @@ func TestFaultTimeoutDegradesToLastKnownGood(t *testing.T) {
 		t.Errorf("LongestOutage = %d, want 2", got)
 	}
 	// Strict mode must surface the timeout instead of degrading.
-	pol2 := &scriptedPolicy{name: "block-always", fn: func(int, context.Context, *placement.Spec, [][]float64) (*Decision, error) {
+	pol2 := &scriptedStrategy{name: "block-always", fn: func(int, context.Context, *placement.Spec, [][]float64) (*strategy.Plan, error) {
 		return nil, context.DeadlineExceeded
 	}}
-	if _, err := Run(context.Background(), pol2, hours[:1], Options{DecideTimeout: time.Millisecond}); err == nil {
+	if _, err := Run(context.Background(), pol2, hours[:1], Options{Retry: strategy.Retry{DecideTimeout: time.Millisecond}}); err == nil {
 		t.Error("strict run swallowed a decision failure")
 	}
 }
@@ -292,7 +305,7 @@ func TestFaultTimeoutDegradesToLastKnownGood(t *testing.T) {
 // context is a configuration error, not a silent no-op.
 func TestFaultTimeoutRequiresContext(t *testing.T) {
 	hours := buildHours(t)
-	_, err := Run(nil, &AlternatingPolicy{}, hours, Options{DecideTimeout: time.Second})
+	_, err := Run(nil, alternating(strategy.Options{}), hours, Options{Retry: strategy.Retry{DecideTimeout: time.Second}})
 	if err == nil {
 		t.Fatal("nil context with DecideTimeout accepted")
 	}
@@ -303,16 +316,16 @@ func TestFaultTimeoutRequiresContext(t *testing.T) {
 func TestFaultRetryRecovers(t *testing.T) {
 	hours := buildHours(t)[:1]
 	good := hours[0].Decision.NewPlacement()
-	pol := &scriptedPolicy{
+	pol := &scriptedStrategy{
 		name: "flaky",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*strategy.Plan, error) {
 			if call < 2 {
 				return nil, fmt.Errorf("transient failure %d", call)
 			}
-			return &Decision{Placement: good.Clone()}, nil
+			return &strategy.Plan{Placement: good.Clone()}, nil
 		},
 	}
-	series, err := Run(context.Background(), pol, hours, Options{Resilient: true, MaxRetries: 2})
+	series, err := Run(context.Background(), pol, hours, Options{Resilient: true, Retry: strategy.Retry{MaxRetries: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +335,7 @@ func TestFaultRetryRecovers(t *testing.T) {
 	}
 	// One retry fewer must exhaust the budget and degrade instead.
 	pol.calls = 0
-	series, err = Run(context.Background(), pol, hours, Options{Resilient: true, MaxRetries: 1})
+	series, err = Run(context.Background(), pol, hours, Options{Resilient: true, Retry: strategy.Retry{MaxRetries: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,20 +349,20 @@ func TestFaultRetryRecovers(t *testing.T) {
 // fatal otherwise).
 func TestFaultValidateRejectsInfeasible(t *testing.T) {
 	hours := buildHours(t)[:1]
-	pol := &scriptedPolicy{
+	pol := &scriptedStrategy{
 		name: "overfull",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*strategy.Plan, error) {
 			pl := spec.NewPlacement()
 			pl.Stores[2][0] = true
 			pl.Stores[2][1] = true // capacity 1: infeasible
-			return &Decision{Placement: pl}, nil
+			return &strategy.Plan{Placement: pl}, nil
 		},
 	}
-	if _, err := Run(context.Background(), pol, hours, Options{Validate: true}); err == nil {
+	if _, err := Run(context.Background(), pol, hours, Options{Retry: strategy.Retry{Validate: true}}); err == nil {
 		t.Error("strict validating run accepted an infeasible placement")
 	}
 	pol.calls = 0
-	series, err := Run(context.Background(), pol, hours, Options{Validate: true, Resilient: true})
+	series, err := Run(context.Background(), pol, hours, Options{Resilient: true, Retry: strategy.Retry{Validate: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +386,8 @@ func TestFaultUnservedAccounting(t *testing.T) {
 		Rates:    [][]float64{{0, 3, 1}},
 	}
 	hour := HourInput{Hour: 0, Decision: s, Truth: s, Dist: graph.AllPairs(g)}
-	pol := &scriptedPolicy{name: "origin-only", fn: func(int, context.Context, *placement.Spec, [][]float64) (*Decision, error) {
-		return &Decision{Placement: s.NewPlacement()}, nil
+	pol := &scriptedStrategy{name: "origin-only", fn: func(int, context.Context, *placement.Spec, [][]float64) (*strategy.Plan, error) {
+		return &strategy.Plan{Placement: s.NewPlacement()}, nil
 	}}
 	series, err := Run(context.Background(), pol, []HourInput{hour}, Options{Resilient: true})
 	if err != nil {
@@ -407,13 +420,13 @@ func TestFaultFallbackEvictsToDegradedCapacity(t *testing.T) {
 	hours[1].Truth = &tr
 	good := hours[0].Decision.NewPlacement()
 	good.Stores[2][0] = true
-	pol := &scriptedPolicy{
+	pol := &scriptedStrategy{
 		name: "fail-second",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*strategy.Plan, error) {
 			if call > 0 {
 				return nil, fmt.Errorf("controller down")
 			}
-			return &Decision{Placement: good.Clone()}, nil
+			return &strategy.Plan{Placement: good.Clone()}, nil
 		},
 	}
 	series, err := Run(context.Background(), pol, hours, Options{Resilient: true})
@@ -467,9 +480,9 @@ func TestTreeReuseIsBitForBit(t *testing.T) {
 	}
 	// The decision never plans any serving, so every request of every hour
 	// goes through the nearest-replica trees the engine caches.
-	pol := func() Policy {
-		return &scriptedPolicy{name: "origin-only", fn: func(_ int, _ context.Context, spec *placement.Spec, _ [][]float64) (*Decision, error) {
-			return &Decision{Placement: spec.NewPlacement()}, nil
+	pol := func() strategy.Strategy {
+		return &scriptedStrategy{name: "origin-only", fn: func(_ int, _ context.Context, spec *placement.Spec, _ [][]float64) (*strategy.Plan, error) {
+			return &strategy.Plan{Placement: spec.NewPlacement()}, nil
 		}}
 	}
 	warm, err := Run(context.Background(), pol(), hours, Options{Resilient: true})
@@ -498,14 +511,14 @@ func TestTreeReuseIsBitForBit(t *testing.T) {
 // controller must report recovery on the next hour.
 func TestRunFirstHourDecideFails(t *testing.T) {
 	hours := buildHours(t)
-	inner := &AlternatingPolicy{Rng: rand.New(rand.NewSource(3))}
-	pol := &scriptedPolicy{
+	inner := alternating(strategy.Options{Rng: rand.New(rand.NewSource(3))})
+	pol := &scriptedStrategy{
 		name: "first-hour-dead",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*strategy.Plan, error) {
 			if call == 0 {
 				return nil, fmt.Errorf("injected first-hour failure")
 			}
-			return inner.Decide(ctx, spec, dist)
+			return decide(ctx, inner, spec, dist)
 		},
 	}
 	series, err := Run(context.Background(), pol, hours, Options{Resilient: true})
@@ -551,21 +564,21 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 		opts Options
 	}{
 		{"strict", Options{}},
-		{"resilient", Options{Resilient: true, MaxRetries: 1}},
+		{"resilient", Options{Resilient: true, Retry: strategy.Retry{MaxRetries: 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hours := buildHours(t)
 			ctx, cancel := context.WithCancel(context.Background())
 			const stopAfter = 2
-			pol := &scriptedPolicy{
+			pol := &scriptedStrategy{
 				name: "self-canceling",
-				fn: func(call int, dctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+				fn: func(call int, dctx context.Context, spec *placement.Spec, dist [][]float64) (*strategy.Plan, error) {
 					if call == stopAfter {
 						// The caller goes away while hour 2's decision is
 						// in flight.
 						cancel()
 					}
-					return (&RNRPolicy{}).Decide(dctx, spec, dist)
+					return decide(dctx, strategy.MustNew("rnr", strategy.Options{}), spec, dist)
 				},
 			}
 			series, err := Run(ctx, pol, hours, tc.opts)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"jcr/internal/strategy"
 )
 
 // samePlacement reports exact equality of two placements' stores.
@@ -25,16 +27,16 @@ func samePlacement(a, b [][]bool) bool {
 }
 
 // TestSolverReuseMatchesNoReuse runs the same workload through the
-// alternating policy with hour-to-hour solver reuse (the default) and with
+// alternating strategy with hour-to-hour solver reuse (the default) and with
 // reuse disabled: every hour's decision must coincide — the retained bases
 // and caches may only change how fast the answer arrives.
 func TestSolverReuseMatchesNoReuse(t *testing.T) {
 	hours := buildHours(t)
-	reused, err := Simulate(&AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(3))}, hours)
+	reused, err := Run(nil, alternating(strategy.Options{WarmStart: true, Rng: rand.New(rand.NewSource(3))}), hours, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Simulate(&AlternatingPolicy{WarmStart: true, NoSolverReuse: true, Rng: rand.New(rand.NewSource(3))}, hours)
+	cold, err := Run(nil, alternating(strategy.Options{WarmStart: true, NoSolverReuse: true, Rng: rand.New(rand.NewSource(3))}), hours, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +55,18 @@ func TestSolverReuseMatchesNoReuse(t *testing.T) {
 
 // TestSolverReuseSurvivesFailedHour interleaves a canceled Decide between
 // two good hours: the failed hour must error out without poisoning the
-// retained solver state, so the following hour still matches a policy that
+// retained solver state, so the following hour still matches a strategy that
 // never saw the failure.
 func TestSolverReuseSurvivesFailedHour(t *testing.T) {
 	hours := buildHours(t)
-	pol := &AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(4))}
-	ref := &AlternatingPolicy{WarmStart: true, NoSolverReuse: true, Rng: rand.New(rand.NewSource(4))}
+	pol := alternating(strategy.Options{WarmStart: true, Rng: rand.New(rand.NewSource(4))})
+	ref := alternating(strategy.Options{WarmStart: true, NoSolverReuse: true, Rng: rand.New(rand.NewSource(4))})
 
-	d0, err := pol.Decide(context.Background(), hours[0].Decision, hours[0].Dist)
+	d0, err := decide(context.Background(), pol, hours[0].Decision, hours[0].Dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := ref.Decide(context.Background(), hours[0].Decision, hours[0].Dist)
+	r0, err := decide(context.Background(), ref, hours[0].Decision, hours[0].Dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,28 +74,28 @@ func TestSolverReuseSurvivesFailedHour(t *testing.T) {
 		t.Fatal("hour 0 placements diverge before any failure")
 	}
 
-	// Hour 1 times out immediately (the DecideTimeout path hands the policy
+	// Hour 1 times out immediately (the DecideTimeout path hands the strategy
 	// a context that is already done mid-flight).
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pol.Decide(cctx, hours[1].Decision, hours[1].Dist); err == nil {
+	if _, err := decide(cctx, pol, hours[1].Decision, hours[1].Dist); err == nil {
 		t.Fatal("canceled Decide succeeded")
 	}
 
-	// Hour 2 must recover and agree with the reference policy, whose only
+	// Hour 2 must recover and agree with the reference strategy, whose only
 	// history is the two successful hours.
-	d2, err := pol.Decide(context.Background(), hours[2].Decision, hours[2].Dist)
+	d2, err := decide(context.Background(), pol, hours[2].Decision, hours[2].Dist)
 	if err != nil {
 		t.Fatalf("hour after failure: %v", err)
 	}
-	r2, err := ref.Decide(context.Background(), hours[2].Decision, hours[2].Dist)
+	r2, err := decide(context.Background(), ref, hours[2].Decision, hours[2].Dist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !samePlacement(d2.Placement.Stores, r2.Placement.Stores) {
 		t.Error("post-failure placement diverges from the never-failed reference")
 	}
-	if err := validateDecision(hours[2].Decision, d2); err != nil {
+	if err := strategy.Validate(strategy.Instance{Spec: hours[2].Decision, Dist: hours[2].Dist}, d2); err != nil {
 		t.Errorf("post-failure decision invalid: %v", err)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/placement"
 	"jcr/internal/rng"
+	"jcr/internal/strategy"
 )
 
 // benchServeSetup compiles a realistic plan on a 24-node mesh and returns
@@ -44,7 +44,7 @@ func benchServeSetup(tb testing.TB) (*DataPlane, []placement.Request, []uint64) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dec, err := online.RNRPolicy{}.Decide(context.Background(), s, graph.AllPairs(g))
+	dec, _, err := rnr().Decide(context.Background(), strategy.Instance{Spec: s, Dist: graph.AllPairs(g)})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"jcr/internal/faults"
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/par"
 	"jcr/internal/placement"
 	"jcr/internal/rng"
@@ -65,7 +64,7 @@ func TestChaosControlPlaneKilledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
+	cp, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{
 		Validate: true,
 		Scenario: faults.ControlPlaneOutage(hours/2, hours), // dead until the end
 	})
@@ -112,7 +111,7 @@ func TestChaosColdStartWithDeadControlPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
+	cp, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{
 		Scenario: faults.ControlPlaneOutage(0, hours),
 	})
 	if err != nil {
@@ -146,7 +145,7 @@ func TestChaosCorruptedPushMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
+	cp, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{
 		Validate:    true,
 		Scenario:    faults.CorruptedPush(2, 3),
 		CorruptSeed: 1,
@@ -209,7 +208,7 @@ func TestChaosConcurrentLoadAndSwaps(t *testing.T) {
 		faults.ControlPlaneOutage(2, 1),
 		faults.CorruptedPush(4, 1),
 	)
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
+	cp, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{
 		Validate:    true,
 		Scenario:    sc,
 		CorruptSeed: 3,

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"time"
 
-	"jcr/internal/check"
 	"jcr/internal/faults"
-	"jcr/internal/online"
 	"jcr/internal/placement"
 	"jcr/internal/strategy"
 )
@@ -70,10 +68,11 @@ type StepReport struct {
 	Err error
 }
 
-// ControlPlaneOptions harden the recompute loop, mirroring online.Options
-// semantics for the decide side and adding the serving-specific hooks.
-// The zero value decides once per cycle with no deadline and no validation
-// beyond the compiled-table self-check the data plane always runs.
+// ControlPlaneOptions harden the recompute loop. The first five fields
+// configure the decide side, which runs through strategy.Retry — the loop
+// online.Run uses too; the rest are the serving-specific hooks. The zero
+// value decides once per cycle with no deadline and no validation beyond
+// the compiled-table self-check the data plane always runs.
 type ControlPlaneOptions struct {
 	// DecideTimeout bounds each Decide attempt via a derived context
 	// deadline. Requires a non-nil ctx at Step/Run time; zero means no
@@ -106,38 +105,38 @@ type ControlPlaneOptions struct {
 	CorruptSeed int64
 }
 
-// ControlPlane recomputes serving plans with an online.Policy — typically
-// the warm-started alternating pipeline — and pushes full snapshots to one
+// ControlPlane recomputes serving plans with a strategy — typically the
+// warm-started alternating pipeline — and pushes full snapshots to one
 // data plane. It is crash-only: a cycle either pushes a validated plan or
 // changes nothing, every failure is reported rather than propagated, and
 // only context cancellation stops the loop. The data plane's health never
 // depends on the control plane making progress.
 type ControlPlane struct {
-	policy online.Policy
-	dp     *DataPlane
-	opts   ControlPlaneOptions
-	epoch  uint64
+	st    strategy.Strategy
+	dp    *DataPlane
+	opts  ControlPlaneOptions
+	loop  strategy.Retry
+	epoch uint64
 }
 
-// NewControlPlane wires a policy to the data plane it pushes to.
-func NewControlPlane(policy online.Policy, dp *DataPlane, opts ControlPlaneOptions) (*ControlPlane, error) {
-	if policy == nil || dp == nil {
-		return nil, errors.New("serve: control plane needs a policy and a data plane")
+// NewControlPlaneForStrategy wires any joint caching-and-routing strategy
+// (internal/strategy — the paper's algorithms or a Section 6 baseline) to
+// the data plane it pushes to.
+func NewControlPlaneForStrategy(st strategy.Strategy, dp *DataPlane, opts ControlPlaneOptions) (*ControlPlane, error) {
+	if st == nil || dp == nil {
+		return nil, errors.New("serve: control plane needs a strategy and a data plane")
 	}
 	if opts.MaxRetries < 0 || opts.DecideTimeout < 0 || opts.Backoff < 0 {
 		return nil, fmt.Errorf("serve: negative control-plane options: %+v", opts)
 	}
-	return &ControlPlane{policy: policy, dp: dp, opts: opts, epoch: dp.Epoch()}, nil
-}
-
-// NewControlPlaneForStrategy wires any joint caching-and-routing strategy
-// (internal/strategy — the paper's algorithms or a related-work baseline)
-// to the data plane, via the online.StrategyPolicy adapter.
-func NewControlPlaneForStrategy(st strategy.Strategy, dp *DataPlane, opts ControlPlaneOptions) (*ControlPlane, error) {
-	if st == nil {
-		return nil, errors.New("serve: control plane needs a strategy")
+	loop := strategy.Retry{
+		DecideTimeout: opts.DecideTimeout,
+		MaxRetries:    opts.MaxRetries,
+		Backoff:       opts.Backoff,
+		Sleep:         opts.Sleep,
+		Validate:      opts.Validate,
 	}
-	return NewControlPlane(&online.StrategyPolicy{Strategy: st}, dp, opts)
+	return &ControlPlane{st: st, dp: dp, opts: opts, loop: loop, epoch: dp.Epoch()}, nil
 }
 
 // Step runs one recompute-and-push cycle for the given input. It never
@@ -155,13 +154,8 @@ func (cp *ControlPlane) Step(ctx context.Context, in PlanInput) (StepReport, err
 		rep.Outcome = StepSkipped
 		return rep, nil
 	}
-	dec, retries, derr := cp.decideWithRetry(ctx, in)
+	dec, retries, derr := cp.loop.Decide(ctx, cp.st, strategy.Instance{Spec: in.Spec, Dist: in.Dist})
 	rep.Retries = retries
-	if derr == nil && cp.opts.Validate {
-		if verr := check.PartialFlow(in.Spec, dec.Placement, dec.Paths, dec.Unserved, true); verr != nil {
-			derr = fmt.Errorf("invalid decision: %w", verr)
-		}
-	}
 	if derr != nil {
 		if ctx != nil && ctx.Err() != nil {
 			return rep, fmt.Errorf("serve: control plane at hour %d: %w", in.Hour, ctx.Err())
@@ -207,50 +201,4 @@ func (cp *ControlPlane) Run(ctx context.Context, inputs []PlanInput) ([]StepRepo
 		reports = append(reports, rep)
 	}
 	return reports, nil
-}
-
-// decideWithRetry runs Decide up to 1+MaxRetries times, each attempt under
-// its own DecideTimeout deadline, waiting Backoff between attempts (via
-// the injected Sleep). Mirrors the online package's retry semantics.
-func (cp *ControlPlane) decideWithRetry(ctx context.Context, in PlanInput) (*online.Decision, int, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 && cp.opts.Backoff > 0 && cp.opts.Sleep != nil {
-			if err := cp.opts.Sleep(ctx, cp.opts.Backoff); err != nil {
-				return nil, attempt, lastErr
-			}
-		}
-		dec, err := cp.decideOnce(ctx, in)
-		if err == nil {
-			return dec, attempt, nil
-		}
-		lastErr = err
-		if ctx != nil && ctx.Err() != nil {
-			return nil, attempt, lastErr
-		}
-		if attempt >= cp.opts.MaxRetries {
-			return nil, attempt, lastErr
-		}
-	}
-}
-
-// decideOnce is one Decide attempt under its own deadline.
-func (cp *ControlPlane) decideOnce(ctx context.Context, in PlanInput) (*online.Decision, error) {
-	dctx := ctx
-	if cp.opts.DecideTimeout > 0 {
-		if ctx == nil {
-			return nil, errors.New("DecideTimeout requires a non-nil context")
-		}
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, cp.opts.DecideTimeout)
-		defer cancel()
-	}
-	dec, err := cp.policy.Decide(dctx, in.Spec, in.Dist)
-	if err != nil {
-		return nil, err
-	}
-	if dec == nil || dec.Placement == nil {
-		return nil, errors.New("policy returned no decision")
-	}
-	return dec, nil
 }

@@ -8,27 +8,30 @@ import (
 
 	"jcr/internal/faults"
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/placement"
+	"jcr/internal/strategy"
 )
 
-// countingPolicy wraps a policy, counting Decide calls and optionally
+// countingStrategy wraps a strategy, counting Decide calls and optionally
 // failing the first failN of them.
-type countingPolicy struct {
-	inner online.Policy
+type countingStrategy struct {
+	inner strategy.Strategy
 	calls int
 	failN int
 }
 
-func (p *countingPolicy) Name() string { return "counting " + p.inner.Name() }
+func (p *countingStrategy) Name() string { return "counting-" + p.inner.Name() }
 
-func (p *countingPolicy) Decide(ctx context.Context, spec *placement.Spec, dist [][]float64) (*online.Decision, error) {
+func (p *countingStrategy) Decide(ctx context.Context, inst strategy.Instance) (*strategy.Plan, strategy.Stats, error) {
 	p.calls++
 	if p.calls <= p.failN {
-		return nil, errors.New("injected decide failure")
+		return nil, strategy.Stats{}, errors.New("injected decide failure")
 	}
-	return p.inner.Decide(ctx, spec, dist)
+	return p.inner.Decide(ctx, inst)
 }
+
+// rnr builds the registry's greedy + nearest-replica strategy.
+func rnr() strategy.Strategy { return strategy.MustNew("rnr", strategy.Options{}) }
 
 func planInputs(t *testing.T, s *placement.Spec, hours int) []PlanInput {
 	t.Helper()
@@ -44,7 +47,7 @@ func TestControlPlanePushes(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
 	now := int64(1000)
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
+	cp, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{
 		Validate: true,
 		Now:      func() int64 { now += 10; return now },
 	})
@@ -76,8 +79,8 @@ func TestControlPlaneDecideFailureLeavesLastGood(t *testing.T) {
 	dp := testDataPlane(t, s)
 	// Hour 0 succeeds; hour 1's decide fails even after retries; hour 2
 	// recovers. The data plane serves hour 0's plan throughout.
-	pol := &countingPolicy{inner: online.RNRPolicy{}}
-	cp, err := NewControlPlane(pol, dp, ControlPlaneOptions{MaxRetries: 1})
+	pol := &countingStrategy{inner: rnr()}
+	cp, err := NewControlPlaneForStrategy(pol, dp, ControlPlaneOptions{MaxRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +115,8 @@ func TestControlPlaneDecideFailureLeavesLastGood(t *testing.T) {
 func TestControlPlaneSkipsDownHours(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
-	pol := &countingPolicy{inner: online.RNRPolicy{}}
-	cp, err := NewControlPlane(pol, dp, ControlPlaneOptions{
+	pol := &countingStrategy{inner: rnr()}
+	cp, err := NewControlPlaneForStrategy(pol, dp, ControlPlaneOptions{
 		Scenario: faults.ControlPlaneOutage(1, 2),
 	})
 	if err != nil {
@@ -131,7 +134,7 @@ func TestControlPlaneSkipsDownHours(t *testing.T) {
 	}
 	// A dead control plane computes nothing at all.
 	if pol.calls != 2 {
-		t.Fatalf("policy ran %d times during a 2-hour outage window", pol.calls)
+		t.Fatalf("strategy ran %d times during a 2-hour outage window", pol.calls)
 	}
 	if dp.Epoch() != 2 {
 		t.Fatalf("installed epoch %d after recovery", dp.Epoch())
@@ -141,7 +144,7 @@ func TestControlPlaneSkipsDownHours(t *testing.T) {
 func TestControlPlaneCorruptedPushRejected(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
+	cp, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{
 		Scenario:    faults.CorruptedPush(1, 2),
 		CorruptSeed: 7,
 	})
@@ -172,7 +175,7 @@ func TestControlPlaneCorruptedPushRejected(t *testing.T) {
 func TestControlPlaneCtxCancellation(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{})
+	cp, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,16 +193,16 @@ func TestControlPlaneCtxCancellation(t *testing.T) {
 func TestControlPlaneOptionValidation(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
-	if _, err := NewControlPlane(nil, dp, ControlPlaneOptions{}); err == nil {
-		t.Fatal("built a control plane without a policy")
+	if _, err := NewControlPlaneForStrategy(nil, dp, ControlPlaneOptions{}); err == nil {
+		t.Fatal("built a control plane without a strategy")
 	}
-	if _, err := NewControlPlane(online.RNRPolicy{}, nil, ControlPlaneOptions{}); err == nil {
+	if _, err := NewControlPlaneForStrategy(rnr(), nil, ControlPlaneOptions{}); err == nil {
 		t.Fatal("built a control plane without a data plane")
 	}
-	if _, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{MaxRetries: -1}); err == nil {
+	if _, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{MaxRetries: -1}); err == nil {
 		t.Fatal("accepted negative retries")
 	}
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{DecideTimeout: time.Second})
+	cp, err := NewControlPlaneForStrategy(rnr(), dp, ControlPlaneOptions{DecideTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

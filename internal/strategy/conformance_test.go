@@ -122,10 +122,11 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceRoster pins the registry roster: the paper's four
-// algorithms plus the three related-work baselines.
+// TestConformanceRoster pins the registry roster: the paper's algorithms
+// (with the partition-aware decomposed pipeline), its Section 6 baselines
+// (sp, ksp, rnr), and the three related-work baselines.
 func TestConformanceRoster(t *testing.T) {
-	want := []string{"alg1", "alg2", "alternating", "cachenet-random", "decomposed", "exact", "iy-fixedpath", "mindelay"}
+	want := []string{"alg1", "alg2", "alternating", "cachenet-random", "decomposed", "exact", "iy-fixedpath", "ksp", "mindelay", "rnr", "sp"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("registry roster = %v, want %v", got, want)
 	}

@@ -39,6 +39,7 @@ import (
 	"jcr/internal/online"
 	"jcr/internal/placement"
 	"jcr/internal/routing"
+	"jcr/internal/strategy"
 	"jcr/internal/topo"
 )
 
@@ -157,17 +158,28 @@ var (
 	Deltacom = topo.Deltacom
 )
 
+// Strategies: the joint caching-and-routing algorithms behind one
+// interface (see internal/strategy).
+type (
+	// Strategy turns one demand spec into a placement plus serving
+	// paths: the paper's algorithms and the Section 6 baselines.
+	Strategy = strategy.Strategy
+	// StrategyOptions configure a registered strategy.
+	StrategyOptions = strategy.Options
+)
+
+// NewStrategy builds a registered strategy by name (for example
+// "alternating", "sp", "ksp" or "rnr"); unknown names report the roster.
+func NewStrategy(name string, opts StrategyOptions) (Strategy, error) {
+	return strategy.New(name, opts)
+}
+
 // Online-operation types (hourly re-optimization; see internal/online).
 type (
-	// OnlinePolicy decides one hour's placement and routing.
-	OnlinePolicy = online.Policy
 	// OnlineHour is one hour of workload (decision and truth demand).
 	OnlineHour = online.HourInput
-	// OnlineSeries is a policy's simulated record.
+	// OnlineSeries is a strategy's simulated record.
 	OnlineSeries = online.Series
-	// AlternatingPolicy re-optimizes hourly with the Section 4.3.3
-	// algorithm.
-	AlternatingPolicy = online.AlternatingPolicy
 )
 
 // OnlineOptions harden the online simulation: per-decision deadlines,
@@ -175,17 +187,12 @@ type (
 // last-known-good placement.
 type OnlineOptions = online.Options
 
-// SimulateOnline replays a policy over consecutive hours, serving the
+// RunOnline replays a strategy over consecutive hours, serving the
 // realized demand with decisions made on the (predicted) decision demand.
-func SimulateOnline(policy OnlinePolicy, hours []OnlineHour) (*OnlineSeries, error) {
-	return online.Simulate(policy, hours)
-}
-
-// RunOnline is SimulateOnline under hardening options (see OnlineOptions):
-// with the zero options and a nil context it is identical to
-// SimulateOnline.
-func RunOnline(ctx context.Context, policy OnlinePolicy, hours []OnlineHour, opts OnlineOptions) (*OnlineSeries, error) {
-	return online.Run(ctx, policy, hours, opts)
+// With the zero options it is the strict replay, aborting on the first
+// decision error; see OnlineOptions for the hardened loop.
+func RunOnline(ctx context.Context, st Strategy, hours []OnlineHour, opts OnlineOptions) (*OnlineSeries, error) {
+	return online.Run(ctx, st, hours, opts)
 }
 
 // ExperimentConfig carries the evaluation-harness knobs.

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-compare perfbench race vet lint cover experiments examples soak clean
+.PHONY: all build test bench bench-json bench-compare perfbench race vet lint loc cover experiments examples soak clean
 
 all: build lint test
 
@@ -19,10 +19,16 @@ vet:
 # library panics, dropped errors, magic tolerances, map-iteration-order
 # leaks, wall-clock reachability, lock discipline, hot-path allocations);
 # see README "Static analysis & invariants". `go vet` runs first, then
-# the fifteen jcrlint analyzers. CI also emits `-sarif` for inline
+# the thirteen jcrlint analyzers. CI also emits `-sarif` for inline
 # annotations.
 lint: vet
 	$(GO) run ./cmd/jcrlint ./...
+
+# Net non-test Go lines outside perfbench/ (testdata included), the size
+# metric ROADMAP.md tracks. One fixed command, so every change reports the
+# number the same way (CI prints it in the check job).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.git/*' | xargs cat | wc -l
 
 cover:
 	$(GO) test -cover ./...

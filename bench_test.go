@@ -223,7 +223,7 @@ func BenchmarkMinCostFlow(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flow.MinCostFlow(gg, net.Origin, super, 45); err != nil {
+		if _, err := flow.MinCostFlow(nil, gg, net.Origin, super, 45); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -244,25 +244,13 @@ func BenchmarkGPRFit(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyVsLazy compares the eager and CELF-lazy greedy placements
-// at the default chunk-level scale (the lazy variant provably matches the
-// eager selection's saving).
+// BenchmarkGreedyEager measures the greedy placement at the default
+// chunk-level scale.
 func BenchmarkGreedyEager(b *testing.B) {
 	run := benchUncapChunkRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := placement.Greedy(run.Decision, run.Dist); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGreedyLazy is the CELF counterpart of BenchmarkGreedyEager.
-func BenchmarkGreedyLazy(b *testing.B) {
-	run := benchUncapChunkRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := placement.GreedyLazy(run.Decision, run.Dist); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"jcr/internal/core"
-	"jcr/internal/core/lputil"
 	"jcr/internal/demand"
 	"jcr/internal/experiments"
 	"jcr/internal/graph"
@@ -638,7 +637,7 @@ func lpDelta(mark lp.GlobalCounters) *lp.GlobalCounters {
 func transportLP() *lp.Problem {
 	rng := rand.New(rand.NewSource(11))
 	const src, dst = 20, 30
-	p := lputil.NewProblem(src * dst)
+	p := lp.NewProblem(src * dst)
 	for s := 0; s < src; s++ {
 		for d := 0; d < dst; d++ {
 			j := s*dst + d
@@ -675,7 +674,7 @@ func maxProcs() int {
 func placementLP() *lp.Problem {
 	rng := rand.New(rand.NewSource(4))
 	const items, nodes, reqs = 30, 8, 120
-	p := lputil.NewProblem(items*nodes + reqs)
+	p := lp.NewProblem(items*nodes + reqs)
 	p.SetSense(lp.Maximize)
 	for r := 0; r < reqs; r++ {
 		y := items*nodes + r
@@ -713,7 +712,7 @@ func mmsfpSizedLP() *lp.Problem {
 	rng := rand.New(rand.NewSource(7))
 	const nItems, nArcs = 12, 150
 	n := nItems * nArcs
-	p := lputil.NewProblem(n)
+	p := lp.NewProblem(n)
 	for j := 0; j < n; j++ {
 		p.SetBounds(j, 0, 10)
 		p.SetObjectiveCoeff(j, 1+rng.Float64())
@@ -811,7 +810,7 @@ func alternatingSequence(warm bool) error {
 	}
 	var prev *placement.Placement
 	for _, spec := range benchSequenceSpecs() {
-		sol, err := core.Alternating(spec, core.AlternatingOptions{
+		sol, err := core.Alternating(nil, spec, core.AlternatingOptions{
 			Fractional: true,
 			Initial:    prev,
 			State:      state,

@@ -18,8 +18,8 @@
 //	                 packages; accept and thread the caller's ctx
 //	go-stmt          no bare go statements outside jcr/internal/par; all
 //	                 fan-out goes through the bounded worker pool
-//	lp-ctor          no direct lp.NewProblem outside the LP core
-//	sp-engine        no direct graph.Dijkstra outside jcr/internal/graph
+//	strategy-ctx     Strategy.Decide implementations thread their ctx into
+//	                 every ctx-first module call (no nil, no fresh root)
 //	map-order        map iteration order must not reach returned values,
 //	                 appended slices, or emitted output (dataflow + facts)
 //	wall-clock       no time.Now/time.Since/os.Getenv reachable from
@@ -29,6 +29,8 @@
 //	                 with plain access
 //	hot-alloc        no allocations or interface boxing inside loops of
 //	                 //jcr:hotpath functions
+//	cell-index       no raw NodeID/ArcID arithmetic inside //jcr:celllocal
+//	                 functions
 //
 // Usage:
 //

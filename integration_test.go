@@ -83,8 +83,7 @@ func TestEndToEndEdgeCaching(t *testing.T) {
 		t.Errorf("uncapacitated Alg.1 cost %v above capacitated %v", a1.Cost, sol.Cost)
 	}
 
-	// 5. Greedy and lazy greedy agree (facade-level smoke of the CELF
-	// implementation).
+	// 5. The greedy placement runs on the same spec (facade-level smoke).
 	gr, err := jcr.Greedy(spec, dist)
 	if err != nil {
 		t.Fatal(err)

@@ -109,8 +109,8 @@ type AlternatingOptions struct {
 
 // SolveState bundles the reusable solver state of the alternating
 // optimizer's two subproblems: the Eq. (15) per-path LP's warm-start handle
-// and the routing layer's caches (demand sets, auxiliary graph,
-// multicommodity LP skeleton). The alternating loop re-solves structurally
+// and the routing layer's caches (demand sets, auxiliary graph, tree
+// engine, decomposed cell LPs). The alternating loop re-solves structurally
 // repeating problems every round — and the online controller re-runs the
 // whole loop every hour — so carrying the state across calls turns most of
 // those solves into warm starts. Correctness is unaffected: every layer
@@ -146,16 +146,12 @@ func (st *SolveState) Invalidate() {
 // (2) re-routes under the new placement (Section 4.3.2), keeping the new
 // solution only when it improves cost (with congestion as tie-breaker), and
 // stopping at the first non-improving round or after MaxIters.
-func Alternating(s *placement.Spec, opts AlternatingOptions) (*Solution, error) {
-	return AlternatingContext(nil, s, opts)
-}
-
-// AlternatingContext is Alternating with cooperative cancellation: ctx is
-// threaded into both subproblem solvers (per-path placement and routing)
-// and polled between rounds, so a caller-imposed deadline stops the
-// optimizer mid-run instead of letting it finish all rounds. A nil ctx
-// means no cancellation (identical to Alternating).
-func AlternatingContext(ctx context.Context, s *placement.Spec, opts AlternatingOptions) (*Solution, error) {
+//
+// ctx is threaded into both subproblem solvers (per-path placement and
+// routing) and polled between rounds, so a caller-imposed deadline stops
+// the optimizer mid-run instead of letting it finish all rounds. A nil ctx
+// means no cancellation.
+func Alternating(ctx context.Context, s *placement.Spec, opts AlternatingOptions) (*Solution, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -188,7 +184,7 @@ func AlternatingContext(ctx context.Context, s *placement.Spec, opts Alternating
 	if pl == nil {
 		pl = s.NewPlacement()
 	}
-	route, err := routing.RouteContext(ctx, s, pl, ropts)
+	route, err := routing.Route(ctx, s, pl, ropts)
 	if err != nil {
 		return nil, fmt.Errorf("core: initial routing: %w", err)
 	}
@@ -201,7 +197,7 @@ func AlternatingContext(ctx context.Context, s *placement.Spec, opts Alternating
 		}
 		// Placement step: the serving paths of the incumbent routing
 		// define F_{r,f}; fractional path rates are handled natively.
-		newPl, err := placement.PlacePerPathOpts(ctx, s, best.Routing.Paths, placement.PerPathOptions{
+		newPl, err := placement.PlacePerPath(ctx, s, best.Routing.Paths, placement.PerPathOptions{
 			Method:  opts.PlacementMethod,
 			Workers: opts.Workers,
 			Solver:  perPathSolver,
@@ -209,7 +205,7 @@ func AlternatingContext(ctx context.Context, s *placement.Spec, opts Alternating
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d placement: %w", iter, err)
 		}
-		newRoute, err := routing.RouteContext(ctx, s, newPl, ropts)
+		newRoute, err := routing.Route(ctx, s, newPl, ropts)
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d routing: %w", iter, err)
 		}

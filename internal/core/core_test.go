@@ -41,7 +41,7 @@ func edgeCacheSpec() *placement.Spec {
 
 func TestAlternatingImprovesOverOriginOnly(t *testing.T) {
 	s := edgeCacheSpec()
-	sol, err := Alternating(s, AlternatingOptions{})
+	sol, err := Alternating(nil, s, AlternatingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAlternatingImprovesOverOriginOnly(t *testing.T) {
 	// Origin-only serving cost: every request traverses the expensive
 	// origin link.
 	pinnedOnly := s.NewPlacement()
-	base, err := routing.Route(s, pinnedOnly, routing.Options{})
+	base, err := routing.Route(nil, s, pinnedOnly, routing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestAlternatingCostNeverWorseThanInitial(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		s := randomCoreSpec(rng)
 		init := s.NewPlacement()
-		initRoute, err := routing.Route(s, init, routing.Options{})
+		initRoute, err := routing.Route(nil, s, init, routing.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, frac := range []bool{false, true} {
-			sol, err := Alternating(s, AlternatingOptions{Fractional: frac, Rng: rng})
+			sol, err := Alternating(nil, s, AlternatingOptions{Fractional: frac, Rng: rng})
 			if err != nil {
 				t.Fatalf("trial %d frac=%v: %v", trial, frac, err)
 			}
@@ -149,7 +149,7 @@ func TestProposition48Example(t *testing.T) {
 	bad := s.NewPlacement()
 	bad.Stores[2][0] = true
 	bad.Stores[1][1] = true
-	sol, err := Alternating(s, AlternatingOptions{Initial: bad})
+	sol, err := Alternating(nil, s, AlternatingOptions{Initial: bad})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestProposition48Example(t *testing.T) {
 	good := s.NewPlacement()
 	good.Stores[1][0] = true
 	good.Stores[2][1] = true
-	opt, err := routing.Route(s, good, routing.Options{})
+	opt, err := routing.Route(nil, s, good, routing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFCFRLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		sol, err := Alternating(s, AlternatingOptions{Rng: rng})
+		sol, err := Alternating(nil, s, AlternatingOptions{Rng: rng})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -268,7 +268,7 @@ func TestRegimeString(t *testing.T) {
 
 func TestValidateCatchesShortService(t *testing.T) {
 	s := edgeCacheSpec()
-	sol, err := Alternating(s, AlternatingOptions{})
+	sol, err := Alternating(nil, s, AlternatingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestFailureUnreachableRequester(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 0, 1}},
 	}
-	if _, err := Alternating(s, AlternatingOptions{}); err == nil {
+	if _, err := Alternating(nil, s, AlternatingOptions{}); err == nil {
 		t.Error("unreachable requester should error, not serve silently")
 	}
 	if _, err := SolveFCFR(s); err == nil {
@@ -47,7 +47,7 @@ func TestFailureZeroCapacityEverywhere(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 2}},
 	}
-	res, err := routing.Route(s, s.NewPlacement(), routing.Options{})
+	res, err := routing.Route(nil, s, s.NewPlacement(), routing.Options{})
 	if err != nil {
 		t.Fatalf("zero-capacity routing should degrade, got error: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestFailureAllZeroDemand(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{make([]float64, 3), make([]float64, 3)},
 	}
-	sol, err := Alternating(s, AlternatingOptions{})
+	sol, err := Alternating(nil, s, AlternatingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestFailureNaNRateRejected(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, math.NaN()}},
 	}
-	if _, err := Alternating(s, AlternatingOptions{}); err == nil {
+	if _, err := Alternating(nil, s, AlternatingOptions{}); err == nil {
 		t.Error("NaN rate accepted")
 	}
-	if _, err := routing.Route(s, s.NewPlacement(), routing.Options{}); err == nil {
+	if _, err := routing.Route(nil, s, s.NewPlacement(), routing.Options{}); err == nil {
 		t.Error("NaN rate accepted by Route")
 	}
 }
@@ -120,7 +120,7 @@ func TestFailureIsolatedCacheNode(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 0, 4, 0}},
 	}
-	sol, err := Alternating(s, AlternatingOptions{})
+	sol, err := Alternating(nil, s, AlternatingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFailureSingleNodeNetwork(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{3}},
 	}
-	sol, err := Alternating(s, AlternatingOptions{})
+	sol, err := Alternating(nil, s, AlternatingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFailureHugeRates(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 0, 3e11}, {0, 0, 2e11}},
 	}
-	sol, err := Alternating(s, AlternatingOptions{})
+	sol, err := Alternating(nil, s, AlternatingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

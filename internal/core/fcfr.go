@@ -43,7 +43,7 @@ func SolveFCFR(s *placement.Spec) (*FCFRResult, error) {
 	nx := len(nodes) * s.NumItems
 	nr := len(reqs) * n
 	nf := len(reqs) * m
-	p := lputil.NewProblem(nx + nr + nf)
+	p := lp.NewProblem(nx + nr + nf)
 	xIdx := func(vi, i int) int { return vi*s.NumItems + i }
 	rIdx := func(k, v int) int { return nx + k*n + v }
 	fIdx := func(k, e int) int { return nx + nr + k*m + e }

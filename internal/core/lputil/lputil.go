@@ -14,13 +14,6 @@ import (
 	"jcr/internal/lp"
 )
 
-// NewProblem returns a fresh linear program with n variables. It is the
-// designated constructor for every LP built outside internal/lp: routing
-// lp.NewProblem through here keeps the set of skeleton-building entry
-// points auditable in one package (the jcrlint lp-ctor analyzer enforces
-// this).
-func NewProblem(n int) *lp.Problem { return lp.NewProblem(n) }
-
 // Solve runs p.SolveContext and wraps any failure as "<label>: <err>", the
 // labeling convention every call site used by hand before. The wrap
 // preserves errors.Is on the lp sentinel errors.

@@ -57,12 +57,12 @@ func (quickJoint) Generate(rng *rand.Rand, size int) reflect.Value {
 func TestQuickAlternatingDominatesOriginOnly(t *testing.T) {
 	property := func(q quickJoint, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		base, err := routing.Route(q.s, q.s.NewPlacement(), routing.Options{Rng: rng})
+		base, err := routing.Route(nil, q.s, q.s.NewPlacement(), routing.Options{Rng: rng})
 		if err != nil {
 			return false
 		}
 		for _, frac := range []bool{false, true} {
-			sol, err := Alternating(q.s, AlternatingOptions{Fractional: frac, Rng: rng})
+			sol, err := Alternating(nil, q.s, AlternatingOptions{Fractional: frac, Rng: rng})
 			if err != nil {
 				return false
 			}
@@ -90,11 +90,11 @@ func TestQuickAlternatingDominatesOriginOnly(t *testing.T) {
 // its subproblem).
 func TestQuickFractionalNoWorse(t *testing.T) {
 	property := func(q quickJoint) bool {
-		frac, err := Alternating(q.s, AlternatingOptions{Fractional: true, Rng: rand.New(rand.NewSource(1))})
+		frac, err := Alternating(nil, q.s, AlternatingOptions{Fractional: true, Rng: rand.New(rand.NewSource(1))})
 		if err != nil {
 			return false
 		}
-		integral, err := Alternating(q.s, AlternatingOptions{Rng: rand.New(rand.NewSource(1))})
+		integral, err := Alternating(nil, q.s, AlternatingOptions{Rng: rand.New(rand.NewSource(1))})
 		if err != nil {
 			return false
 		}

@@ -68,15 +68,9 @@ const ctxStride = 256
 // SolveICFR computes the exact IC-FR optimum (integral caching, fractional
 // routing) by enumerating all cache-feasible integral placements and
 // solving each routing subproblem exactly. Homogeneous or heterogeneous
-// item sizes are both supported.
-func SolveICFR(s *placement.Spec) (*Result, error) {
-	return SolveICFRContext(nil, s)
-}
-
-// SolveICFRContext is SolveICFR with cooperative cancellation: ctx is
-// polled every few hundred enumerated placements. A nil ctx means no
-// cancellation (identical to SolveICFR).
-func SolveICFRContext(ctx context.Context, s *placement.Spec) (*Result, error) {
+// item sizes are both supported. ctx is polled every few hundred
+// enumerated placements; a nil ctx means no cancellation.
+func SolveICFR(ctx context.Context, s *placement.Spec) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -109,16 +103,11 @@ func SolveICFRContext(ctx context.Context, s *placement.Spec) (*Result, error) {
 // SolveICIR computes the exact IC-IR optimum (integral caching, integral
 // routing): for every cache-feasible placement, every request chooses one
 // simple path from one replica, subject to joint link capacities;
-// branch-and-bound prunes on accumulated cost and capacity.
-func SolveICIR(s *placement.Spec) (*Result, error) {
-	return SolveICIRContext(nil, s)
-}
-
-// SolveICIRContext is SolveICIR with cooperative cancellation: ctx is
-// polled every few hundred enumerated placements. A nil ctx means no
-// cancellation (identical to SolveICIR). The result additionally records
-// the optimal per-request serving paths.
-func SolveICIRContext(ctx context.Context, s *placement.Spec) (*Result, error) {
+// branch-and-bound prunes on accumulated cost and capacity. ctx is polled
+// every few hundred enumerated placements; a nil ctx means no
+// cancellation. The result additionally records the optimal per-request
+// serving paths.
+func SolveICIR(ctx context.Context, s *placement.Spec) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

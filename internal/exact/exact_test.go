@@ -61,7 +61,7 @@ func TestExactHandMadeInstance(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 3}, {0, 1}},
 	}
-	icfr, err := SolveICFR(s)
+	icfr, err := SolveICFR(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestExactHandMadeInstance(t *testing.T) {
 	if err := check.Placement(s, icfr.Placement); err != nil {
 		t.Errorf("IC-FR placement violates Eq. 1f: %v", err)
 	}
-	icir, err := SolveICIR(s)
+	icir, err := SolveICIR(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestExactRegimeOrdering(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 25; trial++ {
 		s := tinySpec(rng)
-		icfr, err := SolveICFR(s)
+		icfr, err := SolveICFR(nil, s)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		icir, err := SolveICIR(s)
+		icir, err := SolveICIR(nil, s)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
@@ -134,11 +134,11 @@ func TestAlternatingNearExactOptimum(t *testing.T) {
 	count := 0
 	for trial := 0; trial < 20; trial++ {
 		s := tinySpec(rng)
-		icir, err := SolveICIR(s)
+		icir, err := SolveICIR(nil, s)
 		if err != nil {
 			continue
 		}
-		sol, err := core.Alternating(s, core.AlternatingOptions{Rng: rng})
+		sol, err := core.Alternating(nil, s, core.AlternatingOptions{Rng: rng})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -199,7 +199,7 @@ func TestExactTooLarge(t *testing.T) {
 		s.Rates[i] = make([]float64, 10)
 		s.Rates[i][1+i%9] = 1
 	}
-	if _, err := SolveICFR(s); !errors.Is(err, ErrTooLarge) {
+	if _, err := SolveICFR(nil, s); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }

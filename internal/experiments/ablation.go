@@ -73,7 +73,7 @@ func Ablation(cfg *Config) (string, error) {
 		{"greedy", placement.PerPathGreedy},
 	} {
 		lap := cfg.stopwatch()
-		pl, err := placement.PlacePerPath(run.Decision, paths, variant.method)
+		pl, err := placement.PlacePerPath(nil, run.Decision, paths, placement.PerPathOptions{Method: variant.method})
 		if err != nil {
 			return "", err
 		}
@@ -116,7 +116,7 @@ func Ablation(cfg *Config) (string, error) {
 		{"LP allowed", 2_000_000},
 		{"sequential", 1},
 	} {
-		res, err := routing.Route(tightRun.Decision, pl, routing.Options{
+		res, err := routing.Route(nil, tightRun.Decision, pl, routing.Options{
 			Fractional: true,
 			LPMaxVars:  variant.maxVars,
 		})

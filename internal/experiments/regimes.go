@@ -57,7 +57,7 @@ func Regimes(cfg *Config) (string, error) {
 	}
 	fmt.Fprintf(&b, "%-34s %14.6g\n", "FC-FR optimum (LP)", fcfr.Cost)
 
-	icfr, err := exact.SolveICFR(spec)
+	icfr, err := exact.SolveICFR(nil, spec)
 	if err != nil {
 		return "", fmt.Errorf("regimes IC-FR: %w", err)
 	}

@@ -134,7 +134,7 @@ func TestQuickDecomposeConservesFlowUnderLinkRemovals(t *testing.T) {
 		for _, d := range sinks {
 			total += d
 		}
-		res, err := MinCostFlow(gg, src, super, total)
+		res, err := MinCostFlow(nil, gg, src, super, total)
 		if err != nil {
 			return true // removals disconnected the sinks; nothing to check
 		}

@@ -16,7 +16,7 @@ func TestMinCostFlowSimple(t *testing.T) {
 	g.AddArc(0, 1, 1, 5)
 	g.AddArc(0, 1, 3, 10)
 
-	r, err := MinCostFlow(g, 0, 1, 8)
+	r, err := MinCostFlow(nil, g, 0, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMinCostFlowPrefersCheapPath(t *testing.T) {
 	g.AddArc(1, 3, 1, 4)
 	g.AddArc(0, 2, 5, 4)
 	g.AddArc(2, 3, 5, 4)
-	r, err := MinCostFlow(g, 0, 3, 6)
+	r, err := MinCostFlow(nil, g, 0, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMinCostFlowPrefersCheapPath(t *testing.T) {
 func TestMinCostFlowInsufficient(t *testing.T) {
 	g := graph.New(2)
 	g.AddArc(0, 1, 1, 3)
-	if _, err := MinCostFlow(g, 0, 1, 5); !errors.Is(err, ErrInsufficientCapacity) {
+	if _, err := MinCostFlow(nil, g, 0, 1, 5); !errors.Is(err, ErrInsufficientCapacity) {
 		t.Errorf("err = %v, want ErrInsufficientCapacity", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestMinCostFlowUnlimitedArcs(t *testing.T) {
 	g := graph.New(3)
 	g.AddArc(0, 1, 1, graph.Unlimited)
 	g.AddArc(1, 2, 1, graph.Unlimited)
-	r, err := MinCostFlow(g, 0, 2, 1000)
+	r, err := MinCostFlow(nil, g, 0, 2, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMinCostMaxFlow(t *testing.T) {
 	g := graph.New(3)
 	g.AddArc(0, 1, 1, 7)
 	g.AddArc(1, 2, 2, 4)
-	r, err := MinCostFlow(g, 0, 2, math.Inf(1))
+	r, err := MinCostFlow(nil, g, 0, 2, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMinCostMaxFlow(t *testing.T) {
 func TestMinCostFlowSelfLoopTrivial(t *testing.T) {
 	g := graph.New(2)
 	g.AddArc(0, 1, 1, 1)
-	r, err := MinCostFlow(g, 0, 0, 5)
+	r, err := MinCostFlow(nil, g, 0, 0, 5)
 	if err != nil || r.Value != 0 {
 		t.Errorf("src==dst should yield zero flow, got %v, %v", r, err)
 	}
@@ -188,7 +188,7 @@ func TestMinCostFlowMatchesLPRandom(t *testing.T) {
 			continue
 		}
 		value := mf.Value * (0.3 + 0.6*rng.Float64())
-		got, err := MinCostFlow(g, src, dst, value)
+		got, err := MinCostFlow(nil, g, src, dst, value)
 		if err != nil {
 			t.Fatalf("trial %d: MinCostFlow: %v", trial, err)
 		}
@@ -230,7 +230,7 @@ func TestDecomposeRoundTrip(t *testing.T) {
 		for _, d := range sinks {
 			total += d
 		}
-		res, err := MinCostFlow(gg, 0, super, total)
+		res, err := MinCostFlow(nil, gg, 0, super, total)
 		if err != nil {
 			continue // not enough capacity; skip
 		}

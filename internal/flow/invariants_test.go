@@ -18,7 +18,7 @@ func TestMinCostFlowSatisfiesInvariants(t *testing.T) {
 	g.AddArc(1, 3, 1, 4)
 	g.AddArc(0, 2, 5, 4)
 	g.AddArc(2, 3, 5, 4)
-	r, err := flow.MinCostFlow(g, 0, 3, 6)
+	r, err := flow.MinCostFlow(nil, g, 0, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestDecomposeSatisfiesInvariants(t *testing.T) {
 		g.AddArc(0, 2, 5, 4),
 		g.AddArc(2, 3, 5, 4),
 	}
-	r, err := flow.MinCostFlow(g, 0, 3, 6)
+	r, err := flow.MinCostFlow(nil, g, 0, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

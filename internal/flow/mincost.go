@@ -221,17 +221,12 @@ func (r *resNet) dijkstra(src int, pot []float64) (dist []float64, parent []int)
 // requested value. Arc costs must be nonnegative, which graph.AddArc
 // enforces. An infinite value ships as much as possible at minimum cost
 // (min-cost max-flow).
-func MinCostFlow(g *graph.Graph, src, dst graph.NodeID, value float64) (*Result, error) {
-	return MinCostFlowContext(nil, g, src, dst, value)
-}
-
-// MinCostFlowContext is MinCostFlow with cooperative cancellation: the
-// successive-shortest-path loop polls ctx before every augmentation and
+//
+// The successive-shortest-path loop polls ctx before every augmentation and
 // aborts with an error wrapping ctx.Err() once the context is done, so a
 // caller-imposed deadline stops the solver between augmentations instead
-// of running the instance to completion. A nil ctx means no cancellation
-// (identical to MinCostFlow).
-func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.NodeID, value float64) (*Result, error) {
+// of running the instance to completion. A nil ctx means no cancellation.
+func MinCostFlow(ctx context.Context, g *graph.Graph, src, dst graph.NodeID, value float64) (*Result, error) {
 	if src == dst {
 		return &Result{Arc: make([]float64, g.NumArcs())}, nil
 	}
@@ -256,7 +251,7 @@ type Demand struct {
 // each sink to one added node, in the order given) on a residual network
 // built straight from g, so g is neither copied nor mutated. capOf, when
 // non-nil, overrides g's arc capacities. The residual arcs, and hence the
-// flow, are those MinCostFlowContext computes on a copy of g with the same
+// flow, are those MinCostFlow computes on a copy of g with the same
 // capacities and the sink arcs appended. It returns
 // ErrInsufficientCapacity if the network cannot carry the total demand.
 func MinCostFlowToSinks(ctx context.Context, g *graph.Graph, capOf func(graph.ArcID) float64, src graph.NodeID, sinks []Demand) ([]float64, error) {

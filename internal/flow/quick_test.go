@@ -44,7 +44,7 @@ func TestQuickMinCostFlowInvariants(t *testing.T) {
 			return true
 		}
 		value := math.Min(qn.Value, mf.Value)
-		res, err := MinCostFlow(qn.G, src, dst, value)
+		res, err := MinCostFlow(nil, qn.G, src, dst, value)
 		if err != nil {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestQuickDecomposeCostNeverExceedsFlow(t *testing.T) {
 		for _, d := range sinks {
 			total += d
 		}
-		res, err := MinCostFlow(gg, src, super, total)
+		res, err := MinCostFlow(nil, gg, src, super, total)
 		if err != nil {
 			return true // infeasible instance, nothing to check
 		}

@@ -155,9 +155,6 @@ func (cs *CellSet) GatewayArcs() []ArcID { return cs.gateways }
 // this.
 func (cs *CellSet) GatewayIndex(id ArcID) int { return cs.gatewayIndex[id] }
 
-// CellOfNode returns the cell index of a node.
-func (cs *CellSet) CellOfNode(v NodeID) int { return cs.assign[v] }
-
 // Rebase re-attaches the cell structure onto g2, a degraded variant of the
 // base graph with the same nodes whose arc list is an ordered sub-sequence
 // of the base's (compared by endpoints and cost — the faults engine's

@@ -278,7 +278,7 @@ func TestEngineReach(t *testing.T) {
 
 // The pre-CSR reference implementation agrees with the canonical kernel
 // on every distance (exactly — same sums in the same order), including
-// under skip predicates.
+// with an arc banned.
 func TestReferenceDijkstraDistAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
@@ -286,8 +286,10 @@ func TestReferenceDijkstraDistAgrees(t *testing.T) {
 		src := rng.Intn(g.NumNodes())
 		banned := ArcID(rng.Intn(g.NumArcs()))
 		skipArc := func(id ArcID) bool { return id == banned }
+		banArc := make([]bool, g.NumArcs())
+		banArc[banned] = true
 		want := ReferenceDijkstra(g, src, skipArc, nil).Dist
-		got := Dijkstra(g, src, skipArc, nil).Dist
+		got := banTree(g, src, banArc, make([]bool, g.NumNodes())).Dist
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d: kernel distances differ from reference", trial)
 		}

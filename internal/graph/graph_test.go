@@ -84,7 +84,7 @@ func TestDijkstraSimple(t *testing.T) {
 	g.AddArc(0, 3, 5, 1)
 	g.AddArc(0, 2, 2, 1)
 
-	tree := Dijkstra(g, 0, nil, nil)
+	tree := TreeOf(g, 0)
 	if tree.Dist[3] != 2 {
 		t.Errorf("Dist[3] = %v, want 2", tree.Dist[3])
 	}
@@ -103,7 +103,7 @@ func TestDijkstraSimple(t *testing.T) {
 func TestDijkstraUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddArc(0, 1, 1, 1)
-	tree := Dijkstra(g, 0, nil, nil)
+	tree := TreeOf(g, 0)
 	if !math.IsInf(tree.Dist[2], 1) {
 		t.Errorf("Dist[2] = %v, want +Inf", tree.Dist[2])
 	}
@@ -112,17 +112,29 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
+// banTree runs Yen's ban kernel without a goal, giving the full tree of g
+// from src with the given arcs and nodes left out.
+func banTree(g *Graph, src NodeID, banArc, banNode []bool) ShortestTree {
+	c := g.view()
+	s := acquireScratch(c.n)
+	defer releaseScratch(s)
+	dijkstraCSRBan(c, src, -1, s, banArc, banNode)
+	return s.extractTree(src, c.n)
+}
+
 func TestDijkstraSkips(t *testing.T) {
 	g := New(3)
 	cheap := g.AddArc(0, 2, 1, 1)
 	g.AddArc(0, 1, 1, 1)
 	g.AddArc(1, 2, 1, 1)
 
-	tree := Dijkstra(g, 0, func(id ArcID) bool { return id == cheap }, nil)
+	banArc := make([]bool, g.NumArcs())
+	banArc[cheap] = true
+	tree := banTree(g, 0, banArc, make([]bool, 3))
 	if tree.Dist[2] != 2 {
 		t.Errorf("with cheap arc skipped, Dist[2] = %v, want 2", tree.Dist[2])
 	}
-	tree = Dijkstra(g, 0, nil, func(v NodeID) bool { return v == 1 })
+	tree = banTree(g, 0, make([]bool, g.NumArcs()), []bool{false, true, false})
 	if tree.Dist[2] != 1 {
 		t.Errorf("with node 1 skipped, Dist[2] = %v, want 1", tree.Dist[2])
 	}
@@ -162,7 +174,7 @@ func TestDijkstraMatchesBellmanFordRandom(t *testing.T) {
 		}
 		src := rng.Intn(n)
 		want := bellmanFord(g, src)
-		got := Dijkstra(g, src, nil, nil).Dist
+		got := TreeOf(g, src).Dist
 		for v := range want {
 			if want[v] != got[v] {
 				t.Fatalf("trial %d: Dist[%d] = %v, want %v", trial, v, got[v], want[v])

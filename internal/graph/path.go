@@ -123,11 +123,11 @@ func (t ShortestTree) PathTo(g *Graph, v NodeID) (Path, bool) {
 // (dist[tail], tail, arc ID) among the arcs attaining its distance. The
 // resulting tree is a pure function of the graph — no heap accidents —
 // which is what lets the repair engine reproduce trees bit for bit
-// (DESIGN.md §3.10). goal >= 0 stops the run as soon as goal settles (its
-// distance and parent chain are final then); pass -1 for a full tree.
+// (DESIGN.md §3.10). The run stops as soon as goal settles (its distance
+// and parent chain are final then); Yen's first search is the caller.
 //
 //jcr:hotpath
-func dijkstraCSR(c *csr, src, goal NodeID, s *scratch, skipArc func(ArcID) bool, skipNode func(NodeID) bool) {
+func dijkstraCSR(c *csr, src, goal NodeID, s *scratch) {
 	sv := int32(src)
 	s.visit(sv)
 	s.dist[sv] = 0
@@ -140,13 +140,7 @@ func dijkstraCSR(c *csr, src, goal NodeID, s *scratch, skipArc func(ArcID) bool,
 		d := s.dist[v]
 		for j := c.fwdHead[v]; j < c.fwdHead[v+1]; j++ {
 			id := c.fwdArc[j]
-			if skipArc != nil && skipArc(ArcID(id)) {
-				continue
-			}
 			w := c.fwdTo[j]
-			if skipNode != nil && NodeID(w) != src && skipNode(NodeID(w)) {
-				continue
-			}
 			nd := d + c.fwdCost[j]
 			s.visit(w)
 			if nd < s.dist[w] {
@@ -158,12 +152,10 @@ func dijkstraCSR(c *csr, src, goal NodeID, s *scratch, skipArc func(ArcID) bool,
 	}
 }
 
-// dijkstraCSRPlain is the no-predicate full-tree kernel: identical settle
-// order, relaxation, and tie behaviour to dijkstraCSR with nil predicates,
-// minus the two predicate nil-checks per scanned arc and with the CSR
-// arrays hoisted out of the loop. Full-tree entry points without
-// predicates (TreeOf, AllPairs, the engine's unmasked cold path) all land
-// here.
+// dijkstraCSRPlain is the full-tree kernel: identical settle order,
+// relaxation, and tie behaviour to dijkstraCSR, with no goal and with the
+// CSR arrays hoisted out of the loop. The full-tree entry points (TreeOf,
+// AllPairs, the engine's unmasked cold path) all land here.
 //
 //jcr:hotpath
 func dijkstraCSRPlain(c *csr, src NodeID, s *scratch) {
@@ -195,10 +187,11 @@ func dijkstraCSRPlain(c *csr, src NodeID, s *scratch) {
 	}
 }
 
-// dijkstraCSRBan is dijkstraCSR with the ban predicates flattened to bool
+// dijkstraCSRBan is dijkstraCSR with arc and node bans given as bool
 // arrays, the shape of Yen's spur searches. Identical settle order,
-// relaxation, and tie behaviour — only the per-arc indirect calls are gone,
-// which matters when the kernel runs hundreds of times per Yen invocation.
+// relaxation, and tie behaviour on the arcs and nodes left in; the flat
+// arrays keep the kernel free of indirect calls, which matters when it runs
+// hundreds of times per Yen invocation.
 // banNode[src] must be false (Yen never bans the spur node).
 //
 //jcr:hotpath
@@ -316,36 +309,19 @@ func (s *scratch) path(g *Graph, src, dst NodeID) (Path, bool) {
 	return Path{Arcs: arcs}, true
 }
 
-// Dijkstra computes least-cost paths from src using arc costs. Capacities
-// are ignored. The skipArc predicate, if non-nil, excludes arcs for which it
-// returns true; the skipNode predicate likewise excludes nodes (other than
-// src). Either may be nil.
-//
-// Ties between equal-cost shortest paths break canonically (see
-// dijkstraCSR), so the returned tree is a pure function of the graph and
-// the predicates. Call sites without predicates should prefer TreeOf, or
-// Engine.Tree when trees repeat across calls (both identical bit for bit);
-// the jcrlint sp-engine analyzer flags direct Dijkstra calls outside this
-// package.
-func Dijkstra(g *Graph, src NodeID, skipArc func(ArcID) bool, skipNode func(NodeID) bool) ShortestTree {
+// TreeOf is the one-shot full-tree entry point: the canonical shortest-path
+// tree of g from src, with ties broken canonically (see dijkstraCSR), so
+// the tree is a pure function of the graph. It equals Engine.Tree on the
+// same graph bit for bit; use an Engine instead when the same or nearly the
+// same tree is needed repeatedly (across alternating rounds, fault hours,
+// or replica loops).
+func TreeOf(g *Graph, src NodeID) ShortestTree {
 	c := g.view()
 	s := acquireScratch(c.n)
-	if skipArc == nil && skipNode == nil {
-		dijkstraCSRPlain(c, src, s)
-	} else {
-		dijkstraCSR(c, src, -1, s, skipArc, skipNode)
-	}
+	dijkstraCSRPlain(c, src, s)
 	t := s.extractTree(src, c.n)
 	releaseScratch(s)
 	return t
-}
-
-// TreeOf is the one-shot full-tree entry point: the canonical shortest-path
-// tree of g from src. It equals Engine.Tree on the same graph bit for bit;
-// use an Engine instead when the same or nearly the same tree is needed
-// repeatedly (across alternating rounds, fault hours, or replica loops).
-func TreeOf(g *Graph, src NodeID) ShortestTree {
-	return Dijkstra(g, src, nil, nil)
 }
 
 // AllPairs computes the pairwise least costs w_{v->s} for all ordered node

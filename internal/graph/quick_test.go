@@ -50,7 +50,7 @@ func TestQuickDijkstraTriangleInequality(t *testing.T) {
 				}
 			}
 		}
-		tree := Dijkstra(qg.G, qg.Src, nil, nil)
+		tree := TreeOf(qg.G, qg.Src)
 		for v := 0; v < n; v++ {
 			p, ok := tree.PathTo(qg.G, v)
 			if !ok {

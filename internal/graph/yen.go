@@ -18,7 +18,7 @@ func KShortestPaths(g *Graph, src, dst NodeID, k int) []Path {
 	c := g.view()
 	s := acquireScratch(c.n)
 	defer releaseScratch(s)
-	dijkstraCSR(c, src, dst, s, nil, nil)
+	dijkstraCSR(c, src, dst, s)
 	first, ok := s.path(g, src, dst)
 	if !ok {
 		return nil

@@ -143,7 +143,7 @@ func TestAuxiliaryGraphConstruction(t *testing.T) {
 		}
 	}
 	// Route from the virtual source to node 3: best real source is 2.
-	tree := Dijkstra(aux.G, vs, nil, nil)
+	tree := TreeOf(aux.G, vs)
 	p, ok := tree.PathTo(aux.G, 3)
 	if !ok {
 		t.Fatal("node 3 unreachable from virtual source")

@@ -30,8 +30,6 @@ func TestGolden(t *testing.T) {
 		{name: "tolliteral", analyzer: "tol-literal"},
 		{name: "bgcontext", analyzer: "bg-context"},
 		{name: "gostmt", analyzer: "go-stmt"},
-		{name: "lpctor", analyzer: "lp-ctor"},
-		{name: "spengine", analyzer: "sp-engine"},
 		{name: "strategyctx", analyzer: "strategy-ctx"},
 		{name: "maporder", analyzer: "map-order"},
 		{name: "maporderxpkg", analyzer: "map-order",
@@ -124,10 +122,9 @@ func TestRepoLintsClean(t *testing.T) {
 	}
 }
 
-// TestSolverAPILintsClean pins the incremental-solve surface added in PR 4:
-// the warm-start Solver handle, the lputil constructors, and the layers
-// that thread them must lint clean under every analyzer — including
-// lp-ctor, whose exemption list covers exactly the LP core and lputil.
+// TestSolverAPILintsClean pins the incremental-solve surface: the
+// warm-start Solver handle, the lputil helpers, and the layers that thread
+// them must lint clean under every analyzer.
 func TestSolverAPILintsClean(t *testing.T) {
 	pkgs, err := LoadPackages([]string{
 		"jcr/internal/lp",

@@ -123,11 +123,10 @@ func objectKey(obj types.Object) (string, bool) {
 	return obj.Pkg().Path() + "." + obj.Name(), true
 }
 
-// Registry is the full analyzer set, in reporting order. The first seven
-// are AST checks from PRs 1-2; lp-ctor and sp-engine are the API-boundary
-// checks from PRs 4-5; the last four are the SSA-style dataflow analyzers
-// (facts + CFG) that encode the repo's determinism and concurrency
-// invariants.
+// Registry is the full analyzer set, in reporting order: seven AST
+// checks, strategy-ctx, the four SSA-style dataflow analyzers (facts +
+// CFG) that encode the repo's determinism and concurrency invariants, and
+// cell-index.
 func Registry() []*Analyzer {
 	return []*Analyzer{
 		FloatEqAnalyzer,
@@ -137,8 +136,6 @@ func Registry() []*Analyzer {
 		TolLiteralAnalyzer,
 		BgContextAnalyzer,
 		GoStmtAnalyzer,
-		LPCtorAnalyzer,
-		SPEngineAnalyzer,
 		StrategyCtxAnalyzer,
 		MapOrderAnalyzer,
 		WallClockAnalyzer,

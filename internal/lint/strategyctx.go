@@ -8,17 +8,13 @@ import (
 
 // StrategyCtxAnalyzer keeps cancellation live inside the strategy layer:
 // a Strategy.Decide implementation receives the caller's ctx and must
-// thread it into the module's cancellable solver entry points. Two ways
-// to break the chain are flagged inside any method named Decide whose
-// first parameter is a context.Context:
-//
-//   - calling a module function that takes a leading ctx with nil (or a
-//     freshly minted root via context.Background/TODO) — the solver runs
-//     uncancellable even though Decide holds a live ctx;
-//   - calling the ctx-less variant of a module function when a
-//     "<Name>Context" sibling exists in the same package (Route vs
-//     RouteContext, Alternating vs AlternatingContext, SolveICIR vs
-//     SolveICIRContext) — same leak, hidden by the convenience wrapper.
+// thread it into the module's cancellable solver entry points. Inside any
+// method named Decide whose first parameter is a context.Context, a call
+// to a module function that takes a leading ctx is flagged when it passes
+// nil or a freshly minted root (context.Background/TODO): the solver then
+// runs uncancellable even though Decide holds a live ctx. Every solver
+// has exactly one package-level entry and it takes ctx first, so there is
+// no ctx-less variant to fall back on.
 //
 // Callers outside Decide may pass nil (the repo's "no cancellation"
 // convention); this analyzer is only about implementations that were
@@ -87,37 +83,20 @@ func checkDecideBody(p *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		params := sig.Params()
-		if params.Len() > 0 && isContextType(params.At(0).Type()) {
-			if len(call.Args) == 0 {
-				return true
+		if params.Len() == 0 || !isContextType(params.At(0).Type()) || len(call.Args) == 0 {
+			return true
+		}
+		switch arg := ast.Unparen(call.Args[0]).(type) {
+		case *ast.Ident:
+			if arg.Name == "nil" && pkg.Info.Types[arg].IsNil() {
+				p.Reportf(call.Pos(), "Decide passes a nil context to %s; thread the Decide ctx so the solver stays cancellable", callName(call))
 			}
-			switch arg := ast.Unparen(call.Args[0]).(type) {
-			case *ast.Ident:
-				if arg.Name == "nil" && pkg.Info.Types[arg].IsNil() {
-					p.Reportf(call.Pos(), "Decide passes a nil context to %s; thread the Decide ctx so the solver stays cancellable", callName(call))
-				}
-			case *ast.CallExpr:
-				if sel, ok := arg.Fun.(*ast.SelectorExpr); ok && selectorPackage(pkg, sel) == "context" &&
-					(sel.Sel.Name == "Background" || sel.Sel.Name == "TODO") {
-					p.Reportf(call.Pos(), "Decide mints a root context for %s; thread the Decide ctx so the solver stays cancellable", callName(call))
-				}
+		case *ast.CallExpr:
+			if sel, ok := arg.Fun.(*ast.SelectorExpr); ok && selectorPackage(pkg, sel) == "context" &&
+				(sel.Sel.Name == "Background" || sel.Sel.Name == "TODO") {
+				p.Reportf(call.Pos(), "Decide mints a root context for %s; thread the Decide ctx so the solver stays cancellable", callName(call))
 			}
-			return true
 		}
-		// No leading ctx: flag when the same package exports a
-		// "<Name>Context" sibling that takes one.
-		if sig.Recv() != nil {
-			return true
-		}
-		sibling, ok := fn.Pkg().Scope().Lookup(fn.Name() + "Context").(*types.Func)
-		if !ok {
-			return true
-		}
-		ssig, ok := sibling.Type().(*types.Signature)
-		if !ok || ssig.Params().Len() == 0 || !isContextType(ssig.Params().At(0).Type()) {
-			return true
-		}
-		p.Reportf(call.Pos(), "Decide calls %s, dropping its ctx; call %s.%s with the Decide ctx instead", callName(call), fn.Pkg().Name(), sibling.Name())
 		return true
 	})
 }

@@ -1,7 +1,7 @@
 // Package strategyctx is a jcrlint golden-test fixture for the
 // strategy-ctx analyzer: Decide implementations that thread their ctx
-// into module solver calls versus ones that drop it (nil, a fresh root,
-// or the ctx-less variant of a function with a Context sibling).
+// into module solver calls versus ones that drop it by passing nil or a
+// freshly minted root context.
 package strategyctx
 
 import "context"
@@ -18,18 +18,18 @@ func solve(ctx context.Context, n int) plan {
 	return plan{cost: float64(n)}
 }
 
-// route is the ctx-less convenience wrapper; routeContext is its
-// cancellable sibling — the pair the sibling check recognizes.
-func route(n int) plan { return routeContext(nil, n) }
+// route is a ctx-less helper (Legacy calls it); relay is a second
+// ctx-first module function, threaded by Good.
+func route(n int) plan { return relay(nil, n) }
 
-func routeContext(ctx context.Context, n int) plan { return solve(ctx, n) }
+func relay(ctx context.Context, n int) plan { return solve(ctx, n) }
 
 // Good threads its ctx everywhere (compliant).
 type Good struct{}
 
 func (Good) Decide(ctx context.Context, in inst) (plan, error) {
 	p := solve(ctx, in.n)
-	q := routeContext(ctx, in.n)
+	q := relay(ctx, in.n)
 	if q.cost < p.cost {
 		return q, nil
 	}
@@ -48,14 +48,6 @@ type RootMinter struct{}
 
 func (RootMinter) Decide(ctx context.Context, in inst) (plan, error) {
 	return solve(context.Background(), in.n), nil
-}
-
-// SiblingDropper calls the ctx-less wrapper although routeContext exists
-// (violation).
-type SiblingDropper struct{}
-
-func (SiblingDropper) Decide(ctx context.Context, in inst) (plan, error) {
-	return route(in.n), nil
 }
 
 // Suppressed shows the directive escape hatch: the finding is silenced

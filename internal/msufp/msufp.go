@@ -127,7 +127,7 @@ func (inst *Instance) SplittableOptimum() (*flow.Result, error) {
 	for t, d := range demand {
 		gg.AddArc(t, super, 0, d)
 	}
-	res, err := flow.MinCostFlow(gg, inst.Source, super, inst.TotalDemand())
+	res, err := flow.MinCostFlow(nil, gg, inst.Source, super, inst.TotalDemand())
 	if err != nil {
 		return nil, fmt.Errorf("msufp: splittable optimum: %w", err)
 	}

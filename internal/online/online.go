@@ -168,15 +168,6 @@ func (s *Series) LongestOutage() int {
 	return longest
 }
 
-// TotalUnanticipated sums the unanticipated-demand volume across hours.
-func (s *Series) TotalUnanticipated() float64 {
-	var t float64
-	for _, h := range s.Hours {
-		t += h.Unanticipated
-	}
-	return t
-}
-
 // HourInput is one hour of workload: the demand the strategy sees and the
 // demand that actually arrives, over a shared network.
 type HourInput struct {

@@ -69,7 +69,7 @@ func Alg1WithOptions(s *Spec, dist [][]float64, opts Alg1Options) (*Alg1Result, 
 
 	// Reduced LP variables: x_(v,i) for cacheable v, then y_(i,s).
 	nx := len(nodes) * s.NumItems
-	prob := lputil.NewProblem(nx + len(reqs))
+	prob := lp.NewProblem(nx + len(reqs))
 	prob.SetSense(lp.Maximize)
 	xIdx := func(vi, i int) int { return vi*s.NumItems + i }
 	row := lp.NewRowBuilder(prob)

@@ -90,7 +90,7 @@ func SP38(s *Spec, origin graph.NodeID, method PerPathMethod, slotCap []float64)
 		clone.CacheCap = slotCap
 		spec = &clone
 	}
-	pl, err := PlacePerPath(spec, paths, method)
+	pl, err := PlacePerPath(nil, spec, paths, PerPathOptions{Method: method})
 	if err != nil {
 		return nil, nil, err
 	}

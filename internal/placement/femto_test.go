@@ -2,66 +2,10 @@ package placement
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"jcr/internal/graph"
 )
-
-func TestGreedyLazyMatchesGreedy(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 30; trial++ {
-		s := randomSpec(rng, 4+rng.Intn(4), 2+rng.Intn(3))
-		dist := graph.AllPairs(s.G)
-		eager, err := Greedy(s, dist)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		lazy, err := GreedyLazy(s, dist)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := s.CheckFeasible(lazy.Placement); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// CELF selects the same greedy sequence up to ties, so the
-		// achieved saving must match.
-		if math.Abs(eager.Saving-lazy.Saving) > 1e-6*(1+eager.Saving) {
-			t.Fatalf("trial %d: lazy saving %v != eager %v", trial, lazy.Saving, eager.Saving)
-		}
-		if math.Abs(eager.Cost-lazy.Cost) > 1e-6*(1+eager.Cost) {
-			t.Fatalf("trial %d: lazy cost %v != eager %v", trial, lazy.Cost, eager.Cost)
-		}
-	}
-}
-
-func TestGreedyLazyHeterogeneous(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 15; trial++ {
-		s := randomSpec(rng, 5, 3)
-		s.ItemSize = []float64{1, 2, 3}
-		for v := range s.CacheCap {
-			if s.CacheCap[v] > 0 {
-				s.CacheCap[v] = float64(1 + rng.Intn(4))
-			}
-		}
-		dist := graph.AllPairs(s.G)
-		eager, err := Greedy(s, dist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lazy, err := GreedyLazy(s, dist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CheckFeasible(lazy.Placement); err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(eager.Saving-lazy.Saving) > 1e-6*(1+eager.Saving) {
-			t.Fatalf("trial %d: hetero lazy saving %v != eager %v", trial, lazy.Saving, eager.Saving)
-		}
-	}
-}
 
 func TestFemtoSpecAndAlg1(t *testing.T) {
 	inf := math.Inf(1)

@@ -39,7 +39,7 @@ func rnrServingPaths(t *testing.T, s *placement.Spec, sources map[placement.Requ
 	t.Helper()
 	var paths []placement.ServingPath
 	for rq, src := range sources {
-		p, ok := graph.Dijkstra(s.G, src, nil, nil).PathTo(s.G, rq.Node)
+		p, ok := graph.TreeOf(s.G, src).PathTo(s.G, rq.Node)
 		if !ok {
 			t.Fatalf("requester %d unreachable from source %d", rq.Node, src)
 		}

@@ -110,20 +110,11 @@ type PerPathOptions struct {
 // capacities. Homogeneous item sizes admit the LP (15) + pipage rounding
 // algorithm with a (1-1/e) guarantee; heterogeneous sizes always use the
 // greedy (Lemma 5.3 + Theorem 5.2).
-func PlacePerPath(s *Spec, paths []ServingPath, method PerPathMethod) (*Placement, error) {
-	return PlacePerPathContext(nil, s, paths, method)
-}
-
-// PlacePerPathContext is PlacePerPath with cooperative cancellation: ctx is
-// threaded into the LP solve and polled by the greedy loop, so a
+//
+// ctx is threaded into the LP solve and polled by the greedy loop, so a
 // caller-imposed deadline stops the subproblem mid-run. A nil ctx means no
-// cancellation (identical to PlacePerPath).
-func PlacePerPathContext(ctx context.Context, s *Spec, paths []ServingPath, method PerPathMethod) (*Placement, error) {
-	return PlacePerPathOpts(ctx, s, paths, PerPathOptions{Method: method})
-}
-
-// PlacePerPathOpts is PlacePerPathContext with explicit tuning knobs.
-func PlacePerPathOpts(ctx context.Context, s *Spec, paths []ServingPath, opts PerPathOptions) (*Placement, error) {
+// cancellation.
+func PlacePerPath(ctx context.Context, s *Spec, paths []ServingPath, opts PerPathOptions) (*Placement, error) {
 	method := opts.Method
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -377,7 +368,7 @@ func buildPerPathLP(ctx context.Context, s *Spec, paths []ServingPath, nodes []g
 		return nil, fmt.Errorf("placement: per-path enumeration: %w", err)
 	}
 	xWeight, zs := presolveSavings(zs, nx)
-	prob := lputil.NewProblem(nx + len(zs))
+	prob := lp.NewProblem(nx + len(zs))
 	prob.SetSense(lp.Maximize)
 	for j, w := range xWeight {
 		prob.SetObjectiveCoeff(j, w)

@@ -376,11 +376,11 @@ func TestPlacePerPathGreedyVsLP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		plLP, err := PlacePerPath(s, paths, PerPathLP)
+		plLP, err := PlacePerPath(nil, s, paths, PerPathOptions{Method: PerPathLP})
 		if err != nil {
 			t.Fatalf("trial %d LP: %v", trial, err)
 		}
-		plG, err := PlacePerPath(s, paths, PerPathGreedy)
+		plG, err := PlacePerPath(nil, s, paths, PerPathOptions{Method: PerPathGreedy})
 		if err != nil {
 			t.Fatalf("trial %d greedy: %v", trial, err)
 		}
@@ -420,7 +420,7 @@ func TestPerPathSavingPlusCostIsConstant(t *testing.T) {
 	for k := range paths {
 		full += paths[k].Rate * paths[k].Path.Cost(s.G)
 	}
-	pl, err := PlacePerPath(s, paths, PerPathGreedy)
+	pl, err := PlacePerPath(nil, s, paths, PerPathOptions{Method: PerPathGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,6 @@ func New(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// Default returns a generator seeded with DefaultSeed.
-func Default() *rand.Rand {
-	return New(DefaultSeed)
-}
-
 // Derive returns a generator for an independent stream of the experiment
 // identified by seed: stream offsets separate e.g. topology generation,
 // demand draws, and Monte-Carlo repetitions so that changing the number of

@@ -480,7 +480,7 @@ func buildCellProgram(cs *graph.CellSet, cv *graph.CellView, active []itemDemand
 			}
 		}
 	}
-	p := lputil.NewProblem(nc*stride + numSupply)
+	p := lp.NewProblem(nc*stride + numSupply)
 	pr.prob = p
 	col := nc * stride
 	for k := range active {

@@ -181,7 +181,7 @@ func decomposedRouteSpec(t *testing.T) (*placement.Spec, *placement.Placement, [
 
 func TestRouteDecomposed(t *testing.T) {
 	s, pl, assign := decomposedRouteSpec(t)
-	res, err := Route(s, pl, Options{
+	res, err := Route(nil, s, pl, Options{
 		Fractional: true,
 		Decompose:  &DecomposeOptions{Assign: assign, MinVars: 1, MaxIters: 6},
 	})
@@ -224,7 +224,7 @@ func TestRouteDecomposed(t *testing.T) {
 func TestRouteDecomposedWorkersIdentical(t *testing.T) {
 	run := func(workers int) *Result {
 		s, pl, assign := decomposedRouteSpec(t)
-		res, err := Route(s, pl, Options{
+		res, err := Route(nil, s, pl, Options{
 			Fractional: true,
 			Workers:    workers,
 			Decompose:  &DecomposeOptions{Assign: assign, MinVars: 1, MaxIters: 6},
@@ -253,7 +253,9 @@ func TestRouteDecomposedWorkersIdentical(t *testing.T) {
 
 // TestRouteDecomposedReuse pins the decomposition cache: a second solve on
 // the same instance keeps the cell skeletons (mutating demands in place)
-// instead of rebuilding them.
+// instead of rebuilding them. It also pins the one production caller where
+// a warm lp.Solver pays: within the first call alone, the price-coordination
+// iterations must re-solve the cell LPs from their previous bases.
 func TestRouteDecomposedReuse(t *testing.T) {
 	s, pl, assign := decomposedRouteSpec(t)
 	reuse := NewReuse()
@@ -262,7 +264,7 @@ func TestRouteDecomposedReuse(t *testing.T) {
 		Reuse:      reuse,
 		Decompose:  &DecomposeOptions{Assign: assign, MinVars: 1, MaxIters: 6},
 	}
-	first, err := Route(s, pl, opts)
+	first, err := Route(nil, s, pl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,14 @@ func TestRouteDecomposedReuse(t *testing.T) {
 	if progs == nil {
 		t.Fatal("decomposition cache empty after a decomposed solve")
 	}
-	second, err := Route(s, pl, opts)
+	warm := 0
+	for _, pr := range progs {
+		warm += pr.solver.Stats().WarmHits
+	}
+	if warm == 0 {
+		t.Error("cell LPs never warm-started within one decomposed Route call")
+	}
+	second, err := Route(nil, s, pl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +297,7 @@ func TestRouteDecomposedReuse(t *testing.T) {
 // solve — the monolithic pipeline answers instead.
 func TestRouteDecomposedFallback(t *testing.T) {
 	s, pl, _ := decomposedRouteSpec(t)
-	res, err := Route(s, pl, Options{
+	res, err := Route(nil, s, pl, Options{
 		Fractional: true,
 		Decompose:  &DecomposeOptions{Assign: []int{0, 1}, MinVars: 1},
 	})
@@ -308,7 +317,7 @@ func TestRouteDecomposedFallback(t *testing.T) {
 func TestRouteDecomposedBelowThreshold(t *testing.T) {
 	s := twoItemSpec(1)
 	pl := s.NewPlacement()
-	res, err := Route(s, pl, Options{
+	res, err := Route(nil, s, pl, Options{
 		Fractional: true,
 		Decompose:  &DecomposeOptions{Assign: []int{0, 1}},
 	})
@@ -356,13 +365,13 @@ func BenchmarkRouteWarmReuse(b *testing.B) {
 	inst := randomCellInstance(r)
 	reuse := NewReuse()
 	opts := Options{Fractional: true, Reuse: reuse}
-	if _, err := Route(inst.spec, inst.pl, opts); err != nil {
+	if _, err := Route(nil, inst.spec, inst.pl, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Route(inst.spec, inst.pl, opts); err != nil {
+		if _, err := Route(nil, inst.spec, inst.pl, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -381,7 +390,7 @@ func BenchmarkRouteDecomposed(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Route(inst.spec, inst.pl, opts); err != nil {
+		if _, err := Route(nil, inst.spec, inst.pl, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

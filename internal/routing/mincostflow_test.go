@@ -34,7 +34,7 @@ func cloneItemMinCostFlow(aux *graph.Auxiliary, k int, ad itemDemand, residual [
 		gg.AddArc(t, super, 0, ad.sinks[t])
 		total += ad.sinks[t]
 	}
-	res, err := flow.MinCostFlowContext(nil, gg, aux.VirtualSource[k], super, total)
+	res, err := flow.MinCostFlow(nil, gg, aux.VirtualSource[k], super, total)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func cloneRecoverInOrder(aux *graph.Auxiliary, active []itemDemand, order []int,
 			gg.AddArc(t, super, 0, active[k].sinks[t])
 			total += active[k].sinks[t]
 		}
-		res, err := flow.MinCostFlowContext(nil, gg, aux.VirtualSource[k], super, total)
+		res, err := flow.MinCostFlow(nil, gg, aux.VirtualSource[k], super, total)
 		if err != nil {
 			return nil, err
 		}

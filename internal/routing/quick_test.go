@@ -60,11 +60,11 @@ func (quickInstance) Generate(rng *rand.Rand, size int) reflect.Value {
 func TestQuickRouteServesEverything(t *testing.T) {
 	property := func(q quickInstance, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		frac, err := Route(q.s, q.pl, Options{Fractional: true})
+		frac, err := Route(nil, q.s, q.pl, Options{Fractional: true})
 		if err != nil {
 			return false
 		}
-		integral, err := Route(q.s, q.pl, Options{Rng: rng})
+		integral, err := Route(nil, q.s, q.pl, Options{Rng: rng})
 		if err != nil {
 			return false
 		}
@@ -105,7 +105,7 @@ func TestQuickRouteServesEverything(t *testing.T) {
 // optimal: the reported cost matches the strict LP optimum.
 func TestQuickIndependentMatchesExact(t *testing.T) {
 	property := func(q quickInstance) bool {
-		res, err := Route(q.s, q.pl, Options{Fractional: true})
+		res, err := Route(nil, q.s, q.pl, Options{Fractional: true})
 		if err != nil {
 			return false
 		}

@@ -88,10 +88,10 @@ type Options struct {
 	// means GOMAXPROCS. Results are merged in item order, so the output
 	// is identical for any worker count (see internal/par).
 	Workers int
-	// Reuse, when non-nil, carries caches across RouteContext calls with
-	// the same spec and graph: per-item demand sets, the Lemma 4.5
-	// auxiliary graph, and the multicommodity LP skeleton with its
-	// warm-start solver handle (see Reuse). Nil solves from scratch.
+	// Reuse, when non-nil, carries caches across Route calls with the
+	// same spec and graph: per-item demand sets, the Lemma 4.5 auxiliary
+	// graph, the shortest-path tree engine, and the decomposed cell LPs
+	// (see Reuse). Nil solves from scratch.
 	Reuse *Reuse
 	// Decompose, when non-nil, enables the partition-aware solve path for
 	// instances too large for the monolithic LP: cells solve their own
@@ -138,16 +138,11 @@ type Result struct {
 	Decomposed *DecomposeInfo
 }
 
-// Route solves the routing subproblem for the given placement.
-func Route(s *placement.Spec, pl *placement.Placement, opts Options) (*Result, error) {
-	return RouteContext(nil, s, pl, opts)
-}
-
-// RouteContext is Route with cooperative cancellation: ctx is threaded
-// into the per-item min-cost flows, the multicommodity LP, and the
+// Route solves the routing subproblem for the given placement. ctx is
+// threaded into the per-item min-cost flows, the multicommodity LP, and the
 // randomized-rounding loop, so a caller-imposed deadline stops the solver
-// mid-run. A nil ctx means no cancellation (identical to Route).
-func RouteContext(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts Options) (*Result, error) {
+// mid-run. A nil ctx means no cancellation.
+func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts Options) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -379,7 +374,7 @@ func SolveMMSFPExact(s *placement.Spec, pl *placement.Placement) (float64, error
 		return 0, nil
 	}
 	aux := graph.NewAuxiliary(s.G, groups)
-	flows, err := multicommodityLP(nil, aux, active, nil)
+	flows, err := multicommodityLP(nil, aux, active)
 	if err != nil {
 		return 0, err
 	}
@@ -479,7 +474,7 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 	}
 	// 3. Exact multicommodity LP when small enough.
 	if len(active)*g.NumArcs() <= opts.LPMaxVars {
-		lpFlows, err := multicommodityLP(ctx, aux, active, opts.Reuse)
+		lpFlows, err := multicommodityLP(ctx, aux, active)
 		if err == nil {
 			return lpFlows, MethodLP, nil, nil
 		}
@@ -570,57 +565,24 @@ func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDe
 }
 
 // multicommodityLP solves the coupled MMSFP exactly: one flow variable per
-// (item, arc), per-item conservation, shared capacity on real arcs. With a
-// Reuse handle, a structurally repeated instance (same auxiliary graph, same
-// active item count) mutates the cached skeleton's conservation right-hand
-// sides in place and warm-starts from the previous optimal basis; otherwise
-// the skeleton is rebuilt and retained for the next call.
-func multicommodityLP(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, reuse *Reuse) ([][]float64, error) {
+// (item, arc), per-item conservation, shared capacity on real arcs.
+func multicommodityLP(ctx context.Context, aux *graph.Auxiliary, active []itemDemand) ([][]float64, error) {
 	g := aux.G
 	m := g.NumArcs()
 	nc := len(active)
-	p, cached := reuse.mcMutate(aux, active)
-	if !cached {
-		var rows [][]int
-		var err error
-		p, rows, err = buildMulticommodityLP(aux, active)
-		if err != nil {
-			return nil, err
-		}
-		reuse.mcStore(aux, p, rows)
-	}
-	sol, err := lputil.SolveWith(ctx, reuse.solver(), "routing: multicommodity LP", p)
-	if err != nil {
-		return nil, err
-	}
-	return lputil.ExtractGrid(sol.X, 0, nc, m, lputil.Floor(flowEps)), nil
-}
-
-// buildMulticommodityLP constructs the MMSFP skeleton from scratch and
-// returns, alongside the problem, the conservation-row layout (rows[k][v] is
-// the row of item k's conservation at node v, -1 when the node has no
-// incident arcs) that Reuse.mcMutate needs for in-place RHS mutation.
-func buildMulticommodityLP(aux *graph.Auxiliary, active []itemDemand) (*lp.Problem, [][]int, error) {
-	g := aux.G
-	m := g.NumArcs()
-	nc := len(active)
-	p := lputil.NewProblem(nc * m)
+	p := lp.NewProblem(nc * m)
 	fIdx := func(k, e int) int { return k*m + e }
 	for k := range active {
 		for e := 0; e < m; e++ {
 			p.SetObjectiveCoeff(fIdx(k, e), g.Arc(e).Cost)
 		}
 	}
-	rows := make([][]int, nc)
 	// Conservation per item and node. Self-loop arcs appear in both Out
 	// and In, which the row builder coalesces to a zero coefficient.
 	row := lp.NewRowBuilder(p)
-	nrows := 0
 	for k, ad := range active {
 		vs := aux.VirtualSource[k]
-		rows[k] = make([]int, g.NumNodes())
 		for v := 0; v < g.NumNodes(); v++ {
-			rows[k][v] = -1
 			for _, e := range g.Out(v) {
 				row.Add(fIdx(k, e), 1)
 			}
@@ -635,7 +597,7 @@ func buildMulticommodityLP(aux *graph.Auxiliary, active []itemDemand) (*lp.Probl
 			}
 			if row.Len() == 0 {
 				if supply != 0 {
-					return nil, nil, fmt.Errorf("routing: node %d has demand but no incident arcs", v)
+					return nil, fmt.Errorf("routing: node %d has demand but no incident arcs", v)
 				}
 				continue
 			}
@@ -643,10 +605,8 @@ func buildMulticommodityLP(aux *graph.Auxiliary, active []itemDemand) (*lp.Probl
 			// k's flow: their virtual arcs stay unused because no
 			// flow can enter them (in-degree 0 for vs).
 			if err := row.Constrain(lp.EQ, supply); err != nil {
-				return nil, nil, fmt.Errorf("routing: multicommodity LP: %w", err)
+				return nil, fmt.Errorf("routing: multicommodity LP: %w", err)
 			}
-			rows[k][v] = nrows
-			nrows++
 		}
 	}
 	// Shared capacities on real arcs.
@@ -659,8 +619,12 @@ func buildMulticommodityLP(aux *graph.Auxiliary, active []itemDemand) (*lp.Probl
 			row.Add(fIdx(k, e), 1)
 		}
 		if err := row.Constrain(lp.LE, c); err != nil {
-			return nil, nil, fmt.Errorf("routing: multicommodity LP: %w", err)
+			return nil, fmt.Errorf("routing: multicommodity LP: %w", err)
 		}
 	}
-	return p, rows, nil
+	sol, err := lputil.Solve(ctx, "routing: multicommodity LP", p)
+	if err != nil {
+		return nil, err
+	}
+	return lputil.ExtractGrid(sol.X, 0, nc, m, lputil.Floor(flowEps)), nil
 }

@@ -30,7 +30,7 @@ func twoItemSpec(cheapCap float64) *placement.Spec {
 func TestRouteIndependent(t *testing.T) {
 	s := twoItemSpec(10) // plenty of cheap capacity
 	pl := s.NewPlacement()
-	res, err := Route(s, pl, Options{})
+	res, err := Route(nil, s, pl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRouteIndependent(t *testing.T) {
 func TestRouteLPUnderContention(t *testing.T) {
 	s := twoItemSpec(1) // cheap link fits only one item's unit of flow
 	pl := s.NewPlacement()
-	res, err := Route(s, pl, Options{Fractional: true})
+	res, err := Route(nil, s, pl, Options{Fractional: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRouteLPUnderContention(t *testing.T) {
 func TestRouteSequentialFallback(t *testing.T) {
 	s := twoItemSpec(1)
 	pl := s.NewPlacement()
-	res, err := Route(s, pl, Options{LPMaxVars: 1}) // forbid the LP
+	res, err := Route(nil, s, pl, Options{LPMaxVars: 1}) // forbid the LP
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRouteSequentialFallback(t *testing.T) {
 func TestRouteIntegralOnePathPerRequest(t *testing.T) {
 	s := twoItemSpec(1)
 	pl := s.NewPlacement()
-	res, err := Route(s, pl, Options{Rng: rand.New(rand.NewSource(9))})
+	res, err := Route(nil, s, pl, Options{Rng: rand.New(rand.NewSource(9))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRouteUsesNearestReplica(t *testing.T) {
 	}
 	pl := s.NewPlacement()
 	pl.Stores[1][0] = true
-	res, err := Route(s, pl, Options{})
+	res, err := Route(nil, s, pl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRouteSelfServe(t *testing.T) {
 	}
 	pl := s.NewPlacement()
 	pl.Stores[1][0] = true
-	res, err := Route(s, pl, Options{})
+	res, err := Route(nil, s, pl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRouteNoReplicaError(t *testing.T) {
 		Rates:    [][]float64{{0, 1}},
 	}
 	pl := s.NewPlacement() // nothing pinned, nothing cached
-	if _, err := Route(s, pl, Options{}); err == nil {
+	if _, err := Route(nil, s, pl, Options{}); err == nil {
 		t.Error("expected error for item with no replicas")
 	}
 }
@@ -214,7 +214,7 @@ func TestRouteRandomizedConsistency(t *testing.T) {
 			v := 1 + rng.Intn(n-1)
 			pl.Stores[v][i] = true
 		}
-		res, err := Route(s, pl, Options{Rng: rng})
+		res, err := Route(nil, s, pl, Options{Rng: rng})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

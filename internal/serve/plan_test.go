@@ -199,7 +199,7 @@ func TestCompileRoundTripRandomized(t *testing.T) {
 // the per-request route order survives compilation.
 func TestCompileRoundTripFractional(t *testing.T) {
 	s := testSpec(t)
-	sol, err := core.Alternating(s, core.AlternatingOptions{Fractional: true})
+	sol, err := core.Alternating(nil, s, core.AlternatingOptions{Fractional: true})
 	if err != nil {
 		t.Fatal(err)
 	}

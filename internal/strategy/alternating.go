@@ -116,7 +116,7 @@ func (a *Alternating) Decide(ctx context.Context, inst Instance) (*Plan, Stats, 
 	case inst.Initial != nil:
 		opts.Initial = inst.Initial
 	}
-	sol, err := core.AlternatingContext(ctx, spec, opts)
+	sol, err := core.Alternating(ctx, spec, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -76,7 +76,7 @@ func (c *CacheNetRandom) Decide(ctx context.Context, inst Instance) (*Plan, Stat
 			return nil, Stats{}, err
 		}
 		pl := randomFeasiblePlacement(spec, r)
-		route, err := routing.RouteContext(ctx, spec, pl, routing.Options{
+		route, err := routing.Route(ctx, spec, pl, routing.Options{
 			Fractional:     c.Fractional,
 			BestEffort:     c.BestEffort,
 			Workers:        c.Workers,

@@ -56,7 +56,7 @@ func (m *MinDelay) Decide(ctx context.Context, inst Instance) (*Plan, Stats, err
 		paths, _ := multipathServe(spec, pl, dist)
 		// Caching step: re-place to maximize the saving along those
 		// paths (the greedy file-level subroutine; ctx-aware).
-		newPl, err := placement.PlacePerPathOpts(ctx, spec, paths, placement.PerPathOptions{
+		newPl, err := placement.PlacePerPath(ctx, spec, paths, placement.PerPathOptions{
 			Method:  placement.PerPathGreedy,
 			Workers: m.Workers,
 		})

@@ -193,7 +193,7 @@ func (e *Exact) Fits(inst Instance) bool { return exact.Fits(inst.Spec) }
 
 // Decide implements Strategy.
 func (e *Exact) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
-	res, err := exact.SolveICIRContext(ctx, inst.Spec)
+	res, err := exact.SolveICIR(ctx, inst.Spec)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -142,7 +142,7 @@ func TestAugmentFeasibility(t *testing.T) {
 	for id := 0; id < unit.NumArcs(); id++ {
 		unit.SetArcCost(id, 1)
 	}
-	tree := graph.Dijkstra(unit, n.Origin, nil, nil)
+	tree := graph.TreeOf(unit, n.Origin)
 	for k, e := range n.Edges {
 		p, ok := tree.PathTo(n.G, e)
 		if !ok {

@@ -112,14 +112,14 @@ func Greedy(s *Spec, dist [][]float64) (*GreedyResult, error) {
 
 // Alternating runs the general-case alternating optimizer (Section 4.3.3).
 func Alternating(s *Spec, opts AlternatingOptions) (*Solution, error) {
-	return core.Alternating(s, opts)
+	return core.Alternating(nil, s, opts)
 }
 
 // Route solves the source-selection and routing subproblem for a fixed
 // placement (MMSFP under fractional routing, MMUFP via randomized rounding
 // under integral routing).
 func Route(s *Spec, pl *Placement, opts RoutingOptions) (*routing.Result, error) {
-	return routing.Route(s, pl, opts)
+	return routing.Route(nil, s, pl, opts)
 }
 
 // ValidateSolution checks feasibility and full service of a solution.

@@ -83,7 +83,7 @@ func BenchmarkAlg1Placement(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := placement.Alg1(run.Decision, run.Dist); err != nil {
+		if _, err := placement.Alg1(nil, run.Decision, run.Dist, placement.Alg1Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkMSUFPAlg2(b *testing.B) {
 	inst := benchMSUFPInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := msufp.SolveAlg2(inst, 1000); err != nil {
+		if _, err := msufp.SolveAlg2(nil, inst, 1000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func BenchmarkMSUFPSkutella(b *testing.B) {
 	inst := benchMSUFPInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := msufp.SolveAlg2(inst, 2); err != nil {
+		if _, err := msufp.SolveAlg2(nil, inst, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func BenchmarkSimplexLP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := build().Solve(); err != nil {
+		if _, err := build().Solve(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

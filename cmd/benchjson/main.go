@@ -111,7 +111,7 @@ func main() {
 		name  string
 		solve func(*lp.Problem) (*lp.Solution, error)
 	}{
-		{"lp_sparse_solve", func(p *lp.Problem) (*lp.Solution, error) { return p.Solve() }},
+		{"lp_sparse_solve", func(p *lp.Problem) (*lp.Solution, error) { return p.Solve(nil) }},
 		{"lp_dense_solve", func(p *lp.Problem) (*lp.Solution, error) { return p.SolveDense(context.Background()) }},
 	} {
 		for _, in := range []struct {
@@ -173,7 +173,7 @@ func main() {
 			for i := 0; i < tb.N; i++ {
 				must(p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 5+rng.Float64()))
 				p.SetObjectiveCoeff(rng.Intn(p.NumVars()), 1+rng.Float64())
-				if _, err := solver.Solve(p); err != nil {
+				if _, err := solver.Solve(nil, p); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -215,7 +215,7 @@ func main() {
 			rng := rand.New(rand.NewSource(9))
 			for i := 0; i < tb.N; i++ {
 				must(p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 2+4*rng.Float64()))
-				if _, err := solver.Solve(p); err != nil {
+				if _, err := solver.Solve(nil, p); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -235,7 +235,7 @@ func main() {
 		res := bench(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				sol, err := transportLP().Solve()
+				sol, err := transportLP().Solve(nil)
 				if err != nil {
 					tb.Fatal(err)
 				}
@@ -281,7 +281,7 @@ func main() {
 		res := bench(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := msufp.SolveAlg2(inst, 1000); err != nil {
+				if _, err := msufp.SolveAlg2(nil, inst, 1000); err != nil {
 					tb.Fatal(err)
 				}
 			}
@@ -289,19 +289,18 @@ func main() {
 		rep.Benchmarks = append(rep.Benchmarks, toResult("msufp_alg2_k1000", res))
 	}
 
-	// Shortest-path engine benchmarks (PR-5): the canonical CSR kernel and
-	// the CSR-based Yen against the preserved pre-engine reference
-	// implementations, and the fault-scenario online reroute with and
-	// without cross-hour tree reuse. Each before/after pair lives in one
-	// report so the speedup is read off a single file.
+	// Shortest-path engine benchmarks: the canonical CSR kernel, the
+	// CSR-based Yen, and the fault-scenario online reroute with and without
+	// cross-hour tree reuse (that before/after pair lives in one report so
+	// the speedup is read off a single file). The pre-engine reference
+	// Dijkstra lives in internal/graph's tests, timed by
+	// BenchmarkDijkstraReference.
 	for _, b := range []struct {
 		name string
 		run  func()
 	}{
 		{"dijkstra_tree", func() { graph.TreeOf(spTreeGraph, dijkstraSrc) }},
-		{"dijkstra_tree_ref", func() { graph.ReferenceDijkstra(spTreeGraph, dijkstraSrc, nil, nil) }},
 		{"yen_k25", func() { graph.KShortestPaths(spYenGraph, 0, spYenGraph.NumNodes()-1, 25) }},
-		{"yen_k25_ref", func() { referenceYenK(spYenGraph, 0, spYenGraph.NumNodes()-1, 25) }},
 	} {
 		if !want(b.name) {
 			continue

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"math/rand"
-	"sort"
 
 	"jcr/internal/faults"
 	"jcr/internal/graph"
@@ -28,95 +27,6 @@ func spGraph(n int) *graph.Graph {
 		}
 	}
 	return g
-}
-
-// referenceYenK is the pre-engine Yen implementation, preserved as the
-// before side of the yen_k25 pair: per-spur ban maps, a full
-// ReferenceDijkstra per spur (no goal early-exit, fresh allocations), and
-// the same candidate ordering and dedup rules as graph.KShortestPaths.
-func referenceYenK(g *graph.Graph, src, dst graph.NodeID, k int) []graph.Path {
-	if k <= 0 {
-		return nil
-	}
-	first, ok := graph.ReferenceDijkstra(g, src, nil, nil).PathTo(g, dst)
-	if !ok {
-		return nil
-	}
-	if src == dst {
-		return []graph.Path{{}}
-	}
-	accepted := []graph.Path{first}
-	type cand struct {
-		path graph.Path
-		cost float64
-	}
-	var candidates []cand
-	seen := map[uint64][][]graph.ArcID{}
-	add := func(arcs []graph.ArcID) bool {
-		const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
-		var h uint64 = fnvOffset
-		for _, id := range arcs {
-			h = (h ^ uint64(uint32(id))) * fnvPrime
-		}
-		for _, prev := range seen[h] {
-			if sameArcSeq(prev, arcs) {
-				return false
-			}
-		}
-		seen[h] = append(seen[h], arcs)
-		return true
-	}
-	add(first.Arcs)
-
-	for len(accepted) < k {
-		prev := accepted[len(accepted)-1]
-		prevNodes := prev.Nodes(g)
-		for i := 0; i < len(prevNodes)-1; i++ {
-			spurNode := prevNodes[i]
-			rootArcs := prev.Arcs[:i]
-			banArc := map[graph.ArcID]struct{}{}
-			for _, p := range accepted {
-				if len(p.Arcs) > i && sameArcSeq(p.Arcs[:i], rootArcs) {
-					banArc[p.Arcs[i]] = struct{}{}
-				}
-			}
-			banNode := map[graph.NodeID]struct{}{}
-			for _, v := range prevNodes[:i] {
-				banNode[v] = struct{}{}
-			}
-			tree := graph.ReferenceDijkstra(g, spurNode,
-				func(id graph.ArcID) bool { _, b := banArc[id]; return b },
-				func(v graph.NodeID) bool { _, b := banNode[v]; return b })
-			spur, ok := tree.PathTo(g, dst)
-			if !ok {
-				continue
-			}
-			total := graph.Path{Arcs: append(append([]graph.ArcID(nil), rootArcs...), spur.Arcs...)}
-			if !add(total.Arcs) {
-				continue
-			}
-			candidates = append(candidates, cand{path: total, cost: total.Cost(g)})
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.SliceStable(candidates, func(a, b int) bool { return candidates[a].cost < candidates[b].cost })
-		accepted = append(accepted, candidates[0].path)
-		candidates = candidates[1:]
-	}
-	return accepted
-}
-
-func sameArcSeq(a, b []graph.ArcID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // rerouteHorizon is the fault-scenario online reroute workload, built

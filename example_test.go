@@ -91,7 +91,7 @@ func ExampleSolveMSUFP() {
 	// Theorem 4.7(i): the unsplittable cost never exceeds the splittable
 	// optimum (which splits 4 units cheap + 2 via the detour: 4+8 = 12);
 	// the small capacity overshoot stays within the 4.7(ii) bound.
-	split, _ := inst.SplittableOptimum()
+	split, _ := inst.SplittableOptimum(nil)
 	fmt.Printf("cost within splittable optimum: %v\n", m.Cost <= split.Cost)
 	fmt.Printf("cost: %.0f\n", m.Cost)
 	// Output:

@@ -54,7 +54,7 @@ func main() {
 		inst.Commodities = append(inst.Commodities, jcr.MSUFPCommodity{Dest: c.dest, Demand: c.demand})
 	}
 
-	split, err := inst.SplittableOptimum()
+	split, err := inst.SplittableOptimum(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestEndToEndBinaryCache(t *testing.T) {
 	for _, dm := range dems {
 		inst.Commodities = append(inst.Commodities, jcr.MSUFPCommodity{Dest: net.Edges[dm.e], Demand: dm.d})
 	}
-	split, err := inst.SplittableOptimum()
+	split, err := inst.SplittableOptimum(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

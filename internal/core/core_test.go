@@ -178,7 +178,7 @@ func TestFCFRLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
 		s := randomCoreSpec(rng)
-		fc, err := SolveFCFR(s)
+		fc, err := SolveFCFR(nil, s)
 		if errors.Is(err, lp.ErrInfeasible) {
 			continue // overloaded instance: no fractional solution exists
 		}
@@ -222,7 +222,7 @@ func TestFCFRSimpleExact(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 3}},
 	}
-	fc, err := SolveFCFR(s)
+	fc, err := SolveFCFR(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFCFRSplitsCache(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 1}, {0, 1}},
 	}
-	fc, err := SolveFCFR(s)
+	fc, err := SolveFCFR(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}

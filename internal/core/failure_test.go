@@ -28,7 +28,7 @@ func TestFailureUnreachableRequester(t *testing.T) {
 	if _, err := Alternating(nil, s, AlternatingOptions{}); err == nil {
 		t.Error("unreachable requester should error, not serve silently")
 	}
-	if _, err := SolveFCFR(s); err == nil {
+	if _, err := SolveFCFR(nil, s); err == nil {
 		t.Error("FC-FR should report the unreachable requester")
 	}
 }
@@ -79,7 +79,7 @@ func TestFailureAllZeroDemand(t *testing.T) {
 	if sol.Cost != 0 || sol.MaxUtilization != 0 {
 		t.Errorf("zero demand should be free: cost %v, congestion %v", sol.Cost, sol.MaxUtilization)
 	}
-	fc, err := SolveFCFR(s)
+	fc, err := SolveFCFR(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 
 	"jcr/internal/core/lputil"
@@ -22,8 +24,9 @@ type FCFRResult struct {
 // literal - per-request flow and source-selection variables - so it is
 // intended for modest instance sizes (tests, examples, and reference
 // bounds); the evaluation-scale experiments use it only where the paper
-// does.
-func SolveFCFR(s *placement.Spec) (*FCFRResult, error) {
+// does. A done ctx aborts the LP with an error wrapping ctx.Err(); nil
+// means no cancellation.
+func SolveFCFR(ctx context.Context, s *placement.Spec) (*FCFRResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -128,9 +131,9 @@ func SolveFCFR(s *placement.Spec) (*FCFRResult, error) {
 			return nil, err
 		}
 	}
-	sol, err := lputil.Solve(nil, "core: FC-FR LP", p)
+	sol, err := p.Solve(ctx)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: FC-FR LP: %w", err)
 	}
 	res := &FCFRResult{Cost: sol.Objective, X: emptyX(s)}
 	xg := lputil.ExtractGrid(sol.X, 0, len(nodes), s.NumItems, nil)

@@ -69,7 +69,8 @@ const ctxStride = 256
 // routing) by enumerating all cache-feasible integral placements and
 // solving each routing subproblem exactly. Homogeneous or heterogeneous
 // item sizes are both supported. ctx is polled every few hundred
-// enumerated placements; a nil ctx means no cancellation.
+// enumerated placements and reaches every per-placement routing LP; a nil
+// ctx means no cancellation.
 func SolveICFR(ctx context.Context, s *placement.Spec) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -81,8 +82,11 @@ func SolveICFR(ctx context.Context, s *placement.Spec) (*Result, error) {
 	}
 	best := &Result{Cost: math.Inf(1)}
 	err := enumeratePlacements(ctx, s, func(pl *placement.Placement) error {
-		cost, err := routing.SolveMMSFPExact(s, pl)
+		cost, err := routing.SolveMMSFPExact(ctx, s, pl)
 		if err != nil {
+			if ctx != nil && ctx.Err() != nil {
+				return fmt.Errorf("exact: %w", ctx.Err())
+			}
 			return nil // this placement cannot serve the demand; skip
 		}
 		if cost < best.Cost {

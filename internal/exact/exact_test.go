@@ -107,7 +107,7 @@ func TestExactRegimeOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		fcfr, err := core.SolveFCFR(s)
+		fcfr, err := core.SolveFCFR(nil, s)
 		if err != nil {
 			continue // FC-FR LP may be infeasible on overloaded draws
 		}

@@ -42,7 +42,7 @@ func Ablation(cfg *Config) (string, error) {
 		{"with polish", placement.Alg1Options{}},
 	} {
 		lap := cfg.stopwatch()
-		res, err := placement.Alg1WithOptions(unRun.Decision, unRun.Dist, variant.opts)
+		res, err := placement.Alg1(nil, unRun.Decision, unRun.Dist, variant.opts)
 		if err != nil {
 			return "", err
 		}

@@ -139,14 +139,14 @@ func Fig6(cfg *Config) ([]Figure, error) {
 						s.add(congFig, name+" ("+tag+")", cf, cong)
 						return nil
 					}
-					a1000, err := msufp.SolveAlg2(fi.inst, 1000)
+					a1000, err := msufp.SolveAlg2(nil, fi.inst, 1000)
 					if err != nil {
 						return fmt.Errorf("Fig6 Alg2 K=1000: %w", err)
 					}
 					if err := record("Alg.2 K=1000 (ours)", a1000); err != nil {
 						return err
 					}
-					a2, err := msufp.SolveAlg2(fi.inst, 2)
+					a2, err := msufp.SolveAlg2(nil, fi.inst, 2)
 					if err != nil {
 						return fmt.Errorf("Fig6 [33] K=2: %w", err)
 					}
@@ -162,7 +162,7 @@ func Fig6(cfg *Config) ([]Figure, error) {
 					}
 					// Splittable lower bound on the TRUE demand.
 					truthFi := newFig6Instance(run, run.Truth)
-					split, err := truthFi.inst.SplittableOptimum()
+					split, err := truthFi.inst.SplittableOptimum(nil)
 					if err != nil {
 						return fmt.Errorf("Fig6 splittable: %w", err)
 					}
@@ -182,7 +182,7 @@ func Fig6(cfg *Config) ([]Figure, error) {
 				}
 				fi := newFig6Instance(run, run.Decision)
 				for _, k := range ks {
-					asgn, err := msufp.SolveAlg2(fi.inst, k)
+					asgn, err := msufp.SolveAlg2(nil, fi.inst, k)
 					if err != nil {
 						return fmt.Errorf("Fig6e K=%d: %w", k, err)
 					}

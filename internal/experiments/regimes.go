@@ -51,7 +51,7 @@ func Regimes(cfg *Config) (string, error) {
 	b.WriteString("route and an expensive wide route from the origin\n\n")
 	fmt.Fprintf(&b, "%-34s %14s\n", "solution", "routing cost")
 
-	fcfr, err := core.SolveFCFR(spec)
+	fcfr, err := core.SolveFCFR(nil, spec)
 	if err != nil {
 		return "", fmt.Errorf("regimes FC-FR: %w", err)
 	}

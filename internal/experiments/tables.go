@@ -39,7 +39,7 @@ func Table2(cfg *Config) (string, error) {
 
 	// Scenario 2: binary cache capacities.
 	fi := newFig6Instance(run, run.Decision)
-	split, err := fi.inst.SplittableOptimum()
+	split, err := fi.inst.SplittableOptimum(nil)
 	if err != nil {
 		return "", err
 	}
@@ -49,7 +49,7 @@ func Table2(cfg *Config) (string, error) {
 	}{{"Alg.2 (K=1000)", 1000}, {"[33] (K=2)", 2}, {"RNR [3]", 0}} {
 		var asgn *msufp.Assignment
 		if entry.k > 0 {
-			asgn, err = msufp.SolveAlg2(fi.inst, entry.k)
+			asgn, err = msufp.SolveAlg2(nil, fi.inst, entry.k)
 		} else {
 			asgn, err = msufp.SolveRNR(fi.inst)
 		}
@@ -111,7 +111,7 @@ func ExecTimes(cfg *Config, fileLevel bool) (string, error) {
 		}})
 	} else {
 		rows = append(rows, row{"c_uv = inf", "Alg. 1 (ours)", func() error {
-			_, err := placement.Alg1(unRun.Decision, unRun.Dist)
+			_, err := placement.Alg1(nil, unRun.Decision, unRun.Dist, placement.Alg1Options{})
 			return err
 		}})
 	}
@@ -121,18 +121,18 @@ func ExecTimes(cfg *Config, fileLevel bool) (string, error) {
 			return err
 		}},
 		row{"c_uv = inf", "shortest path [38]", func() error {
-			_, _, err := placement.SP38(unRun.Decision, origin, placement.PerPathAuto, slotCap)
+			_, _, err := placement.SP38(nil, unRun.Decision, origin, placement.PerPathAuto, slotCap)
 			return err
 		}},
 	)
 	fi := newFig6Instance(run, run.Decision)
 	rows = append(rows,
 		row{"c_v = 0/|C|", "Alg. 2 (K=1000)", func() error {
-			_, err := msufp.SolveAlg2(fi.inst, 1000)
+			_, err := msufp.SolveAlg2(nil, fi.inst, 1000)
 			return err
 		}},
 		row{"c_v = 0/|C|", "[33] (K=2)", func() error {
-			_, err := msufp.SolveAlg2(fi.inst, 2)
+			_, err := msufp.SolveAlg2(nil, fi.inst, 2)
 			return err
 		}},
 		row{"c_v = 0/|C|", "RNR [3]", func() error {
@@ -145,7 +145,7 @@ func ExecTimes(cfg *Config, fileLevel bool) (string, error) {
 			return err
 		}},
 		row{"general", "SP [38]", func() error {
-			_, _, err := placement.SP38(run.Decision, origin, placement.PerPathAuto, slotCap)
+			_, _, err := placement.SP38(nil, run.Decision, origin, placement.PerPathAuto, slotCap)
 			return err
 		}},
 		row{"general", "SP + RNR [3]", func() error {

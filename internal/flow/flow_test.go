@@ -100,7 +100,7 @@ func TestMaxFlowClassic(t *testing.T) {
 	g.AddArc(4, 3, 0, 7)
 	g.AddArc(3, 5, 0, 20)
 	g.AddArc(4, 5, 0, 4)
-	r := MaxFlow(g, 0, 5)
+	r := maxFlow(g, 0, 5)
 	if math.Abs(r.Value-23) > 1e-9 {
 		t.Errorf("max flow = %v, want 23", r.Value)
 	}
@@ -115,7 +115,7 @@ func TestMaxFlowClassic(t *testing.T) {
 func TestMaxFlowUnbounded(t *testing.T) {
 	g := graph.New(2)
 	g.AddArc(0, 1, 0, graph.Unlimited)
-	r := MaxFlow(g, 0, 1)
+	r := maxFlow(g, 0, 1)
 	if !math.IsInf(r.Value, 1) {
 		t.Errorf("value = %v, want +Inf", r.Value)
 	}
@@ -153,7 +153,7 @@ func lpMinCostFlow(g *graph.Graph, src, dst graph.NodeID, value float64) (float6
 		}
 		p.AddConstraint(idx, val, lp.EQ, want)
 	}
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		return 0, err
 	}
@@ -183,7 +183,7 @@ func TestMinCostFlowMatchesLPRandom(t *testing.T) {
 		n := 3 + rng.Intn(6)
 		g := randomFlowGraph(rng, n)
 		src, dst := 0, n-1
-		mf := MaxFlow(g, src, dst)
+		mf := maxFlow(g, src, dst)
 		if mf.Value < 1 {
 			continue
 		}

@@ -31,7 +31,7 @@ func TestPooledNetworksConcurrent(t *testing.T) {
 	}
 	run := func(j job) ([]float64, float64, bool) {
 		f, err := MinCostFlowToSinks(nil, j.g, nil, 0, j.sinks)
-		mf := MaxFlow(j.g, 0, j.g.NumNodes()-1)
+		mf := maxFlow(j.g, 0, j.g.NumNodes()-1)
 		return f, mf.Value, err == nil
 	}
 	type outcome struct {

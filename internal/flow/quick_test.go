@@ -39,7 +39,7 @@ func (quickNet) Generate(rng *rand.Rand, size int) reflect.Value {
 func TestQuickMinCostFlowInvariants(t *testing.T) {
 	property := func(qn quickNet) bool {
 		src, dst := 0, qn.G.NumNodes()-1
-		mf := MaxFlow(qn.G, src, dst)
+		mf := maxFlow(qn.G, src, dst)
 		if mf.Value <= 0 {
 			return true
 		}
@@ -83,7 +83,7 @@ func TestQuickMinCostFlowInvariants(t *testing.T) {
 func TestQuickMaxFlowWeakDuality(t *testing.T) {
 	property := func(qn quickNet, cutSeed int64) bool {
 		src, dst := 0, qn.G.NumNodes()-1
-		mf := MaxFlow(qn.G, src, dst)
+		mf := maxFlow(qn.G, src, dst)
 		if math.IsInf(mf.Value, 1) {
 			return true
 		}

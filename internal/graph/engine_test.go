@@ -288,7 +288,7 @@ func TestReferenceDijkstraDistAgrees(t *testing.T) {
 		skipArc := func(id ArcID) bool { return id == banned }
 		banArc := make([]bool, g.NumArcs())
 		banArc[banned] = true
-		want := ReferenceDijkstra(g, src, skipArc, nil).Dist
+		want := referenceDijkstra(g, src, skipArc, nil).Dist
 		got := banTree(g, src, banArc, make([]bool, g.NumNodes())).Dist
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d: kernel distances differ from reference", trial)
@@ -316,7 +316,7 @@ func BenchmarkDijkstraReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReferenceDijkstra(g, NodeID(i%g.NumNodes()), nil, nil)
+		referenceDijkstra(g, NodeID(i%g.NumNodes()), nil, nil)
 	}
 }
 

@@ -13,8 +13,11 @@ import (
 // to a module function that takes a leading ctx is flagged when it passes
 // nil or a freshly minted root (context.Background/TODO): the solver then
 // runs uncancellable even though Decide holds a live ctx. Every solver
-// has exactly one package-level entry and it takes ctx first, so there is
-// no ctx-less variant to fall back on.
+// has exactly one entry and it takes ctx first — lp.Problem.Solve and
+// lp.Solver.Solve, placement.Alg1/SP38/PlacePerPath, msufp.SolveAlg2,
+// flow.MinCostFlow, routing.Route, core.Alternating/SolveFCFR and the
+// exact solvers among them — so there is no ctx-less variant to fall back
+// on, and these two argument shapes are the only ways left to drop it.
 //
 // Callers outside Decide may pass nil (the repo's "no cancellation"
 // convention); this analyzer is only about implementations that were

@@ -58,7 +58,7 @@ func MMSFPSizedLP(nItems, nArcs int, seed int64) *Problem {
 // well ahead (≥3x) — see BENCH_pr3.json for tracked numbers.
 func BenchmarkLPSparseMMSFPSized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := MMSFPSizedLP(12, 150, 7).Solve(); err != nil {
+		if _, err := MMSFPSizedLP(12, 150, 7).Solve(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkLPDenseMMSFPSized(b *testing.B) {
 // benchmark instance, so the speed comparison is apples to apples.
 func TestMMSFPSizedAgree(t *testing.T) {
 	p := MMSFPSizedLP(8, 60, 7)
-	sparse, err := p.Solve()
+	sparse, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 	const instances = 600
 	for i := 0; i < instances; i++ {
 		p := randomLP(rng)
-		sparseSol, sparseErr := p.SolveContext(nil)
+		sparseSol, sparseErr := p.Solve(nil)
 		denseSol, denseErr := p.SolveDense(context.Background())
 		sv, dv := verdict(sparseErr), verdict(denseErr)
 		counts[dv]++

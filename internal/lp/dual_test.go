@@ -29,7 +29,7 @@ func TestDifferentialDualWarmRHS(t *testing.T) {
 			continue
 		}
 		s := NewSolver()
-		if _, err := s.SolveContext(nil, p); err != nil {
+		if _, err := s.Solve(nil, p); err != nil {
 			continue // no retained basis to perturb
 		}
 		for step := 0; step < steps; step++ {
@@ -38,8 +38,8 @@ func TestDifferentialDualWarmRHS(t *testing.T) {
 				t.Fatal(err)
 			}
 			instances++
-			warmSol, warmErr := s.SolveContext(nil, p)
-			coldSol, coldErr := p.SolveContext(nil)
+			warmSol, warmErr := s.Solve(nil, p)
+			coldSol, coldErr := p.Solve(nil)
 			denseSol, denseErr := p.SolveDense(nil)
 			wv, cv, dv := verdict(warmErr), verdict(coldErr), verdict(denseErr)
 			if wv != cv || cv != dv {
@@ -113,13 +113,13 @@ func dualBoxLP(t *testing.T) *Problem {
 func TestDualBoundFlipRatioTest(t *testing.T) {
 	p := dualBoxLP(t)
 	s := NewSolver()
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SetConstraintRHS(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := s.Solve(p)
+	sol, err := s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDualBoundFlipRatioTest(t *testing.T) {
 func TestDualBoundFlipOnlyIteration(t *testing.T) {
 	p := dualBoxLP(t)
 	s := NewSolver()
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
 	// Violation = 2 + eps: both unit-capacity flips are taken (residual
@@ -158,7 +158,7 @@ func TestDualBoundFlipOnlyIteration(t *testing.T) {
 	if err := p.SetConstraintRHS(0, -eps); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := s.Solve(p)
+	sol, err := s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestStabilityTriggeredRefactor(t *testing.T) {
 		}
 		return p
 	}
-	base, err := build().Solve()
+	base, err := build().Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestStabilityTriggeredRefactor(t *testing.T) {
 		t.Fatalf("baseline solve performed no eta updates (pivots=%d); the hook would not fire", base.Pivots)
 	}
 	forceUnstableUpdate = true
-	forced, err := build().Solve()
+	forced, err := build().Solve(nil)
 	forceUnstableUpdate = false
 	if err != nil {
 		t.Fatal(err)
@@ -245,14 +245,14 @@ func TestNearSingularWarmUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewSolver()
-		if _, err := s.Solve(p); err != nil {
+		if _, err := s.Solve(nil, p); err != nil {
 			t.Fatalf("eps=%g: %v", eps, err)
 		}
 		for step, rhs := range []float64{4, 12, 6} {
 			if err := p.SetConstraintRHS(step%2, rhs); err != nil {
 				t.Fatal(err)
 			}
-			warm, err := s.Solve(p)
+			warm, err := s.Solve(nil, p)
 			if err != nil {
 				t.Fatalf("eps=%g step %d: warm: %v", eps, step, err)
 			}

@@ -17,7 +17,7 @@ func TestDualWorkloadMix(t *testing.T) {
 		if err := p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 2+4*rng.Float64()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Solve(p); err != nil {
+		if _, err := s.Solve(nil, p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ func BenchmarkLPSparsePivotHeavy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := MMSFPSizedLP(12, 150, 7)
 		p.SetSense(Maximize)
-		if _, err := p.Solve(); err != nil {
+		if _, err := p.Solve(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

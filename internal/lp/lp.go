@@ -1,8 +1,12 @@
-// Package lp implements a dense two-phase primal simplex solver with
-// bounded variables. It is the numerical substrate for every linear program
-// in the joint caching and routing library: the auxiliary placement LP
-// (paper Eq. (7)), the per-path placement LP (Eq. (15)), the splittable
-// multicommodity routing LPs (MMSFP), and the fully fractional FC-FR case.
+// Package lp implements a sparse revised two-phase primal simplex solver
+// with bounded variables: an LU-factored basis with eta updates, warm
+// starts through a reusable Solver, and a dual simplex rung for
+// right-hand-side moves. The dense tableau simplex survives as its
+// differential oracle and numerical fallback (SolveDense). It is the
+// numerical substrate for every linear program in the joint caching and
+// routing library: the auxiliary placement LP (paper Eq. (7)), the
+// per-path placement LP (Eq. (15)), the splittable multicommodity routing
+// LPs (MMSFP), and the fully fractional FC-FR case.
 //
 // The solver handles problems of the form
 //
@@ -333,44 +337,30 @@ const (
 	degenRun = 64    // consecutive degenerate pivots before Bland's rule
 )
 
-// Solve runs the two-phase bounded-variable simplex method and returns an
-// optimal solution, or ErrInfeasible / ErrUnbounded / ErrIterationLimit.
-func (p *Problem) Solve() (*Solution, error) {
-	return p.SolveContext(nil)
-}
-
-// SolveContext is Solve with cooperative cancellation: the pivot loop polls
-// ctx every ctxCheckPivots pivots and aborts with an error wrapping
-// ctx.Err() once the context is done, so a caller-imposed deadline actually
-// stops a numerically stuck instance instead of waiting out the pivot
-// limit. A nil ctx means no cancellation (identical to Solve).
+// Solve runs the bounded-variable simplex method and returns an optimal
+// solution, or ErrInfeasible / ErrUnbounded / ErrIterationLimit. It is the
+// one-shot solve, identical to (*Solver)(nil).Solve(ctx, p).
+//
+// The pivot loop polls ctx every ctxCheckPivots pivots (the first poll
+// precedes the first pivot) and aborts with an error wrapping ctx.Err()
+// once the context is done, so a caller-imposed deadline actually stops a
+// numerically stuck instance instead of waiting out the pivot limit. A nil
+// ctx means no cancellation.
 //
 // The working method is the sparse revised simplex (see revised.go). If its
 // basis factorization degenerates numerically — a condition that cannot be
 // ruled out under floating point even for well-posed inputs — the solve is
 // transparently retried with the dense tableau oracle, whose elimination
 // order is different and in practice unaffected.
-func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
-	r := newRevised(p)
-	r.ctx = ctx
-	if err := r.solve(); err != nil {
-		if errors.Is(err, errNumeric) {
-			return p.SolveDense(ctx)
-		}
-		return nil, err
-	}
-	x := r.extract()
-	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
-	r.fillCounters(sol)
-	addGlobalCounters(sol, false)
-	return sol, nil
+func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
+	return (*Solver)(nil).coldSolve(ctx, p)
 }
 
 // SolveDense runs the original dense two-phase tableau simplex. It is kept
 // as the reference oracle for the randomized differential suite (the dense
 // elimination path shares no working-state code with the revised solver)
-// and as the numerical fallback of SolveContext. Semantics match
-// SolveContext: nil ctx means no cancellation.
+// and as the numerical fallback of Solve. Semantics match Solve: nil ctx
+// means no cancellation.
 func (p *Problem) SolveDense(ctx context.Context) (*Solution, error) {
 	t, err := newTableau(p)
 	if err != nil {

@@ -18,7 +18,7 @@ func TestSimpleMaximize(t *testing.T) {
 	p.AddDenseConstraint([]float64{1, 0}, LE, 4)
 	p.AddDenseConstraint([]float64{0, 2}, LE, 12)
 	p.AddDenseConstraint([]float64{3, 2}, LE, 18)
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSimpleMinimizeWithGE(t *testing.T) {
 	p.AddDenseConstraint([]float64{1, 1}, GE, 10)
 	p.SetBounds(0, 2, math.Inf(1))
 	p.SetBounds(1, 3, math.Inf(1))
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestEqualityConstraint(t *testing.T) {
 	p.SetObjectiveCoeff(1, 2)
 	p.AddDenseConstraint([]float64{1, 1}, EQ, 5)
 	p.SetBounds(0, 0, 3)
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestUpperBoundFlip(t *testing.T) {
 	p.SetBounds(0, 0, 1)
 	p.SetBounds(1, 0, 1)
 	p.AddDenseConstraint([]float64{1, 1}, LE, 1.5)
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestInfeasible(t *testing.T) {
 	p := NewProblem(1)
 	p.AddDenseConstraint([]float64{1}, GE, 5)
 	p.AddDenseConstraint([]float64{1}, LE, 3)
-	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.Solve(nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestInfeasibleBoundsVsEquality(t *testing.T) {
 	p.SetBounds(0, 0, 1)
 	p.SetBounds(1, 0, 1)
 	p.AddDenseConstraint([]float64{1, 1}, EQ, 3)
-	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.Solve(nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestUnbounded(t *testing.T) {
 	p.SetSense(Maximize)
 	p.SetObjectiveCoeff(0, 1)
 	p.AddDenseConstraint([]float64{0, 1}, LE, 5)
-	if _, err := p.Solve(); !errors.Is(err, ErrUnbounded) {
+	if _, err := p.Solve(nil); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjectiveCoeff(0, 1)
 	p.AddDenseConstraint([]float64{-1}, LE, -3)
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestShiftedLowerBounds(t *testing.T) {
 	p.SetBounds(0, 5, 10)
 	p.SetBounds(1, -2, 2)
 	p.AddDenseConstraint([]float64{1, 1}, GE, 6)
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDegenerateLP(t *testing.T) {
 	p.AddDenseConstraint([]float64{0.25, -60, -0.04, 9}, LE, 0)
 	p.AddDenseConstraint([]float64{0.5, -90, -0.02, 3}, LE, 0)
 	p.AddDenseConstraint([]float64{0, 0, 1, 0}, LE, 1)
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSparseConstraint(t *testing.T) {
 	p.SetSense(Maximize)
 	p.SetObjectiveCoeff(7, 1)
 	p.AddConstraint([]int{7, 2}, []float64{1, 1}, LE, 4)
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRowBuilderCoalescesDuplicates(t *testing.T) {
 	if err := b.Constrain(LE, 4); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestRowBuilderResetsBetweenRows(t *testing.T) {
 	if err := b.Constrain(LE, 3); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestSimplexMatchesBruteForceRandom(t *testing.T) {
 			p.AddDenseConstraint(row, op, rhs)
 		}
 		want, feasOK := bruteForce(p, t)
-		s, err := p.Solve()
+		s, err := p.Solve(nil)
 		if !feasOK {
 			if err == nil && feasible(p, s.X) {
 				// Brute force only visits vertices; if it found
@@ -501,7 +501,7 @@ func TestMediumTransportation(t *testing.T) {
 		}
 		p.AddConstraint(idx, val, EQ, demand[j])
 	}
-	s, err := p.Solve()
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // errNumeric tags internal numerical failures of the sparse path (singular
-// or near-singular basis factorization). SolveContext catches it and retries
+// or near-singular basis factorization). Solve catches it and retries
 // with the dense oracle; it never escapes the package.
 var errNumeric = errors.New("lp: sparse basis factorization failed")
 

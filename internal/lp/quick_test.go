@@ -57,7 +57,7 @@ func (quickLP) Generate(rng *rand.Rand, size int) reflect.Value {
 // the objective (first-order optimality probe).
 func TestQuickSimplexFeasibleOptimal(t *testing.T) {
 	property := func(q quickLP) bool {
-		sol, err := q.p.Solve()
+		sol, err := q.p.Solve(nil)
 		if err != nil {
 			return false // bounded + feasible by construction
 		}
@@ -98,7 +98,7 @@ func TestQuickSimplexFeasibleOptimal(t *testing.T) {
 // the solution (affine invariances of LPs).
 func TestQuickSimplexScaleInvariance(t *testing.T) {
 	property := func(q quickLP) bool {
-		sol, err := q.p.Solve()
+		sol, err := q.p.Solve(nil)
 		if err != nil {
 			return false
 		}
@@ -111,7 +111,7 @@ func TestQuickSimplexScaleInvariance(t *testing.T) {
 		for _, c := range q.p.cons {
 			scaled.AddConstraint(c.idx, c.val, c.op, c.rhs)
 		}
-		sol2, err := scaled.Solve()
+		sol2, err := scaled.Solve(nil)
 		if err != nil {
 			return false
 		}

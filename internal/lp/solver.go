@@ -11,7 +11,7 @@ import (
 // silently degrading to cold solves, and diagnose pricing-rule regressions
 // without a profiler.
 type SolverStats struct {
-	// Solves is the total number of SolveContext calls.
+	// Solves is the total number of Solve calls.
 	Solves int
 	// WarmHits counts solves completed from the retained basis.
 	WarmHits int
@@ -63,7 +63,7 @@ var errWarmFallback = errors.New("lp: warm start abandoned")
 var forceWarmNumericFailure bool
 
 // Solver is a reusable handle over the sparse revised simplex. A one-shot
-// Problem.SolveContext rebuilds the standardized form, factorizes the
+// Problem.Solve rebuilds the standardized form, factorizes the
 // slack/artificial basis, and runs phase 1 before every solve; a Solver
 // instead retains the previous solve's optimal basis, LU/eta factorization,
 // and pricing state, and warm-starts the next solve when the problem is
@@ -88,7 +88,7 @@ var forceWarmNumericFailure bool
 //  4. sparse numerical failure anywhere: dense tableau oracle.
 //
 // Any failure along the way abandons the attempt one rung down, so a
-// Solver's verdict and objective always match a fresh Problem.SolveContext
+// Solver's verdict and objective always match a fresh Problem.Solve
 // to within the solver tolerances (the differential suite pins this at
 // 1e-9). Solutions may differ across warm and cold paths only as alternate
 // optima. Infeasibility is never declared on the dual rung: a stalled or
@@ -156,18 +156,14 @@ func (s *Solver) Invalidate() {
 	s.prob = nil
 }
 
-// Solve is SolveContext without cancellation.
-func (s *Solver) Solve(p *Problem) (*Solution, error) {
-	return s.SolveContext(nil, p)
-}
-
-// SolveContext solves p, warm-starting from the retained basis when the
-// problem is structurally unchanged since the previous successful solve
-// (see the type comment for the policy). A nil receiver solves one-shot,
-// identical to p.SolveContext.
-func (s *Solver) SolveContext(ctx context.Context, p *Problem) (*Solution, error) {
+// Solve solves p, warm-starting from the retained basis when the problem
+// is structurally unchanged since the previous successful solve (see the
+// type comment for the policy). A nil receiver solves one-shot, identical
+// to p.Solve(ctx). A done ctx aborts the solve with an error wrapping
+// ctx.Err(); nil means no cancellation.
+func (s *Solver) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if s == nil {
-		return p.SolveContext(ctx)
+		return s.coldSolve(ctx, p)
 	}
 	s.stats.Solves++
 	if s.hasBasis && s.matches(p) {
@@ -443,33 +439,39 @@ func (r *revised) primalFeasible() bool {
 	return true
 }
 
-// coldSolve mirrors Problem.SolveContext (same pivot sequence, same dense
-// fallback, bit-identical results) and retains the working state for the
-// next warm start on success.
+// coldSolve is the one cold-solve body behind both entries: phase 1 and
+// phase 2 of the sparse revised simplex from scratch, falling through to
+// the dense tableau oracle on a sparse numerical failure. A non-nil
+// receiver counts the solve and retains the working state for the next
+// warm start on success; a nil receiver is the one-shot Problem.Solve.
 func (s *Solver) coldSolve(ctx context.Context, p *Problem) (*Solution, error) {
-	s.stats.ColdSolves++
-	s.hasBasis = false
-	s.r = nil
-	s.prob = nil
+	if s != nil {
+		s.stats.ColdSolves++
+		s.hasBasis = false
+		s.r = nil
+		s.prob = nil
+	}
 	r := newRevised(p)
 	r.ctx = ctx
 	if err := r.solve(); err != nil {
-		if errors.Is(err, errNumeric) {
-			s.stats.DenseFallbacks++
-			sol, derr := p.SolveDense(ctx)
-			if derr == nil {
-				addGlobalCounters(sol, false)
-			}
-			return sol, derr
+		if !errors.Is(err, errNumeric) {
+			return nil, err
 		}
-		return nil, err
+		if s != nil {
+			s.stats.DenseFallbacks++
+		}
+		return p.SolveDense(ctx)
+	}
+	x := r.extract()
+	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
+	r.fillCounters(sol)
+	if s == nil {
+		addGlobalCounters(sol, false)
+		return sol, nil
 	}
 	s.r = r
 	s.hasBasis = true
 	s.retain(p)
-	x := r.extract()
-	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
-	r.fillCounters(sol)
 	s.noteSolution(sol, false)
 	return sol, nil
 }

@@ -87,8 +87,8 @@ func TestDifferentialWarmVsCold(t *testing.T) {
 				}
 			}
 			instances++
-			warmSol, warmErr := s.SolveContext(nil, p)
-			coldSol, coldErr := p.SolveContext(nil)
+			warmSol, warmErr := s.Solve(nil, p)
+			coldSol, coldErr := p.Solve(nil)
 			wv, cv := verdict(warmErr), verdict(coldErr)
 			if wv != cv {
 				t.Fatalf("seq %d step %d: verdicts disagree: solver %q one-shot %q\n%s",
@@ -145,7 +145,7 @@ func TestSolverStructuralChangeInvalidatesBasis(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSolver()
-	sol, err := s.Solve(p)
+	sol, err := s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSolverStructuralChangeInvalidatesBasis(t *testing.T) {
 	if err := p.AddConstraint([]int{0}, []float64{1}, LE, 1); err != nil {
 		t.Fatal(err)
 	}
-	sol, err = s.Solve(p)
+	sol, err = s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSolverStructuralChangeInvalidatesBasis(t *testing.T) {
 	if err := p.SetConstraintRHS(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	sol, err = s.Solve(p)
+	sol, err = s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +197,13 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 		t.Fatal(err) // > 10+10: infeasible
 	}
 	s := NewSolver()
-	if _, err := s.Solve(p); !errors.Is(err, ErrInfeasible) {
+	if _, err := s.Solve(nil, p); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 	if err := p.SetConstraintRHS(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := s.Solve(p)
+	sol, err := s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 	if err := p.SetConstraintRHS(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	if sol, err = s.Solve(p); err != nil {
+	if sol, err = s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sol.Objective-7) > diffObjTol {
@@ -231,7 +231,7 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 	if err := p.SetConstraintRHS(0, 25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Solve(p); !errors.Is(err, ErrInfeasible) {
+	if _, err := s.Solve(nil, p); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible after tightening, got %v", err)
 	}
 	st := s.Stats()
@@ -242,7 +242,7 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 	if err := p.SetConstraintRHS(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if sol, err = s.Solve(p); err != nil {
+	if sol, err = s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sol.Objective-5) > diffObjTol {
@@ -257,14 +257,14 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	p := MMSFPSizedLP(4, 40, 7)
 	s := NewSolver()
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 9); err != nil {
 		t.Fatal(err)
 	}
 	forceWarmNumericFailure = true
-	sol, err := s.Solve(p)
+	sol, err := s.Solve(nil, p)
 	if forceWarmNumericFailure {
 		forceWarmNumericFailure = false
 		t.Fatal("warm attempt never consumed the forced failure")
@@ -272,7 +272,7 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := p.SolveContext(nil)
+	ref, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 	if err := p.SetConstraintRHS(0, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
 	if st = s.Stats(); st.WarmHits != 1 {
@@ -296,15 +296,15 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 }
 
 // TestSolverNilHandle pins the nil-receiver contract: a nil *Solver solves
-// one-shot, bit-identical to Problem.SolveContext.
+// one-shot, bit-identical to Problem.Solve.
 func TestSolverNilHandle(t *testing.T) {
 	p := MMSFPSizedLP(3, 30, 5)
 	var s *Solver
-	got, err := s.SolveContext(context.Background(), p)
+	got, err := s.Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.SolveContext(context.Background())
+	want, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +336,10 @@ func TestSolverRebuiltProblemWarmStarts(t *testing.T) {
 		return p
 	}
 	s := NewSolver()
-	if _, err := s.Solve(build(3)); err != nil {
+	if _, err := s.Solve(nil, build(3)); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := s.Solve(build(4))
+	sol, err := s.Solve(nil, build(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,19 +365,19 @@ func TestSolverBoundBecomesInfinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSolver()
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
 	p.SetBounds(0, 0, math.Inf(1))
 	p.SetObjectiveCoeff(0, -1) // now it wants to be zero
-	sol, err := s.Solve(p)
+	sol, err := s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sol.Objective-5) > diffObjTol {
 		t.Fatalf("objective %v, want 5 (x0=0, x1=5)", sol.Objective)
 	}
-	ref, err := p.SolveContext(nil)
+	ref, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func benchmarkSolverPerturb(b *testing.B, warm bool) {
 	p := MMSFPSizedLP(12, 150, 7)
 	rng := rand.New(rand.NewSource(11))
 	s := NewSolver()
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.Solve(nil, p); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -416,9 +416,9 @@ func benchmarkSolverPerturb(b *testing.B, warm bool) {
 		p.SetObjectiveCoeff(rng.Intn(p.NumVars()), 1+rng.Float64())
 		var err error
 		if warm {
-			_, err = s.Solve(p)
+			_, err = s.Solve(nil, p)
 		} else {
-			_, err = p.SolveContext(nil)
+			_, err = p.Solve(nil)
 		}
 		if err != nil {
 			b.Fatal(err)

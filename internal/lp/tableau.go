@@ -31,7 +31,7 @@ type tableau struct {
 	degenerate int // consecutive degenerate pivots
 
 	// ctx, when non-nil, is polled every ctxCheckPivots pivots so a
-	// caller deadline stops the solver mid-run (see SolveContext).
+	// caller deadline stops the solver mid-run (see Problem.Solve).
 	ctx context.Context
 }
 

@@ -1,6 +1,7 @@
 package msufp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -16,8 +17,9 @@ import (
 // carry the original demands (Theorem 4.7).
 //
 // K=2 reproduces the state-of-the-art baseline of Skutella [33]; larger K
-// trades a little extra work for markedly lower congestion.
-func SolveAlg2(inst *Instance, k int) (*Assignment, error) {
+// trades a little extra work for markedly lower congestion. ctx reaches the
+// splittable min-cost flow; nil means no cancellation.
+func SolveAlg2(ctx context.Context, inst *Instance, k int) (*Assignment, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("msufp: K must be positive, got %d", k)
 	}
@@ -25,7 +27,7 @@ func SolveAlg2(inst *Instance, k int) (*Assignment, error) {
 		return nil, ErrNoCommodities
 	}
 	// Line 1: optimal splittable flow.
-	split, err := inst.SplittableOptimum()
+	split, err := inst.SplittableOptimum(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +82,7 @@ func SolveAlg2(inst *Instance, k int) (*Assignment, error) {
 				}
 			}
 		}
-		paths, err := UnsplittablePow2Residual(inst.G, inst.Source, dests, demands, arcFlow, residual)
+		paths, err := UnsplittablePow2(inst.G, inst.Source, dests, demands, arcFlow, residual)
 		if err != nil {
 			return nil, err
 		}

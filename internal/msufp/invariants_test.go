@@ -9,7 +9,7 @@ import (
 
 func TestSplittableOptimumSatisfiesInvariants(t *testing.T) {
 	inst := diamondInstance()
-	res, err := inst.SplittableOptimum()
+	res, err := inst.SplittableOptimum(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestSplittableOptimumSatisfiesInvariants(t *testing.T) {
 func TestAlg2LoadsSatisfyInvariants(t *testing.T) {
 	inst := diamondInstance()
 	for _, k := range []int{1, 2} {
-		a, err := SolveAlg2(inst, k)
+		a, err := SolveAlg2(nil, inst, k)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}

@@ -17,6 +17,7 @@
 package msufp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -113,8 +114,9 @@ func (inst *Instance) TotalDemand() float64 {
 // SplittableOptimum computes the minimum-cost splittable flow satisfying
 // all demands within the arc capacities (Algorithm 2, line 1) via a
 // super-sink min-cost flow. The returned arc flow is indexed by the
-// instance graph's arc IDs.
-func (inst *Instance) SplittableOptimum() (*flow.Result, error) {
+// instance graph's arc IDs. A done ctx aborts the flow with an error
+// wrapping ctx.Err(); nil means no cancellation.
+func (inst *Instance) SplittableOptimum(ctx context.Context) (*flow.Result, error) {
 	if len(inst.Commodities) == 0 {
 		return nil, ErrNoCommodities
 	}
@@ -127,7 +129,7 @@ func (inst *Instance) SplittableOptimum() (*flow.Result, error) {
 	for t, d := range demand {
 		gg.AddArc(t, super, 0, d)
 	}
-	res, err := flow.MinCostFlow(nil, gg, inst.Source, super, inst.TotalDemand())
+	res, err := flow.MinCostFlow(ctx, gg, inst.Source, super, inst.TotalDemand())
 	if err != nil {
 		return nil, fmt.Errorf("msufp: splittable optimum: %w", err)
 	}

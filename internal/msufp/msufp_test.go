@@ -85,7 +85,7 @@ func diamondInstance() *Instance {
 
 func TestSplittableOptimum(t *testing.T) {
 	inst := diamondInstance()
-	res, err := inst.SplittableOptimum()
+	res, err := inst.SplittableOptimum(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSplittableOptimum(t *testing.T) {
 func TestSolveAlg2Diamond(t *testing.T) {
 	inst := diamondInstance()
 	for _, k := range []int{1, 2, 4, 16} {
-		asgn, err := SolveAlg2(inst, k)
+		asgn, err := SolveAlg2(nil, inst, k)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
@@ -134,14 +134,14 @@ func TestSolveRNR(t *testing.T) {
 
 func TestSolveAlg2Errors(t *testing.T) {
 	inst := diamondInstance()
-	if _, err := SolveAlg2(inst, 0); err == nil {
+	if _, err := SolveAlg2(nil, inst, 0); err == nil {
 		t.Error("K=0 accepted")
 	}
 	empty := &Instance{G: inst.G, Source: 0}
-	if _, err := SolveAlg2(empty, 2); err == nil {
+	if _, err := SolveAlg2(nil, empty, 2); err == nil {
 		t.Error("empty instance accepted")
 	}
-	if _, err := empty.SplittableOptimum(); err == nil {
+	if _, err := empty.SplittableOptimum(nil); err == nil {
 		t.Error("empty instance accepted by SplittableOptimum")
 	}
 }
@@ -175,7 +175,7 @@ func TestSolveAlg2PropertiesRandom(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 80; trial++ {
 		inst := randomInstance(rng)
-		split, err := inst.SplittableOptimum()
+		split, err := inst.SplittableOptimum(nil)
 		if err != nil {
 			continue // infeasible instance; skip
 		}
@@ -186,7 +186,7 @@ func TestSolveAlg2PropertiesRandom(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 2, 5, 20} {
-			asgn, err := SolveAlg2(inst, k)
+			asgn, err := SolveAlg2(nil, inst, k)
 			if err != nil {
 				t.Fatalf("trial %d K=%d: %v", trial, k, err)
 			}
@@ -228,7 +228,7 @@ func TestUnsplittablePow2Direct(t *testing.T) {
 	arcFlow[b0], arcFlow[b1] = 1.5, 1.5
 	dests := []graph.NodeID{3, 3, 3}
 	demands := []float64{1, 1, 2}
-	paths, err := UnsplittablePow2(g, 0, dests, demands, arcFlow)
+	paths, err := UnsplittablePow2(g, 0, dests, demands, arcFlow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestUnsplittablePow2RandomProperties(t *testing.T) {
 				maxD = d
 			}
 		}
-		split, err := inst.SplittableOptimum()
+		split, err := inst.SplittableOptimum(nil)
 		if err != nil {
 			continue
 		}
@@ -280,7 +280,7 @@ func TestUnsplittablePow2RandomProperties(t *testing.T) {
 			dests[i] = c.Dest
 			demands[i] = c.Demand
 		}
-		paths, err := UnsplittablePow2(inst.G, inst.Source, dests, demands, split.Arc)
+		paths, err := UnsplittablePow2(inst.G, inst.Source, dests, demands, split.Arc, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -319,14 +319,14 @@ func TestLargerKWeaklyReducesCongestionOnAverage(t *testing.T) {
 	count := 0
 	for trial := 0; trial < 40; trial++ {
 		inst := randomInstance(rng)
-		if _, err := inst.SplittableOptimum(); err != nil {
+		if _, err := inst.SplittableOptimum(nil); err != nil {
 			continue
 		}
-		a2, err := SolveAlg2(inst, 2)
+		a2, err := SolveAlg2(nil, inst, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a50, err := SolveAlg2(inst, 50)
+		a50, err := SolveAlg2(nil, inst, 50)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,20 +43,17 @@ const (
 // is made d-integral by canceling fractional cycles in the cost
 // non-increasing direction, then every demand-d commodity is routed on a
 // single path of arcs carrying at least d and its flow removed.
-func UnsplittablePow2(g *graph.Graph, src graph.NodeID, dests []graph.NodeID, demands []float64, arcFlow []float64) ([]graph.Path, error) {
-	return UnsplittablePow2Residual(g, src, dests, demands, arcFlow, nil)
-}
-
-// UnsplittablePow2Residual is UnsplittablePow2 with load-aware path
-// selection: residual, when non-nil, holds each arc's remaining capacity
-// and extraction prefers, among the eligible width->=d paths, one whose
-// bottleneck residual capacity is largest; extracted demands are deducted
-// in place. Any eligible path satisfies Lemma 4.6's guarantees (the cost
+//
+// Path selection is load-aware: residual, when non-nil, holds each arc's
+// remaining capacity and extraction prefers, among the eligible width->=d
+// paths, one whose bottleneck residual capacity is largest; extracted
+// demands are deducted in place. A nil residual ranks paths by their flow
+// instead. Any eligible path satisfies Lemma 4.6's guarantees (the cost
 // accounting and per-class excess bound are choice-independent), so this
 // only steers WHERE the bounded excess lands - Algorithm 2 shares one
 // residual vector across its K classes to stop per-class excess from
 // stacking on the same links.
-func UnsplittablePow2Residual(g *graph.Graph, src graph.NodeID, dests []graph.NodeID, demands []float64, arcFlow, residual []float64) ([]graph.Path, error) {
+func UnsplittablePow2(g *graph.Graph, src graph.NodeID, dests []graph.NodeID, demands []float64, arcFlow, residual []float64) ([]graph.Path, error) {
 	if len(dests) != len(demands) {
 		return nil, fmt.Errorf("msufp: %d dests for %d demands", len(dests), len(demands))
 	}

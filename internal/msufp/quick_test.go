@@ -53,11 +53,11 @@ func (quickMSUFP) Generate(rng *rand.Rand, size int) reflect.Value {
 // Theorem 4.7(i) and whose loads respect Theorem 4.7(ii).
 func TestQuickAlg2Theorem47(t *testing.T) {
 	property := func(q quickMSUFP) bool {
-		split, err := q.inst.SplittableOptimum()
+		split, err := q.inst.SplittableOptimum(nil)
 		if err != nil {
 			return false // generator guarantees feasibility
 		}
-		asgn, err := SolveAlg2(q.inst, q.k)
+		asgn, err := SolveAlg2(nil, q.inst, q.k)
 		if err != nil {
 			return false
 		}

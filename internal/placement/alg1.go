@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -40,13 +41,11 @@ type Alg1Options struct {
 // nearest replica.
 //
 // The spec must use homogeneous item sizes (ItemSize nil); Section 5's
-// greedy algorithm handles heterogeneous sizes.
-func Alg1(s *Spec, dist [][]float64) (*Alg1Result, error) {
-	return Alg1WithOptions(s, dist, Alg1Options{})
-}
-
-// Alg1WithOptions runs Algorithm 1 with explicit tuning knobs.
-func Alg1WithOptions(s *Spec, dist [][]float64, opts Alg1Options) (*Alg1Result, error) {
+// greedy algorithm handles heterogeneous sizes. opts tunes the
+// implementation (the zero value is the paper's algorithm with the polish
+// pass). A done ctx aborts the LP with an error wrapping ctx.Err(); nil
+// means no cancellation.
+func Alg1(ctx context.Context, s *Spec, dist [][]float64, opts Alg1Options) (*Alg1Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -103,9 +102,9 @@ func Alg1WithOptions(s *Spec, dist [][]float64, opts Alg1Options) (*Alg1Result, 
 			return nil, fmt.Errorf("placement: auxiliary LP: %w", err)
 		}
 	}
-	sol, err := lputil.Solve(nil, "placement: auxiliary LP", prob)
+	sol, err := prob.Solve(ctx)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("placement: auxiliary LP: %w", err)
 	}
 
 	// Recover an optimal fractional source selection r~ for the pipage

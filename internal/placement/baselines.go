@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -74,8 +75,9 @@ func ShortestServingPaths(s *Spec, root graph.NodeID) ([]ServingPath, error) {
 // algorithm, it assumes equal-size items: under heterogeneous sizes it
 // fills slotCap slots per cache and may exceed byte capacities (the
 // infeasibility the paper demonstrates in Fig. 5). Pass slotCap nil for the
-// homogeneous model.
-func SP38(s *Spec, origin graph.NodeID, method PerPathMethod, slotCap []float64) (*Placement, []ServingPath, error) {
+// homogeneous model. ctx reaches the per-path placement solve; nil means
+// no cancellation.
+func SP38(ctx context.Context, s *Spec, origin graph.NodeID, method PerPathMethod, slotCap []float64) (*Placement, []ServingPath, error) {
 	paths, err := ShortestServingPaths(s, origin)
 	if err != nil {
 		return nil, nil, err
@@ -90,7 +92,7 @@ func SP38(s *Spec, origin graph.NodeID, method PerPathMethod, slotCap []float64)
 		clone.CacheCap = slotCap
 		spec = &clone
 	}
-	pl, err := PlacePerPath(nil, spec, paths, PerPathOptions{Method: method})
+	pl, err := PlacePerPath(ctx, spec, paths, PerPathOptions{Method: method})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,14 +314,6 @@ func KSPServingPaths(s *Spec, pl *Placement, origin graph.NodeID, k int) ([]Serv
 // request from its nearest replica over that replica's least-cost path,
 // capacity-oblivious: the "RNR" routing used by the "SP + RNR" benchmark.
 func GlobalRNRServing(s *Spec, pl *Placement, dist [][]float64) ([]ServingPath, error) {
-	return GlobalRNRServingEngine(s, pl, dist, nil)
-}
-
-// GlobalRNRServingEngine is GlobalRNRServing with the per-replica trees
-// served from a shortest-path-tree engine: callers that re-route the same
-// (or a faulted) graph repeatedly thread one handle and the trees carry
-// over bit for bit. A nil engine computes each tree cold, identically.
-func GlobalRNRServingEngine(s *Spec, pl *Placement, dist [][]float64, eng *graph.Engine) ([]ServingPath, error) {
 	srcs, _, err := s.RNRSources(pl, dist)
 	if err != nil {
 		return nil, err
@@ -330,7 +324,7 @@ func GlobalRNRServingEngine(s *Spec, pl *Placement, dist [][]float64, eng *graph
 		v := srcs[rq]
 		tree, ok := trees[v]
 		if !ok {
-			tree = eng.Tree(s.G, v)
+			tree = graph.TreeOf(s.G, v)
 			trees[v] = tree
 		}
 		p, ok := tree.PathTo(s.G, rq.Node)

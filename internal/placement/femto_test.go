@@ -26,7 +26,7 @@ func TestFemtoSpecAndAlg1(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist := graph.AllPairs(s.G)
-	res, err := Alg1(s, dist)
+	res, err := Alg1(nil, s, dist, Alg1Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

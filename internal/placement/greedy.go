@@ -1,10 +1,6 @@
 package placement
 
-import (
-	"math"
-
-	"jcr/internal/graph"
-)
+import "jcr/internal/graph"
 
 // GreedyResult carries the greedy placement's outputs.
 type GreedyResult struct {
@@ -95,74 +91,4 @@ func Greedy(s *Spec, dist [][]float64) (*GreedyResult, error) {
 		return nil, err
 	}
 	return &GreedyResult{Placement: pl, Sources: src, Cost: cost, Saving: saving}, nil
-}
-
-// GreedyUnitSize runs Greedy but deliberately ignores item sizes, treating
-// every item as occupying one cache slot. This reproduces the behaviour of
-// equal-size placement algorithms applied to heterogeneous files, which the
-// paper shows produces cache-infeasible placements (Fig. 5, second row):
-// capacity is interpreted as slotCap items regardless of byte sizes.
-func GreedyUnitSize(s *Spec, dist [][]float64, slotCap []float64) (*GreedyResult, error) {
-	clone := *s
-	clone.ItemSize = nil
-	clone.CacheCap = slotCap
-	res, err := Greedy(&clone, dist)
-	if err != nil {
-		return nil, err
-	}
-	// Re-evaluate cost under the original spec (identical rates/graph).
-	src, cost, err := s.RNRSources(res.Placement, dist)
-	if err != nil {
-		return nil, err
-	}
-	return &GreedyResult{Placement: res.Placement, Sources: src, Cost: cost, Saving: res.Saving}, nil
-}
-
-// BruteForceBestSaving exhaustively searches all feasible placements and
-// returns the maximum RNR saving. Exponential; for tests on tiny instances
-// only.
-func BruteForceBestSaving(s *Spec, dist [][]float64) float64 {
-	wmax := graph.MaxFinite(dist)
-	var nodes []graph.NodeID
-	for v := 0; v < s.G.NumNodes(); v++ {
-		if s.CacheCap[v] > 0 && !s.IsPinned(v) {
-			nodes = append(nodes, v)
-		}
-	}
-	type slot struct {
-		v graph.NodeID
-		i int
-	}
-	var slots []slot
-	for _, v := range nodes {
-		for i := 0; i < s.NumItems; i++ {
-			slots = append(slots, slot{v, i})
-		}
-	}
-	best := math.Inf(-1)
-	pl := s.NewPlacement()
-	residual := make([]float64, s.G.NumNodes())
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(slots) {
-			if v := s.SavingRNR(pl, dist, wmax); v > best {
-				best = v
-			}
-			return
-		}
-		rec(k + 1)
-		sl := slots[k]
-		if s.Size(sl.i) <= residual[sl.v]+capSlack {
-			pl.Stores[sl.v][sl.i] = true
-			residual[sl.v] -= s.Size(sl.i)
-			rec(k + 1)
-			pl.Stores[sl.v][sl.i] = false
-			residual[sl.v] += s.Size(sl.i)
-		}
-	}
-	for v := range residual {
-		residual[v] = s.CacheCap[v]
-	}
-	rec(0)
-	return best
 }

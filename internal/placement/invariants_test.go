@@ -51,7 +51,7 @@ func rnrServingPaths(t *testing.T, s *placement.Spec, sources map[placement.Requ
 func TestAlg1SatisfiesInvariants(t *testing.T) {
 	s := invariantSpec()
 	dist := graph.AllPairs(s.G)
-	res, err := placement.Alg1(s, dist)
+	res, err := placement.Alg1(nil, s, dist, placement.Alg1Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

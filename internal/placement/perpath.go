@@ -407,9 +407,9 @@ func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers i
 	if err != nil {
 		return nil, err
 	}
-	sol, err := lputil.SolveWith(ctx, solver, "placement: per-path LP", prob)
+	sol, err := solver.Solve(ctx, prob)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("placement: per-path LP: %w", err)
 	}
 
 	// Pipage rounding: F (Eq. 14) is multilinear and separates across

@@ -62,7 +62,7 @@ func TestSpecValidate(t *testing.T) {
 func TestAlg1PicksHotItem(t *testing.T) {
 	s := lineSpec()
 	dist := graph.AllPairs(s.G)
-	res, err := Alg1(s, dist)
+	res, err := Alg1(nil, s, dist, Alg1Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAlg1PicksHotItem(t *testing.T) {
 func TestAlg1RejectsHeterogeneous(t *testing.T) {
 	s := lineSpec()
 	s.ItemSize = []float64{1, 2, 3}
-	if _, err := Alg1(s, graph.AllPairs(s.G)); err == nil {
+	if _, err := Alg1(nil, s, graph.AllPairs(s.G), Alg1Options{}); err == nil {
 		t.Error("Alg1 accepted heterogeneous sizes")
 	}
 }
@@ -150,7 +150,7 @@ func directLP7(s *Spec, dist [][]float64, wmax float64) float64 {
 		}
 		p.AddConstraint(idx, val, lp.LE, s.CacheCap[v])
 	}
-	sol, err := p.Solve()
+	sol, err := p.Solve(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -200,7 +200,7 @@ func TestReducedLPMatchesDirectLP7(t *testing.T) {
 		if wmax <= 0 {
 			continue
 		}
-		res, err := Alg1(s, dist)
+		res, err := Alg1(nil, s, dist, Alg1Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -227,7 +227,7 @@ func TestAlg1ApproximationGuarantee(t *testing.T) {
 		if wmax <= 0 {
 			continue
 		}
-		res, err := Alg1(s, dist)
+		res, err := Alg1(nil, s, dist, Alg1Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -237,7 +237,7 @@ func TestAlg1ApproximationGuarantee(t *testing.T) {
 		}
 		constant := float64(s.G.NumNodes()-1) * wmax * lamSum
 		got := s.SavingRNR(res.Placement, dist, wmax) + constant
-		opt := BruteForceBestSaving(s, dist) + constant
+		opt := bruteForceBestSaving(s, dist) + constant
 		if got < (1-1/math.E)*opt-1e-6 {
 			t.Fatalf("trial %d: F = %v below (1-1/e) * optimum %v", trial, got, opt)
 		}
@@ -309,7 +309,7 @@ func TestGreedyMatroidRatio(t *testing.T) {
 		if err := s.CheckFeasible(res.Placement); err != nil {
 			t.Fatal(err)
 		}
-		opt := BruteForceBestSaving(s, dist)
+		opt := bruteForceBestSaving(s, dist)
 		if res.Saving < opt/2-1e-9 {
 			t.Fatalf("trial %d: greedy saving %v < half of optimum %v", trial, res.Saving, opt)
 		}
@@ -339,31 +339,11 @@ func TestGreedyHeterogeneousRatio(t *testing.T) {
 		if err := s.CheckFeasible(res.Placement); err != nil {
 			t.Fatal(err)
 		}
-		opt := BruteForceBestSaving(s, dist)
+		opt := bruteForceBestSaving(s, dist)
 		p := 3.0 // ceil(3/1)
 		if res.Saving < opt/(1+p)-1e-9 {
 			t.Fatalf("trial %d: greedy saving %v < 1/(1+p) of optimum %v", trial, res.Saving, opt)
 		}
-	}
-}
-
-func TestGreedyUnitSizeOverflows(t *testing.T) {
-	// Heterogeneous files + slot-based capacity can exceed byte capacity
-	// (the Fig. 5 infeasibility of the equal-size baselines).
-	s := lineSpec()
-	s.ItemSize = []float64{5, 5, 5}
-	s.CacheCap = []float64{0, 6, 0, 0} // 6 MB, barely one item
-	slotCap := []float64{0, 2, 0, 0}   // but 2 slots
-	dist := graph.AllPairs(s.G)
-	res, err := GreedyUnitSize(s, dist, slotCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := s.MaxOccupancyRatio(res.Placement); ratio <= 1 {
-		t.Errorf("expected cache overflow, occupancy ratio = %v", ratio)
-	}
-	if s.CheckFeasible(res.Placement) == nil {
-		t.Error("overflowing placement reported feasible")
 	}
 }
 
@@ -433,7 +413,7 @@ func TestPerPathSavingPlusCostIsConstant(t *testing.T) {
 
 func TestSP38AndEvaluateServing(t *testing.T) {
 	s := lineSpec()
-	pl, paths, err := SP38(s, 3, PerPathAuto, nil)
+	pl, paths, err := SP38(nil, s, 3, PerPathAuto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,4 +489,53 @@ func TestMaxOccupancyRatio(t *testing.T) {
 	if got := s.MaxOccupancyRatio(pl); math.Abs(got-7.0/6) > 1e-12 {
 		t.Errorf("ratio = %v, want 7/6", got)
 	}
+}
+
+// bruteForceBestSaving exhaustively searches all feasible placements and
+// returns the maximum RNR saving: the exponential oracle for the
+// approximation-guarantee tests on tiny instances.
+func bruteForceBestSaving(s *Spec, dist [][]float64) float64 {
+	wmax := graph.MaxFinite(dist)
+	var nodes []graph.NodeID
+	for v := 0; v < s.G.NumNodes(); v++ {
+		if s.CacheCap[v] > 0 && !s.IsPinned(v) {
+			nodes = append(nodes, v)
+		}
+	}
+	type slot struct {
+		v graph.NodeID
+		i int
+	}
+	var slots []slot
+	for _, v := range nodes {
+		for i := 0; i < s.NumItems; i++ {
+			slots = append(slots, slot{v, i})
+		}
+	}
+	best := math.Inf(-1)
+	pl := s.NewPlacement()
+	residual := make([]float64, s.G.NumNodes())
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(slots) {
+			if v := s.SavingRNR(pl, dist, wmax); v > best {
+				best = v
+			}
+			return
+		}
+		rec(k + 1)
+		sl := slots[k]
+		if s.Size(sl.i) <= residual[sl.v]+capSlack {
+			pl.Stores[sl.v][sl.i] = true
+			residual[sl.v] -= s.Size(sl.i)
+			rec(k + 1)
+			pl.Stores[sl.v][sl.i] = false
+			residual[sl.v] += s.Size(sl.i)
+		}
+	}
+	for v := range residual {
+		residual[v] = s.CacheCap[v]
+	}
+	rec(0)
+	return best
 }

@@ -182,11 +182,11 @@ func TestPresolveMatchesFullPerPathLP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		fullSol, err := full.Solve()
+		fullSol, err := full.Solve(nil)
 		if err != nil {
 			t.Fatalf("trial %d full: %v", trial, err)
 		}
-		redSol, err := reduced.Solve()
+		redSol, err := reduced.Solve(nil)
 		if err != nil {
 			t.Fatalf("trial %d reduced: %v", trial, err)
 		}

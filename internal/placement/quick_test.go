@@ -73,7 +73,7 @@ func TestQuickPlacementConservation(t *testing.T) {
 			sv := q.s.SavingRNR(pl, dist, wmax)
 			return abs(sv+cost-constant) <= 1e-6*(1+constant)
 		}
-		a1, err := Alg1(q.s, dist)
+		a1, err := Alg1(nil, q.s, dist, Alg1Options{})
 		if err != nil {
 			return false
 		}

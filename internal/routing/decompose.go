@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"jcr/internal/core/lputil"
 	"jcr/internal/flow"
 	"jcr/internal/graph"
 	"jcr/internal/lp"
@@ -41,9 +40,9 @@ import (
 const (
 	// defaultPriceIters bounds the price-coordination iterations.
 	defaultPriceIters = 48
-	// defaultGapTol is the relative duality-gap target that stops the
+	// gapTol is the relative duality-gap target that stops the
 	// price loop early.
-	defaultGapTol = 2e-2
+	gapTol = 2e-2
 	// consensusEps is the squared subgradient norm below which the cell
 	// solutions already agree on every relaxed coupling.
 	consensusEps = 1e-18
@@ -69,9 +68,6 @@ type DecomposeOptions struct {
 	// MaxIters bounds the price-coordination iterations; zero means
 	// defaultPriceIters.
 	MaxIters int
-	// GapTol is the relative duality-gap target that stops the price loop;
-	// zero means defaultGapTol.
-	GapTol float64
 	// MinVars is the (item, arc) variable count below which the routing
 	// layer keeps the monolithic LP instead (it fits comfortably); zero
 	// means the LP path's own defaultLPMaxVars.
@@ -83,13 +79,6 @@ func (d *DecomposeOptions) maxIters() int {
 		return d.MaxIters
 	}
 	return defaultPriceIters
-}
-
-func (d *DecomposeOptions) gapTol() float64 {
-	if d.GapTol > 0 {
-		return d.GapTol
-	}
-	return defaultGapTol
 }
 
 func (d *DecomposeOptions) minVars() int {
@@ -190,7 +179,6 @@ func decomposedFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 	bestDual := math.Inf(-1)
 	theta := 1.0
 	stall := 0
-	gapTol := dec.gapTol()
 	for it := 1; it <= dec.maxIters(); it++ {
 		info.Iterations = it
 		applyPrices(cs, progs, mu, lam)
@@ -322,9 +310,9 @@ func applyPrices(cs *graph.CellSet, progs []*cellProg, mu [][]float64, lam []flo
 // keeps its own warm solver, so results are identical for any worker count.
 func solveCells(ctx context.Context, progs []*cellProg, workers int) error {
 	return par.Do(ctx, workers, len(progs), func(c int) error {
-		sol, err := lputil.SolveWith(ctx, progs[c].solver, "routing: decomposed cell LP", progs[c].prob)
+		sol, err := progs[c].solver.Solve(ctx, progs[c].prob)
 		if err != nil {
-			return fmt.Errorf("cell %d: %w", c, err)
+			return fmt.Errorf("cell %d: routing: decomposed cell LP: %w", c, err)
 		}
 		progs[c].sol = sol
 		return nil

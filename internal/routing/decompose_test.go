@@ -105,7 +105,7 @@ func TestDecomposedDifferential(t *testing.T) {
 	for seed := 0; seed < instances; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		inst := randomCellInstance(r)
-		exact, exactErr := SolveMMSFPExact(inst.spec, inst.pl)
+		exact, exactErr := SolveMMSFPExact(nil, inst.spec, inst.pl)
 		info, decErr := SolveMMSFPDecomposed(nil, inst.spec, inst.pl,
 			DecomposeOptions{Assign: inst.assign, MaxIters: 8}, 2)
 		if exactErr != nil || decErr != nil {

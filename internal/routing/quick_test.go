@@ -112,7 +112,7 @@ func TestQuickIndependentMatchesExact(t *testing.T) {
 		if res.Method != MethodIndependent {
 			return true // contention: nothing to compare here
 		}
-		exactCost, err := SolveMMSFPExact(q.s, q.pl)
+		exactCost, err := SolveMMSFPExact(nil, q.s, q.pl)
 		if err != nil {
 			return true // strict LP may be infeasible only under contention
 		}

@@ -344,37 +344,25 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 // fixed placement via the coupled multicommodity LP, with no heuristic
 // fallbacks: if the demands do not fit the link capacities it returns the
 // LP's infeasibility error. Intended for reference bounds and tests; the
-// evaluation-scale path is Route.
-func SolveMMSFPExact(s *placement.Spec, pl *placement.Placement) (float64, error) {
+// evaluation-scale path is Route. A done ctx aborts the LP with an error
+// wrapping ctx.Err(); nil means no cancellation.
+func SolveMMSFPExact(ctx context.Context, s *placement.Spec, pl *placement.Placement) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	var active []itemDemand
-	var groups [][]graph.NodeID
-	for i := 0; i < s.NumItems; i++ {
-		sinks := map[graph.NodeID]float64{}
-		var total float64
-		for v, r := range s.Rates[i] {
-			if r > 0 {
-				sinks[v] += r
-				total += r
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		reps := pl.Replicas(i)
-		if len(reps) == 0 {
-			return 0, fmt.Errorf("routing: item %d has no replicas", i)
-		}
-		active = append(active, itemDemand{item: i, sinks: sinks, sorted: sortedSinks(sinks), total: total})
-		groups = append(groups, reps)
-	}
+	active := (*Reuse)(nil).baseDemand(s)
 	if len(active) == 0 {
 		return 0, nil
 	}
+	groups := make([][]graph.NodeID, len(active))
+	for k, ad := range active {
+		groups[k] = pl.Replicas(ad.item)
+		if len(groups[k]) == 0 {
+			return 0, fmt.Errorf("routing: item %d has no replicas", ad.item)
+		}
+	}
 	aux := graph.NewAuxiliary(s.G, groups)
-	flows, err := multicommodityLP(nil, aux, active)
+	flows, err := multicommodityLP(ctx, aux, active)
 	if err != nil {
 		return 0, err
 	}
@@ -622,9 +610,9 @@ func multicommodityLP(ctx context.Context, aux *graph.Auxiliary, active []itemDe
 			return nil, fmt.Errorf("routing: multicommodity LP: %w", err)
 		}
 	}
-	sol, err := lputil.Solve(ctx, "routing: multicommodity LP", p)
+	sol, err := p.Solve(ctx)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("routing: multicommodity LP: %w", err)
 	}
 	return lputil.ExtractGrid(sol.X, 0, nc, m, lputil.Floor(flowEps)), nil
 }

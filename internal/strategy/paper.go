@@ -50,7 +50,7 @@ func (a *Alg1) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) 
 	var pl *placement.Placement
 	method := "alg1/pipage"
 	if spec.ItemSize == nil {
-		res, err := placement.Alg1(spec, dist)
+		res, err := placement.Alg1(ctx, spec, dist, placement.Alg1Options{})
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -168,7 +168,7 @@ func (a *Alg2) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) 
 	if err := pollCtx(ctx, "alg2 routing"); err != nil {
 		return nil, Stats{}, err
 	}
-	asgn, err := msufp.SolveAlg2(minst, k)
+	asgn, err := msufp.SolveAlg2(ctx, minst, k)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("strategy: alg2: %w", err)
 	}

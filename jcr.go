@@ -101,7 +101,7 @@ func AllPairs(g *Graph) [][]float64 { return graph.AllPairs(g) }
 // Alg1 runs the paper's Algorithm 1 (unlimited link capacities):
 // integral caching and source selection with a (1-1/e) guarantee.
 func Alg1(s *Spec, dist [][]float64) (*Alg1Result, error) {
-	return placement.Alg1(s, dist)
+	return placement.Alg1(nil, s, dist, placement.Alg1Options{})
 }
 
 // Greedy runs the greedy submodular placement; under heterogeneous item
@@ -129,7 +129,7 @@ func ValidateSolution(s *Spec, sol *Solution) error { return core.Validate(s, so
 type FCFRResult = core.FCFRResult
 
 // SolveFCFR solves the FC-FR regime exactly as a linear program.
-func SolveFCFR(s *Spec) (*FCFRResult, error) { return core.SolveFCFR(s) }
+func SolveFCFR(s *Spec) (*FCFRResult, error) { return core.SolveFCFR(nil, s) }
 
 // MSUFP types (binary cache capacities, Section 4.2).
 type (
@@ -145,7 +145,7 @@ type (
 // SolveMSUFP runs the paper's Algorithm 2 with parameter K; K=2 reproduces
 // the prior state of the art [33], larger K reduces congestion.
 func SolveMSUFP(inst *MSUFPInstance, k int) (*MSUFPAssignment, error) {
-	return msufp.SolveAlg2(inst, k)
+	return msufp.SolveAlg2(nil, inst, k)
 }
 
 // Evaluation topologies (synthetic stand-ins sized per the paper).

@@ -47,9 +47,9 @@ bench-json:
 # micro-benchmarks by more than 15% against the committed previous-PR
 # baseline (CI runs this, skippable with the `skip-bench` PR label).
 bench-compare:
-	$(GO) run ./cmd/benchjson -only lp_sparse_solve,lp_dual,lp_pivot_heavy_ft,dijkstra_tree,yen_k25,online_fault_reroute,serve_lookup,plan_swap,decide_alg1,decide_mindelay -repeat 3 -out /tmp/bench_head.json
+	$(GO) run ./cmd/benchjson -only lp_sparse_solve,lp_pivot_heavy_ft,dijkstra_tree,yen_k25,online_fault_reroute,serve_lookup,plan_swap,decide_alg1,decide_mindelay -repeat 3 -out /tmp/bench_head.json
 	$(GO) run ./cmd/benchjson -compare \
-		-names lp_sparse_solve_placement,lp_sparse_solve_mmsfp_sized,lp_dual_warm_rhs,lp_pivot_heavy_ft,dijkstra_tree,yen_k25,online_fault_reroute,serve_lookup,plan_swap,decide_alg1,decide_mindelay \
+		-names lp_sparse_solve_placement,lp_sparse_solve_mmsfp_sized,lp_pivot_heavy_ft,dijkstra_tree,yen_k25,online_fault_reroute,serve_lookup,plan_swap,decide_alg1,decide_mindelay \
 		BENCH_pr10.json /tmp/bench_head.json
 
 # End-to-end and per-layer benchmark (BENCHMARK.json, perfbench/): every

@@ -183,48 +183,6 @@ func main() {
 		rep.Benchmarks = append(rep.Benchmarks, row)
 	}
 
-	// RHS-only perturbation resolves: the retained basis stays dual feasible
-	// while the basic values drift out of their boxes, so the warm handle
-	// takes the dual-simplex rung instead of re-running phase 1 — the fault-
-	// mask/demand-drift shape. The cold twin prices what the dual restart
-	// saves end to end.
-	for _, b := range []struct {
-		name string
-		warm bool
-	}{
-		{"lp_dual_warm_rhs", true},
-		{"lp_dual_cold_rhs", false},
-	} {
-		if !want(b.name) {
-			continue
-		}
-		warm := b.warm
-		mark := lp.GlobalStats()
-		res := bench(func(tb *testing.B) {
-			tb.ReportAllocs()
-			// Maximizing makes the capacity rows bind, so tightening an RHS
-			// knocks basic structurals out of range — primal infeasible but
-			// dual feasible, the dual rung's home turf (the minimizing twin
-			// is optimal at zero and never leaves the retained basis).
-			p := mmsfpSizedLP()
-			p.SetSense(lp.Maximize)
-			var solver *lp.Solver
-			if warm {
-				solver = lp.NewSolver()
-			}
-			rng := rand.New(rand.NewSource(9))
-			for i := 0; i < tb.N; i++ {
-				must(p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 2+4*rng.Float64()))
-				if _, err := solver.Solve(nil, p); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		})
-		row := toResult(b.name, res)
-		row.LPStats = lpDelta(mark)
-		rep.Benchmarks = append(rep.Benchmarks, row)
-	}
-
 	// Pivot-heavy cold solve: a transportation-shaped instance whose
 	// equality rows force a long phase 1, so the product-form update and
 	// stability/work-triggered refactorization discipline dominates the
@@ -620,9 +578,7 @@ func lpDelta(mark lp.GlobalCounters) *lp.GlobalCounters {
 	now := lp.GlobalStats()
 	return &lp.GlobalCounters{
 		Solves:       now.Solves - mark.Solves,
-		DualSolves:   now.DualSolves - mark.DualSolves,
 		PrimalPivots: now.PrimalPivots - mark.PrimalPivots,
-		DualPivots:   now.DualPivots - mark.DualPivots,
 		BoundFlips:   now.BoundFlips - mark.BoundFlips,
 		Refactors:    now.Refactors - mark.Refactors,
 		EtaUpdates:   now.EtaUpdates - mark.EtaUpdates,

@@ -77,8 +77,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// movement without opening the pprof file.
 		defer func() {
 			g := lp.GlobalStats()
-			fmt.Fprintf(stdout, "lp counters: solves=%d dual_solves=%d primal_pivots=%d dual_pivots=%d bound_flips=%d refactors=%d eta_updates=%d avg_eta_nnz=%.2f\n",
-				g.Solves, g.DualSolves, g.PrimalPivots, g.DualPivots, g.BoundFlips, g.Refactors, g.EtaUpdates, g.AvgEtaNNZ())
+			fmt.Fprintf(stdout, "lp counters: solves=%d primal_pivots=%d bound_flips=%d refactors=%d eta_updates=%d avg_eta_nnz=%.2f\n",
+				g.Solves, g.PrimalPivots, g.BoundFlips, g.Refactors, g.EtaUpdates, g.AvgEtaNNZ())
 		}()
 	}
 	if *memProf != "" {

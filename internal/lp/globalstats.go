@@ -10,9 +10,7 @@ import "sync/atomic"
 // solves from parallel workers.
 var gStats struct {
 	solves       atomic.Int64
-	dualSolves   atomic.Int64
 	primalPivots atomic.Int64
-	dualPivots   atomic.Int64
 	boundFlips   atomic.Int64
 	refactors    atomic.Int64
 	etaUpdates   atomic.Int64
@@ -20,13 +18,9 @@ var gStats struct {
 }
 
 // addGlobalCounters folds one successful solve into the package counters.
-func addGlobalCounters(sol *Solution, viaDual bool) {
+func addGlobalCounters(sol *Solution) {
 	gStats.solves.Add(1)
-	if viaDual {
-		gStats.dualSolves.Add(1)
-	}
 	gStats.primalPivots.Add(int64(sol.PrimalPivots))
-	gStats.dualPivots.Add(int64(sol.DualPivots))
 	gStats.boundFlips.Add(int64(sol.BoundFlips))
 	gStats.refactors.Add(int64(sol.Refactors))
 	gStats.etaUpdates.Add(int64(sol.EtaUpdates))
@@ -36,9 +30,7 @@ func addGlobalCounters(sol *Solution, viaDual bool) {
 // GlobalCounters is a snapshot of the package-wide solve counters.
 type GlobalCounters struct {
 	Solves       int64 // successful sparse solves
-	DualSolves   int64 // warm solves that went through the dual simplex
 	PrimalPivots int64
-	DualPivots   int64
 	BoundFlips   int64
 	Refactors    int64
 	EtaUpdates   int64
@@ -57,9 +49,7 @@ func (g GlobalCounters) AvgEtaNNZ() float64 {
 func GlobalStats() GlobalCounters {
 	return GlobalCounters{
 		Solves:       gStats.solves.Load(),
-		DualSolves:   gStats.dualSolves.Load(),
 		PrimalPivots: gStats.primalPivots.Load(),
-		DualPivots:   gStats.dualPivots.Load(),
 		BoundFlips:   gStats.boundFlips.Load(),
 		Refactors:    gStats.refactors.Load(),
 		EtaUpdates:   gStats.etaUpdates.Load(),

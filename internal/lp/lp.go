@@ -1,7 +1,6 @@
 // Package lp implements a sparse revised two-phase primal simplex solver
-// with bounded variables: an LU-factored basis with eta updates, warm
-// starts through a reusable Solver, and a dual simplex rung for
-// right-hand-side moves. The dense tableau simplex survives as its
+// with bounded variables: an LU-factored basis with eta updates and warm
+// starts through a reusable Solver. The dense tableau simplex survives as its
 // differential oracle and numerical fallback (SolveDense). It is the
 // numerical substrate for every linear program in the joint caching and
 // routing library: the auxiliary placement LP (paper Eq. (7)), the
@@ -154,8 +153,14 @@ func (p *Problem) NumVars() int { return p.nvars }
 // NumConstraints reports the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
 
-// SetObjectiveCoeff sets the objective coefficient of variable j.
+// SetObjectiveCoeff sets the objective coefficient of variable j. A NaN or
+// infinite coefficient panics as a programming error: it would otherwise
+// surface as a NaN or infinite optimum with no error.
 func (p *Problem) SetObjectiveCoeff(j int, c float64) {
+	if math.IsNaN(c) || math.IsInf(c, 0) {
+		//jcrlint:allow lib-panic: programmer-error guard; objectives are built from validated model data
+		panic(fmt.Sprintf("lp: objective coefficient of x_%d must be finite, got %v", j, c))
+	}
 	p.obj[j] = c
 	p.noteMut(mutObj, -1, j)
 }
@@ -300,15 +305,13 @@ type Solution struct {
 	// Objective is the optimal objective value in the problem's sense.
 	Objective float64
 	// Pivots counts simplex iterations across both phases, including
-	// bound flips; it is PrimalPivots + DualPivots + flip-only steps.
+	// bound flips; on the sparse path it is PrimalPivots + BoundFlips.
 	Pivots int
-	// PrimalPivots and DualPivots count basis exchanges performed by the
-	// primal and dual pivot loops respectively.
+	// PrimalPivots counts basis exchanges.
 	PrimalPivots int
-	DualPivots   int
-	// BoundFlips counts boxed nonbasic variables flipped from one bound
-	// to the other without a basis change (primal long steps and the
-	// dual bound-flipping ratio test).
+	// BoundFlips counts entering variables that crossed their box from one
+	// bound to the other without a basis change (the ratio test's long
+	// step).
 	BoundFlips int
 	// Refactors counts basis LU (re)factorizations, including the
 	// initial one of a cold solve.

@@ -79,6 +79,9 @@ func TestUpperBoundFlip(t *testing.T) {
 	if !approxEq(s.Objective, 1.5, 1e-6) {
 		t.Errorf("objective = %v, want 1.5", s.Objective)
 	}
+	if s.BoundFlips < 1 {
+		t.Errorf("BoundFlips = %d, want >= 1: an entering variable should cross its box", s.BoundFlips)
+	}
 }
 
 func TestInfeasible(t *testing.T) {
@@ -272,6 +275,8 @@ func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad bounds order":   func() { p.SetBounds(0, 2, 1) },
 		"infinite lower":     func() { p.SetBounds(0, math.Inf(-1), 1) },
+		"NaN objective":      func() { p.SetObjectiveCoeff(0, math.NaN()) },
+		"infinite objective": func() { p.SetObjectiveCoeff(1, math.Inf(1)) },
 		"index out of range": func() { p.AddConstraint([]int{5}, []float64{1}, LE, 1) },
 		"len mismatch":       func() { p.AddConstraint([]int{0}, []float64{1, 2}, LE, 1) },
 		"dense wrong len":    func() { p.AddDenseConstraint([]float64{1}, LE, 1) },

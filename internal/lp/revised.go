@@ -47,15 +47,12 @@ type revised struct {
 	alphaTouched []int
 	alphaEpoch   int64
 
-	dcand dualCands // dual-pivot candidate list (preallocated)
-
 	zOK      bool    // z was recomputed from the duals since the last exchange
 	wMax     float64 // largest devex weight; resets the framework when huge
 	scanFrom int     // partial-pricing cursor
 
 	pivots       int
 	primalPivots int
-	dualPivots   int
 	boundFlips   int
 	degenerate   int
 	ctx          context.Context
@@ -103,7 +100,6 @@ func newRevised(p *Problem) *revised {
 func (r *revised) statsMark() {
 	r.pivots = 0
 	r.primalPivots = 0
-	r.dualPivots = 0
 	r.boundFlips = 0
 	r.degenerate = 0
 	if r.b != nil {
@@ -118,7 +114,6 @@ func (r *revised) statsMark() {
 // fillCounters copies the per-solve pivot/refactor counters into sol.
 func (r *revised) fillCounters(sol *Solution) {
 	sol.PrimalPivots = r.primalPivots
-	sol.DualPivots = r.dualPivots
 	sol.BoundFlips = r.boundFlips
 	if r.b != nil {
 		sol.Refactors = int(r.b.refactors - r.markRefactors)
@@ -289,8 +284,7 @@ func (r *revised) iterate() error {
 	return ErrIterationLimit
 }
 
-// pivotLimit bounds total iterations per solve across phases and pivot
-// loops (primal and dual).
+// pivotLimit bounds total iterations per solve across both phases.
 func (r *revised) pivotLimit() int { return 200*(r.f.m+r.f.n) + 20000 }
 
 // priceRow gathers the pivot-row alphas alpha_j = rho . A_j for every

@@ -15,17 +15,12 @@ type SolverStats struct {
 	Solves int
 	// WarmHits counts solves completed from the retained basis.
 	WarmHits int
-	// WarmDualHits counts the subset of WarmHits that restored primal
-	// feasibility through the dual simplex (a retained basis left primal
-	// infeasible but dual feasible by the mutation, typically RHS-only).
-	WarmDualHits int
 	// ColdSolves counts solves that (re)built all state from scratch,
 	// including the cold halves of abandoned warm attempts.
 	ColdSolves int
 	// Fallbacks counts warm-start attempts abandoned for a cold solve
 	// (structural value outside the frozen sparsity pattern, a basis
-	// neither primal nor dual feasible, numerical failure, or any
-	// pivot-loop error).
+	// left primal infeasible, numerical failure, or any pivot-loop error).
 	Fallbacks int
 	// DenseFallbacks counts cold solves that fell through to the dense
 	// tableau oracle after a sparse numerical failure.
@@ -34,7 +29,6 @@ type SolverStats struct {
 	// Cumulative per-solve iteration counters (see Solution for the
 	// per-solve meanings).
 	PrimalPivots int64
-	DualPivots   int64
 	BoundFlips   int64
 	Refactors    int64
 	EtaUpdates   int64
@@ -79,21 +73,20 @@ var forceWarmNumericFailure bool
 // handle solved this exact Problem before (O(changes)), or rescanning the
 // skeleton otherwise — and the solve walks a decision ladder:
 //
-//  1. retained basis still primal feasible: primal iterations from the
+//  1. retained basis still primal feasible and confirmed optimal by the
+//     previous solve, with reduced costs the mutations left valid: no
+//     pricing sweep at all;
+//  2. retained basis still primal feasible: primal iterations from the
 //     retained basis, factorization, and reduced costs;
-//  2. primal infeasible but dual feasible (the RHS-only perturbation
-//     shape): dual simplex pivots restore primal feasibility, then a
-//     primal polish pass confirms optimality;
-//  3. neither: cold solve (phase 1 + phase 2 from scratch);
+//  3. otherwise: cold solve (phase 1 + phase 2 from scratch);
 //  4. sparse numerical failure anywhere: dense tableau oracle.
 //
 // Any failure along the way abandons the attempt one rung down, so a
 // Solver's verdict and objective always match a fresh Problem.Solve
 // to within the solver tolerances (the differential suite pins this at
 // 1e-9). Solutions may differ across warm and cold paths only as alternate
-// optima. Infeasibility is never declared on the dual rung: a stalled or
-// stuck dual loop falls back to the cold primal path, whose phase-1
-// verdict is the one differential-tested against the dense oracle.
+// optima. Infeasibility is only ever declared by the cold phase-1 path,
+// whose verdict is the one differential-tested against the dense oracle.
 //
 // A Solver is not safe for concurrent use. Never share one across parallel
 // workers (e.g. Monte-Carlo samples): per-sequence handles keep `-workers N`
@@ -167,18 +160,15 @@ func (s *Solver) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	s.stats.Solves++
 	if s.hasBasis && s.matches(p) {
-		sol, viaDual, err := s.warmSolve(ctx, p)
+		sol, err := s.warmSolve(ctx, p)
 		if err == nil {
 			s.stats.WarmHits++
-			if viaDual {
-				s.stats.WarmDualHits++
-			}
-			s.noteSolution(sol, viaDual)
+			s.noteSolution(sol)
 			s.retain(p)
 			return sol, nil
 		}
 		// Every warm-path failure — structural slot mismatch, numerics,
-		// a basis neither primal nor dual feasible, or a pivot-loop error
+		// a basis left primal infeasible, or a pivot-loop error
 		// (including context cancellation, whose partial pivots
 		// invalidated the state) — falls back to an authoritative cold
 		// solve.
@@ -198,14 +188,13 @@ func (s *Solver) retain(p *Problem) {
 
 // noteSolution folds a successful solve's per-solve counters into the
 // cumulative stats and the package-wide counters.
-func (s *Solver) noteSolution(sol *Solution, viaDual bool) {
+func (s *Solver) noteSolution(sol *Solution) {
 	s.stats.PrimalPivots += int64(sol.PrimalPivots)
-	s.stats.DualPivots += int64(sol.DualPivots)
 	s.stats.BoundFlips += int64(sol.BoundFlips)
 	s.stats.Refactors += int64(sol.Refactors)
 	s.stats.EtaUpdates += int64(sol.EtaUpdates)
 	s.stats.EtaNNZ += int64(sol.EtaNNZ)
-	addGlobalCounters(sol, viaDual)
+	addGlobalCounters(sol)
 }
 
 // matches reports whether p has the same structural skeleton as the problem
@@ -306,12 +295,11 @@ func (s *Solver) applyMuts(p *Problem, muts []mutation) (ch warmChange) {
 }
 
 // warmSolve attempts to re-solve p from the retained optimal basis, walking
-// the decision ladder of the type comment. viaDual reports that the dual
-// simplex restored primal feasibility. Any returned error means the caller
-// must fall back to a cold solve; the retained state may then be
+// the decision ladder of the type comment. Any returned error means the
+// caller must fall back to a cold solve; the retained state may then be
 // arbitrarily clobbered, which is fine because coldSolve rebuilds it from
 // scratch.
-func (s *Solver) warmSolve(ctx context.Context, p *Problem) (sol *Solution, viaDual bool, err error) {
+func (s *Solver) warmSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	r := s.r
 	r.statsMark()
 	s.patchCols = s.patchCols[:0]
@@ -325,7 +313,7 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (sol *Solution, viaD
 		ch = warmChange{ok: ok, full: true, valsBasic: changed}
 	}
 	if !ch.ok {
-		return nil, false, errWarmFallback
+		return nil, errWarmFallback
 	}
 	r.p = p
 	r.ctx = ctx
@@ -338,7 +326,7 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (sol *Solution, viaD
 			ferr = errNumeric
 		}
 		if ferr != nil {
-			return nil, false, ferr
+			return nil, ferr
 		}
 	}
 	if ch.full || ch.bounds {
@@ -367,6 +355,11 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (sol *Solution, viaD
 			r.applyRHSDeltas(s.rhsRows, s.rhsDeltas)
 		}
 	}
+	// Only a retained basis that is still primal feasible warm-starts;
+	// anything else re-solves cold.
+	if !r.primalFeasible() {
+		return nil, errWarmFallback
+	}
 	// Refresh costs and reduced costs to match. confirmed tracks whether
 	// the refreshed z is known dual feasible without a pricing sweep: the
 	// previous solve confirmed optimality on fresh reduced costs, and the
@@ -390,36 +383,19 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (sol *Solution, viaD
 			confirmed = false
 		}
 	}
-	// Rung 1: retained basis still primal feasible — primal iterations.
-	// Rung 2: primal infeasible but dual feasible — dual simplex, then a
-	// primal polish pass that recomputes z and confirms optimality.
-	if !r.primalFeasible() {
-		if !r.dualFeasible() {
-			return nil, false, errWarmFallback
-		}
-		if derr := r.dualIterate(); derr != nil {
-			return nil, false, derr
-		}
-		if !r.primalFeasible() {
-			return nil, false, errWarmFallback
-		}
-		r.zOK = false
-		confirmed = false
-		viaDual = true
-	}
 	r.degenerate = 0
 	// A confirmed-optimal basis skips the pricing sweep entirely: iterate()
 	// would rescan all n columns only to find the same unattractive reduced
 	// costs the shortcut already vouches for.
 	if !confirmed {
 		if ierr := r.iterate(); ierr != nil {
-			return nil, false, ierr
+			return nil, ierr
 		}
 	}
 	x := r.extract()
-	sol = &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
+	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
 	r.fillCounters(sol)
-	return sol, viaDual, nil
+	return sol, nil
 }
 
 // deltaRecompute bounds how many consecutive warm solves may advance beta
@@ -466,12 +442,12 @@ func (s *Solver) coldSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
 	r.fillCounters(sol)
 	if s == nil {
-		addGlobalCounters(sol, false)
+		addGlobalCounters(sol)
 		return sol, nil
 	}
 	s.r = r
 	s.hasBasis = true
 	s.retain(p)
-	s.noteSolution(sol, false)
+	s.noteSolution(sol)
 	return sol, nil
 }

@@ -131,6 +131,137 @@ func TestDifferentialWarmVsCold(t *testing.T) {
 	t.Logf("instances=%d transitions=%d stats=%+v", instances, transitions, agg)
 }
 
+// TestDifferentialWarmRHS is the RHS-perturbation differential family:
+// random feasible LPs perturbed with RHS-only mutations, the shape that
+// either leaves a retained basis primal feasible (a warm hit) or knocks it
+// primal infeasible (a fallback to the cold solve). Every instance is
+// solved three ways — through the warm handle, by a fresh one-shot sparse
+// solve, and by the dense tableau oracle — and all three must agree on
+// verdict and (relative 1e-9) objective. The aggregate counters must show
+// that both ladder branches ran, otherwise the suite silently tests only
+// one of them.
+func TestDifferentialWarmRHS(t *testing.T) {
+	rng := rand.New(rand.NewSource(424242))
+	const (
+		sequences = 160
+		steps     = 3
+	)
+	var instances int
+	var agg SolverStats
+	for seq := 0; seq < sequences; seq++ {
+		p := randomLP(rng)
+		if len(p.cons) == 0 {
+			continue
+		}
+		s := NewSolver()
+		if _, err := s.Solve(nil, p); err != nil {
+			continue // no retained basis to perturb
+		}
+		for step := 0; step < steps; step++ {
+			i := rng.Intn(len(p.cons))
+			if err := p.SetConstraintRHS(i, float64(rng.Intn(17)-8)); err != nil {
+				t.Fatal(err)
+			}
+			instances++
+			warmSol, warmErr := s.Solve(nil, p)
+			coldSol, coldErr := p.Solve(nil)
+			denseSol, denseErr := p.SolveDense(nil)
+			wv, cv, dv := verdict(warmErr), verdict(coldErr), verdict(denseErr)
+			if wv != cv || cv != dv {
+				t.Fatalf("seq %d step %d: verdicts disagree: warm %q one-shot %q dense %q\n%s",
+					seq, step, wv, cv, dv, describeLP(p))
+			}
+			if coldErr != nil {
+				continue
+			}
+			for _, pair := range []struct {
+				name string
+				got  float64
+			}{{"warm-vs-one-shot", warmSol.Objective}, {"dense-vs-one-shot", denseSol.Objective}} {
+				diff := math.Abs(pair.got - coldSol.Objective)
+				if diff > diffObjTol*(1+math.Abs(coldSol.Objective)) {
+					t.Fatalf("seq %d step %d: %s objectives disagree: %v vs %v (diff %g)\n%s",
+						seq, step, pair.name, pair.got, coldSol.Objective, diff, describeLP(p))
+				}
+			}
+			if !feasible(p, warmSol.X) {
+				t.Fatalf("seq %d step %d: warm solution infeasible\n%s", seq, step, describeLP(p))
+			}
+		}
+		st := s.Stats()
+		agg.Solves += st.Solves
+		agg.WarmHits += st.WarmHits
+		agg.ColdSolves += st.ColdSolves
+		agg.Fallbacks += st.Fallbacks
+		agg.PrimalPivots += st.PrimalPivots
+		agg.BoundFlips += st.BoundFlips
+		agg.Refactors += st.Refactors
+	}
+	if instances < 200 {
+		t.Fatalf("only %d RHS-perturbation instances; the family promises at least 200", instances)
+	}
+	// The family exists to drive both branches of the ladder: retained
+	// bases that survive an RHS move and ones that it knocks infeasible.
+	if agg.WarmHits == 0 || agg.Fallbacks == 0 {
+		t.Errorf("warm hits %d, fallbacks %d over %d instances; the RHS perturbations must exercise both", agg.WarmHits, agg.Fallbacks, instances)
+	}
+	t.Logf("instances=%d stats=%+v", instances, agg)
+}
+
+// TestSolverDeltaRecompute drives the RHS-delta FTRAN across its periodic
+// full recomputation: BenchmarkSolverWarmPerturb's schedule of RHS and
+// objective moves on the minimising MMSFP-sized instance, run long enough
+// that deltaRecompute consecutive delta solves trip the recompute twice.
+// Every solve after the first must be a warm hit and match a one-shot
+// solve, and the basic values it leaves behind must match a fresh
+// recomputation (the optimum sits at the origin, so the objective alone
+// would not notice stale slacks).
+func TestSolverDeltaRecompute(t *testing.T) {
+	p := MMSFPSizedLP(12, 150, 7)
+	rng := rand.New(rand.NewSource(11))
+	s := NewSolver()
+	if _, err := s.Solve(nil, p); err != nil {
+		t.Fatal(err)
+	}
+	const solves = 2*deltaRecompute + 2
+	recomputes := 0
+	var kept []float64
+	for i := 0; i < solves; i++ {
+		if err := p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 5+rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+		p.SetObjectiveCoeff(rng.Intn(p.NumVars()), 1+rng.Float64())
+		warm, err := s.Solve(nil, p)
+		if err != nil {
+			t.Fatalf("solve %d: warm: %v", i, err)
+		}
+		if s.deltaSolves == 0 {
+			recomputes++
+		}
+		kept = append(kept[:0], s.r.beta...)
+		s.r.recomputeBeta()
+		for row, v := range s.r.beta {
+			if diff := math.Abs(kept[row] - v); diff > diffObjTol*(1+math.Abs(v)) {
+				t.Fatalf("solve %d: basic value %d is %v, fresh recomputation %v", i, row, kept[row], v)
+			}
+		}
+		copy(s.r.beta, kept) // keep the delta path's own values for the next solve
+		cold, err := p.Solve(nil)
+		if err != nil {
+			t.Fatalf("solve %d: one-shot: %v", i, err)
+		}
+		if diff := math.Abs(warm.Objective - cold.Objective); diff > diffObjTol*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("solve %d: warm %v vs one-shot %v (diff %g)", i, warm.Objective, cold.Objective, diff)
+		}
+	}
+	if st := s.Stats(); st.WarmHits != solves || st.ColdSolves != 1 {
+		t.Errorf("want %d warm hits after one cold solve, got %+v", solves, st)
+	}
+	if recomputes < 2 {
+		t.Errorf("the delta FTRAN took its periodic full recompute %d times, want >= 2", recomputes)
+	}
+}
+
 // TestSolverStructuralChangeInvalidatesBasis covers the satellite edge case
 // of a skeleton change between solves: the handle must notice the added
 // row, abandon the retained basis, and still agree with a one-shot solve.
@@ -383,6 +514,101 @@ func TestSolverBoundBecomesInfinite(t *testing.T) {
 	}
 	if diff := math.Abs(sol.Objective - ref.Objective); diff > diffObjTol {
 		t.Fatalf("solver %v vs one-shot %v", sol.Objective, ref.Objective)
+	}
+}
+
+// TestStabilityTriggeredRefactor pins the Forrest-Tomlin-style stability
+// discipline: an update whose pivot element is relatively tiny must be
+// refused in favor of a fresh factorization, not absorbed. The test-only
+// forceUnstableUpdate hook makes the first eta append of a solve report
+// instability; the solve must complete with one extra refactorization and
+// the identical objective.
+func TestStabilityTriggeredRefactor(t *testing.T) {
+	build := func() *Problem {
+		p := NewProblem(3)
+		p.SetSense(Maximize)
+		for j := 0; j < 3; j++ {
+			p.SetObjectiveCoeff(j, float64(j+1))
+			p.SetBounds(j, 0, 10)
+		}
+		for _, row := range [][3]float64{{1, 1, 0}, {0, 1, 1}, {1, 0, 1}} {
+			if err := p.AddConstraint([]int{0, 1, 2}, []float64{row[0], row[1], row[2]}, LE, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	base, err := build().Solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.EtaUpdates == 0 {
+		t.Fatalf("baseline solve performed no eta updates (pivots=%d); the hook would not fire", base.Pivots)
+	}
+	forceUnstableUpdate = true
+	forced, err := build().Solve(nil)
+	forceUnstableUpdate = false
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forced.Refactors != base.Refactors+1 {
+		t.Errorf("forced-unstable solve refactored %d times, want %d (baseline %d + 1)",
+			forced.Refactors, base.Refactors+1, base.Refactors)
+	}
+	if forced.EtaUpdates >= base.EtaUpdates+1 {
+		t.Errorf("refused update still appended: %d etas vs baseline %d", forced.EtaUpdates, base.EtaUpdates)
+	}
+	if math.Abs(forced.Objective-base.Objective) > diffObjTol*(1+math.Abs(base.Objective)) {
+		t.Errorf("objective moved under a forced refactorization: %v vs %v", forced.Objective, base.Objective)
+	}
+}
+
+// TestNearSingularWarmUpdates stresses the stability trigger on nearly
+// dependent columns: bases mixing x1 and x2 with x1+x2 differ from
+// singular by eps, so the product-form updates run close to the ftStabTol
+// floor. Across a sweep of eps the warm handle must keep agreeing with the
+// dense oracle after RHS perturbations.
+func TestNearSingularWarmUpdates(t *testing.T) {
+	for _, eps := range []float64{1e-6, 1e-8, 1e-10, 1e-12} {
+		p := NewProblem(3)
+		p.SetSense(Maximize)
+		p.SetObjectiveCoeff(0, 1)
+		p.SetObjectiveCoeff(1, 1)
+		p.SetObjectiveCoeff(2, 2-eps)
+		for j := 0; j < 3; j++ {
+			p.SetBounds(j, 0, 100)
+		}
+		// Column 2 is (1, 1+eps): within eps of the sum of columns 0 and 1.
+		if err := p.AddConstraint([]int{0, 2}, []float64{1, 1}, LE, 10); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddConstraint([]int{1, 2}, []float64{1, 1 + eps}, LE, 10); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSolver()
+		if _, err := s.Solve(nil, p); err != nil {
+			t.Fatalf("eps=%g: %v", eps, err)
+		}
+		for step, rhs := range []float64{4, 12, 6} {
+			if err := p.SetConstraintRHS(step%2, rhs); err != nil {
+				t.Fatal(err)
+			}
+			warm, err := s.Solve(nil, p)
+			if err != nil {
+				t.Fatalf("eps=%g step %d: warm: %v", eps, step, err)
+			}
+			dense, err := p.SolveDense(nil)
+			if err != nil {
+				t.Fatalf("eps=%g step %d: dense: %v", eps, step, err)
+			}
+			// Near-singular data amplifies legitimate roundoff: compare at
+			// the dense oracle's own differential tolerance scaled by the
+			// conditioning, not at diffObjTol.
+			tol := diffObjTol / math.Max(eps, 1e-9)
+			if diff := math.Abs(warm.Objective - dense.Objective); diff > tol*(1+math.Abs(dense.Objective)) {
+				t.Errorf("eps=%g step %d: warm %v vs dense %v (diff %g)", eps, step, warm.Objective, dense.Objective, diff)
+			}
+		}
 	}
 }
 

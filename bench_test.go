@@ -108,14 +108,24 @@ func BenchmarkGreedyPlacement(b *testing.B) {
 // BenchmarkAlternating measures the general-case optimizer (Table 3
 // "alternating").
 func BenchmarkAlternating(b *testing.B) {
+	benchAlternating(b, experiments.RunParams{Hour: 40})
+}
+
+// benchAlternating times cold single-shot alternating solves of one
+// evaluation run's decision spec.
+func benchAlternating(b *testing.B, p experiments.RunParams) {
 	sc := experiments.NewScenario(benchConfig(), nil)
-	run, err := sc.MakeRun(experiments.RunParams{Hour: 40})
+	run, err := sc.MakeRun(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alt, err := NewStrategy("alternating", StrategyOptions{NoSolverReuse: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Alternating(run.Decision, AlternatingOptions{}); err != nil {
+		if _, _, err := alt.Decide(context.Background(), Instance{Spec: run.Decision}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,17 +279,7 @@ func benchUncapChunkRun(b *testing.B) *experiments.Run {
 // BenchmarkAlternatingFileLevel measures the heterogeneous-size general
 // case (the Table 4 "alternating" row).
 func BenchmarkAlternatingFileLevel(b *testing.B) {
-	sc := experiments.NewScenario(benchConfig(), nil)
-	run, err := sc.MakeRun(experiments.RunParams{FileLevel: true, Hour: 40})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Alternating(run.Decision, AlternatingOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchAlternating(b, experiments.RunParams{FileLevel: true, Hour: 40})
 }
 
 // BenchmarkFCFRLP measures the exact fully fractional LP on a downsized

@@ -14,6 +14,7 @@ import (
 	"jcr/internal/msufp"
 	"jcr/internal/placement"
 	"jcr/internal/routing"
+	"jcr/internal/strategy"
 )
 
 // cancelSpec is a small capacitated instance every solver below accepts:
@@ -120,8 +121,9 @@ func TestSolversHonourCanceledContext(t *testing.T) {
 			_, err := routing.Route(ctx, s, s.NewPlacement(), routing.Options{Fractional: true, Workers: 1})
 			return err
 		}},
-		{"core.Alternating", 1, "core: initial routing: flow: canceled", func(ctx context.Context) error {
-			_, err := core.Alternating(ctx, s, core.AlternatingOptions{Fractional: true, Workers: 1})
+		{"strategy.Alternating.Decide", 1, "strategy: alternating initial routing: flow: canceled", func(ctx context.Context) error {
+			alt := &strategy.Alternating{Options: strategy.Options{Fractional: true, Workers: 1}}
+			_, _, err := alt.Decide(ctx, strategy.Instance{Spec: s})
 			return err
 		}},
 		{"placement.PlacePerPath", 0, "placement: per-path enumeration", func(ctx context.Context) error {
@@ -133,7 +135,7 @@ func TestSolversHonourCanceledContext(t *testing.T) {
 			return err
 		}},
 		{"placement.SP38", 0, "placement: per-path enumeration", func(ctx context.Context) error {
-			_, _, err := placement.SP38(ctx, s, origin, placement.PerPathLP, nil)
+			_, _, err := placement.SP38(ctx, s, origin, nil)
 			return err
 		}},
 		{"msufp.SolveAlg2", 0, "msufp: splittable optimum: flow: canceled", func(ctx context.Context) error {

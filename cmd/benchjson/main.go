@@ -27,7 +27,6 @@ import (
 	"testing"
 	"time"
 
-	"jcr/internal/core"
 	"jcr/internal/demand"
 	"jcr/internal/experiments"
 	"jcr/internal/graph"
@@ -425,7 +424,7 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		st := &strategy.Decomposed{
-			Alternating: strategy.Alternating{Seed: 1, MaxIters: 4, BestEffort: true},
+			Alternating: strategy.Alternating{Options: strategy.Options{Seed: 1, MaxIters: 4, BestEffort: true}},
 			MinVars:     1,
 		}
 		inst := strategy.Instance{Spec: spec, Dist: graph.AllPairs(spec.G)}
@@ -759,21 +758,11 @@ func benchSequenceSpecs() []*placement.Spec {
 // seeding each hour with the previous placement — with carried solver state
 // (warm) or from scratch every hour (cold).
 func alternatingSequence(warm bool) error {
-	var state *core.SolveState
-	if warm {
-		state = core.NewSolveState()
-	}
-	var prev *placement.Placement
+	alt := &strategy.Alternating{Options: strategy.Options{Fractional: true, WarmStart: true, NoSolverReuse: !warm}}
 	for _, spec := range benchSequenceSpecs() {
-		sol, err := core.Alternating(nil, spec, core.AlternatingOptions{
-			Fractional: true,
-			Initial:    prev,
-			State:      state,
-		})
-		if err != nil {
+		if _, _, err := alt.Decide(context.Background(), strategy.Instance{Spec: spec}); err != nil {
 			return err
 		}
-		prev = sol.Placement
 	}
 	return nil
 }

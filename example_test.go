@@ -1,6 +1,7 @@
 package jcr_test
 
 import (
+	"context"
 	"fmt"
 
 	"jcr"
@@ -38,9 +39,9 @@ func Example() {
 	// routing cost: 10
 }
 
-// ExampleAlternating solves the general capacitated case and validates the
-// solution.
-func ExampleAlternating() {
+// ExampleNewStrategy solves the general capacitated case with the
+// Section 4.3.3 alternating optimizer and validates the plan.
+func ExampleNewStrategy() {
 	g := jcr.NewGraph(3)
 	g.AddEdge(0, 1, 10, 100)
 	g.AddEdge(1, 2, 1, 100)
@@ -51,18 +52,24 @@ func ExampleAlternating() {
 		Pinned:   []int{0},
 		Rates:    [][]float64{{0, 0, 5}, {0, 0, 2}},
 	}
-	sol, err := jcr.Alternating(spec, jcr.AlternatingOptions{})
+	alt, err := jcr.NewStrategy("alternating", jcr.StrategyOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	if err := jcr.ValidateSolution(spec, sol); err != nil {
+	inst := jcr.Instance{Spec: spec}
+	plan, _, err := alt.Decide(context.Background(), inst)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	if err := jcr.ValidatePlan(inst, plan); err != nil {
 		fmt.Println("invalid:", err)
 		return
 	}
 	// The hot item is cached at the requester; the cold one ships from
 	// the origin at cost 2 * 11.
-	fmt.Printf("cost: %.0f, congestion: %.2f\n", sol.Cost, sol.MaxUtilization)
+	fmt.Printf("cost: %.0f, congestion: %.2f\n", plan.Cost, plan.MaxUtilization)
 	// Output:
 	// cost: 22, congestion: 0.02
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -69,15 +70,10 @@ func main() {
 		net.Name, net.G.NumNodes(), len(items), len(net.Edges), total)
 
 	// Our solution: alternating caching/routing optimization (IC-IR).
-	sol, err := jcr.Alternating(spec, jcr.AlternatingOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := jcr.ValidateSolution(spec, sol); err != nil {
-		log.Fatal(err)
-	}
+	inst := jcr.Instance{Spec: spec}
+	sol, iters := alternate(inst, false)
 	fmt.Printf("alternating (ours):   cost %.3e  congestion %.2f  (%d iterations)\n",
-		sol.Cost, sol.MaxUtilization, sol.Iterations)
+		sol.Cost, sol.MaxUtilization, iters)
 
 	// Baseline: serve everything from the origin.
 	originOnly := spec.NewPlacement()
@@ -89,11 +85,26 @@ func main() {
 
 	// Reference: IC-FR (fractional routing) lower envelope of the same
 	// alternating scheme.
-	icfr, err := jcr.Alternating(spec, jcr.AlternatingOptions{Fractional: true})
-	if err != nil {
-		log.Fatal(err)
-	}
+	icfr, _ := alternate(inst, true)
 	fmt.Printf("IC-FR reference:      cost %.3e  congestion %.2f\n", icfr.Cost, icfr.MaxUtilization)
 
 	fmt.Printf("\nimprovement over origin-only: %.1f%% cost\n", 100*(1-sol.Cost/base.Cost))
+}
+
+// alternate runs the registered "alternating" strategy once on inst, under
+// fractional (IC-FR) or integral (IC-IR) routing, validates its plan, and
+// returns it with the number of alternating rounds run.
+func alternate(inst jcr.Instance, fractional bool) (*jcr.Plan, int) {
+	alt, err := jcr.NewStrategy("alternating", jcr.StrategyOptions{Fractional: fractional})
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, stats, err := alt.Decide(context.Background(), inst)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := jcr.ValidatePlan(inst, plan); err != nil {
+		log.Fatal(err)
+	}
+	return plan, stats.Iterations
 }

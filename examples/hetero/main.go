@@ -75,7 +75,7 @@ func main() {
 
 	// Equal-size baselines: they fill 2 slots per cache regardless of
 	// file size and overflow the byte capacity.
-	sp, _, err := placement.SP38(nil, spec, net.Origin, placement.PerPathAuto, slotCap)
+	sp, _, err := placement.SP38(nil, spec, net.Origin, slotCap)
 	if err != nil {
 		log.Fatal(err)
 	}

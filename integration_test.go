@@ -44,20 +44,15 @@ func TestEndToEndEdgeCaching(t *testing.T) {
 	}
 
 	// 1. Alternating IC-IR: feasible, validated, congestion bounded.
-	sol, err := jcr.Alternating(spec, jcr.AlternatingOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jcr.ValidateSolution(spec, sol); err != nil {
+	inst := jcr.Instance{Spec: spec}
+	sol := alternate(t, inst, false)
+	if err := jcr.ValidatePlan(inst, sol); err != nil {
 		t.Fatal(err)
 	}
 
 	// 2. IC-FR costs no more than IC-IR here (exact fractional routing
 	// on the same placement subroutine).
-	icfr, err := jcr.Alternating(spec, jcr.AlternatingOptions{Fractional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	icfr := alternate(t, inst, true)
 	if icfr.Cost > sol.Cost*1.2 {
 		t.Errorf("IC-FR cost %v should not exceed IC-IR %v substantially", icfr.Cost, sol.Cost)
 	}
@@ -161,4 +156,19 @@ func TestEndToEndBinaryCache(t *testing.T) {
 			t.Errorf("K=%d: cost %v above splittable bound %v", k, m.Cost, split.Cost)
 		}
 	}
+}
+
+// alternate runs the registered "alternating" strategy once on inst under
+// integral (IC-IR) or fractional (IC-FR) routing.
+func alternate(t *testing.T, inst jcr.Instance, fractional bool) *jcr.Plan {
+	t.Helper()
+	alt, err := jcr.NewStrategy("alternating", jcr.StrategyOptions{Fractional: fractional})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := alt.Decide(context.Background(), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }

@@ -6,13 +6,25 @@ import (
 	"math/rand"
 	"testing"
 
-	"jcr/internal/lp"
-
 	"jcr/internal/check"
 	"jcr/internal/graph"
+	"jcr/internal/lp"
 	"jcr/internal/placement"
 	"jcr/internal/routing"
+	"jcr/internal/strategy"
 )
+
+// alternate runs the Section 4.3.3 alternating optimizer once, cold (no
+// carried solver state), from initial (nil: the pinned-only placement).
+func alternate(s *placement.Spec, o strategy.Options, initial *placement.Placement) (*strategy.Plan, strategy.Stats, error) {
+	o.NoSolverReuse = true
+	return (&strategy.Alternating{Options: o}).Decide(nil, strategy.Instance{Spec: s, Initial: initial})
+}
+
+// validPlan is strategy.Validate on a spec's plan.
+func validPlan(s *placement.Spec, p *strategy.Plan) error {
+	return strategy.Validate(strategy.Instance{Spec: s}, p)
+}
 
 // edgeCacheSpec builds a small edge-caching instance: origin 0, internal
 // node 1, edge caches 2 and 3 serving requests.
@@ -41,14 +53,14 @@ func edgeCacheSpec() *placement.Spec {
 
 func TestAlternatingImprovesOverOriginOnly(t *testing.T) {
 	s := edgeCacheSpec()
-	sol, err := Alternating(nil, s, AlternatingOptions{})
+	sol, stats, err := alternate(s, strategy.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(s, sol); err != nil {
+	if err := validPlan(s, sol); err != nil {
 		t.Fatal(err)
 	}
-	if err := check.Solution(s, sol.Placement, sol.Routing.Paths, sol.Cost); err != nil {
+	if err := check.Solution(s, sol.Placement, sol.Paths, sol.Cost); err != nil {
 		t.Fatal(err)
 	}
 	// Origin-only serving cost: every request traverses the expensive
@@ -61,7 +73,7 @@ func TestAlternatingImprovesOverOriginOnly(t *testing.T) {
 	if sol.Cost >= base.Cost {
 		t.Errorf("alternating cost %v did not improve on origin-only %v", sol.Cost, base.Cost)
 	}
-	if sol.Iterations < 1 {
+	if stats.Iterations < 1 {
 		t.Error("no iterations recorded")
 	}
 }
@@ -76,14 +88,14 @@ func TestAlternatingCostNeverWorseThanInitial(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, frac := range []bool{false, true} {
-			sol, err := Alternating(nil, s, AlternatingOptions{Fractional: frac, Rng: rng})
+			sol, _, err := alternate(s, strategy.Options{Fractional: frac, Rng: rng}, nil)
 			if err != nil {
 				t.Fatalf("trial %d frac=%v: %v", trial, frac, err)
 			}
-			if err := Validate(s, sol); err != nil {
+			if err := validPlan(s, sol); err != nil {
 				t.Fatalf("trial %d frac=%v: %v", trial, frac, err)
 			}
-			if err := check.Solution(s, sol.Placement, sol.Routing.Paths, sol.Cost); err != nil {
+			if err := check.Solution(s, sol.Placement, sol.Paths, sol.Cost); err != nil {
 				t.Fatalf("trial %d frac=%v: %v", trial, frac, err)
 			}
 			if sol.Cost > initRoute.Cost*(1+1e-9) {
@@ -149,7 +161,7 @@ func TestProposition48Example(t *testing.T) {
 	bad := s.NewPlacement()
 	bad.Stores[2][0] = true
 	bad.Stores[1][1] = true
-	sol, err := Alternating(nil, s, AlternatingOptions{Initial: bad})
+	sol, _, err := alternate(s, strategy.Options{}, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +197,7 @@ func TestFCFRLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		sol, err := Alternating(nil, s, AlternatingOptions{Rng: rng})
+		sol, _, err := alternate(s, strategy.Options{Rng: rng}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -257,27 +269,16 @@ func TestFCFRSplitsCache(t *testing.T) {
 	}
 }
 
-func TestRegimeString(t *testing.T) {
-	if FCFR.String() != "FC-FR" || ICFR.String() != "IC-FR" || ICIR.String() != "IC-IR" {
-		t.Error("regime names wrong")
-	}
-	if Regime(9).String() == "" {
-		t.Error("unknown regime should still format")
-	}
-}
-
 func TestValidateCatchesShortService(t *testing.T) {
 	s := edgeCacheSpec()
-	sol, err := Alternating(nil, s, AlternatingOptions{})
+	sol, _, err := alternate(s, strategy.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Drop one serving path: Validate must notice.
 	broken := *sol
-	brokenRouting := *sol.Routing
-	brokenRouting.Paths = brokenRouting.Paths[1:]
-	broken.Routing = &brokenRouting
-	if Validate(s, &broken) == nil {
+	broken.Paths = broken.Paths[1:]
+	if validPlan(s, &broken) == nil {
 		t.Error("Validate accepted a solution missing a serving path")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"jcr/internal/graph"
 	"jcr/internal/placement"
 	"jcr/internal/routing"
+	"jcr/internal/strategy"
 )
 
 func TestFailureUnreachableRequester(t *testing.T) {
@@ -25,7 +26,7 @@ func TestFailureUnreachableRequester(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 0, 1}},
 	}
-	if _, err := Alternating(nil, s, AlternatingOptions{}); err == nil {
+	if _, _, err := alternate(s, strategy.Options{}, nil); err == nil {
 		t.Error("unreachable requester should error, not serve silently")
 	}
 	if _, err := SolveFCFR(nil, s); err == nil {
@@ -72,7 +73,7 @@ func TestFailureAllZeroDemand(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{make([]float64, 3), make([]float64, 3)},
 	}
-	sol, err := Alternating(nil, s, AlternatingOptions{})
+	sol, _, err := alternate(s, strategy.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestFailureNaNRateRejected(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, math.NaN()}},
 	}
-	if _, err := Alternating(nil, s, AlternatingOptions{}); err == nil {
+	if _, _, err := alternate(s, strategy.Options{}, nil); err == nil {
 		t.Error("NaN rate accepted")
 	}
 	if _, err := routing.Route(nil, s, s.NewPlacement(), routing.Options{}); err == nil {
@@ -120,11 +121,11 @@ func TestFailureIsolatedCacheNode(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 0, 4, 0}},
 	}
-	sol, err := Alternating(nil, s, AlternatingOptions{})
+	sol, _, err := alternate(s, strategy.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(s, sol); err != nil {
+	if err := validPlan(s, sol); err != nil {
 		t.Fatal(err)
 	}
 	if want := 4 * 4.0; math.Abs(sol.Cost-want) > 1e-9 {
@@ -142,7 +143,7 @@ func TestFailureSingleNodeNetwork(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{3}},
 	}
-	sol, err := Alternating(nil, s, AlternatingOptions{})
+	sol, _, err := alternate(s, strategy.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func TestFailureHugeRates(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 0, 3e11}, {0, 0, 2e11}},
 	}
-	sol, err := Alternating(nil, s, AlternatingOptions{})
+	sol, _, err := alternate(s, strategy.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(s, sol); err != nil {
+	if err := validPlan(s, sol); err != nil {
 		t.Fatal(err)
 	}
 	// The hot item is cached at the requester; only the cold one moves.

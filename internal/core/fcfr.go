@@ -1,3 +1,9 @@
+// Package core holds the exact FC-FR linear program (SolveFCFR): Eq. (1)
+// in its fully fractional regime, the lower bound every other regime is
+// measured against. Its lputil subpackage factors the solve-and-extract
+// plumbing every LP call site in the library shares. The Section 4.3.3
+// alternating optimizer for general capacities is the "alternating"
+// strategy (internal/strategy).
 package core
 
 import (

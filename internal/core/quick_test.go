@@ -10,6 +10,7 @@ import (
 	"jcr/internal/graph"
 	"jcr/internal/placement"
 	"jcr/internal/routing"
+	"jcr/internal/strategy"
 )
 
 // quickJoint is a random joint caching/routing instance for testing/quick.
@@ -62,11 +63,11 @@ func TestQuickAlternatingDominatesOriginOnly(t *testing.T) {
 			return false
 		}
 		for _, frac := range []bool{false, true} {
-			sol, err := Alternating(nil, q.s, AlternatingOptions{Fractional: frac, Rng: rng})
+			sol, _, err := alternate(q.s, strategy.Options{Fractional: frac, Rng: rng}, nil)
 			if err != nil {
 				return false
 			}
-			if Validate(q.s, sol) != nil {
+			if validPlan(q.s, sol) != nil {
 				return false
 			}
 			if sol.Cost > base.Cost*(1+1e-9)+1e-9 {
@@ -90,11 +91,11 @@ func TestQuickAlternatingDominatesOriginOnly(t *testing.T) {
 // its subproblem).
 func TestQuickFractionalNoWorse(t *testing.T) {
 	property := func(q quickJoint) bool {
-		frac, err := Alternating(nil, q.s, AlternatingOptions{Fractional: true, Rng: rand.New(rand.NewSource(1))})
+		frac, _, err := alternate(q.s, strategy.Options{Fractional: true, Rng: rand.New(rand.NewSource(1))}, nil)
 		if err != nil {
 			return false
 		}
-		integral, err := Alternating(nil, q.s, AlternatingOptions{Rng: rand.New(rand.NewSource(1))})
+		integral, _, err := alternate(q.s, strategy.Options{Rng: rand.New(rand.NewSource(1))}, nil)
 		if err != nil {
 			return false
 		}

@@ -136,7 +136,7 @@ func fig5ChunkMethods(cfg *Config, run *Run) (map[string]float64, error) {
 	cost, _, _ = placement.EvaluateServing(run.Truth, paths, ksp.Placement)
 	out["k shortest paths [3]"] = cost
 
-	sp, _, err := placement.SP38(nil, run.Decision, origin, placement.PerPathAuto, nil)
+	sp, _, err := placement.SP38(nil, run.Decision, origin, nil)
 	if err != nil {
 		return nil, fmt.Errorf("SP38: %w", err)
 	}
@@ -181,7 +181,7 @@ func fig5FileMethods(cfg *Config, run *Run, k int) (map[string]costOcc, error) {
 	cost, _, _ = placement.EvaluateServing(run.Truth, paths, ksp.Placement)
 	out["k shortest paths [3]"] = costOcc{cost, run.Truth.MaxOccupancyRatio(ksp.Placement)}
 
-	sp, _, err := placement.SP38(nil, run.Decision, origin, placement.PerPathAuto, run.SlotCap)
+	sp, _, err := placement.SP38(nil, run.Decision, origin, run.SlotCap)
 	if err != nil {
 		return nil, fmt.Errorf("SP38: %w", err)
 	}

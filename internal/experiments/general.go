@@ -54,7 +54,7 @@ func runGeneralMethods(cfg *Config, run *Run) ([]generalResult, error) {
 	if run.Truth.ItemSize != nil {
 		slotCap = run.SlotCap
 	}
-	spPl, _, err := placement.SP38(nil, run.Decision, origin, placement.PerPathAuto, slotCap)
+	spPl, _, err := placement.SP38(nil, run.Decision, origin, slotCap)
 	if err != nil {
 		return nil, fmt.Errorf("SP38: %w", err)
 	}

@@ -176,12 +176,12 @@ func runScalingBout(ctx context.Context, cfg *Config, cell ScalingCell, spec *pl
 		res.Err = fmt.Sprintf("monolithic baseline not attempted beyond %d blocks", scalingMonoMaxBlocks)
 		return res
 	}
-	alt := strategy.Alternating{
+	alt := strategy.Alternating{Options: strategy.Options{
 		Seed:       cfg.Seed,
 		Workers:    cfg.Workers,
 		MaxIters:   scalingMaxRounds,
 		BestEffort: true,
-	}
+	}}
 	var st strategy.Strategy
 	if name == "decomposed" {
 		st = &strategy.Decomposed{Alternating: alt, MinVars: scalingMinVars}

@@ -121,7 +121,7 @@ func ExecTimes(cfg *Config, fileLevel bool) (string, error) {
 			return err
 		}},
 		row{"c_uv = inf", "shortest path [38]", func() error {
-			_, _, err := placement.SP38(nil, unRun.Decision, origin, placement.PerPathAuto, slotCap)
+			_, _, err := placement.SP38(nil, unRun.Decision, origin, slotCap)
 			return err
 		}},
 	)
@@ -145,7 +145,7 @@ func ExecTimes(cfg *Config, fileLevel bool) (string, error) {
 			return err
 		}},
 		row{"general", "SP [38]", func() error {
-			_, _, err := placement.SP38(nil, run.Decision, origin, placement.PerPathAuto, slotCap)
+			_, _, err := placement.SP38(nil, run.Decision, origin, slotCap)
 			return err
 		}},
 		row{"general", "SP + RNR [3]", func() error {

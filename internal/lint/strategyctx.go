@@ -15,9 +15,11 @@ import (
 // runs uncancellable even though Decide holds a live ctx. Every solver
 // has exactly one entry and it takes ctx first — lp.Problem.Solve and
 // lp.Solver.Solve, placement.Alg1/SP38/PlacePerPath, msufp.SolveAlg2,
-// flow.MinCostFlow, routing.Route, core.Alternating/SolveFCFR and the
-// exact solvers among them — so there is no ctx-less variant to fall back
-// on, and these two argument shapes are the only ways left to drop it.
+// flow.MinCostFlow, routing.Route, core.SolveFCFR and the exact solvers
+// among them — so there is no ctx-less variant to fall back on, and these
+// two argument shapes are the only ways left to drop it. The §4.3.3
+// alternating loop runs inside strategy.Alternating's own Decide, so its
+// subproblem solves are policed here too.
 //
 // Callers outside Decide may pass nil (the repo's "no cancellation"
 // convention); this analyzer is only about implementations that were

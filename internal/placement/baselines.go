@@ -77,7 +77,7 @@ func ShortestServingPaths(s *Spec, root graph.NodeID) ([]ServingPath, error) {
 // infeasibility the paper demonstrates in Fig. 5). Pass slotCap nil for the
 // homogeneous model. ctx reaches the per-path placement solve; nil means
 // no cancellation.
-func SP38(ctx context.Context, s *Spec, origin graph.NodeID, method PerPathMethod, slotCap []float64) (*Placement, []ServingPath, error) {
+func SP38(ctx context.Context, s *Spec, origin graph.NodeID, slotCap []float64) (*Placement, []ServingPath, error) {
 	paths, err := ShortestServingPaths(s, origin)
 	if err != nil {
 		return nil, nil, err
@@ -92,7 +92,7 @@ func SP38(ctx context.Context, s *Spec, origin graph.NodeID, method PerPathMetho
 		clone.CacheCap = slotCap
 		spec = &clone
 	}
-	pl, err := PlacePerPath(ctx, spec, paths, PerPathOptions{Method: method})
+	pl, err := PlacePerPath(ctx, spec, paths, PerPathOptions{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -413,7 +413,7 @@ func TestPerPathSavingPlusCostIsConstant(t *testing.T) {
 
 func TestSP38AndEvaluateServing(t *testing.T) {
 	s := lineSpec()
-	pl, paths, err := SP38(nil, s, 3, PerPathAuto, nil)
+	pl, paths, err := SP38(nil, s, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

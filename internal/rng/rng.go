@@ -11,7 +11,7 @@ package rng
 import "math/rand"
 
 // DefaultSeed seeds components whose callers did not choose a seed (for
-// example a nil AlternatingOptions.Rng). It is fixed, not time-derived:
+// example a strategy.Options with neither Rng nor Seed set). It is fixed, not time-derived:
 // an unseeded run must still be reproducible.
 const DefaultSeed int64 = 1
 

@@ -10,7 +10,6 @@ import (
 	"jcr/internal/graph"
 	"jcr/internal/lp"
 	"jcr/internal/par"
-	"jcr/internal/placement"
 )
 
 // This file is the partition-aware solve path (DESIGN.md §10): instead of
@@ -624,44 +623,4 @@ func mutateCellPrograms(progs []*cellProg, active []itemDemand) bool {
 		}
 	}
 	return true
-}
-
-// SolveMMSFPDecomposed runs the partition-aware solve directly on a fixed
-// placement with no heuristic fallbacks, returning the duality certificate:
-// the monolithic MMSFP optimum (SolveMMSFPExact) lies in
-// [LowerBound, PrimalCost] on every feasible instance. Intended for the
-// differential suite and benchmarks; the evaluation-scale path is Route
-// with Options.Decompose.
-func SolveMMSFPDecomposed(ctx context.Context, s *placement.Spec, pl *placement.Placement, dec DecomposeOptions, workers int) (*DecomposeInfo, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	var active []itemDemand
-	var groups [][]graph.NodeID
-	for i := 0; i < s.NumItems; i++ {
-		sinks := map[graph.NodeID]float64{}
-		var total float64
-		for v, r := range s.Rates[i] {
-			if r > 0 {
-				sinks[v] += r
-				total += r
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		reps := pl.Replicas(i)
-		if len(reps) == 0 {
-			return nil, fmt.Errorf("routing: item %d has no replicas", i)
-		}
-		active = append(active, itemDemand{item: i, sinks: sinks, sorted: sortedSinks(sinks), total: total})
-		groups = append(groups, reps)
-	}
-	if len(active) == 0 {
-		return &DecomposeInfo{}, nil
-	}
-	aux := graph.NewAuxiliary(s.G, groups)
-	opts := Options{Workers: workers, Decompose: &dec}
-	_, info, err := decomposedFlows(ctx, aux, active, opts)
-	return info, err
 }

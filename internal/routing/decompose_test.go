@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,6 +92,33 @@ func randomCellInstance(r *rand.Rand) *diffInstance {
 	return &diffInstance{spec: s, pl: pl, assign: assign}
 }
 
+// solveMMSFPDecomposed is the differential suite's reference entry: the
+// partition-aware solve run directly on a fixed placement with no heuristic
+// fallbacks, returning the duality certificate. The monolithic MMSFP
+// optimum (SolveMMSFPExact) lies in [LowerBound, PrimalCost] on every
+// feasible instance.
+func solveMMSFPDecomposed(s *placement.Spec, pl *placement.Placement, dec DecomposeOptions, workers int) (*DecomposeInfo, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	var active []itemDemand
+	var groups [][]graph.NodeID
+	for _, d := range (*Reuse)(nil).baseDemand(s) {
+		reps := pl.Replicas(d.item)
+		if len(reps) == 0 {
+			return nil, fmt.Errorf("routing: item %d has no replicas", d.item)
+		}
+		active = append(active, d)
+		groups = append(groups, reps)
+	}
+	if len(active) == 0 {
+		return &DecomposeInfo{}, nil
+	}
+	aux := graph.NewAuxiliary(s.G, groups)
+	_, info, err := decomposedFlows(nil, aux, active, Options{Workers: workers, Decompose: &dec})
+	return info, err
+}
+
 // TestDecomposedDifferential is the randomized differential suite: on every
 // instance where both solvers run, the monolithic MMSFP optimum must lie in
 // the decomposition's reported interval [LowerBound, PrimalCost] — which
@@ -106,7 +134,7 @@ func TestDecomposedDifferential(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		inst := randomCellInstance(r)
 		exact, exactErr := SolveMMSFPExact(nil, inst.spec, inst.pl)
-		info, decErr := SolveMMSFPDecomposed(nil, inst.spec, inst.pl,
+		info, decErr := solveMMSFPDecomposed(inst.spec, inst.pl,
 			DecomposeOptions{Assign: inst.assign, MaxIters: 8}, 2)
 		if exactErr != nil || decErr != nil {
 			// Infeasible draws (or recovery failures) are allowed — the

@@ -5,11 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"jcr/internal/core"
 	"jcr/internal/faults"
 	"jcr/internal/graph"
 	"jcr/internal/placement"
 	"jcr/internal/rng"
+	"jcr/internal/strategy"
 )
 
 // testSpec is the shared small instance: a 4-node tree with the origin
@@ -199,15 +199,16 @@ func TestCompileRoundTripRandomized(t *testing.T) {
 // the per-request route order survives compilation.
 func TestCompileRoundTripFractional(t *testing.T) {
 	s := testSpec(t)
-	sol, err := core.Alternating(nil, s, core.AlternatingOptions{Fractional: true})
+	alt := &strategy.Alternating{Options: strategy.Options{Fractional: true, NoSolverReuse: true}}
+	sol, _, err := alt.Decide(nil, strategy.Instance{Spec: s})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Compile(s, sol.Placement, sol.Routing.Paths, 1, 0)
+	p, err := Compile(s, sol.Placement, sol.Paths, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRoundTrip(t, s, sol.Routing.Paths, p)
+	checkRoundTrip(t, s, sol.Paths, p)
 }
 
 func TestCompileRejectsBrokenInputs(t *testing.T) {

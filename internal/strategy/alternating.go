@@ -2,75 +2,51 @@ package strategy
 
 import (
 	"context"
+	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
-	"jcr/internal/core"
+	"jcr/internal/lp"
 	"jcr/internal/placement"
 	"jcr/internal/routing"
 )
 
 func init() {
 	register("alternating", "Section 4.3.3 alternating placement/routing optimization (ours)",
-		func(o Options) Strategy {
-			return &Alternating{
-				Fractional:     o.Fractional,
-				WarmStart:      o.WarmStart,
-				BestEffort:     o.BestEffort,
-				Rng:            o.Rng,
-				Seed:           o.Seed,
-				Workers:        o.Workers,
-				MaxIters:       o.MaxIters,
-				RoundingTrials: o.RoundingTrials,
-				NoSolverReuse:  o.NoSolverReuse,
-			}
-		})
+		func(o Options) Strategy { return &Alternating{Options: o} })
 }
 
-// Alternating is the paper's Section 4.3.3 optimizer behind the Strategy
-// interface: alternate the per-path placement subproblem with the routing
-// subproblem until no round improves. It is a Warm strategy: unless
-// NoSolverReuse is set it carries a core.SolveState (warm LP bases and
-// routing caches) across rounds and Decide calls, and with WarmStart it
-// additionally seeds each Decide with the previous plan's placement.
+// improveTol is the relative cost margin below which an alternating round
+// does not count as an improvement; it also breaks equal-cost ties on
+// congestion.
+const improveTol = 1e-9
+
+// Alternating is the paper's Section 4.3.3 optimizer: starting from a
+// feasible placement, it alternately (1) re-places content to maximize the
+// saving F_{r,f} along the current serving paths (Section 4.3.1) and
+// (2) re-routes under the new placement (Section 4.3.2), keeping a round
+// only when it improves cost (with congestion as tie-breaker), and stopping
+// at the first non-improving round or after MaxIters (zero means 10; the
+// paper observes convergence within 10 in all evaluated cases).
+//
+// It is a Warm strategy: unless NoSolverReuse is set it carries the per-path
+// LP's warm-start handle and the routing caches across rounds and Decide
+// calls, and with WarmStart it additionally seeds each Decide with the
+// previous plan's placement. With BestEffort, demand with no reachable
+// replica is declared in Plan.Unserved instead of failing the solve, and a
+// repair post-pass re-homes content for stranded requesters (see
+// repairStranded). The carried state is not safe for concurrent use; give
+// parallel workers one Alternating each (DESIGN.md §3.9).
 type Alternating struct {
-	// Fractional selects IC-FR routing; default is IC-IR.
-	Fractional bool
-	// WarmStart seeds each Decide with the previous Decide's placement,
-	// evicted down to the current capacities when caches shrank or
-	// failed.
-	WarmStart bool
-	// BestEffort routes around failed links: demand with no reachable
-	// replica is declared in Plan.Unserved instead of failing the solve,
-	// and a repair post-pass re-homes content for stranded requesters
-	// (see repairStranded).
-	BestEffort bool
-	// Rng drives the routing's randomized rounding; nil derives a
-	// generator from Seed per Decide.
-	Rng *rand.Rand
-	// Seed seeds the rounding generator when Rng is nil; zero means
-	// rng.DefaultSeed.
-	Seed int64
-	// Workers bounds the subproblem solvers' worker pools.
-	Workers int
-	// MaxIters bounds the alternating rounds; zero means 10.
-	MaxIters int
-	// RoundingTrials is the routing layer's randomized-rounding draw
-	// count; zero means its default.
-	RoundingTrials int
-	// PlacementMethod picks the Section 4.3.1 subroutine variant.
-	PlacementMethod placement.PerPathMethod
-	// NoSolverReuse disables the carried SolveState; every subproblem
-	// then solves cold, reproducing single-shot historical behavior.
-	NoSolverReuse bool
+	Options
 	// Decompose, when non-nil, threads the partition-aware routing path
 	// into every round's routing subproblem (see routing.DecomposeOptions
 	// and the Decomposed strategy wrapping this).
 	Decompose *routing.DecomposeOptions
 
-	prev  *placement.Placement
-	state *core.SolveState
+	prev    *placement.Placement
+	perPath *lp.Solver
+	reuse   *routing.Reuse
 }
 
 // Name implements Strategy.
@@ -80,56 +56,93 @@ func (a *Alternating) Name() string { return "alternating" }
 // placement and no retained solver state.
 func (a *Alternating) Invalidate() {
 	a.prev = nil
-	a.state.Invalidate()
+	a.perPath.Invalidate()
+	a.reuse.Invalidate()
 }
 
-// Decide implements Strategy.
+// Decide implements Strategy. ctx is threaded into both subproblem solvers
+// and polled between rounds, so a deadline stops the optimizer mid-run.
 func (a *Alternating) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	spec := inst.Spec
-	opts := core.AlternatingOptions{
-		Fractional:      a.Fractional,
-		Rng:             a.Rng,
-		Seed:            a.Seed,
-		Workers:         a.Workers,
-		MaxIters:        a.MaxIters,
-		PlacementMethod: a.PlacementMethod,
-	}
-	opts.Routing.BestEffort = a.BestEffort
-	opts.Routing.RoundingTrials = a.RoundingTrials
-	opts.Routing.Decompose = a.Decompose
-	if !a.NoSolverReuse {
-		if a.state == nil {
-			a.state = core.NewSolveState()
-		}
-		opts.State = a.state
-	}
-	switch {
-	case a.WarmStart && a.prev != nil:
-		init := a.prev
-		if spec.CheckFeasible(init) != nil {
-			// Caches shrank or failed since the last solve: the lost
-			// content cannot seed this round's optimization.
-			init = init.Clone()
-			spec.EvictToFit(init)
-		}
-		opts.Initial = init
-	case inst.Initial != nil:
-		opts.Initial = inst.Initial
-	}
-	sol, err := core.Alternating(ctx, spec, opts)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	pths, uns := sol.Routing.Paths, sol.Routing.Unserved
-	cost, util := sol.Cost, sol.MaxUtilization
-	if a.BestEffort && len(uns) > 0 {
-		pths = repairStranded(spec, sol.Placement, pths, uns, inst.Distances())
-		// The repair moved content and dropped paths; re-measure.
-		cost, _, util = placement.EvaluateServing(spec, pths, sol.Placement)
+	maxIters := a.MaxIters
+	if maxIters <= 0 {
+		maxIters = 10
 	}
-	a.prev = sol.Placement
-	plan := &Plan{Placement: sol.Placement, Paths: pths, Unserved: uns, Cost: cost, MaxUtilization: util}
-	return plan, Stats{Iterations: sol.Iterations, Method: sol.Routing.Method}, nil
+	ropts := a.routing(a.rand())
+	ropts.Decompose = a.Decompose
+	var perPath *lp.Solver
+	if !a.NoSolverReuse {
+		if a.reuse == nil {
+			a.perPath, a.reuse = lp.NewSolver(), routing.NewReuse()
+		}
+		perPath, ropts.Reuse = a.perPath, a.reuse
+	}
+	pl := a.seed(inst)
+	best, err := routing.Route(ctx, spec, pl, ropts)
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("strategy: alternating initial routing: %w", err)
+	}
+	iters := 0
+	for iter := 1; iter <= maxIters; iter++ {
+		if err := pollCtx(ctx, "alternating round"); err != nil {
+			return nil, Stats{}, err
+		}
+		// Placement step: the serving paths of the incumbent routing
+		// define F_{r,f}; fractional path rates are handled natively.
+		newPl, err := placement.PlacePerPath(ctx, spec, best.Paths, placement.PerPathOptions{
+			Workers: a.Workers,
+			Solver:  perPath,
+		})
+		if err != nil {
+			return nil, Stats{}, fmt.Errorf("strategy: alternating round %d placement: %w", iter, err)
+		}
+		route, err := routing.Route(ctx, spec, newPl, ropts)
+		if err != nil {
+			return nil, Stats{}, fmt.Errorf("strategy: alternating round %d routing: %w", iter, err)
+		}
+		iters = iter
+		improved := route.Cost < best.Cost*(1-improveTol) ||
+			(route.Cost <= best.Cost*(1+improveTol) && route.MaxUtilization < best.MaxUtilization-improveTol)
+		if !improved {
+			break
+		}
+		pl, best = newPl, route
+	}
+	pths, uns := best.Paths, best.Unserved
+	cost, util := best.Cost, best.MaxUtilization
+	if a.BestEffort && len(uns) > 0 {
+		pths = repairStranded(spec, pl, pths, uns, inst.Distances())
+		// The repair moved content and dropped paths; re-measure.
+		cost, _, util = placement.EvaluateServing(spec, pths, pl)
+	}
+	a.prev = pl
+	plan := &Plan{Placement: pl, Paths: pths, Unserved: uns, Cost: cost, MaxUtilization: util}
+	return plan, Stats{Iterations: iters, Method: best.Method}, nil
+}
+
+// seed returns the placement the loop starts from: the previous Decide's
+// placement under WarmStart, else the instance's Initial, else the
+// pinned-only placement (everything served by the origin). The caller's
+// Initial is copied, because the plan's placement may be written to (the
+// best-effort repair), and a seed over the current capacities -- caches
+// shrank or failed since it was computed -- is copied and evicted down to
+// fit, so the loop starts feasible.
+func (a *Alternating) seed(inst Instance) *placement.Placement {
+	pl := inst.Initial
+	if a.WarmStart && a.prev != nil {
+		pl = a.prev
+	}
+	if pl == nil {
+		return inst.Spec.NewPlacement()
+	}
+	if pl == inst.Initial || inst.Spec.CheckFeasible(pl) != nil {
+		pl = pl.Clone()
+		inst.Spec.EvictToFit(pl)
+	}
+	return pl
 }
 
 // repairStranded is the degradation-aware post-pass of the best-effort

@@ -39,7 +39,7 @@ func (*SP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	pl, paths, err := placement.SP38(ctx, inst.Spec, origin, placement.PerPathAuto, nil)
+	pl, paths, err := placement.SP38(ctx, inst.Spec, origin, nil)
 	if err != nil {
 		return nil, Stats{}, err
 	}

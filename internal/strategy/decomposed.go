@@ -10,21 +10,7 @@ import (
 
 func init() {
 	register("decomposed", "partition-aware alternating optimizer: cells solve priced sub-LPs (DESIGN.md §10)",
-		func(o Options) Strategy {
-			return &Decomposed{
-				Alternating: Alternating{
-					Fractional:     o.Fractional,
-					WarmStart:      o.WarmStart,
-					BestEffort:     o.BestEffort,
-					Rng:            o.Rng,
-					Seed:           o.Seed,
-					Workers:        o.Workers,
-					MaxIters:       o.MaxIters,
-					RoundingTrials: o.RoundingTrials,
-					NoSolverReuse:  o.NoSolverReuse,
-				},
-			}
-		})
+		func(o Options) Strategy { return &Decomposed{Alternating: Alternating{Options: o}} })
 }
 
 // defaultCellTarget is the nodes-per-cell the partitioner aims for: about
@@ -44,9 +30,6 @@ const defaultCellTarget = 24
 // graph (pointer and generation) and cached across Decide calls.
 type Decomposed struct {
 	Alternating
-	// CellTarget is the partitioner's target cell size in nodes; zero
-	// means defaultCellTarget.
-	CellTarget int
 	// MinVars overrides the routing layer's monolithic-fallback threshold
 	// (flow-variable count); zero keeps the routing default.
 	MinVars int
@@ -82,11 +65,7 @@ func (d *Decomposed) cellAssignment(g *graph.Graph) *routing.DecomposeOptions {
 		return nil
 	}
 	if d.assignG != g || d.assignGen != g.Gen() {
-		target := d.CellTarget
-		if target <= 0 {
-			target = defaultCellTarget
-		}
-		k := (g.NumNodes() + target - 1) / target
+		k := (g.NumNodes() + defaultCellTarget - 1) / defaultCellTarget
 		if k < 2 {
 			k = 2
 		}

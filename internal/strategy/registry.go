@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+
+	"jcr/internal/rng"
+	"jcr/internal/routing"
 )
 
 // Options configure a strategy built from the registry. Zero values mean
@@ -41,6 +44,31 @@ type Options struct {
 	// (evicted down to the current capacities when caches shrank), the
 	// online controller's hour-to-hour operation.
 	WarmStart bool
+}
+
+// rand returns the caller's Rng, or a fresh generator from Seed (zero
+// means rng.DefaultSeed), so a run is bit-reproducible either way.
+func (o Options) rand() *rand.Rand {
+	if o.Rng != nil {
+		return o.Rng
+	}
+	seed := o.Seed
+	if seed == 0 {
+		seed = rng.DefaultSeed
+	}
+	return rng.New(seed)
+}
+
+// routing returns the routing-layer knobs these options carry, with r
+// driving its randomized rounding.
+func (o Options) routing(r *rand.Rand) routing.Options {
+	return routing.Options{
+		Fractional:     o.Fractional,
+		BestEffort:     o.BestEffort,
+		Workers:        o.Workers,
+		RoundingTrials: o.RoundingTrials,
+		Rng:            r,
+	}
 }
 
 // registration couples a builder with its registry metadata.

@@ -20,8 +20,8 @@ import (
 // are dropped and an edge listed in both directions collapses to one
 // undirected link (keeping the first direction's weight), matching how the
 // paper counts links; an exact repeat of the same directed edge is a
-// malformed file and rejected, as is a negative or non-numeric edge
-// weight/value — fault scenarios mutate topologies, so bad inputs must
+// malformed file and rejected, as is a negative, infinite, or non-numeric
+// edge weight/value — fault scenarios mutate topologies, so bad inputs must
 // fail loudly rather than seed a run with garbage. Costs default to 1 when
 // no weight/value key is present and capacities to unlimited (assign them
 // with AssignCosts / SetUniformCapacity afterwards).
@@ -133,8 +133,8 @@ func ParseGML(r io.Reader, name string, numEdgeNodes int) (*Network, error) {
 						if err != nil {
 							return nil, fmt.Errorf("topo: gml: edge %s %q is not a number", tokens[j], tokens[j+1])
 						}
-						if w < 0 || math.IsNaN(w) {
-							return nil, fmt.Errorf("topo: gml: edge %s %v is negative or NaN", tokens[j], w)
+						if w < 0 || math.IsNaN(w) || math.IsInf(w, 1) {
+							return nil, fmt.Errorf("topo: gml: edge %s %v must be finite and non-negative", tokens[j], w)
 						}
 						cost = w
 					}

@@ -93,6 +93,8 @@ func TestParseGMLErrors(t *testing.T) {
 		{"negative weight", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 weight -2 ] ]", "negative"},
 		{"negative value", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 value -0.5 ] ]", "negative"},
 		{"NaN weight", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 weight NaN ] ]", "NaN"},
+		{"inf weight", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 weight inf ] ]", "finite"},
+		{"+Inf value", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 value +Inf ] ]", "finite"},
 		{"non-numeric weight", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 weight fast ] ]", "not a number"},
 		{"duplicate directed edge", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 ] edge [ source 0 target 1 ] ]", "duplicate directed edge"},
 		{"duplicate directed self-loop", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 ] edge [ source 1 target 1 ] edge [ source 1 target 1 ] ]", "duplicate directed edge"},

@@ -342,8 +342,8 @@ func (n *Network) minHopTree() graph.ShortestTree {
 //	u v [cost] [capacity]
 //
 // with '#' comments. Node IDs must be dense integers starting at 0. Cost
-// defaults to 1 and capacity to unlimited. numEdgeNodes low-degree nodes
-// are designated as in Generate.
+// must be finite and non-negative and defaults to 1; capacity defaults to
+// unlimited. numEdgeNodes low-degree nodes are designated as in Generate.
 func ParseEdgeList(r io.Reader, name string, numEdgeNodes int) (*Network, error) {
 	type link struct {
 		u, v      int
@@ -381,8 +381,8 @@ func ParseEdgeList(r io.Reader, name string, numEdgeNodes int) (*Network, error)
 			}
 			// Validate here so malformed input files surface as errors
 			// rather than tripping graph.AddArc's programmer-error guard.
-			if l.cost < 0 || math.IsNaN(l.cost) {
-				return nil, fmt.Errorf("topo: line %d: cost %v must be non-negative", lineNo, l.cost)
+			if l.cost < 0 || math.IsNaN(l.cost) || math.IsInf(l.cost, 1) {
+				return nil, fmt.Errorf("topo: line %d: cost %v must be finite and non-negative", lineNo, l.cost)
 			}
 		}
 		if len(fields) >= 4 {

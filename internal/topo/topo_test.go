@@ -196,6 +196,9 @@ func TestParseEdgeListErrors(t *testing.T) {
 		"self loop":    "0 0",
 		"negative":     "-1 2",
 		"bad cost":     "0 1 x",
+		"NaN cost":     "0 1 NaN",
+		"inf cost":     "0 1 inf",
+		"+Inf cost":    "0 1 +Inf",
 		"bad capacity": "0 1 1 x",
 		"disconnected": "0 1\n2 3",
 	} {

@@ -13,10 +13,12 @@
 //     minimum-cost single-source unsplittable flow problem arising under
 //     binary cache capacities (SolveMSUFP).
 //   - The alternating caching/routing optimizer for general capacities
-//     (Alternating), in both IC-IR and IC-FR regimes.
+//     (the "alternating" Strategy), in both IC-IR and IC-FR regimes.
 //   - The greedy 1/(1+p)-approximate placement for heterogeneous item
 //     sizes (Greedy).
 //   - The exact FC-FR linear program (SolveFCFR).
+//   - The related-work baselines behind the same Strategy interface
+//     (NewStrategy), validated uniformly (ValidatePlan).
 //   - The full evaluation harness reproducing every table and figure of
 //     the paper (Experiments, RunExperiment).
 //
@@ -24,7 +26,8 @@
 //
 //	net := jcr.Abovenet(1)
 //	spec := &jcr.Spec{G: net.G, ...}
-//	sol, err := jcr.Alternating(spec, jcr.AlternatingOptions{})
+//	alt, _ := jcr.NewStrategy("alternating", jcr.StrategyOptions{})
+//	plan, stats, err := alt.Decide(ctx, jcr.Instance{Spec: spec})
 //
 // See examples/ for complete programs and DESIGN.md for the system map.
 package jcr
@@ -71,21 +74,8 @@ type (
 	Placement = placement.Placement
 	// ServingPath carries one response path and its rate.
 	ServingPath = placement.ServingPath
-	// Solution is a joint caching + routing solution.
-	Solution = core.Solution
-	// AlternatingOptions configure the general-case optimizer.
-	AlternatingOptions = core.AlternatingOptions
 	// RoutingOptions configure the routing subproblem solver.
 	RoutingOptions = routing.Options
-	// Regime selects FC-FR / IC-FR / IC-IR.
-	Regime = core.Regime
-)
-
-// Regime values.
-const (
-	FCFR = core.FCFR
-	ICFR = core.ICFR
-	ICIR = core.ICIR
 )
 
 // Alg1Result carries Algorithm 1's placement, RNR sources, and cost.
@@ -110,20 +100,12 @@ func Greedy(s *Spec, dist [][]float64) (*GreedyResult, error) {
 	return placement.Greedy(s, dist)
 }
 
-// Alternating runs the general-case alternating optimizer (Section 4.3.3).
-func Alternating(s *Spec, opts AlternatingOptions) (*Solution, error) {
-	return core.Alternating(nil, s, opts)
-}
-
 // Route solves the source-selection and routing subproblem for a fixed
 // placement (MMSFP under fractional routing, MMUFP via randomized rounding
 // under integral routing).
 func Route(s *Spec, pl *Placement, opts RoutingOptions) (*routing.Result, error) {
 	return routing.Route(nil, s, pl, opts)
 }
-
-// ValidateSolution checks feasibility and full service of a solution.
-func ValidateSolution(s *Spec, sol *Solution) error { return core.Validate(s, sol) }
 
 // FCFRResult is the exact fractional-caching/fractional-routing optimum.
 type FCFRResult = core.FCFRResult
@@ -166,6 +148,13 @@ type (
 	Strategy = strategy.Strategy
 	// StrategyOptions configure a registered strategy.
 	StrategyOptions = strategy.Options
+	// Instance is one Decide's input: the demand spec, optionally its
+	// all-pairs distances and a placement to seed warm-startable
+	// strategies.
+	Instance = strategy.Instance
+	// Plan is one Decide's output: a placement, its serving paths, any
+	// declared-unserved demand, and the predicted cost and congestion.
+	Plan = strategy.Plan
 )
 
 // NewStrategy builds a registered strategy by name (for example
@@ -173,6 +162,12 @@ type (
 func NewStrategy(name string, opts StrategyOptions) (Strategy, error) {
 	return strategy.New(name, opts)
 }
+
+// ValidatePlan checks a plan against the Eq. (1) feasibility invariants:
+// cache capacities, full service of every request (minus declared
+// unserved demand), real paths from replicas, and predicted cost and
+// congestion that match the paths.
+func ValidatePlan(inst Instance, p *Plan) error { return strategy.Validate(inst, p) }
 
 // Online-operation types (hourly re-optimization; see internal/online).
 type (

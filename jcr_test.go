@@ -46,11 +46,15 @@ func TestFacadeAlg1AndGreedy(t *testing.T) {
 
 func TestFacadeAlternatingAndValidate(t *testing.T) {
 	s := facadeSpec()
-	sol, err := Alternating(s, AlternatingOptions{})
+	alt, err := NewStrategy("alternating", StrategyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateSolution(s, sol); err != nil {
+	sol, _, err := alt.Decide(context.Background(), Instance{Spec: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidatePlan(Instance{Spec: s}, sol); err != nil {
 		t.Fatal(err)
 	}
 	fc, err := SolveFCFR(s)
@@ -95,8 +99,21 @@ func TestFacadeTopologiesAndRegimes(t *testing.T) {
 			t.Errorf("%s disconnected", n.Name)
 		}
 	}
-	if FCFR.String() != "FC-FR" || ICIR.String() != "IC-IR" {
-		t.Error("regime constants broken")
+	// The facade's regime knob: integral (IC-IR) or fractional (IC-FR)
+	// routing under the alternating strategy.
+	s := facadeSpec()
+	for _, frac := range []bool{false, true} {
+		alt, err := NewStrategy("alternating", StrategyOptions{Fractional: frac})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, _, err := alt.Decide(context.Background(), Instance{Spec: s})
+		if err != nil {
+			t.Fatalf("fractional=%v: %v", frac, err)
+		}
+		if err := ValidatePlan(Instance{Spec: s}, plan); err != nil {
+			t.Fatalf("fractional=%v: %v", frac, err)
+		}
 	}
 }
 

@@ -39,9 +39,11 @@ bench:
 # Machine-readable substrate micro-benchmarks (LP pivots/sec sparse vs
 # dense, warm-vs-cold solver resolves, MMSFP wall time, serving-layer
 # lookup/swap, experiment-harness times) for tracking the perf trajectory
-# across PRs.
+# across PRs. Writes the scratch report bench-compare reads, never the
+# committed baseline: pinning a new BENCH_prN.json is a deliberate copy of
+# this file.
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json
+	$(GO) run ./cmd/benchjson -out /tmp/bench_head.json
 
 # Perf gate: fail if the current tree regressed the LP or shortest-path
 # micro-benchmarks by more than 15% against the committed previous-PR

@@ -61,15 +61,24 @@ func Greedy(s *Spec, dist [][]float64) (*GreedyResult, error) {
 		return d
 	}
 
+	// gains[c][i] is delta(candidates[c], i). A pick lowers nearest only
+	// for its own item's requests, so only that item's column changes.
+	gains := make([][]float64, len(candidates))
+	for c, v := range candidates {
+		gains[c] = make([]float64, s.NumItems)
+		for i := range gains[c] {
+			gains[c][i] = delta(v, i)
+		}
+	}
 	for {
 		bestV, bestI := -1, -1
 		best := 0.0
-		for _, v := range candidates {
+		for c, v := range candidates {
 			for i := 0; i < s.NumItems; i++ {
 				if pl.Stores[v][i] || s.Size(i) > residual[v]+capSlack {
 					continue
 				}
-				if d := delta(v, i); d > best {
+				if d := gains[c][i]; d > best {
 					best, bestV, bestI = d, v, i
 				}
 			}
@@ -84,6 +93,9 @@ func Greedy(s *Spec, dist [][]float64) (*GreedyResult, error) {
 			if dd := dist[bestV][rq.Node]; dd < nearest[rq] {
 				nearest[rq] = dd
 			}
+		}
+		for c, v := range candidates {
+			gains[c][bestI] = delta(v, bestI)
 		}
 	}
 	src, cost, err := s.RNRSources(pl, dist)

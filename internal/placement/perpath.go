@@ -201,6 +201,15 @@ func placePerPathGreedy(ctx context.Context, s *Spec, paths []ServingPath) (*Pla
 		}
 		return d
 	}
+	// gains[c][i] is delta(candidates[c], i). A pick moves the cuts of
+	// its own item's paths only, so only that item's column changes.
+	gains := make([][]float64, len(candidates))
+	for c, v := range candidates {
+		gains[c] = make([]float64, s.NumItems)
+		for i := range gains[c] {
+			gains[c][i] = delta(v, i)
+		}
+	}
 	for {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -209,12 +218,12 @@ func placePerPathGreedy(ctx context.Context, s *Spec, paths []ServingPath) (*Pla
 		}
 		bestV, bestI := -1, -1
 		best := 0.0
-		for _, v := range candidates {
+		for c, v := range candidates {
 			for i := 0; i < s.NumItems; i++ {
 				if pl.Stores[v][i] || s.Size(i) > residual[v]+capSlack {
 					continue
 				}
-				if d := delta(v, i); d > best {
+				if d := gains[c][i]; d > best {
 					best, bestV, bestI = d, v, i
 				}
 			}
@@ -231,6 +240,9 @@ func placePerPathGreedy(ctx context.Context, s *Spec, paths []ServingPath) (*Pla
 					break
 				}
 			}
+		}
+		for c, v := range candidates {
+			gains[c][bestI] = delta(v, bestI)
 		}
 	}
 	return pl, nil

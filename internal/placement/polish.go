@@ -12,78 +12,92 @@ import (
 // the removed item's loss, both computable from the per-request nearest and
 // second-nearest replica distances. Homogeneous item sizes only (Alg. 1's
 // setting).
+//
+// The same disjointness keeps the pass incremental: the nearest-two
+// distances are cached per request and refreshed only for the item whose
+// Stores column a fill or swap toggles, and an item's gain at a node is
+// computed once per visit, since no move at that node changes the gain of
+// an item it did not touch.
 func polishPlacement(s *Spec, dist [][]float64, wmax float64, pl *Placement, nodes []graph.NodeID) {
-	reqsByItem := make([][]Request, s.NumItems)
-	for _, rq := range s.Requests() {
-		reqsByItem[rq.Item] = append(reqsByItem[rq.Item], rq)
+	// near[i][k] holds the best and second-best replica distances (wmax
+	// when absent) and the best replica of the k-th request of item i.
+	type nearest struct {
+		rq     Request
+		d1, d2 float64
+		v1     graph.NodeID
 	}
-	// nearestTwo returns the best and second-best replica distances for
-	// request rq (wmax when absent).
-	nearestTwo := func(rq Request) (d1, d2 float64, v1 graph.NodeID) {
-		d1, d2 = wmax, wmax
-		v1 = -1
-		for v := range pl.Stores {
-			if !pl.Stores[v][rq.Item] {
-				continue
-			}
-			d := dist[v][rq.Node]
-			if d < d1 {
-				d2 = d1
-				d1, v1 = d, v
-			} else if d < d2 {
-				d2 = d
+	near := make([][]nearest, s.NumItems)
+	for _, rq := range s.Requests() {
+		near[rq.Item] = append(near[rq.Item], nearest{rq: rq})
+	}
+	refresh := func(i int) {
+		for k := range near[i] {
+			n := &near[i][k]
+			n.d1, n.d2, n.v1 = wmax, wmax, -1
+			for v := range pl.Stores {
+				if !pl.Stores[v][i] {
+					continue
+				}
+				d := dist[v][n.rq.Node]
+				if d < n.d1 {
+					n.d2 = n.d1
+					n.d1, n.v1 = d, v
+				} else if d < n.d2 {
+					n.d2 = d
+				}
 			}
 		}
-		return d1, d2, v1
+	}
+	for i := range near {
+		refresh(i)
 	}
 	gainOf := func(v graph.NodeID, i int) float64 {
 		var g float64
-		for _, rq := range reqsByItem[i] {
-			d1, _, _ := nearestTwo(rq)
-			if d := dist[v][rq.Node]; d < d1 {
-				g += s.Rates[i][rq.Node] * (d1 - d)
+		for _, n := range near[i] {
+			if d := dist[v][n.rq.Node]; d < n.d1 {
+				g += s.Rates[i][n.rq.Node] * (n.d1 - d)
 			}
 		}
 		return g
 	}
 	lossOf := func(v graph.NodeID, i int) float64 {
 		var l float64
-		for _, rq := range reqsByItem[i] {
-			d1, d2, v1 := nearestTwo(rq)
-			if v1 == v {
-				l += s.Rates[i][rq.Node] * (d2 - d1)
+		for _, n := range near[i] {
+			if n.v1 == v {
+				l += s.Rates[i][n.rq.Node] * (n.d2 - n.d1)
 			}
 		}
 		return l
 	}
+	// gains[i] is gainOf(v, i) for the node v being visited, for the
+	// items v does not store.
+	gains := make([]float64, s.NumItems)
 	const maxRounds = 5
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		for _, v := range nodes {
+			used := 0.0
+			for i := 0; i < s.NumItems; i++ {
+				if pl.Stores[v][i] {
+					used++
+				} else {
+					gains[i] = gainOf(v, i)
+				}
+			}
 			// Fill any slack with the best-gaining items.
-			for {
-				used := 0.0
-				for i := 0; i < s.NumItems; i++ {
-					if pl.Stores[v][i] {
-						used++
-					}
-				}
-				if used+1 > s.CacheCap[v]+capSlack {
-					break
-				}
+			for used+1 <= s.CacheCap[v]+capSlack {
 				bestI, bestG := -1, gainEps
 				for i := 0; i < s.NumItems; i++ {
-					if pl.Stores[v][i] {
-						continue
-					}
-					if g := gainOf(v, i); g > bestG {
-						bestI, bestG = i, g
+					if !pl.Stores[v][i] && gains[i] > bestG {
+						bestI, bestG = i, gains[i]
 					}
 				}
 				if bestI < 0 {
 					break
 				}
 				pl.Stores[v][bestI] = true
+				refresh(bestI)
+				used++
 				improved = true
 			}
 			// Best single swap at v: distinct items' request sets are
@@ -99,7 +113,7 @@ func polishPlacement(s *Spec, dist [][]float64, wmax float64, pl *Placement, nod
 					if pl.Stores[v][in] {
 						continue
 					}
-					if net := gainOf(v, in) - loss; net > bestNet {
+					if net := gains[in] - loss; net > bestNet {
 						bestNet, bestIn, bestOut = net, in, out
 					}
 				}
@@ -107,6 +121,8 @@ func polishPlacement(s *Spec, dist [][]float64, wmax float64, pl *Placement, nod
 			if bestIn >= 0 {
 				pl.Stores[v][bestOut] = false
 				pl.Stores[v][bestIn] = true
+				refresh(bestOut)
+				refresh(bestIn)
 				improved = true
 			}
 		}

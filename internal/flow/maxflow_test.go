@@ -13,7 +13,7 @@ func maxFlow(g *graph.Graph, src, dst graph.NodeID) *Result {
 	if src == dst {
 		return &Result{Arc: make([]float64, g.NumArcs())}
 	}
-	r := newResNet(g, nil, nil)
+	r := newResNet(g, nil, src, nil)
 	defer resNetPool.Put(r)
 	queue := make([]int, 0, r.n)
 	parent := make([]int, r.n)

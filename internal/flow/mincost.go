@@ -1,15 +1,34 @@
 // Package flow implements single-commodity network-flow algorithms on the
 // library's directed graphs: minimum-cost flow via successive shortest
-// paths with Johnson potentials, Edmonds-Karp maximum flow, and the
-// decomposition of arc flows into at most |E| simple paths used throughout
-// the paper (Algorithm 2 line 2, Section 4.3.1).
+// paths with Johnson potentials, and the decomposition of arc flows into
+// at most |E| simple paths used throughout the paper (Algorithm 2 line 2,
+// Section 4.3.1).
+//
+// The min-cost flow's first iteration is a tree phase. Its Dijkstra runs
+// with zero potentials, so the labels are true distances d and the parents
+// a shortest-path tree. The phase then serves the sink's in-arcs in
+// increasing distance along that tree, pushing what the plain loop would,
+// until a push binds on a tree arc. Each push is a shortest augmenting
+// path: with potentials d every live reduced cost is nonnegative and every
+// tree arc, and each reverse arc a push opens, costs 0; raising the sink's
+// potential to the distance of the in-arc being pushed keeps that true,
+// because the in-arcs pushed before it are saturated. The loop resumes
+// from these potentials for whatever is left. While no tree arc has died,
+// the loop's own next Dijkstra would see the whole tree at reduced
+// distance 0 and pick the next in-arc in the same order, so with distinct
+// distances the flow is the one the plain loop returns, bit for bit.
+// The residual network also leaves out arcs whose tail no flow can reach
+// (a node other than the source with no entering arcs): in the auxiliary
+// graph, the other items' virtual-source arcs.
 package flow
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"jcr/internal/graph"
@@ -59,6 +78,7 @@ type resNet struct {
 	done   []bool
 	heap   []hEnt
 	pot    []float64
+	in     []int // shipTree's in-arcs of dst
 }
 
 // resNetPool recycles residual networks, arrays included, across flows:
@@ -82,12 +102,15 @@ type hEnt struct {
 	d float64
 }
 
-// newResNet builds the residual network of g. capOf, when non-nil,
-// overrides the capacity of every arc of g. Each sink appends one
-// zero-cost arc of capacity Amount from its node to an added super sink
-// (node g.NumNodes()), in the order given, after g's arcs; its residual
-// pair carries orig = g.NumArcs() + its position in sinks.
-func newResNet(g *graph.Graph, capOf func(graph.ArcID) float64, sinks []Demand) *resNet {
+// newResNet builds the residual network of g for flows out of src. capOf,
+// when non-nil, overrides the capacity of every arc of g. Arcs leaving a
+// node other than src that has no entering arcs are left out, since no
+// flow from src reaches them; the kept arcs keep their relative order, so
+// every adjacency list, and with it every heap sequence, is unchanged. Each
+// sink appends one zero-cost arc of capacity Amount from its node to an
+// added super sink (node g.NumNodes()), in the order given, after g's arcs;
+// its residual pair carries orig = g.NumArcs() + its position in sinks.
+func newResNet(g *graph.Graph, capOf func(graph.ArcID) float64, src graph.NodeID, sinks []Demand) *resNet {
 	n := g.NumNodes()
 	m := g.NumArcs()
 	if sinks != nil {
@@ -107,6 +130,9 @@ func newResNet(g *graph.Graph, capOf func(graph.ArcID) float64, sinks []Demand) 
 	}
 	for id := 0; id < m; id++ {
 		a := g.Arc(id)
+		if a.From != src && g.InDegree(a.From) == 0 {
+			continue
+		}
 		c := a.Cap
 		if capOf != nil {
 			c = capOf(id)
@@ -222,15 +248,16 @@ func (r *resNet) dijkstra(src int, pot []float64) (dist []float64, parent []int)
 // enforces. An infinite value ships as much as possible at minimum cost
 // (min-cost max-flow).
 //
-// The successive-shortest-path loop polls ctx before every augmentation and
-// aborts with an error wrapping ctx.Err() once the context is done, so a
-// caller-imposed deadline stops the solver between augmentations instead
-// of running the instance to completion. A nil ctx means no cancellation.
+// The successive-shortest-path loop polls ctx before every shortest-path
+// search and aborts with an error wrapping ctx.Err() once the context is
+// done, so a caller-imposed deadline stops the solver between
+// augmentations instead of running the instance to completion. A nil ctx
+// means no cancellation.
 func MinCostFlow(ctx context.Context, g *graph.Graph, src, dst graph.NodeID, value float64) (*Result, error) {
 	if src == dst {
 		return &Result{Arc: make([]float64, g.NumArcs())}, nil
 	}
-	r := newResNet(g, nil, nil)
+	r := newResNet(g, nil, src, nil)
 	defer resNetPool.Put(r)
 	if err := r.ship(ctx, src, dst, value); err != nil {
 		return nil, err
@@ -255,7 +282,7 @@ type Demand struct {
 // capacities and the sink arcs appended. It returns
 // ErrInsufficientCapacity if the network cannot carry the total demand.
 func MinCostFlowToSinks(ctx context.Context, g *graph.Graph, capOf func(graph.ArcID) float64, src graph.NodeID, sinks []Demand) ([]float64, error) {
-	r := newResNet(g, capOf, sinks)
+	r := newResNet(g, capOf, src, sinks)
 	defer resNetPool.Put(r)
 	var total float64
 	for _, d := range sinks {
@@ -268,7 +295,8 @@ func MinCostFlowToSinks(ctx context.Context, g *graph.Graph, capOf func(graph.Ar
 }
 
 // ship runs successive shortest paths from src to dst until value units
-// are shipped (as much as possible for an infinite value).
+// are shipped (as much as possible for an infinite value). For a finite
+// value the first iteration is the tree phase (shipTree).
 func (r *resNet) ship(ctx context.Context, src, dst int, value float64) error {
 	r.pot = resize(r.pot, r.n)
 	pot := r.pot
@@ -277,8 +305,10 @@ func (r *resNet) ship(ctx context.Context, src, dst int, value float64) error {
 	// Relative tolerance: float dust at ~1e6 request-rate scale must not
 	// read as unroutable demand.
 	tol := eps
+	tree := false
 	if !math.IsInf(value, 1) {
 		tol = eps * (1 + value)
+		tree = true
 	}
 	for remaining > tol {
 		if ctx != nil {
@@ -299,42 +329,102 @@ func (r *resNet) ship(ctx context.Context, src, dst int, value float64) error {
 				pot[v] += dist[v]
 			}
 		}
-		// Bottleneck along the shortest path.
-		bottleneck := remaining
-		for v := dst; v != src; {
-			a := parent[v]
-			if r.cap[a] < bottleneck {
-				bottleneck = r.cap[a]
-			}
-			v = r.to[a^1]
+		if tree {
+			tree = false
+			remaining = r.shipTree(src, dst, remaining, tol, parent)
+			continue
 		}
-		if math.IsInf(bottleneck, 1) {
-			// Entire path uncapacitated; ship everything left.
-			bottleneck = remaining
-		}
-		for v := dst; v != src; {
-			a := parent[v]
-			r.cap[a] -= bottleneck
-			r.cap[a^1] += bottleneck
-			v = r.to[a^1]
-		}
-		remaining -= bottleneck
+		amount := r.bottleneck(src, parent[dst], parent, remaining)
+		r.push(src, parent[dst], parent, amount)
+		remaining -= amount
 	}
 	return nil
+}
+
+// shipTree is ship's first iteration, the tree phase of the package
+// comment. Its Dijkstra ran with zero potentials, so pot holds the tree
+// distances. It walks dst's live in-arcs in increasing distance (the
+// tail's distance plus the arc's cost) and pushes along each one's tree
+// path what the loop would. It stops before a path that crosses a dead
+// arc (only a path through dst itself can), and after a push that leaves
+// the in-arc live, that is, one that bound on a tree arc. It returns the
+// units left to ship.
+func (r *resNet) shipTree(src, dst int, remaining, tol float64, parent []int) float64 {
+	pot := r.pot
+	in := r.in[:0]
+	for a := r.head[dst]; a >= 0; a = r.next[a] {
+		// a runs from dst to u, so b = a^1 is an arc from u into dst.
+		u, b := r.to[a], a^1
+		if r.cap[b] > eps && u != dst && (u == src || parent[u] >= 0) {
+			in = append(in, b)
+		}
+	}
+	key := func(b int) float64 { return r.cost[b] + pot[r.to[b^1]] }
+	slices.SortStableFunc(in, func(x, y int) int { return cmp.Compare(key(x), key(y)) })
+	r.in = in
+	for _, b := range in {
+		if remaining <= tol {
+			break
+		}
+		amount := r.bottleneck(src, b, parent, remaining)
+		if amount <= eps {
+			break
+		}
+		pot[dst] = key(b)
+		r.push(src, b, parent, amount)
+		remaining -= amount
+		if r.cap[b] > eps {
+			break
+		}
+	}
+	return remaining
+}
+
+// bottleneck returns what the loop pushes along the path that ends with
+// residual arc last and otherwise follows parent back to src: the least of
+// remaining and the path's residual capacities, or everything left when
+// no capacity on the path is finite.
+func (r *resNet) bottleneck(src, last int, parent []int, remaining float64) float64 {
+	b := remaining
+	for a := last; ; a = parent[r.to[a^1]] {
+		if r.cap[a] < b {
+			b = r.cap[a]
+		}
+		if r.to[a^1] == src {
+			break
+		}
+	}
+	if math.IsInf(b, 1) {
+		// Entire path uncapacitated; ship everything left.
+		b = remaining
+	}
+	return b
+}
+
+// push sends amount along the path bottleneck measured.
+func (r *resNet) push(src, last int, parent []int, amount float64) {
+	for a := last; ; a = parent[r.to[a^1]] {
+		r.cap[a] -= amount
+		r.cap[a^1] += amount
+		if r.to[a^1] == src {
+			return
+		}
+	}
 }
 
 // extract reads the flow on g's arcs off the residual network; the sink
 // arcs of MinCostFlowToSinks come after them and are left out.
 func (r *resNet) extract(g *graph.Graph, src graph.NodeID) *Result {
-	res := &Result{Arc: make([]float64, g.NumArcs())}
-	for k := 0; k < 2*g.NumArcs(); k += 2 {
+	m := g.NumArcs()
+	res := &Result{Arc: make([]float64, m)}
+	for k := 0; k < len(r.to); k += 2 {
 		// Flow on the original arc equals the residual capacity of the
 		// backward arc.
 		f := r.cap[k+1]
-		if f < eps {
+		id := r.orig[k]
+		if f < eps || id >= m {
 			continue
 		}
-		id := r.orig[k]
 		res.Arc[id] += f
 		res.Cost += f * g.Arc(id).Cost
 	}

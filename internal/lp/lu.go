@@ -402,6 +402,12 @@ type basisLU struct {
 	refactors int64 // luFactorize calls, including the initial one
 	updates   int64 // eta updates appended
 	updateNNZ int64 // total off-pivot nonzeros across appended etas
+
+	// forceUnstableUpdate, when true, makes the next eta update report
+	// itself as unstable regardless of its pivot magnitude, exercising the
+	// stability-triggered refactorization path on demand. Set only by
+	// tests; the update that consumes it resets it.
+	forceUnstableUpdate bool
 }
 
 const (
@@ -417,12 +423,6 @@ const (
 	// work trigger never fires (e.g. an extremely dense LU).
 	maxEtas = 512
 )
-
-// forceUnstableUpdate, when true, makes the next eta update report itself
-// as unstable regardless of its pivot magnitude, exercising the
-// stability-triggered refactorization path on demand. Test-only; the
-// update that consumes it resets it.
-var forceUnstableUpdate bool
 
 func newBasisLU(f *stdForm, basis []int) (*basisLU, error) {
 	b := &basisLU{tmp: make([]float64, f.m)}
@@ -492,8 +492,8 @@ func (b *basisLU) update(r int, d []float64) (needRefactor bool) {
 			}
 		}
 	}
-	if forceUnstableUpdate {
-		forceUnstableUpdate = false
+	if b.forceUnstableUpdate {
+		b.forceUnstableUpdate = false
 		return true
 	}
 	if math.Abs(d[r]) <= ftStabTol*dmax {

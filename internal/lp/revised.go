@@ -123,6 +123,15 @@ func (r *revised) fillCounters(sol *Solution) {
 }
 
 func (r *revised) solve() error {
+	if err := r.factorInitial(); err != nil {
+		return err
+	}
+	return r.phases()
+}
+
+// factorInitial starts a cold solve: it resets the counters and factorizes
+// the initial basis.
+func (r *revised) factorInitial() error {
 	r.statsMark()
 	// The initial basis is slack/artificial columns, i.e. the identity, so
 	// this factorization cannot fail.
@@ -132,6 +141,12 @@ func (r *revised) solve() error {
 	}
 	r.b = b
 	r.markRefactors = 0 // count the initial factorization for this solve
+	return nil
+}
+
+// phases runs phase 1 and phase 2 of a cold solve from the factorized
+// initial basis.
+func (r *revised) phases() error {
 	// Phase 1: minimize the sum of artificial variables.
 	if r.f.artFrom < r.f.n {
 		for j := r.f.artFrom; j < r.f.n; j++ {

@@ -50,12 +50,6 @@ func (s SolverStats) AvgEtaNNZ() float64 {
 // escapes the package.
 var errWarmFallback = errors.New("lp: warm start abandoned")
 
-// forceWarmNumericFailure, when true, makes the next warm-start attempt
-// treat its basis refactorization as numerically singular (the errNumeric
-// condition), exercising the cold-fallback path on demand. Test-only; the
-// attempt that consumes it resets it.
-var forceWarmNumericFailure bool
-
 // Solver is a reusable handle over the sparse revised simplex. A one-shot
 // Problem.Solve rebuilds the standardized form, factorizes the
 // slack/artificial basis, and runs phase 1 before every solve; a Solver
@@ -115,6 +109,12 @@ type Solver struct {
 	// by sparse RHS-delta FTRANs; a periodic full recompute sheds the
 	// accumulated drift.
 	deltaSolves int
+
+	// forceWarmNumericFailure, when true, makes the next warm-start
+	// attempt treat its basis refactorization as numerically singular
+	// (the errNumeric condition), exercising the cold-fallback path on
+	// demand. Set only by tests; the attempt that consumes it resets it.
+	forceWarmNumericFailure bool
 }
 
 // warmChange summarizes what a warm update actually changed, which decides
@@ -319,10 +319,10 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	r.ctx = ctx
 	// Rung 0: refresh the factorization and the basic values, as cheaply
 	// as the change set allows.
-	if ch.valsBasic || forceWarmNumericFailure {
+	if ch.valsBasic || s.forceWarmNumericFailure {
 		ferr := r.b.refactor(r.f, r.basis)
-		if forceWarmNumericFailure {
-			forceWarmNumericFailure = false
+		if s.forceWarmNumericFailure {
+			s.forceWarmNumericFailure = false
 			ferr = errNumeric
 		}
 		if ferr != nil {

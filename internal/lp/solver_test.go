@@ -394,10 +394,9 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 	if err := p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 9); err != nil {
 		t.Fatal(err)
 	}
-	forceWarmNumericFailure = true
+	s.forceNextWarmNumericFailure()
 	sol, err := s.Solve(nil, p)
-	if forceWarmNumericFailure {
-		forceWarmNumericFailure = false
+	if s.warmNumericFailurePending() {
 		t.Fatal("warm attempt never consumed the forced failure")
 	}
 	if err != nil {
@@ -521,8 +520,9 @@ func TestSolverBoundBecomesInfinite(t *testing.T) {
 // discipline: an update whose pivot element is relatively tiny must be
 // refused in favor of a fresh factorization, not absorbed. The test-only
 // forceUnstableUpdate hook makes the first eta append of a solve report
-// instability; the solve must complete with one extra refactorization and
-// the identical objective.
+// instability (solveForcingUnstableUpdate sets it on the solve's
+// factorization); the solve must complete with one extra refactorization
+// and the identical objective.
 func TestStabilityTriggeredRefactor(t *testing.T) {
 	build := func() *Problem {
 		p := NewProblem(3)
@@ -545,9 +545,7 @@ func TestStabilityTriggeredRefactor(t *testing.T) {
 	if base.EtaUpdates == 0 {
 		t.Fatalf("baseline solve performed no eta updates (pivots=%d); the hook would not fire", base.Pivots)
 	}
-	forceUnstableUpdate = true
-	forced, err := build().Solve(nil)
-	forceUnstableUpdate = false
+	forced, err := solveForcingUnstableUpdate(build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,8 +235,9 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 
 	// Decompose each item's flow into per-request path options.
 	type reqOptions struct {
-		rq   placement.Request
-		list []flow.PathFlow
+		rq     placement.Request
+		demand float64
+		list   []flow.PathFlow
 	}
 	var all []reqOptions
 	for k, ad := range active {
@@ -265,8 +266,9 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 				list[j].Path, _ = aux.StripVirtual(list[j].Path)
 			}
 			all = append(all, reqOptions{
-				rq:   placement.Request{Item: ad.item, Node: sink},
-				list: list,
+				rq:     placement.Request{Item: ad.item, Node: sink},
+				demand: ad.sinks[sink],
+				list:   list,
 			})
 		}
 	}
@@ -283,14 +285,6 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 	// Randomized rounding (MMUFP): draw each request's single path with
 	// probability proportional to its flow; repeat and keep the draw
 	// with the least congestion, then the least cost.
-	demandOf := func(ro reqOptions) float64 {
-		for _, ad := range active {
-			if ad.item == ro.rq.Item {
-				return ad.sinks[ro.rq.Node]
-			}
-		}
-		return 0
-	}
 	var best *Result
 	var spare []placement.ServingPath // a losing trial's paths, reused
 	for trial := 0; trial < opts.RoundingTrials; trial++ {
@@ -322,7 +316,7 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 					pick -= pf.Amount
 				}
 			}
-			paths = append(paths, placement.ServingPath{Req: ro.rq, Path: chosen.Path, Rate: demandOf(ro)})
+			paths = append(paths, placement.ServingPath{Req: ro.rq, Path: chosen.Path, Rate: ro.demand})
 		}
 		cost, loads, maxUtil := placement.EvaluateServing(s, paths, pl)
 		cand := &Result{Paths: paths, Cost: cost, Loads: loads, MaxUtilization: maxUtil, Method: method, Unserved: unserved, Decomposed: dinfo}

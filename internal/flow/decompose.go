@@ -49,6 +49,9 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[g
 	tol := eps * (1 + total)
 	arcTol := arcEpsRel * (1 + total)
 	var out []PathFlow
+	// Every walk is built in this one buffer; a finished path is copied
+	// out once, at its final length.
+	var arcs []graph.ArcID
 	// visitStamp marks nodes on the current walk for cycle detection.
 	stamp := make([]int, g.NumNodes())
 	walkID := 0
@@ -57,7 +60,7 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[g
 		walkID++
 		// Walk from src along positive-flow arcs until reaching a sink
 		// with remaining demand. On revisiting a node, cancel the cycle.
-		var arcs []graph.ArcID
+		arcs = arcs[:0]
 		v := src
 		stamp[v] = walkID
 		for {
@@ -84,19 +87,16 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[g
 			}
 			w := g.Arc(next).To
 			if stamp[w] == walkID {
-				// Found a cycle; cancel it and restart the walk.
-				cycleStart := -1
+				// Found a cycle, arcs[cycleStart:] plus next; cancel it
+				// and restart the walk.
+				cycleStart := len(arcs)
 				for k, id := range arcs {
 					if g.Arc(id).From == w {
 						cycleStart = k
 						break
 					}
 				}
-				var cycle []graph.ArcID
-				if cycleStart >= 0 {
-					cycle = append(cycle, arcs[cycleStart:]...)
-				}
-				cycle = append(cycle, next)
+				cycle := append(arcs[cycleStart:], next)
 				minf := res[cycle[0]]
 				for _, id := range cycle[1:] {
 					if res[id] < minf {
@@ -107,7 +107,7 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[g
 					res[id] -= minf
 				}
 				// Restart the walk from scratch.
-				arcs = nil
+				arcs = arcs[:0]
 				v = src
 				walkID++
 				stamp[v] = walkID
@@ -133,7 +133,7 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[g
 		remaining[v] -= amount
 		total -= amount
 		out = append(out, PathFlow{
-			Path:   graph.Path{Arcs: arcs},
+			Path:   graph.Path{Arcs: append([]graph.ArcID(nil), arcs...)},
 			Amount: amount,
 			Sink:   v,
 		})

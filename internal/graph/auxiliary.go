@@ -50,14 +50,14 @@ func (a *Auxiliary) IsVirtualArc(id ArcID) bool { return id >= a.Base.NumArcs() 
 // graph, returning the base-graph path and the selected real source. A path
 // that does not start with a virtual arc is returned unchanged with its own
 // source node. Arc IDs of non-virtual arcs coincide between base and
-// auxiliary graphs by construction.
+// auxiliary graphs by construction. The base path shares p's arc storage
+// instead of copying it; paths are read-only once built.
 func (a *Auxiliary) StripVirtual(p Path) (base Path, source NodeID) {
 	if len(p.Arcs) == 0 {
 		return p, -1
 	}
 	if a.IsVirtualArc(p.Arcs[0]) {
-		src := a.G.Arc(p.Arcs[0]).To
-		return Path{Arcs: append([]ArcID(nil), p.Arcs[1:]...)}, src
+		return Path{Arcs: p.Arcs[1:]}, a.G.Arc(p.Arcs[0]).To
 	}
 	return p, a.G.Arc(p.Arcs[0]).From
 }

@@ -81,6 +81,26 @@ func BenchmarkServeLookup(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkServeLookupBurst stores whole Routes into a reused slice, 256
+// per op, the shape of the end-to-end benchmark's timed lookup burst.
+// Unlike BenchmarkServeLookup, which keeps one field, it pays for copying
+// every Route out, so it reports the per-lookup cost a caller sees.
+func BenchmarkServeLookupBurst(b *testing.B) {
+	dp, sample, picks := benchServeSetup(b)
+	const burst = 256
+	routes := make([]Route, burst)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := (i * burst) & (len(sample) - 1)
+		for k := range routes {
+			q := base + k
+			routes[k] = dp.Lookup(sample[q].Item, sample[q].Node, picks[q])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/lookup")
+}
+
 // BenchmarkPlanSwap measures a full validated plan install: SelfCheck plus
 // the atomic swap, the latency a push adds before new routes serve.
 func BenchmarkPlanSwap(b *testing.B) {

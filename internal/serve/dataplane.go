@@ -37,8 +37,10 @@ func (k RouteKind) String() string {
 }
 
 // Route is one resolved serving decision: which replica answers and over
-// which path. It is a value view into immutable plan or fail-safe arrays —
-// constructing or copying one allocates nothing.
+// which path. It is a 48-byte value: the exported fields plus a view
+// (table pointer and span) into the immutable path table of the plan or
+// fail-safe table that resolved it, so constructing or copying one
+// allocates nothing and moves six words.
 type Route struct {
 	// Kind is the ladder rung that resolved the lookup.
 	Kind RouteKind
@@ -49,41 +51,35 @@ type Route struct {
 	// Cost is the route's path cost.
 	Cost float64
 
-	arcs     []int32
-	from, to []int32
+	path PathView
 }
 
 // Resolved reports whether the lookup produced a usable route.
 func (r Route) Resolved() bool { return r.Kind != RouteNone }
 
 // Hops reports the number of arcs on the route (0 for a local hit).
-func (r Route) Hops() int { return len(r.arcs) }
+func (r Route) Hops() int { return r.path.Len() }
 
 // Arc returns the j-th arc ID of the route, in replica→requester order,
 // relative to the graph snapshot that produced the route.
-func (r Route) Arc(j int) graph.ArcID { return graph.ArcID(r.arcs[j]) }
+func (r Route) Arc(j int) graph.ArcID { return r.path.Arc(j) }
 
 // Node returns the j-th node of the route's node sequence, j in [0, Hops()].
 // Undefined for local hits (no arcs).
-func (r Route) Node(j int) graph.NodeID {
-	if j == 0 {
-		return graph.NodeID(r.from[r.arcs[0]])
-	}
-	return graph.NodeID(r.to[r.arcs[j-1]])
-}
+func (r Route) Node(j int) graph.NodeID { return r.path.Node(j) }
 
 // DataPlane answers replica/path lookups. All serving state is reached
 // through one atomic plan pointer plus the immutable fail-safe table, so
 // the read path is lock-free, allocation-free, and completely independent
 // of the control plane's health: a dead, hung, or garbage-pushing control
 // plane leaves lookups serving the last-known-good plan and fail-safe
-// routes. Counters are plain atomics; a Metrics snapshot is consistent
-// enough for monitoring, not a transaction.
+// routes. Counters are plain atomics, one add per lookup on the rung that
+// answered it; a Metrics snapshot is consistent enough for monitoring, not
+// a transaction.
 type DataPlane struct {
 	fs   *Failsafe
 	plan atomic.Pointer[CompiledPlan]
 
-	lookups        atomic.Uint64
 	planServed     atomic.Uint64
 	failsafeServed atomic.Uint64
 	unresolved     atomic.Uint64
@@ -161,11 +157,10 @@ func (d *DataPlane) validate(p *CompiledPlan) error {
 //
 //jcr:hotpath
 func (d *DataPlane) Lookup(item int, node graph.NodeID, pick uint64) Route {
-	d.lookups.Add(1)
 	if p := d.plan.Load(); p != nil {
-		if rs, ok := p.Routes(item, node); ok {
+		if g, ok := p.group(item, node); ok {
 			d.planServed.Add(1)
-			return pickRoute(p, rs, pick)
+			return pickRoute(p, g, pick)
 		}
 	}
 	if node >= 0 && node < d.fs.numNodes && d.fs.server[node] >= 0 {
@@ -174,50 +169,39 @@ func (d *DataPlane) Lookup(item int, node graph.NodeID, pick uint64) Route {
 			Kind:    RouteFailsafe,
 			Replica: graph.NodeID(d.fs.server[node]),
 			Cost:    d.fs.dist[node],
-			arcs:    d.fs.arcs[d.fs.arcOff[node]:d.fs.arcOff[node+1]],
-			from:    d.fs.arcFrom,
-			to:      d.fs.arcTo,
+			path:    d.fs.paths.view(int32(node)),
 		}
 	}
 	d.unresolved.Add(1)
 	return Route{Kind: RouteNone, Replica: -1}
 }
 
-// pickRoute selects one of a request's split routes, weighted by rate:
-// pick's high 53 bits map uniformly onto [0, group rate), and the walk
+// pickRoute selects one of group g's split routes, weighted by rate:
+// pick's high 53 bits map uniformly onto [0, groupRate[g]), and the walk
 // settles on the route whose cumulative rate interval contains the target.
 // Zero-total groups (all-zero split rates) settle on the first route. The
 // choice is a pure function of (plan, request, pick).
 //
 //jcr:hotpath
-func pickRoute(p *CompiledPlan, rs Routes, pick uint64) Route {
-	k := 0
-	if n := int(rs.hi - rs.lo); n > 1 {
-		total := 0.0
-		for r := rs.lo; r < rs.hi; r++ {
-			total += p.routeRate[r]
-		}
-		if total > rateEps {
-			target := float64(pick>>11) / (1 << 53) * total
-			cum := 0.0
-			for i := 0; i < n-1; i++ {
-				cum += p.routeRate[rs.lo+int32(i)]
-				if target < cum {
-					break
-				}
-				k = i + 1
+func pickRoute(p *CompiledPlan, g int, pick uint64) Route {
+	lo, hi := p.groupOff[g], p.groupOff[g+1]
+	rt := lo
+	if total := p.groupRate[g]; hi-lo > 1 && total > rateEps {
+		target := float64(pick>>11) / (1 << 53) * total
+		cum := 0.0
+		for ; rt < hi-1; rt++ {
+			cum += p.routeRate[rt]
+			if target < cum {
+				break
 			}
 		}
 	}
-	rt := rs.lo + int32(k)
 	return Route{
 		Kind:    RoutePlan,
 		Epoch:   p.Epoch,
 		Replica: graph.NodeID(p.routeReplica[rt]),
 		Cost:    p.routeCost[rt],
-		arcs:    p.arcs[p.arcOff[rt]:p.arcOff[rt+1]],
-		from:    p.arcFrom,
-		to:      p.arcTo,
+		path:    p.paths.view(rt),
 	}
 }
 
@@ -225,7 +209,9 @@ func pickRoute(p *CompiledPlan, rs Routes, pick uint64) Route {
 // installed plan's identity.
 type Metrics struct {
 	// Lookups is the total lookups answered; PlanServed, FailsafeServed
-	// and Unresolved partition it by ladder rung.
+	// and Unresolved partition it by ladder rung. Each lookup bumps only
+	// its rung's counter, and Snapshot derives Lookups as their sum, so
+	// the partition holds exactly in every snapshot.
 	Lookups, PlanServed, FailsafeServed, Unresolved uint64
 	// Swaps counts accepted plan installs; RejectedPushes counts pushes
 	// refused by swap validation.
@@ -253,7 +239,6 @@ func (m Metrics) FallbackFraction() float64 {
 // meaningless, but the counters are unaffected).
 func (d *DataPlane) Snapshot(nowNanos int64) Metrics {
 	m := Metrics{
-		Lookups:        d.lookups.Load(),
 		PlanServed:     d.planServed.Load(),
 		FailsafeServed: d.failsafeServed.Load(),
 		Unresolved:     d.unresolved.Load(),
@@ -261,6 +246,7 @@ func (d *DataPlane) Snapshot(nowNanos int64) Metrics {
 		RejectedPushes: d.rejected.Load(),
 		PlanAgeNanos:   -1,
 	}
+	m.Lookups = m.PlanServed + m.FailsafeServed + m.Unresolved
 	if p := d.plan.Load(); p != nil {
 		m.PlanEpoch = p.Epoch
 		m.PlanAgeNanos = nowNanos - p.CreatedAt

@@ -27,12 +27,9 @@ type Failsafe struct {
 	server []int32
 	// dist[v] is the routing cost of the fail-safe route to v.
 	dist []float64
-	// arcOff/arcs flatten the per-node route: arcs[arcOff[v]:arcOff[v+1]]
-	// walks server[v] → v.
-	arcOff []int32
-	arcs   []int32
-	// Arc endpoint snapshot, so Route node reconstruction needs no graph.
-	arcFrom, arcTo []int32
+	// paths holds node v's route at entry v, walking server[v] → v, over
+	// an arc-endpoint snapshot so Route node reconstruction needs no graph.
+	paths pathTable
 }
 
 // NewFailsafe compiles the fail-safe table for g and the given designated
@@ -53,15 +50,7 @@ func NewFailsafe(g *graph.Graph, servers []graph.NodeID) (*Failsafe, error) {
 		numNodes: n,
 		server:   make([]int32, n),
 		dist:     make([]float64, n),
-		arcOff:   make([]int32, n+1),
-	}
-	m := g.NumArcs()
-	fs.arcFrom = make([]int32, m)
-	fs.arcTo = make([]int32, m)
-	for id := 0; id < m; id++ {
-		a := g.Arc(id)
-		fs.arcFrom[id] = int32(a.From)
-		fs.arcTo[id] = int32(a.To)
+		paths:    newPathTable(g, n),
 	}
 	trees := make([]graph.ShortestTree, len(servers))
 	for k, s := range servers {
@@ -82,18 +71,15 @@ func NewFailsafe(g *graph.Graph, servers []graph.NodeID) (*Failsafe, error) {
 		}
 	}
 	for v := 0; v < n; v++ {
-		if best[v] < 0 {
-			fs.arcOff[v+1] = int32(len(fs.arcs))
-			continue
+		var arcs []graph.ArcID // an unreachable node keeps an empty route
+		if best[v] >= 0 {
+			p, ok := trees[best[v]].PathTo(g, v)
+			if !ok {
+				return nil, fmt.Errorf("serve: inconsistent fail-safe tree for node %d", v)
+			}
+			arcs = p.Arcs
 		}
-		p, ok := trees[best[v]].PathTo(g, v)
-		if !ok {
-			return nil, fmt.Errorf("serve: inconsistent fail-safe tree for node %d", v)
-		}
-		for _, id := range p.Arcs {
-			fs.arcs = append(fs.arcs, int32(id))
-		}
-		fs.arcOff[v+1] = int32(len(fs.arcs))
+		fs.paths.appendPath(arcs)
 	}
 	return fs, nil
 }

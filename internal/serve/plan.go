@@ -56,21 +56,21 @@ type CompiledPlan struct {
 	// routes[groupOff[g]:groupOff[g+1]]. len = NumNodes*NumItems+1.
 	groupOff []int32
 	// groupRate[g] is the total split rate of group g, the denominator of
-	// the weighted route pick.
+	// the weighted route pick. Compile sums it from 0 in route order, so it
+	// is bit-for-bit the sum a lookup would otherwise recompute.
 	groupRate []float64
 
 	// Per-route tables, indexed by route ID.
 	routeRate    []float64
 	routeReplica []int32
 	routeCost    []float64
-	// arcOff indexes each route's path arcs: arcs[arcOff[r]:arcOff[r+1]],
-	// in replica→requester order. An empty span is a local hit.
-	arcOff []int32
-	arcs   []int32
-
-	// Arc-table snapshot of the graph the plan was compiled on.
-	arcFrom, arcTo []int32
-	arcCost        []float64
+	// paths holds route r's path at entry r (an empty span is a local
+	// hit) plus the arc endpoints of the graph the plan was compiled on.
+	// Lookups point their Routes at this embedded table, so Clone,
+	// CorruptPlan and SelfCheck act on exactly the arrays lookups read.
+	paths pathTable
+	// arcCost completes the arc-table snapshot for SelfCheck's cost check.
+	arcCost []float64
 
 	// stores is the placement bitmap: node v stores item i iff
 	// stores[v*storeStride + i/64] has bit i%64 set.
@@ -94,15 +94,21 @@ func (p *CompiledPlan) NumRoutes() int { return len(p.routeRate) }
 // compiled no route for it (a declared-unserved request, or simply no
 // demand); the caller then falls down the fail-safe ladder.
 func (p *CompiledPlan) Routes(item int, node graph.NodeID) (Routes, bool) {
+	g, ok := p.group(item, node)
+	if !ok {
+		return Routes{}, false
+	}
+	return Routes{p: p, lo: p.groupOff[g], hi: p.groupOff[g+1]}, true
+}
+
+// group returns request (item, node)'s group index g; ok is false when
+// the pair is outside the plan's coverage or its group holds no route.
+func (p *CompiledPlan) group(item int, node graph.NodeID) (g int, ok bool) {
 	if item < 0 || item >= p.NumItems || node < 0 || node >= p.NumNodes {
-		return Routes{}, false
+		return 0, false
 	}
-	g := node*p.NumItems + item
-	lo, hi := p.groupOff[g], p.groupOff[g+1]
-	if lo == hi {
-		return Routes{}, false
-	}
-	return Routes{p: p, lo: lo, hi: hi}, true
+	g = node*p.NumItems + item
+	return g, p.groupOff[g] < p.groupOff[g+1]
 }
 
 // Routes is a view of the compiled routes serving one request. The zero
@@ -126,32 +132,67 @@ func (r Routes) Replica(k int) graph.NodeID { return graph.NodeID(r.p.routeRepli
 func (r Routes) Cost(k int) float64 { return r.p.routeCost[r.lo+int32(k)] }
 
 // Path returns route k's path view.
-func (r Routes) Path(k int) PathView {
-	rt := r.lo + int32(k)
-	return PathView{p: r.p, lo: r.p.arcOff[rt], hi: r.p.arcOff[rt+1]}
+func (r Routes) Path(k int) PathView { return r.p.paths.view(r.lo + int32(k)) }
+
+// pathTable flattens a set of paths over one arc-endpoint snapshot: entry
+// e's path is arcs[arcOff[e]:arcOff[e+1]], in replica→requester order.
+// Compiled plans index it by route ID, the fail-safe table by node.
+type pathTable struct {
+	arcOff         []int32
+	arcs           []int32
+	arcFrom, arcTo []int32
 }
 
-// PathView is a zero-allocation view of one compiled route's path, in
-// replica→requester order. An empty view (Len 0) is a local cache hit.
+// view returns entry e's path view.
+func (t *pathTable) view(e int32) PathView {
+	return PathView{t: t, lo: t.arcOff[e], hi: t.arcOff[e+1]}
+}
+
+// newPathTable snapshots g's arc endpoints into an empty table with room
+// for the given number of entries.
+func newPathTable(g *graph.Graph, entries int) pathTable {
+	m := g.NumArcs()
+	t := pathTable{arcOff: make([]int32, 1, entries+1), arcFrom: make([]int32, m), arcTo: make([]int32, m)}
+	for id := 0; id < m; id++ {
+		a := g.Arc(id)
+		t.arcFrom[id] = int32(a.From)
+		t.arcTo[id] = int32(a.To)
+	}
+	return t
+}
+
+// appendPath appends one path as the table's next entry; arcOff must
+// already hold its leading 0.
+func (t *pathTable) appendPath(arcs []graph.ArcID) {
+	for _, id := range arcs {
+		t.arcs = append(t.arcs, int32(id))
+	}
+	t.arcOff = append(t.arcOff, int32(len(t.arcs)))
+}
+
+// PathView is a zero-allocation view of one path in a plan's or the
+// fail-safe table's path table, in replica→requester order. An empty view
+// (Len 0) is a local cache hit.
 type PathView struct {
-	p      *CompiledPlan
+	t      *pathTable
 	lo, hi int32
 }
 
 // Len reports the number of arcs on the path.
 func (pv PathView) Len() int { return int(pv.hi - pv.lo) }
 
-// Arc returns the j-th arc ID (in the plan's graph snapshot).
-func (pv PathView) Arc(j int) graph.ArcID { return graph.ArcID(pv.p.arcs[pv.lo+int32(j)]) }
+// Arc returns the j-th arc ID (in the table's graph snapshot).
+func (pv PathView) Arc(j int) graph.ArcID { return graph.ArcID(pv.t.arcs[pv.lo:pv.hi][j]) }
 
 // Node returns the j-th node of the path's node sequence, j in [0, Len()].
 // Undefined for empty paths (local hits have no node sequence, matching
 // graph.Path.Nodes).
 func (pv PathView) Node(j int) graph.NodeID {
+	span := pv.t.arcs[pv.lo:pv.hi]
 	if j == 0 {
-		return graph.NodeID(pv.p.arcFrom[pv.p.arcs[pv.lo]])
+		return graph.NodeID(pv.t.arcFrom[span[0]])
 	}
-	return graph.NodeID(pv.p.arcTo[pv.p.arcs[pv.lo+int32(j-1)]])
+	return graph.NodeID(pv.t.arcTo[span[j-1]])
 }
 
 // Compile flattens a batch solution — a placement and its serving paths on
@@ -176,15 +217,10 @@ func Compile(s *placement.Spec, pl *placement.Placement, paths []placement.Servi
 		storeStride: (items + 63) / 64,
 	}
 	// Arc-table snapshot.
-	m := s.G.NumArcs()
-	p.arcFrom = make([]int32, m)
-	p.arcTo = make([]int32, m)
-	p.arcCost = make([]float64, m)
-	for id := 0; id < m; id++ {
-		a := s.G.Arc(id)
-		p.arcFrom[id] = int32(a.From)
-		p.arcTo[id] = int32(a.To)
-		p.arcCost[id] = a.Cost
+	p.paths = newPathTable(s.G, len(paths))
+	p.arcCost = make([]float64, s.G.NumArcs())
+	for id := range p.arcCost {
+		p.arcCost[id] = s.G.Arc(id).Cost
 	}
 	// Placement bitmap.
 	p.stores = make([]uint64, n*p.storeStride)
@@ -227,7 +263,6 @@ func Compile(s *placement.Spec, pl *placement.Placement, paths []placement.Servi
 	p.routeRate = make([]float64, 0, len(paths))
 	p.routeReplica = make([]int32, 0, len(paths))
 	p.routeCost = make([]float64, 0, len(paths))
-	p.arcOff = make([]int32, 1, len(paths)+1)
 	prevGroup := 0
 	for _, k := range order {
 		sp := &paths[k]
@@ -254,10 +289,7 @@ func Compile(s *placement.Spec, pl *placement.Placement, paths []placement.Servi
 		p.routeReplica = append(p.routeReplica, int32(replica))
 		p.routeCost = append(p.routeCost, cost)
 		p.groupRate[g] += sp.Rate
-		for _, id := range sp.Path.Arcs {
-			p.arcs = append(p.arcs, int32(id))
-		}
-		p.arcOff = append(p.arcOff, int32(len(p.arcs)))
+		p.paths.appendPath(sp.Path.Arcs)
 	}
 	for ; prevGroup < n*items; prevGroup++ {
 		p.groupOff[prevGroup+1] = int32(len(p.routeRate))
@@ -284,12 +316,12 @@ func (p *CompiledPlan) SelfCheck() error {
 	if p.storeStride != (items+63)/64 || len(p.stores) != n*p.storeStride {
 		return fmt.Errorf("serve: placement bitmap has %d words for %d nodes x %d items", len(p.stores), n, items)
 	}
-	if len(p.arcFrom) != len(p.arcTo) || len(p.arcFrom) != len(p.arcCost) {
-		return fmt.Errorf("serve: arc tables disagree: %d/%d/%d entries", len(p.arcFrom), len(p.arcTo), len(p.arcCost))
+	if len(p.paths.arcFrom) != len(p.paths.arcTo) || len(p.paths.arcFrom) != len(p.arcCost) {
+		return fmt.Errorf("serve: arc tables disagree: %d/%d/%d entries", len(p.paths.arcFrom), len(p.paths.arcTo), len(p.arcCost))
 	}
-	m := len(p.arcFrom)
+	m := len(p.paths.arcFrom)
 	for id := 0; id < m; id++ {
-		if f, t := p.arcFrom[id], p.arcTo[id]; f < 0 || int(f) >= n || t < 0 || int(t) >= n {
+		if f, t := p.paths.arcFrom[id], p.paths.arcTo[id]; f < 0 || int(f) >= n || t < 0 || int(t) >= n {
 			return fmt.Errorf("serve: arc %d endpoints (%d,%d) out of range", id, f, t)
 		}
 		if c := p.arcCost[id]; c < 0 || math.IsNaN(c) {
@@ -297,9 +329,9 @@ func (p *CompiledPlan) SelfCheck() error {
 		}
 	}
 	nr := len(p.routeRate)
-	if len(p.routeReplica) != nr || len(p.routeCost) != nr || len(p.arcOff) != nr+1 {
+	if len(p.routeReplica) != nr || len(p.routeCost) != nr || len(p.paths.arcOff) != nr+1 {
 		return fmt.Errorf("serve: route tables disagree: %d rates, %d replicas, %d costs, %d arc offsets",
-			nr, len(p.routeReplica), len(p.routeCost), len(p.arcOff))
+			nr, len(p.routeReplica), len(p.routeCost), len(p.paths.arcOff))
 	}
 	if len(p.groupOff) != n*items+1 || len(p.groupRate) != n*items {
 		return fmt.Errorf("serve: group tables cover %d/%d groups, want %d", len(p.groupOff)-1, len(p.groupRate), n*items)
@@ -307,8 +339,8 @@ func (p *CompiledPlan) SelfCheck() error {
 	if p.groupOff[0] != 0 || int(p.groupOff[n*items]) != nr {
 		return fmt.Errorf("serve: group offsets span [%d,%d], want [0,%d]", p.groupOff[0], p.groupOff[n*items], nr)
 	}
-	if p.arcOff[0] != 0 || int(p.arcOff[nr]) != len(p.arcs) {
-		return fmt.Errorf("serve: arc offsets span [%d,%d], want [0,%d]", p.arcOff[0], p.arcOff[nr], len(p.arcs))
+	if p.paths.arcOff[0] != 0 || int(p.paths.arcOff[nr]) != len(p.paths.arcs) {
+		return fmt.Errorf("serve: arc offsets span [%d,%d], want [0,%d]", p.paths.arcOff[0], p.paths.arcOff[nr], len(p.paths.arcs))
 	}
 	// visited is an epoch-stamped scratch for the cycle check: node v was
 	// seen on the current path iff visited[v] == stamp.
@@ -335,9 +367,9 @@ func (p *CompiledPlan) SelfCheck() error {
 			if !p.Stores(graph.NodeID(replica), item) {
 				return fmt.Errorf("serve: route %d replica %d stores no copy of item %d", r, replica, item)
 			}
-			lo, hi := p.arcOff[r], p.arcOff[r+1]
-			if lo < 0 || hi > int32(len(p.arcs)) || lo > hi {
-				return fmt.Errorf("serve: route %d arc offsets [%d,%d) out of order or out of range [0,%d]", r, lo, hi, len(p.arcs))
+			lo, hi := p.paths.arcOff[r], p.paths.arcOff[r+1]
+			if lo < 0 || hi > int32(len(p.paths.arcs)) || lo > hi {
+				return fmt.Errorf("serve: route %d arc offsets [%d,%d) out of order or out of range [0,%d]", r, lo, hi, len(p.paths.arcs))
 			}
 			if lo == hi {
 				// Local hit: the requester itself must be the replica.
@@ -353,14 +385,14 @@ func (p *CompiledPlan) SelfCheck() error {
 			at := replica
 			visited[at] = r
 			for j := lo; j < hi; j++ {
-				id := p.arcs[j]
+				id := p.paths.arcs[j]
 				if id < 0 || int(id) >= m {
 					return fmt.Errorf("serve: route %d references arc %d out of range", r, id)
 				}
-				if p.arcFrom[id] != at {
-					return fmt.Errorf("serve: route %d path breaks at arc %d: from %d, cursor at %d", r, id, p.arcFrom[id], at)
+				if p.paths.arcFrom[id] != at {
+					return fmt.Errorf("serve: route %d path breaks at arc %d: from %d, cursor at %d", r, id, p.paths.arcFrom[id], at)
 				}
-				at = p.arcTo[id]
+				at = p.paths.arcTo[id]
 				if visited[at] == r {
 					return fmt.Errorf("serve: route %d path revisits node %d", r, at)
 				}
@@ -374,7 +406,7 @@ func (p *CompiledPlan) SelfCheck() error {
 				return fmt.Errorf("serve: route %d recorded cost %.9g, path costs %.9g", r, p.routeCost[r], cost)
 			}
 		}
-		if math.Abs(total-p.groupRate[g]) > rateEps*(1+total) {
+		if !(math.Abs(total-p.groupRate[g]) <= rateEps*(1+total)) { // negated so a NaN recorded rate fails too
 			return fmt.Errorf("serve: group %d recorded rate %.9g, routes sum to %.9g", g, p.groupRate[g], total)
 		}
 	}
@@ -389,10 +421,10 @@ func (p *CompiledPlan) Clone() *CompiledPlan {
 	c.routeRate = append([]float64(nil), p.routeRate...)
 	c.routeReplica = append([]int32(nil), p.routeReplica...)
 	c.routeCost = append([]float64(nil), p.routeCost...)
-	c.arcOff = append([]int32(nil), p.arcOff...)
-	c.arcs = append([]int32(nil), p.arcs...)
-	c.arcFrom = append([]int32(nil), p.arcFrom...)
-	c.arcTo = append([]int32(nil), p.arcTo...)
+	c.paths.arcOff = append([]int32(nil), p.paths.arcOff...)
+	c.paths.arcs = append([]int32(nil), p.paths.arcs...)
+	c.paths.arcFrom = append([]int32(nil), p.paths.arcFrom...)
+	c.paths.arcTo = append([]int32(nil), p.paths.arcTo...)
 	c.arcCost = append([]float64(nil), p.arcCost...)
 	c.stores = append([]uint64(nil), p.stores...)
 	return &c
@@ -430,7 +462,7 @@ func CorruptPlan(p *CompiledPlan, seed int64) *CompiledPlan {
 	case 2:
 		// Arc span no longer matches the arc array: caught by the offset
 		// span check before any indexing.
-		c.arcOff[nr]++
+		c.paths.arcOff[nr]++
 	default:
 		// Mid-table group offset beyond the route count: caught by the
 		// per-group range check.

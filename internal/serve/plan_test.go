@@ -31,7 +31,7 @@ func testSpec(t *testing.T) *placement.Spec {
 
 // solveRNR is the cheap batch pipeline of the serve tests: greedy placement
 // plus global nearest-replica serving paths.
-func solveRNR(t *testing.T, s *placement.Spec) (*placement.Placement, []placement.ServingPath) {
+func solveRNR(t testing.TB, s *placement.Spec) (*placement.Placement, []placement.ServingPath) {
 	t.Helper()
 	dist := graph.AllPairs(s.G)
 	res, err := placement.Greedy(s, dist)

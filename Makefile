@@ -36,23 +36,40 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable substrate micro-benchmarks (LP pivots/sec sparse vs
-# dense, warm-vs-cold solver resolves, MMSFP wall time, serving-layer
-# lookup/swap, experiment-harness times) for tracking the perf trajectory
-# across PRs. Writes the scratch report bench-compare reads, never the
-# committed baseline: pinning a new BENCH_prN.json is a deliberate copy of
-# this file.
+# Machine-readable row benchmarks (LP pivots/sec sparse vs dense, warm-vs-
+# cold solver resolves, MMSFP wall time, shortest-path kernels, serving-
+# layer lookup/swap, per-strategy Decide, experiment-harness times): one run
+# of every Benchmark* function in cmd/benchjson's rows table, converted to
+# the BENCH_*.json format. Writes a scratch report, never a committed one:
+# pinning a new BENCH_prN.json is a deliberate copy.
 bench-json:
-	$(GO) run ./cmd/benchjson -out /tmp/bench_head.json
+	$(GO) test -run '^$$' -bench "$$($(GO) run ./cmd/benchjson -regex all)" -benchmem ./... > /tmp/bench_head.txt \
+		|| { cat /tmp/bench_head.txt; exit 1; }
+	$(GO) run ./cmd/benchjson < /tmp/bench_head.txt > /tmp/bench_head.json
+	@echo wrote /tmp/bench_head.json
 
-# Perf gate: fail if the current tree regressed the LP or shortest-path
-# micro-benchmarks by more than 15% against the committed previous-PR
-# baseline (CI runs this, skippable with the `skip-bench` PR label).
+# Perf gate (CI runs it, skippable with the `skip-bench` PR label): the
+# gated row benchmarks of the merge-base with main, checked out in a scratch
+# git worktree, and of the working tree run 5 times each, alternating which
+# side goes first. Fails when any gated name's median paired ratio
+# (change/base) exceeds 1.15 or serve_lookup misses its floor; a name on
+# one side only is skipped with a note.
 bench-compare:
-	$(GO) run ./cmd/benchjson -only lp_sparse_solve,lp_pivot_heavy_ft,dijkstra_tree,yen_k25,online_fault_reroute,serve_lookup,plan_swap,decide_alg1,decide_mindelay -repeat 3 -out /tmp/bench_head.json
-	$(GO) run ./cmd/benchjson -compare \
-		-names lp_sparse_solve_placement,lp_sparse_solve_mmsfp_sized,lp_pivot_heavy_ft,dijkstra_tree,yen_k25,online_fault_reroute,serve_lookup,plan_swap,decide_alg1,decide_mindelay \
-		BENCH_pr10.json /tmp/bench_head.json
+	@set -e; tmp=$$(mktemp -d); \
+	base=$$(git merge-base HEAD main 2>/dev/null || git merge-base HEAD origin/main); \
+	git worktree add --detach --quiet "$$tmp/base" "$$base"; \
+	trap 'git worktree remove --force "$$tmp/base"; rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/benchjson" ./cmd/benchjson; \
+	pat=$$("$$tmp/benchjson" -regex gated); \
+	echo "bench-compare: base $$base, 5 paired runs of -bench '$$pat'"; \
+	for i in 1 2 3 4 5; do \
+		order="base head"; [ $$((i % 2)) -eq 0 ] && order="head base"; \
+		for side in $$order; do \
+			dir=.; [ $$side = base ] && dir="$$tmp/base"; \
+			(cd "$$dir" && $(GO) test -run '^$$' -bench "$$pat" -benchmem -count 1 ./...) >> "$$tmp/$$side.txt"; \
+		done; \
+	done; \
+	"$$tmp/benchjson" -compare "$$tmp/base.txt" "$$tmp/head.txt"
 
 # End-to-end and per-layer benchmark (BENCHMARK.json, perfbench/): every
 # workload once with end-to-end metrics (--trace 0) and once with per-layer

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"jcr/internal/experiments"
-	"jcr/internal/lp"
 )
 
 func main() {
@@ -72,14 +71,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer pprof.StopCPUProfile()
-		// Print the process-wide LP solve counters next to the profile: a
-		// pricing or update-discipline regression shows up as a pivot-mix
-		// movement without opening the pprof file.
-		defer func() {
-			g := lp.GlobalStats()
-			fmt.Fprintf(stdout, "lp counters: solves=%d primal_pivots=%d bound_flips=%d refactors=%d eta_updates=%d avg_eta_nnz=%.2f\n",
-				g.Solves, g.PrimalPivots, g.BoundFlips, g.Refactors, g.EtaUpdates, g.AvgEtaNNZ())
-		}()
 	}
 	if *memProf != "" {
 		defer func() {

@@ -156,13 +156,6 @@ func buildScalingCell(cfg *Config, cell ScalingCell) (*placement.Spec, error) {
 	}, nil
 }
 
-// ScalingSpec exposes one scaling cell's instance for external harnesses:
-// cmd/benchjson times single decomposed solves on the grid's composite
-// cells to track the scaling curve across PRs.
-func ScalingSpec(cfg *Config, blocks, catalog int) (*placement.Spec, error) {
-	return buildScalingCell(cfg, ScalingCell{Blocks: blocks, Catalog: catalog})
-}
-
 // runScalingBout runs one strategy on one composite cell. The monolithic
 // baseline is recorded as skipped above scalingMonoMaxBlocks instead of
 // being run; the decomposed strategy is forced onto its partition path on

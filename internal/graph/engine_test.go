@@ -296,32 +296,50 @@ func TestReferenceDijkstraDistAgrees(t *testing.T) {
 	}
 }
 
-func benchGraph(n int) *Graph {
+// spGraph builds the shortest-path benchmark topology: a random connected
+// edge-paired graph with small integer costs (equal-cost shortest paths
+// everywhere, the tie-heavy regime the canonical kernels pay for).
+func spGraph(n int) *Graph {
 	rng := rand.New(rand.NewSource(97))
-	return tieGraph(rng, n, 4*n)
+	g := New(n)
+	for v := 1; v < n; v++ {
+		g.AddEdge(rng.Intn(v), v, float64(1+rng.Intn(3)), float64(1+rng.Intn(10)))
+	}
+	for e := 0; e < 3*n; e++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			g.AddEdge(u, v, float64(1+rng.Intn(3)), float64(1+rng.Intn(10)))
+		}
+	}
+	return g
 }
 
+// BenchmarkDijkstra times one canonical CSR shortest-path tree from node 0
+// of the 400-node tie-heavy graph; BenchmarkDijkstraReference times the
+// pre-engine reference Dijkstra on the same tree.
 func BenchmarkDijkstra(b *testing.B) {
-	g := benchGraph(400)
+	g := spGraph(400)
 	g.view() // build the CSR outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TreeOf(g, NodeID(i%g.NumNodes()))
+		TreeOf(g, 0)
 	}
 }
 
 func BenchmarkDijkstraReference(b *testing.B) {
-	g := benchGraph(400)
+	g := spGraph(400)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		referenceDijkstra(g, NodeID(i%g.NumNodes()), nil, nil)
+		referenceDijkstra(g, 0, nil, nil)
 	}
 }
 
+// BenchmarkYenK25 times Yen's 25 shortest paths across the 600-node
+// tie-heavy graph (hundreds of spur searches per call).
 func BenchmarkYenK25(b *testing.B) {
-	g := benchGraph(150)
+	g := spGraph(600)
 	g.view()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -331,7 +349,7 @@ func BenchmarkYenK25(b *testing.B) {
 }
 
 func BenchmarkEngineRepairHour(b *testing.B) {
-	g := benchGraph(400)
+	g := spGraph(400)
 	eng := NewEngine()
 	eng.Tree(g, 0)
 	rng := rand.New(rand.NewSource(5))

@@ -52,25 +52,152 @@ func MMSFPSizedLP(nItems, nArcs int, seed int64) *Problem {
 	return p
 }
 
-// BenchmarkLPSparseMMSFPSized measures the sparse revised simplex on the
-// 1800-variable MMSFP-shaped instance; BenchmarkLPDenseMMSFPSized is the
-// dense tableau oracle on the same instance. The sparse path must stay
-// well ahead (≥3x) — see BENCH_pr3.json for tracked numbers.
-func BenchmarkLPSparseMMSFPSized(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := MMSFPSizedLP(12, 150, 7).Solve(nil); err != nil {
-			b.Fatal(err)
+// placementLP builds the lp_sparse_solve_placement / lp_dense_solve_placement
+// instance: 120 request variables coupled to a 30x8 placement grid through
+// sparse rows. Each call draws from its own seeded generator, so every
+// benchmark iteration solves the same LP.
+func placementLP(tb testing.TB) *Problem {
+	rng := rand.New(rand.NewSource(4))
+	const items, nodes, reqs = 30, 8, 120
+	p := NewProblem(items*nodes + reqs)
+	p.SetSense(Maximize)
+	for r := 0; r < reqs; r++ {
+		y := items*nodes + r
+		p.SetObjectiveCoeff(y, 1+rng.Float64())
+		p.SetBounds(y, 0, 1)
+		idx := []int{y}
+		val := []float64{1}
+		seen := map[int]bool{}
+		for k := 0; k < 4; k++ {
+			x := rng.Intn(items * nodes)
+			if seen[x] {
+				continue // the LP core rejects duplicate row indices
+			}
+			seen[x] = true
+			idx = append(idx, x)
+			val = append(val, -rng.Float64())
+		}
+		if err := p.AddConstraint(idx, val, LE, 0.1); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	for v := 0; v < nodes; v++ {
+		idx := make([]int, items)
+		vals := make([]float64, items)
+		for i := 0; i < items; i++ {
+			idx[i], vals[i] = v*items+i, 1
+			p.SetBounds(v*items+i, 0, 1)
+		}
+		if err := p.AddConstraint(idx, vals, LE, 5); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p
 }
 
-func BenchmarkLPDenseMMSFPSized(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := MMSFPSizedLP(12, 150, 7).SolveDense(context.Background()); err != nil {
-			b.Fatal(err)
+// transportLP builds the pivot-heavy benchmark instance: a 20x30
+// transportation problem whose supply rows are equalities, forcing a long
+// artificial-driven phase 1 before phase 2 rebalances shipments.
+func transportLP(tb testing.TB) *Problem {
+	rng := rand.New(rand.NewSource(11))
+	const src, dst = 20, 30
+	p := NewProblem(src * dst)
+	for s := 0; s < src; s++ {
+		for d := 0; d < dst; d++ {
+			j := s*dst + d
+			p.SetBounds(j, 0, 40)
+			p.SetObjectiveCoeff(j, 1+9*rng.Float64())
 		}
 	}
+	for s := 0; s < src; s++ {
+		idx := make([]int, dst)
+		val := make([]float64, dst)
+		for d := 0; d < dst; d++ {
+			idx[d], val[d] = s*dst+d, 1
+		}
+		if err := p.AddConstraint(idx, val, EQ, 30); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for d := 0; d < dst; d++ {
+		idx := make([]int, src)
+		val := make([]float64, src)
+		for s := 0; s < src; s++ {
+			idx[s], val[s] = s*dst+d, 1
+		}
+		if err := p.AddConstraint(idx, val, GE, 20); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p
 }
+
+// lpMetrics sums the per-solve counters of the Solutions a benchmark loop
+// returns and reports them next to ns/op: pivot throughput plus the pivot
+// mix, refactorizations and eta-file growth per op, the pricing and
+// update-discipline fingerprint that pairs with the time.
+type lpMetrics struct {
+	pivots, primal, flips, refactors, etaUpdates, etaNNZ int
+}
+
+func (m *lpMetrics) add(sol *Solution) {
+	m.pivots += sol.Pivots
+	m.primal += sol.PrimalPivots
+	m.flips += sol.BoundFlips
+	m.refactors += sol.Refactors
+	m.etaUpdates += sol.EtaUpdates
+	m.etaNNZ += sol.EtaNNZ
+}
+
+func (m *lpMetrics) report(b *testing.B) {
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(m.pivots)/s, "pivots/s")
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(m.primal)/n, "primal-pivots/op")
+	b.ReportMetric(float64(m.flips)/n, "bound-flips/op")
+	b.ReportMetric(float64(m.refactors)/n, "refactors/op")
+	b.ReportMetric(float64(m.etaUpdates)/n, "eta-updates/op")
+	b.ReportMetric(float64(m.etaNNZ)/n, "eta-nnz/op")
+}
+
+// benchmarkSolve times build-and-solve of one instance per op.
+func benchmarkSolve(b *testing.B, build func(testing.TB) *Problem, solve func(*Problem) (*Solution, error)) {
+	b.ReportAllocs()
+	var m lpMetrics
+	for i := 0; i < b.N; i++ {
+		sol, err := solve(build(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.add(sol)
+	}
+	m.report(b)
+}
+
+func sparseSolve(p *Problem) (*Solution, error) { return p.Solve(nil) }
+
+func denseSolve(p *Problem) (*Solution, error) { return p.SolveDense(context.Background()) }
+
+func mmsfpSized(testing.TB) *Problem { return MMSFPSizedLP(12, 150, 7) }
+
+// BenchmarkLPSparsePlacement and BenchmarkLPDensePlacement solve the
+// placement-shaped LP with the sparse revised simplex and the dense tableau
+// oracle; the MMSFPSized pair does the same on the 1800-variable
+// MMSFP-shaped instance. The sparse path must stay well ahead.
+func BenchmarkLPSparsePlacement(b *testing.B) { benchmarkSolve(b, placementLP, sparseSolve) }
+
+func BenchmarkLPDensePlacement(b *testing.B) { benchmarkSolve(b, placementLP, denseSolve) }
+
+func BenchmarkLPSparseMMSFPSized(b *testing.B) { benchmarkSolve(b, mmsfpSized, sparseSolve) }
+
+func BenchmarkLPDenseMMSFPSized(b *testing.B) { benchmarkSolve(b, mmsfpSized, denseSolve) }
+
+// BenchmarkLPPivotHeavyFT is the Forrest-Tomlin-style kernel benchmark: the
+// transportation LP's equality rows force a long phase 1, so the
+// product-form update and the stability/work-triggered refactorization
+// discipline dominate the profile.
+func BenchmarkLPPivotHeavyFT(b *testing.B) { benchmarkSolve(b, transportLP, sparseSolve) }
 
 // TestMMSFPSizedAgree pins the two solvers to the same optimum on the
 // benchmark instance, so the speed comparison is apples to apples.

@@ -401,7 +401,7 @@ func (r *revised) chooseEntering(bland bool) int {
 	// small and mid-size instances (placement- and per-path-shaped LPs)
 	// effectively fully priced while the largest instances still scan
 	// n/8 at a time; both ends measured faster than 64/256/full-scan
-	// alternatives on the benchjson suite.
+	// alternatives on the LP row benchmarks (internal/lp bench_test.go).
 	sec := n / 8
 	if sec < 1024 {
 		sec = 1024

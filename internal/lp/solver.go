@@ -187,14 +187,13 @@ func (s *Solver) retain(p *Problem) {
 }
 
 // noteSolution folds a successful solve's per-solve counters into the
-// cumulative stats and the package-wide counters.
+// cumulative stats.
 func (s *Solver) noteSolution(sol *Solution) {
 	s.stats.PrimalPivots += int64(sol.PrimalPivots)
 	s.stats.BoundFlips += int64(sol.BoundFlips)
 	s.stats.Refactors += int64(sol.Refactors)
 	s.stats.EtaUpdates += int64(sol.EtaUpdates)
 	s.stats.EtaNNZ += int64(sol.EtaNNZ)
-	addGlobalCounters(sol)
 }
 
 // matches reports whether p has the same structural skeleton as the problem
@@ -442,7 +441,6 @@ func (s *Solver) coldSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
 	r.fillCounters(sol)
 	if s == nil {
-		addGlobalCounters(sol)
 		return sol, nil
 	}
 	s.r = r

@@ -1,19 +1,20 @@
-package main
+package online
 
 import (
 	"context"
 	"math/rand"
+	"testing"
 
 	"jcr/internal/faults"
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/placement"
 	"jcr/internal/strategy"
 )
 
-// spGraph builds the shortest-path benchmark topology: a random connected
+// spGraph builds the reroute benchmark's topology: a random connected
 // edge-paired graph with small integer costs (equal-cost shortest paths
-// everywhere, the tie-heavy regime the canonical kernels pay for).
+// everywhere, the tie-heavy regime the canonical kernels pay for). It is
+// the same construction as the shortest-path benchmarks in internal/graph.
 func spGraph(n int) *graph.Graph {
 	rng := rand.New(rand.NewSource(97))
 	g := graph.New(n)
@@ -34,9 +35,9 @@ func spGraph(n int) *graph.Graph {
 // recover on MTBF/MTTR chains, with replicas pinned across the network
 // and a decision that never pre-plans — so every hour re-routes all true
 // demand through the nearest-replica trees (the path the engine caches).
-var rerouteHorizon []online.HourInput
+var rerouteHorizon []HourInput
 
-func rerouteHours() []online.HourInput {
+func rerouteHours(tb testing.TB) []HourInput {
 	if rerouteHorizon != nil {
 		return rerouteHorizon
 	}
@@ -64,14 +65,14 @@ func rerouteHours() []online.HourInput {
 	}
 	sc, err := faults.RandomLinkFaults(g, hours, 300, 4, 7)
 	if err != nil {
-		fatal(err)
+		tb.Fatal(err)
 	}
 	for h := 0; h < hours; h++ {
 		dec, truth, _, err := sc.Apply(h, mk(), mk())
 		if err != nil {
-			fatal(err)
+			tb.Fatal(err)
 		}
-		rerouteHorizon = append(rerouteHorizon, online.HourInput{
+		rerouteHorizon = append(rerouteHorizon, HourInput{
 			Hour: h, Decision: dec, Truth: truth, Dist: graph.AllPairs(dec.G),
 		})
 	}
@@ -88,20 +89,21 @@ func (rnrOnly) Decide(_ context.Context, inst strategy.Instance) (*strategy.Plan
 	return &strategy.Plan{Placement: inst.Spec.NewPlacement()}, strategy.Stats{Iterations: 1}, nil
 }
 
-// faultReroute runs the online controller over the fault horizon, with the
-// cross-hour tree engine (the after side) or with every tree cold (the
-// before side, Options.NoTreeReuse).
-func faultReroute(noTreeReuse bool) error {
-	_, err := online.Run(context.Background(), rnrOnly{}, rerouteHours(),
-		online.Options{Resilient: true, NoTreeReuse: noTreeReuse})
-	return err
-}
+// BenchmarkFaultReroute runs the online controller over the fault horizon
+// with the cross-hour tree engine; BenchmarkFaultRerouteCold recomputes
+// every tree (Options.NoTreeReuse). The series are identical either way
+// (test-pinned), so the pair prices tree reuse alone.
+func BenchmarkFaultReroute(b *testing.B) { benchmarkFaultReroute(b, false) }
 
-// Benchmark fixtures for the kernel pairs, built once at init: a 400-node
-// tie-heavy graph for the single-tree pair and a 150-node one for Yen
-// (k=25 runs hundreds of spur searches per call).
-var (
-	spTreeGraph = spGraph(400)
-	spYenGraph  = spGraph(600)
-	dijkstraSrc = graph.NodeID(0)
-)
+func BenchmarkFaultRerouteCold(b *testing.B) { benchmarkFaultReroute(b, true) }
+
+func benchmarkFaultReroute(b *testing.B, noTreeReuse bool) {
+	hours := rerouteHours(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), rnrOnly{}, hours, Options{Resilient: true, NoTreeReuse: noTreeReuse}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

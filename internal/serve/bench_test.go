@@ -66,8 +66,9 @@ func benchServeSetup(tb testing.TB) (*DataPlane, []placement.Request, []uint64) 
 	return dp, sample, picks
 }
 
-// BenchmarkServeLookup measures the data plane's hot path; the benchjson
-// gate pins it at >= 1M lookups/sec with zero allocations per op.
+// BenchmarkServeLookup measures the data plane's hot path (the serve_lookup
+// row); the perf gate, `benchjson -compare`, pins it at >= 1M lookups/sec
+// with zero allocations per op.
 func BenchmarkServeLookup(b *testing.B) {
 	dp, sample, picks := benchServeSetup(b)
 	b.ReportAllocs()
@@ -79,6 +80,7 @@ func BenchmarkServeLookup(b *testing.B) {
 		sink += rt.Replica
 	}
 	_ = sink
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 }
 
 // BenchmarkServeLookupBurst stores whole Routes into a reused slice, 256
@@ -106,6 +108,7 @@ func BenchmarkServeLookupBurst(b *testing.B) {
 func BenchmarkPlanSwap(b *testing.B) {
 	dp, _, _ := benchServeSetup(b)
 	base := dp.Plan()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := base // plans are immutable; re-stamp a copy per swap
@@ -118,7 +121,7 @@ func BenchmarkPlanSwap(b *testing.B) {
 }
 
 // TestLookupAllocs pins the zero-allocation contract of the read path
-// directly, independent of the benchjson run.
+// directly, independent of any benchmark run.
 func TestLookupAllocs(t *testing.T) {
 	dp, sample, picks := benchServeSetup(t)
 	k := 0

@@ -13,12 +13,14 @@ var updatePreRefactor = flag.Bool("update-prerefactor", false, "rewrite the pre-
 
 // preRefactorRender produces the rendered outputs the strategy-layer
 // refactor must preserve bit for bit: Fig. 5 (the Alg. 1 / greedy vs
-// [3]/[38] comparison), the fault-robustness extension (the online
-// controller and its policies), the online experiment (plain, warm-started
-// and static alternating against the fixed-path baselines), Table 2 (the qualitative summary built on
-// the alternating optimizer) and the regime comparison (exact solvers and
-// both alternating variants). All use tinyConfig with no injected clock,
-// so every byte is a pure function of the seed.
+// [3]/[38] comparison, rendered and as full-precision CSV), Figs. 7-8 (the
+// general-case contenders, as CSV), the fault-robustness extension (the
+// online controller and its policies), the online experiment (plain,
+// warm-started and static alternating against the fixed-path baselines),
+// Table 2 (the qualitative summary built on the alternating optimizer) and
+// the regime comparison (exact solvers and both alternating variants). All
+// use tinyConfig with no injected clock, so every byte is a pure function
+// of the seed.
 func preRefactorRender(t *testing.T, id string) string {
 	t.Helper()
 	cfg := tinyConfig()
@@ -34,6 +36,22 @@ func preRefactorRender(t *testing.T, id string) string {
 			b.WriteByte('\n')
 		}
 		return b.String()
+	case "fig5csv":
+		figs, err := Fig5(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return figuresCSV(figs)
+	case "general":
+		var figs []Figure
+		for _, f := range []func(*Config) ([]Figure, error){Fig7, Fig8} {
+			fs, err := f(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			figs = append(figs, fs...)
+		}
+		return figuresCSV(figs)
 	case "fault":
 		figs, err := FigFault(context.Background(), cfg, 4)
 		if err != nil {
@@ -72,11 +90,22 @@ func preRefactorRender(t *testing.T, id string) string {
 	}
 }
 
+// figuresCSV concatenates the figures' full-precision CSV renderings, each
+// headed by its id: Render's %.4g cannot see last-digit drift, %g can.
+func figuresCSV(figs []Figure) string {
+	var b strings.Builder
+	for i := range figs {
+		b.WriteString("# " + figs[i].ID + "\n")
+		b.WriteString(figs[i].CSV())
+	}
+	return b.String()
+}
+
 // TestPreRefactorOutputsBitForBit pins the experiment outputs that predate
 // the strategy-layer extraction: rewiring the solvers behind
 // internal/strategy must not change a single byte of them.
 func TestPreRefactorOutputsBitForBit(t *testing.T) {
-	for _, id := range []string{"fig5", "fault", "tables", "online"} {
+	for _, id := range []string{"fig5", "fig5csv", "general", "fault", "tables", "online"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			got := preRefactorRender(t, id)

@@ -50,7 +50,7 @@ bench-json:
 
 # Perf gate (CI runs it, skippable with the `skip-bench` PR label): the
 # gated row benchmarks of the merge-base with main, checked out in a scratch
-# git worktree, and of the working tree run 5 times each, alternating which
+# git worktree, and of the working tree run 10 times each, alternating which
 # side goes first. Fails when any gated name's median paired ratio
 # (change/base) exceeds 1.15 or serve_lookup misses its floor; a name on
 # one side only is skipped with a note.
@@ -61,8 +61,8 @@ bench-compare:
 	trap 'git worktree remove --force "$$tmp/base"; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/benchjson" ./cmd/benchjson; \
 	pat=$$("$$tmp/benchjson" -regex gated); \
-	echo "bench-compare: base $$base, 5 paired runs of -bench '$$pat'"; \
-	for i in 1 2 3 4 5; do \
+	echo "bench-compare: base $$base, 10 paired runs of -bench '$$pat'"; \
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
 		order="base head"; [ $$((i % 2)) -eq 0 ] && order="head base"; \
 		for side in $$order; do \
 			dir=.; [ $$side = base ] && dir="$$tmp/base"; \

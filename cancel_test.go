@@ -135,7 +135,7 @@ func TestSolversHonourCanceledContext(t *testing.T) {
 			return err
 		}},
 		{"placement.SP38", 0, "placement: per-path enumeration", func(ctx context.Context) error {
-			_, _, err := placement.SP38(ctx, s, origin, nil)
+			_, _, err := placement.SP38(ctx, s, origin)
 			return err
 		}},
 		{"msufp.SolveAlg2", 0, "msufp: splittable optimum: flow: canceled", func(ctx context.Context) error {

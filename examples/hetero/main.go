@@ -46,12 +46,10 @@ func main() {
 	}
 
 	// Each edge cache holds zeta = 2 average file sizes (in MB); the
-	// equal-size baselines instead count 2 item slots.
+	// equal-size baselines read that as 2 item slots.
 	cacheCap := make([]float64, net.G.NumNodes())
-	slotCap := make([]float64, net.G.NumNodes())
 	for _, v := range net.Edges {
 		cacheCap[v] = 2 * avg
-		slotCap[v] = 2
 	}
 	spec := &jcr.Spec{
 		G:        net.G,
@@ -75,7 +73,7 @@ func main() {
 
 	// Equal-size baselines: they fill 2 slots per cache regardless of
 	// file size and overflow the byte capacity.
-	sp, _, err := placement.SP38(nil, spec, net.Origin, slotCap)
+	sp, _, err := placement.SP38(nil, spec, net.Origin)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func main() {
 	}
 	fmt.Printf("%-26s %12.4g %15.2f%%\n", "shortest path [38]", spCost, 100*spec.MaxOccupancyRatio(sp))
 
-	ksp, err := placement.KSP3(spec, net.Origin, 10, slotCap)
+	ksp, err := placement.KSP3(spec, net.Origin, 10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -13,7 +14,7 @@ import (
 // paper's: a header row "hour,<video_id>,<video_id>,..." followed by one
 // row per hour. Prediction columns (suffix "_pred") and the hour column
 // are ignored; every remaining column becomes one video series. Values
-// must be non-negative.
+// must be finite and non-negative.
 func ParseTraceCSV(r io.Reader) (*Trace, []string, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -63,8 +64,8 @@ func ParseTraceCSV(r io.Reader) (*Trace, []string, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("demand: trace csv row %d col %d: %w", row, c, err)
 			}
-			if v < 0 {
-				return nil, nil, fmt.Errorf("demand: trace csv row %d col %d: negative views %v", row, c, v)
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, nil, fmt.Errorf("demand: trace csv row %d col %d: views %v, want finite and non-negative", row, c, v)
 			}
 			hour[k] = v
 		}

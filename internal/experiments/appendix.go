@@ -29,13 +29,13 @@ func Fig11(cfg *Config) ([]Figure, error) {
 				if err != nil {
 					return err
 				}
-				results, err := runGeneralMethods(cfg, run)
+				results, err := scoreRoster(generalRoster(cfg), run)
 				if err != nil {
 					return fmt.Errorf("Fig11 #videos=%d: %w", nv, err)
 				}
 				for _, r := range results {
-					s.add(cCost, r.Name+" ("+tag+")", float64(nv), r.Cost)
-					s.add(cCong, r.Name+" ("+tag+")", float64(nv), r.Congestion)
+					s.add(cCost, r.label+" ("+tag+")", float64(nv), r.cost)
+					s.add(cCong, r.label+" ("+tag+")", float64(nv), r.congestion)
 				}
 			}
 			return nil
@@ -77,14 +77,14 @@ func Fig12(cfg *Config) ([]Figure, error) {
 				if err != nil {
 					return err
 				}
-				results, err := runGeneralMethods(cfg, run)
+				results, err := scoreRoster(generalRoster(cfg), run)
 				if err != nil {
 					return fmt.Errorf("Fig12 chunkMB=%v: %w", chunkMB, err)
 				}
 				for _, r := range results {
 					// Normalize cost to MB so chunk sizes compare.
-					s.add(cCost, r.Name+" ("+tag+")", chunkMB, r.Cost*chunkMB/demand.DefaultChunkMB)
-					s.add(cCong, r.Name+" ("+tag+")", chunkMB, r.Congestion)
+					s.add(cCost, r.label+" ("+tag+")", chunkMB, r.cost*chunkMB/demand.DefaultChunkMB)
+					s.add(cCong, r.label+" ("+tag+")", chunkMB, r.congestion)
 				}
 			}
 		}
@@ -119,13 +119,13 @@ func Fig13(cfg *Config) ([]Figure, error) {
 			if err != nil {
 				return err
 			}
-			results, err := runGeneralMethods(cfg, run)
+			results, err := scoreRoster(generalRoster(cfg), run)
 			if err != nil {
 				return fmt.Errorf("Fig13 sigma=%v: %w", sigma, err)
 			}
 			for _, r := range results {
-				s.add(cCost, r.Name, sigma, r.Cost)
-				s.add(cCong, r.Name, sigma, r.Congestion)
+				s.add(cCost, r.label, sigma, r.cost)
+				s.add(cCong, r.label, sigma, r.congestion)
 			}
 		}
 		return nil
@@ -173,13 +173,13 @@ func Fig15(cfg *Config) ([]Figure, error) {
 				if err != nil {
 					return err
 				}
-				results, err := runGeneralMethods(cfg, run)
+				results, err := scoreRoster(generalRoster(cfg), run)
 				if err != nil {
 					return fmt.Errorf("Fig15 %s: %w", nt.name, err)
 				}
 				for _, r := range results {
-					s.add(cCost, r.Name+" ("+tag+")", float64(ni), r.Cost)
-					s.add(cCong, r.Name+" ("+tag+")", float64(ni), r.Congestion)
+					s.add(cCost, r.label+" ("+tag+")", float64(ni), r.cost)
+					s.add(cCong, r.label+" ("+tag+")", float64(ni), r.congestion)
 				}
 			}
 			return nil

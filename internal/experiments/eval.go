@@ -68,11 +68,3 @@ func EvaluateDecisionOnTruth(run *Run, pl *placement.Placement, decided []placem
 	cost, _, maxUtil = placement.EvaluateServing(truth, paths, pl)
 	return cost, maxUtil, nil
 }
-
-// EvaluateRNROnTruth measures the true RNR cost of a placement decided on
-// the decision demand: every true request is served from its nearest
-// replica (the unlimited-link-capacity evaluation of Fig. 5).
-func EvaluateRNROnTruth(run *Run, pl *placement.Placement) (float64, error) {
-	_, cost, err := run.Truth.RNRSources(pl, run.Dist)
-	return cost, err
-}

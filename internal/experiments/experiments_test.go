@@ -315,7 +315,7 @@ func TestEvaluateDecisionOnTruthFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCost, err := EvaluateRNROnTruth(run, pl)
+	_, wantCost, err := run.Truth.RNRSources(pl, run.Dist)
 	if err != nil {
 		t.Fatal(err)
 	}

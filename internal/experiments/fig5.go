@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"jcr/internal/placement"
-)
+import "fmt"
 
 // modeTag labels series by the demand the decision used.
 func modeTag(m PredictionMode) string {
@@ -54,12 +50,12 @@ func Fig5(cfg *Config) ([]Figure, error) {
 				if err != nil {
 					return err
 				}
-				costs, err := fig5ChunkMethods(cfg, run)
+				res, err := scoreRoster(unlimitedRoster(false, cfg.CandidatePaths), run)
 				if err != nil {
 					return fmt.Errorf("Fig5a zeta=%v: %w", zeta, err)
 				}
-				for _, name := range sortedNames(costs) {
-					s.add(cChunk, name+" ("+tag+")", zeta, costs[name])
+				for _, r := range res {
+					s.add(cChunk, r.label+" ("+tag+")", zeta, r.cost)
 				}
 			}
 			// ---- file level: cost and occupancy vs zeta ----
@@ -71,30 +67,34 @@ func Fig5(cfg *Config) ([]Figure, error) {
 				if err != nil {
 					return err
 				}
-				res, err := fig5FileMethods(cfg, run, cfg.CandidatePaths)
+				res, err := scoreRoster(unlimitedRoster(true, cfg.CandidatePaths), run)
 				if err != nil {
 					return fmt.Errorf("Fig5b zeta=%v: %w", zeta, err)
 				}
-				for _, name := range sortedNames(res) {
-					s.add(cFileCost, name+" ("+tag+")", zeta, res[name].cost)
-					s.add(cFileOcc, name+" ("+tag+")", zeta, res[name].occupancy)
+				for _, r := range res {
+					s.add(cFileCost, r.label+" ("+tag+")", zeta, r.cost)
+					s.add(cFileOcc, r.label+" ("+tag+")", zeta, r.occupancy)
 				}
 			}
-			// ---- file level: cost vs k for [3] ----
+			// ---- file level: cost vs k for [3] (greedy does not use k) ----
+			run, err := sc.MakeRun(RunParams{
+				FileLevel: true, CapacityFrac: -1,
+				Mode: mode, Hour: s.Hour, MCSeed: int64(s.MC),
+			})
+			if err != nil {
+				return err
+			}
+			greedy, err := unlimitedRoster(true, cfg.CandidatePaths)[0].score(run)
+			if err != nil {
+				return fmt.Errorf("Fig5d: %w", err)
+			}
 			for _, k := range []int{2, 5, 10, 15} {
-				run, err := sc.MakeRun(RunParams{
-					FileLevel: true, CapacityFrac: -1,
-					Mode: mode, Hour: s.Hour, MCSeed: int64(s.MC),
-				})
-				if err != nil {
-					return err
-				}
-				res, err := fig5FileMethods(cfg, run, k)
+				ksp, err := kspMethod("k shortest paths [3]", k, ruleFixed).score(run)
 				if err != nil {
 					return fmt.Errorf("Fig5d k=%d: %w", k, err)
 				}
-				s.add(cFileK, "greedy (ours, "+tag+")", float64(k), res["greedy (ours)"].cost)
-				s.add(cFileK, "k shortest paths [3] ("+tag+")", float64(k), res["k shortest paths [3]"].cost)
+				s.add(cFileK, "greedy (ours, "+tag+")", float64(k), greedy.cost)
+				s.add(cFileK, "k shortest paths [3] ("+tag+")", float64(k), ksp.cost)
 			}
 		}
 		return nil
@@ -107,89 +107,4 @@ func Fig5(cfg *Config) ([]Figure, error) {
 		c.finish(len(samples), note)
 	}
 	return []Figure{chunkCost, fileCost, fileOcc, fileK}, nil
-}
-
-// fig5ChunkMethods runs the three chunk-level contenders and returns the
-// true-demand RNR (or method-specific) routing cost of each.
-func fig5ChunkMethods(cfg *Config, run *Run) (map[string]float64, error) {
-	out := map[string]float64{}
-	origin := run.Scenario.Net.Origin
-
-	a1, err := placement.Alg1(nil, run.Decision, run.Dist, placement.Alg1Options{})
-	if err != nil {
-		return nil, fmt.Errorf("Alg1: %w", err)
-	}
-	cost, err := EvaluateRNROnTruth(run, a1.Placement)
-	if err != nil {
-		return nil, err
-	}
-	out["Alg.1 (ours)"] = cost
-
-	ksp, err := placement.KSP3(run.Decision, origin, cfg.CandidatePaths, nil)
-	if err != nil {
-		return nil, fmt.Errorf("KSP3: %w", err)
-	}
-	paths, err := placement.KSPServingPaths(run.Truth, ksp.Placement, origin, cfg.CandidatePaths)
-	if err != nil {
-		return nil, err
-	}
-	cost, _, _ = placement.EvaluateServing(run.Truth, paths, ksp.Placement)
-	out["k shortest paths [3]"] = cost
-
-	sp, _, err := placement.SP38(nil, run.Decision, origin, nil)
-	if err != nil {
-		return nil, fmt.Errorf("SP38: %w", err)
-	}
-	spPaths, err := placement.ShortestServingPaths(run.Truth, origin)
-	if err != nil {
-		return nil, err
-	}
-	cost, _, _ = placement.EvaluateServing(run.Truth, spPaths, sp)
-	out["shortest path [38]"] = cost
-	return out, nil
-}
-
-type costOcc struct {
-	cost      float64
-	occupancy float64
-}
-
-// fig5FileMethods runs the file-level contenders: our greedy respects byte
-// capacities; the [3] and [38] baselines fill item slots and may overflow.
-func fig5FileMethods(cfg *Config, run *Run, k int) (map[string]costOcc, error) {
-	out := map[string]costOcc{}
-	origin := run.Scenario.Net.Origin
-
-	gr, err := placement.Greedy(run.Decision, run.Dist)
-	if err != nil {
-		return nil, fmt.Errorf("greedy: %w", err)
-	}
-	cost, err := EvaluateRNROnTruth(run, gr.Placement)
-	if err != nil {
-		return nil, err
-	}
-	out["greedy (ours)"] = costOcc{cost, run.Truth.MaxOccupancyRatio(gr.Placement)}
-
-	ksp, err := placement.KSP3(run.Decision, origin, k, run.SlotCap)
-	if err != nil {
-		return nil, fmt.Errorf("KSP3: %w", err)
-	}
-	paths, err := placement.KSPServingPaths(run.Truth, ksp.Placement, origin, k)
-	if err != nil {
-		return nil, err
-	}
-	cost, _, _ = placement.EvaluateServing(run.Truth, paths, ksp.Placement)
-	out["k shortest paths [3]"] = costOcc{cost, run.Truth.MaxOccupancyRatio(ksp.Placement)}
-
-	sp, _, err := placement.SP38(nil, run.Decision, origin, run.SlotCap)
-	if err != nil {
-		return nil, fmt.Errorf("SP38: %w", err)
-	}
-	spPaths, err := placement.ShortestServingPaths(run.Truth, origin)
-	if err != nil {
-		return nil, err
-	}
-	cost, _, _ = placement.EvaluateServing(run.Truth, spPaths, sp)
-	out["shortest path [38]"] = costOcc{cost, run.Truth.MaxOccupancyRatio(sp)}
-	return out, nil
 }

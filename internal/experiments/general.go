@@ -1,107 +1,8 @@
 package experiments
 
-import (
-	"fmt"
+import "fmt"
 
-	"jcr/internal/placement"
-	"jcr/internal/strategy"
-)
-
-// generalResult is one method's outcome on a general-case run.
-type generalResult struct {
-	Name       string
-	Cost       float64
-	Congestion float64
-	Occupancy  float64
-}
-
-// generalMethodNames fixes the presentation order of the Figs. 7-8
-// contenders.
-var generalMethodNames = []string{
-	"alternating (ours)",
-	"SP [38]",
-	"SP + RNR [3]",
-	"k-SP + RNR [3]",
-}
-
-// runGeneralMethods executes the general-case contenders of Figs. 7-8 on
-// one run: our alternating optimizer (IC-IR), the shortest-path placement
-// of [38] with on-path serving, the [3] variant with the shortest path as
-// the only candidate plus capacity-oblivious RNR routing, and the full [3]
-// with k candidate paths. All decisions use the run's decision demand and
-// are evaluated on the truth.
-func runGeneralMethods(cfg *Config, run *Run) ([]generalResult, error) {
-	origin := run.Scenario.Net.Origin
-	out := make([]generalResult, 0, 4)
-
-	alt := strategy.MustNew("alternating", strategy.Options{Workers: cfg.Workers, NoSolverReuse: true})
-	plan, _, err := alt.Decide(nil, strategy.Instance{Spec: run.Decision, Dist: run.Dist})
-	if err != nil {
-		return nil, fmt.Errorf("alternating: %w", err)
-	}
-	cost, cong, err := EvaluateDecisionOnTruth(run, plan.Placement, plan.Paths)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, generalResult{
-		Name: generalMethodNames[0], Cost: cost, Congestion: cong,
-		Occupancy: run.Truth.MaxOccupancyRatio(plan.Placement),
-	})
-
-	// SP [38]: per-path placement on the origin's shortest paths, served
-	// along those paths.
-	slotCap := []float64(nil)
-	if run.Truth.ItemSize != nil {
-		slotCap = run.SlotCap
-	}
-	spPl, _, err := placement.SP38(nil, run.Decision, origin, slotCap)
-	if err != nil {
-		return nil, fmt.Errorf("SP38: %w", err)
-	}
-	spPaths, err := placement.ShortestServingPaths(run.Truth, origin)
-	if err != nil {
-		return nil, err
-	}
-	cost, _, cong = placement.EvaluateServing(run.Truth, spPaths, spPl)
-	out = append(out, generalResult{
-		Name: generalMethodNames[1], Cost: cost, Congestion: cong,
-		Occupancy: run.Truth.MaxOccupancyRatio(spPl),
-	})
-
-	// SP + RNR [3]: placement from the k=1 joint scheme, then
-	// capacity-oblivious route-to-nearest-replica.
-	sp1, err := placement.KSP3(run.Decision, origin, 1, slotCap)
-	if err != nil {
-		return nil, fmt.Errorf("KSP3 k=1: %w", err)
-	}
-	rnrPaths, err := placement.GlobalRNRServing(run.Truth, sp1.Placement, run.Dist)
-	if err != nil {
-		return nil, err
-	}
-	cost, _, cong = placement.EvaluateServing(run.Truth, rnrPaths, sp1.Placement)
-	out = append(out, generalResult{
-		Name: generalMethodNames[2], Cost: cost, Congestion: cong,
-		Occupancy: run.Truth.MaxOccupancyRatio(sp1.Placement),
-	})
-
-	// k-SP + RNR [3]: the full joint scheme over k candidate paths.
-	spk, err := placement.KSP3(run.Decision, origin, cfg.CandidatePaths, slotCap)
-	if err != nil {
-		return nil, fmt.Errorf("KSP3 k=%d: %w", cfg.CandidatePaths, err)
-	}
-	kspPaths, err := placement.KSPServingPaths(run.Truth, spk.Placement, origin, cfg.CandidatePaths)
-	if err != nil {
-		return nil, err
-	}
-	cost, _, cong = placement.EvaluateServing(run.Truth, kspPaths, spk.Placement)
-	out = append(out, generalResult{
-		Name: generalMethodNames[3], Cost: cost, Congestion: cong,
-		Occupancy: run.Truth.MaxOccupancyRatio(spk.Placement),
-	})
-	return out, nil
-}
-
-// generalSweep runs the general-case contenders over a sweep of run
+// generalSweep runs the general-case roster over a sweep of run
 // parameters, producing cost and congestion figures (plus occupancy for
 // file-level sweeps).
 func generalSweep(cfg *Config, sc *Scenario, base RunParams, xs []float64, apply func(*RunParams, float64),
@@ -126,15 +27,15 @@ func generalSweep(cfg *Config, sc *Scenario, base RunParams, xs []float64, apply
 				if err != nil {
 					return err
 				}
-				results, err := runGeneralMethods(cfg, run)
+				results, err := scoreRoster(generalRoster(cfg), run)
 				if err != nil {
 					return fmt.Errorf("%s x=%v: %w", costFig.ID, x, err)
 				}
 				for _, r := range results {
-					s.add(cCost, r.Name+" ("+tag+")", x, r.Cost)
-					s.add(cCong, r.Name+" ("+tag+")", x, r.Congestion)
+					s.add(cCost, r.label+" ("+tag+")", x, r.cost)
+					s.add(cCong, r.label+" ("+tag+")", x, r.congestion)
 					if cOcc != nil {
-						s.add(cOcc, r.Name+" ("+tag+")", x, r.Occupancy)
+						s.add(cOcc, r.label+" ("+tag+")", x, r.occupancy)
 					}
 				}
 			}

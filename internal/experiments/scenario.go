@@ -88,9 +88,6 @@ type Run struct {
 	// evaluated on. Both share the same graph object.
 	Decision *placement.Spec
 	Truth    *placement.Spec
-	// SlotCap is the per-node capacity in item slots, used by the
-	// equal-size baselines at file level.
-	SlotCap []float64
 	// Dist is the all-pairs least-cost matrix (computed after costs and
 	// capacities are set; costs do not depend on capacities).
 	Dist [][]float64
@@ -265,7 +262,6 @@ func (sc *Scenario) MakeRun(p RunParams) (*Run, error) {
 		}
 	}
 	cacheCap := make([]float64, net.G.NumNodes())
-	slotCap := make([]float64, net.G.NumNodes())
 	var itemSize []float64
 	if p.FileLevel {
 		itemSize = make([]float64, len(items))
@@ -277,12 +273,10 @@ func (sc *Scenario) MakeRun(p RunParams) (*Run, error) {
 		avg /= float64(len(items))
 		for _, v := range net.Edges {
 			cacheCap[v] = slots * avg
-			slotCap[v] = slots
 		}
 	} else {
 		for _, v := range net.Edges {
 			cacheCap[v] = slots
-			slotCap[v] = slots
 		}
 	}
 	mkSpec := func(rates [][]float64) *placement.Spec {
@@ -301,7 +295,6 @@ func (sc *Scenario) MakeRun(p RunParams) (*Run, error) {
 		Items:    items,
 		Decision: mkSpec(decRates),
 		Truth:    mkSpec(trueRates),
-		SlotCap:  slotCap,
 		Dist:     graph.AllPairs(net.G),
 	}
 	return run, nil

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"jcr/internal/msufp"
-	"jcr/internal/placement"
 	"jcr/internal/strategy"
 )
 
@@ -29,12 +27,12 @@ func Table2(cfg *Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	costs, err := fig5ChunkMethods(cfg, unRun)
+	unlimited, err := scoreRoster(unlimitedRoster(false, cfg.CandidatePaths), unRun)
 	if err != nil {
 		return "", err
 	}
-	for _, name := range []string{"Alg.1 (ours)", "k shortest paths [3]", "shortest path [38]"} {
-		fmt.Fprintf(&b, "%-18s %-22s %14.4g %12s\n", "c_uv = inf", name, costs[name], "-")
+	for _, r := range unlimited {
+		fmt.Fprintf(&b, "%-18s %-22s %14.4g %12s\n", "c_uv = inf", r.label, r.cost, "-")
 	}
 
 	// Scenario 2: binary cache capacities.
@@ -70,12 +68,12 @@ func Table2(cfg *Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	results, err := runGeneralMethods(cfg, run)
+	general, err := scoreRoster(generalRoster(cfg), run)
 	if err != nil {
 		return "", err
 	}
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-18s %-22s %14.4g %12.3g\n", "general", r.Name, r.Cost, r.Congestion)
+	for _, r := range general {
+		fmt.Fprintf(&b, "%-18s %-22s %14.4g %12.3g\n", "general", r.label, r.cost, r.congestion)
 	}
 	fmt.Fprintf(&b, "%-18s %-22s %14.4g %12.3g\n", "general", "IC-FR (alternating)", icfr.Cost, icfr.MaxUtilization)
 	return b.String(), nil
@@ -94,37 +92,26 @@ func ExecTimes(cfg *Config, fileLevel bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	origin := sc.Net.Origin
-	slotCap := []float64(nil)
-	if fileLevel {
-		slotCap = run.SlotCap
-	}
 	type row struct {
 		scenario, algorithm string
 		run                 func() error
 	}
-	rows := []row{}
-	if fileLevel {
-		rows = append(rows, row{"c_uv = inf", "greedy (ours)", func() error {
-			_, err := placement.Greedy(unRun.Decision, unRun.Dist)
-			return err
-		}})
-	} else {
-		rows = append(rows, row{"c_uv = inf", "Alg. 1 (ours)", func() error {
-			_, err := placement.Alg1(nil, unRun.Decision, unRun.Dist, placement.Alg1Options{})
-			return err
-		}})
+	var rows []row
+	// The roster rows time each method's Decide, the call the arena's
+	// WallMS measures.
+	decideRows := func(scenario string, roster []method, run *Run) {
+		for _, m := range roster {
+			label := m.label
+			if label == "Alg.1 (ours)" {
+				label = "Alg. 1 (ours)" // Table 3's spelling
+			}
+			rows = append(rows, row{scenario, label, func() error {
+				_, err := m.decide(run)
+				return err
+			}})
+		}
 	}
-	rows = append(rows,
-		row{"c_uv = inf", "k shortest paths [3]", func() error {
-			_, err := placement.KSP3(unRun.Decision, origin, cfg.CandidatePaths, slotCap)
-			return err
-		}},
-		row{"c_uv = inf", "shortest path [38]", func() error {
-			_, _, err := placement.SP38(nil, unRun.Decision, origin, slotCap)
-			return err
-		}},
-	)
+	decideRows("c_uv = inf", unlimitedRoster(fileLevel, cfg.CandidatePaths), unRun)
 	fi := newFig6Instance(run, run.Decision)
 	rows = append(rows,
 		row{"c_v = 0/|C|", "Alg. 2 (K=1000)", func() error {
@@ -139,28 +126,8 @@ func ExecTimes(cfg *Config, fileLevel bool) (string, error) {
 			_, err := msufp.SolveRNR(fi.inst)
 			return err
 		}},
-		row{"general", "alternating (ours)", func() error {
-			_, _, err := strategy.MustNew("alternating", strategy.Options{NoSolverReuse: true}).
-				Decide(nil, strategy.Instance{Spec: run.Decision, Dist: run.Dist})
-			return err
-		}},
-		row{"general", "SP [38]", func() error {
-			_, _, err := placement.SP38(nil, run.Decision, origin, slotCap)
-			return err
-		}},
-		row{"general", "SP + RNR [3]", func() error {
-			pl, err := placement.KSP3(run.Decision, origin, 1, slotCap)
-			if err != nil {
-				return err
-			}
-			_, err = placement.GlobalRNRServing(run.Decision, pl.Placement, run.Dist)
-			return err
-		}},
-		row{"general", "k-SP + RNR [3]", func() error {
-			_, err := placement.KSP3(run.Decision, origin, cfg.CandidatePaths, slotCap)
-			return err
-		}},
 	)
+	decideRows("general", generalRoster(cfg), run)
 	var b strings.Builder
 	id, level := "Table 3", "chunk"
 	if fileLevel {
@@ -180,14 +147,4 @@ func ExecTimes(cfg *Config, fileLevel bool) (string, error) {
 		fmt.Fprintf(&b, "%-14s %-22s %20.4f\n", r.scenario, r.algorithm, avg)
 	}
 	return b.String(), nil
-}
-
-// sortedNames returns map keys in sorted order (deterministic rendering).
-func sortedNames[M ~map[string]V, V any](m M) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -68,13 +68,13 @@ func ZipfSweep(cfg *Config) ([]Figure, error) {
 				Truth:    spec,
 				Dist:     graph.AllPairs(net.G),
 			}
-			results, err := runGeneralMethods(cfg, run)
+			results, err := scoreRoster(generalRoster(cfg), run)
 			if err != nil {
 				return fmt.Errorf("zipf alpha=%v: %w", alpha, err)
 			}
 			for _, r := range results {
-				s.add(cCost, r.Name, alpha, r.Cost)
-				s.add(cCong, r.Name, alpha, r.Congestion)
+				s.add(cCost, r.label, alpha, r.cost)
+				s.add(cCong, r.label, alpha, r.congestion)
 			}
 		}
 		return nil

@@ -73,30 +73,43 @@ func ShortestServingPaths(s *Spec, root graph.NodeID) ([]ServingPath, error) {
 // saving along the origin's shortest-path tree, then serve each request
 // along that path from the nearest on-path replica. Like the original
 // algorithm, it assumes equal-size items: under heterogeneous sizes it
-// fills slotCap slots per cache and may exceed byte capacities (the
-// infeasibility the paper demonstrates in Fig. 5). Pass slotCap nil for the
-// homogeneous model. ctx reaches the per-path placement solve; nil means
-// no cancellation.
-func SP38(ctx context.Context, s *Spec, origin graph.NodeID, slotCap []float64) (*Placement, []ServingPath, error) {
+// fills equal-size slots (see equalSize) and may exceed byte capacities
+// (the infeasibility the paper demonstrates in Fig. 5). ctx reaches the
+// per-path placement solve; nil means no cancellation.
+func SP38(ctx context.Context, s *Spec, origin graph.NodeID) (*Placement, []ServingPath, error) {
 	paths, err := ShortestServingPaths(s, origin)
 	if err != nil {
 		return nil, nil, err
 	}
-	spec := s
-	if s.ItemSize != nil {
-		clone := *s
-		clone.ItemSize = nil
-		if slotCap == nil {
-			return nil, nil, fmt.Errorf("placement: SP38 with heterogeneous sizes needs slotCap")
-		}
-		clone.CacheCap = slotCap
-		spec = &clone
-	}
-	pl, err := PlacePerPath(ctx, spec, paths, PerPathOptions{})
+	pl, err := PlacePerPath(ctx, equalSize(s), paths, PerPathOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
 	return pl, paths, nil
+}
+
+// equalSize returns the spec as the equal-size baselines of [3] and [38]
+// see it. Under heterogeneous sizes every item becomes one slot and cache v
+// holds floor(CacheCap[v] / mean item size + capSlack) slots: a cache sized
+// for zeta average files holds zeta items, whatever their bytes. capSlack
+// absorbs the residue of zeta*mean/mean, which is not always exactly zeta.
+// A homogeneous spec is returned as is.
+func equalSize(s *Spec) *Spec {
+	if len(s.ItemSize) == 0 {
+		return s
+	}
+	var mean float64
+	for _, size := range s.ItemSize {
+		mean += size
+	}
+	mean /= float64(len(s.ItemSize))
+	clone := *s
+	clone.ItemSize = nil
+	clone.CacheCap = make([]float64, len(s.CacheCap))
+	for v, c := range s.CacheCap {
+		clone.CacheCap[v] = math.Floor(c/mean + capSlack)
+	}
+	return &clone
 }
 
 // KSPResult is the output of the [3]-style joint optimization over k
@@ -120,9 +133,10 @@ type KSPResult struct {
 // rounding over per-path variables; at the evaluation's scale that LP has
 // tens of thousands of rows, so this implementation uses the standard
 // greedy for the same submodular-style objective (documented in
-// DESIGN.md). Like [3], it treats items as equal-size slots, which makes
-// it cache-infeasible under heterogeneous sizes (Fig. 5).
-func KSP3(s *Spec, origin graph.NodeID, k int, slotCap []float64) (*KSPResult, error) {
+// DESIGN.md). Like [3], it treats items as equal-size slots (see
+// equalSize), which makes it cache-infeasible under heterogeneous sizes
+// (Fig. 5).
+func KSP3(s *Spec, origin graph.NodeID, k int) (*KSPResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("placement: k must be positive, got %d", k)
 	}
@@ -130,26 +144,12 @@ func KSP3(s *Spec, origin graph.NodeID, k int, slotCap []float64) (*KSPResult, e
 		return nil, err
 	}
 	g := s.G
-	// Candidate paths per requester node (shared across items).
-	candByNode := map[graph.NodeID][]graph.Path{}
 	reqs := s.Requests()
-	for _, rq := range reqs {
-		if _, done := candByNode[rq.Node]; done {
-			continue
-		}
-		cands := graph.KShortestPaths(g, origin, rq.Node, k)
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("placement: requester %d unreachable from origin %d", rq.Node, origin)
-		}
-		candByNode[rq.Node] = cands
+	candByNode, err := candidatePaths(s, reqs, origin, k)
+	if err != nil {
+		return nil, err
 	}
-	caps := s.CacheCap
-	if s.ItemSize != nil {
-		if slotCap == nil {
-			return nil, fmt.Errorf("placement: KSP3 with heterogeneous sizes needs slotCap")
-		}
-		caps = slotCap
-	}
+	caps := equalSize(s).CacheCap
 	pl := s.NewPlacement()
 	residual := make([]float64, g.NumNodes())
 	var candidates []graph.NodeID
@@ -195,7 +195,7 @@ func KSP3(s *Spec, origin graph.NodeID, k int, slotCap []float64) (*KSPResult, e
 	bestCost := make([]float64, len(reqs))
 	reqsByItem := make([][]int, s.NumItems)
 	for ri, rq := range reqs {
-		bestCost[ri] = requestBestCost(s, pl, candByNode[rq.Node], rq.Item)
+		_, bestCost[ri] = bestCandidate(s, pl, candByNode[rq.Node], rq.Item)
 		reqsByItem[rq.Item] = append(reqsByItem[rq.Item], ri)
 	}
 	// Greedy over (node, item) additions on the joint objective
@@ -236,28 +236,46 @@ func KSP3(s *Spec, origin graph.NodeID, k int, slotCap []float64) (*KSPResult, e
 		}
 	}
 	// Final routing: each request picks its best candidate path.
-	chosen := make([]ServingPath, len(reqs))
-	for ri, rq := range reqs {
-		bi, bc := 0, math.Inf(1)
-		for pi, p := range candByNode[rq.Node] {
-			if c := servingCostOnPath(s, pl, p, rq.Item); c < bc {
-				bc, bi = c, pi
-			}
-		}
-		chosen[ri] = ServingPath{Req: rq, Path: candByNode[rq.Node][bi], Rate: s.Rates[rq.Item][rq.Node]}
-	}
-	return &KSPResult{Placement: pl, Chosen: chosen}, nil
+	return &KSPResult{Placement: pl, Chosen: bestServingPaths(s, pl, reqs, candByNode)}, nil
 }
 
-// requestBestCost is the min over candidate paths of the serving cost.
-func requestBestCost(s *Spec, pl *Placement, cands []graph.Path, item int) float64 {
-	best := math.Inf(1)
-	for _, p := range cands {
-		if c := servingCostOnPath(s, pl, p, item); c < best {
-			best = c
+// candidatePaths returns each requester's k least-cost paths from the
+// origin: the candidate routes of [3], shared across items.
+func candidatePaths(s *Spec, reqs []Request, origin graph.NodeID, k int) (map[graph.NodeID][]graph.Path, error) {
+	candByNode := map[graph.NodeID][]graph.Path{}
+	for _, rq := range reqs {
+		if _, done := candByNode[rq.Node]; done {
+			continue
+		}
+		cands := graph.KShortestPaths(s.G, origin, rq.Node, k)
+		if len(cands) == 0 {
+			return nil, fmt.Errorf("placement: requester %d unreachable from origin %d", rq.Node, origin)
+		}
+		candByNode[rq.Node] = cands
+	}
+	return candByNode, nil
+}
+
+// bestCandidate returns the candidate path with the least serving cost of
+// the item under pl (the first on ties) and that cost.
+func bestCandidate(s *Spec, pl *Placement, cands []graph.Path, item int) (graph.Path, float64) {
+	bi, bc := 0, math.Inf(1)
+	for pi, p := range cands {
+		if c := servingCostOnPath(s, pl, p, item); c < bc {
+			bc, bi = c, pi
 		}
 	}
-	return best
+	return cands[bi], bc
+}
+
+// bestServingPaths routes each request on its best candidate under pl.
+func bestServingPaths(s *Spec, pl *Placement, reqs []Request, candByNode map[graph.NodeID][]graph.Path) []ServingPath {
+	out := make([]ServingPath, len(reqs))
+	for ri, rq := range reqs {
+		p, _ := bestCandidate(s, pl, candByNode[rq.Node], rq.Item)
+		out[ri] = ServingPath{Req: rq, Path: p, Rate: s.Rates[rq.Item][rq.Node]}
+	}
+	return out
 }
 
 // servingCostOnPath is the cost of the path suffix from the cached node
@@ -288,26 +306,12 @@ func servingCostOnPath(s *Spec, pl *Placement, p graph.Path, item int) float64 {
 // against the true demand, whose request set may differ from the decision
 // demand's.
 func KSPServingPaths(s *Spec, pl *Placement, origin graph.NodeID, k int) ([]ServingPath, error) {
-	candByNode := map[graph.NodeID][]graph.Path{}
-	var out []ServingPath
-	for _, rq := range s.Requests() {
-		cands, ok := candByNode[rq.Node]
-		if !ok {
-			cands = graph.KShortestPaths(s.G, origin, rq.Node, k)
-			if len(cands) == 0 {
-				return nil, fmt.Errorf("placement: requester %d unreachable from origin %d", rq.Node, origin)
-			}
-			candByNode[rq.Node] = cands
-		}
-		bi, bc := 0, math.Inf(1)
-		for pi, p := range cands {
-			if c := servingCostOnPath(s, pl, p, rq.Item); c < bc {
-				bc, bi = c, pi
-			}
-		}
-		out = append(out, ServingPath{Req: rq, Path: cands[bi], Rate: s.Rates[rq.Item][rq.Node]})
+	reqs := s.Requests()
+	candByNode, err := candidatePaths(s, reqs, origin, k)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return bestServingPaths(s, pl, reqs, candByNode), nil
 }
 
 // GlobalRNRServing turns a placement into serving paths by routing each

@@ -413,7 +413,7 @@ func TestPerPathSavingPlusCostIsConstant(t *testing.T) {
 
 func TestSP38AndEvaluateServing(t *testing.T) {
 	s := lineSpec()
-	pl, paths, err := SP38(nil, s, 3, nil)
+	pl, paths, err := SP38(nil, s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestSP38AndEvaluateServing(t *testing.T) {
 
 func TestKSP3(t *testing.T) {
 	s := lineSpec()
-	res, err := KSP3(s, 3, 2, nil)
+	res, err := KSP3(s, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestKSP3(t *testing.T) {
 			t.Errorf("chosen path for %+v ends at %d", sp.Req, sp.Path.Dest(s.G))
 		}
 	}
-	if _, err := KSP3(s, 3, 0, nil); err == nil {
+	if _, err := KSP3(s, 3, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -538,4 +538,42 @@ func bruteForceBestSaving(s *Spec, dist [][]float64) float64 {
 	}
 	rec(0)
 	return best
+}
+
+// TestEqualSizeSlotCounts pins the slot rule of the equal-size baselines:
+// a cache sized for zeta average files holds zeta item slots. With these
+// sizes 3*mean/mean rounds below 3, so a bare floor would derive 2 slots;
+// capSlack restores 3.
+func TestEqualSizeSlotCounts(t *testing.T) {
+	sizes := []float64{697.9, 51.8, 428.6, 663.3}
+	var mean float64
+	for _, z := range sizes {
+		mean += z
+	}
+	mean /= float64(len(sizes))
+	if 3*mean/mean >= 3 {
+		t.Fatalf("3*mean/mean = %v: the instance no longer exercises the residue", 3*mean/mean)
+	}
+	s := &Spec{
+		G:        graph.New(4),
+		NumItems: len(sizes),
+		CacheCap: []float64{0, 1 * mean, 2 * mean, 3 * mean},
+		ItemSize: sizes,
+		Rates:    make([][]float64, len(sizes)),
+	}
+	slots := equalSize(s)
+	if slots.ItemSize != nil {
+		t.Error("equal-size view keeps heterogeneous sizes")
+	}
+	for v, want := range []float64{0, 1, 2, 3} {
+		if got := slots.CacheCap[v]; got != want {
+			t.Errorf("node %d: %v slots, want %v", v, got, want)
+		}
+	}
+	if s.CacheCap[3] != 3*mean {
+		t.Error("equalSize wrote through to the caller's capacities")
+	}
+	if hom := lineSpec(); equalSize(hom) != hom {
+		t.Error("homogeneous spec not returned as is")
+	}
 }

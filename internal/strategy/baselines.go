@@ -8,14 +8,10 @@ import (
 	"jcr/internal/placement"
 )
 
-// kspPaths is the number of candidate paths per request of the [3]
-// baseline: 3, the paper's evaluation setting.
-const kspPaths = 3
-
 func init() {
 	register("sp", "SP [38]: per-path placement on the origin's shortest-path tree, served along those paths",
 		func(Options) Strategy { return &SP{} })
-	register("ksp", "k-SP [3] (k = 3): joint placement over each request's 3 least-cost origin paths",
+	register("ksp", "k-SP [3] (k = 3 unless KSP.K is set): joint placement over each request's k least-cost origin paths",
 		func(Options) Strategy { return &KSP{} })
 	register("rnr", "greedy placement + capacity-oblivious route-to-nearest-replica serving",
 		func(Options) Strategy { return &RNR{} })
@@ -39,24 +35,28 @@ func (*SP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	pl, paths, err := placement.SP38(ctx, inst.Spec, origin, nil)
+	pl, paths, err := placement.SP38(ctx, inst.Spec, origin)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return finishPlan(inst.Spec, &Plan{Placement: pl, Paths: paths}), Stats{Iterations: 1, Method: "sp38"}, nil
 }
 
-// KSP is the paper's k-SP [3] baseline of Section 6 with k = 3: placement
-// jointly over each request's k least-cost paths from the origin, each
-// request served along its best candidate under the placement. The origin
-// is the spec's single pinned node.
-type KSP struct{}
+// KSP is the paper's k-SP [3] baseline of Section 6: placement jointly
+// over each request's k least-cost paths from the origin, each request
+// served along its best candidate under the placement. The origin is the
+// spec's single pinned node.
+type KSP struct {
+	// K is the number of candidate paths per request; zero means 3 (the
+	// paper's figures run Config.CandidatePaths = 10, and 1 for SP + RNR).
+	K int
+}
 
 // Name implements Strategy.
 func (*KSP) Name() string { return "ksp" }
 
 // Decide implements Strategy.
-func (*KSP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
+func (k *KSP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err := pollCtx(ctx, "ksp"); err != nil {
 		return nil, Stats{}, err
 	}
@@ -64,7 +64,11 @@ func (*KSP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	res, err := placement.KSP3(inst.Spec, origin, kspPaths, nil)
+	paths := k.K
+	if paths <= 0 {
+		paths = 3
+	}
+	res, err := placement.KSP3(inst.Spec, origin, paths)
 	if err != nil {
 		return nil, Stats{}, err
 	}

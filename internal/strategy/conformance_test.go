@@ -122,6 +122,48 @@ func TestConformance(t *testing.T) {
 	}
 }
 
+// TestEqualSizeBaselinesOnFileLevel runs the equal-size baselines of
+// Section 6 on file-level specs (heterogeneous item sizes, caches sized in
+// average files). Each must decide, hold at most floor(CacheCap / mean
+// size) items per cache, and return a plan that is valid when every item
+// counts as one slot; byte capacities may overflow, the infeasibility the
+// paper's Fig. 5 shows.
+func TestEqualSizeBaselinesOnFileLevel(t *testing.T) {
+	for k := 0; k < 4; k++ {
+		r := rng.Derive(9, int64(k))
+		spec := conformanceSpec(r)
+		// Every node requests every item, so each cache (1-2 slots for 3
+		// items) would take more items than its slots if it could.
+		for i := range spec.Rates {
+			for v := 1; v < len(spec.Rates[i]); v++ {
+				spec.Rates[i][v] = 1 + r.Float64()*4
+			}
+		}
+		spec.ItemSize = make([]float64, spec.NumItems)
+		var mean float64
+		for i := range spec.ItemSize {
+			spec.ItemSize[i] = 50 + r.Float64()*850
+			mean += spec.ItemSize[i]
+		}
+		mean /= float64(spec.NumItems)
+		slots := &placement.Spec{G: spec.G, NumItems: spec.NumItems, Pinned: spec.Pinned, Rates: spec.Rates,
+			CacheCap: make([]float64, len(spec.CacheCap))}
+		for v, c := range spec.CacheCap {
+			slots.CacheCap[v] = c // item slots, as conformanceSpec draws them
+			spec.CacheCap[v] = c * mean
+		}
+		for _, st := range []Strategy{MustNew("sp", Options{}), MustNew("ksp", Options{}), &KSP{K: 1}} {
+			plan, _, err := st.Decide(context.Background(), Instance{Spec: spec})
+			if err != nil {
+				t.Fatalf("spec %d: %s: %v", k, st.Name(), err)
+			}
+			if err := Validate(Instance{Spec: slots}, plan); err != nil {
+				t.Errorf("spec %d: %s: plan invalid in item slots: %v", k, st.Name(), err)
+			}
+		}
+	}
+}
+
 // TestConformanceRoster pins the registry roster: the paper's algorithms
 // (with the partition-aware decomposed pipeline), its Section 6 baselines
 // (sp, ksp, rnr), and the three related-work baselines.

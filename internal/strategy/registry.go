@@ -34,6 +34,7 @@ type Options struct {
 	MaxIters int
 	// RoundingTrials is how many independent randomized roundings the
 	// routing layer draws under integral routing; zero means its default.
+	// alg2 reads it as its demand class count K (Alg2.K).
 	RoundingTrials int
 	// NoSolverReuse disables carrying solver state (warm LP bases,
 	// routing caches) across rounds and Decide calls. Single-shot callers

@@ -342,8 +342,9 @@ func (n *Network) minHopTree() graph.ShortestTree {
 //	u v [cost] [capacity]
 //
 // with '#' comments. Node IDs must be dense integers starting at 0. Cost
-// must be finite and non-negative and defaults to 1; capacity defaults to
-// unlimited. numEdgeNodes low-degree nodes are designated as in Generate.
+// must be finite and non-negative and defaults to 1; capacity must be
+// non-negative and defaults to unlimited. numEdgeNodes low-degree nodes
+// are designated as in Generate.
 func ParseEdgeList(r io.Reader, name string, numEdgeNodes int) (*Network, error) {
 	type link struct {
 		u, v      int
@@ -389,6 +390,9 @@ func ParseEdgeList(r io.Reader, name string, numEdgeNodes int) (*Network, error)
 			if l.cap, err = strconv.ParseFloat(fields[3], 64); err != nil {
 				return nil, fmt.Errorf("topo: line %d: bad capacity %q", lineNo, fields[3])
 			}
+			if l.cap < 0 || math.IsNaN(l.cap) {
+				return nil, fmt.Errorf("topo: line %d: capacity %v must be non-negative", lineNo, l.cap)
+			}
 		}
 		if u > maxNode {
 			maxNode = u
@@ -403,6 +407,11 @@ func ParseEdgeList(r io.Reader, name string, numEdgeNodes int) (*Network, error)
 	}
 	if len(links) == 0 {
 		return nil, fmt.Errorf("topo: empty edge list")
+	}
+	// A connected graph on maxNode+1 nodes needs at least maxNode links:
+	// refuse sparse IDs before sizing the graph by them.
+	if maxNode > len(links) {
+		return nil, fmt.Errorf("topo: node %d named but only %d links: node IDs must be dense", maxNode, len(links))
 	}
 	g := graph.New(maxNode + 1)
 	for _, l := range links {

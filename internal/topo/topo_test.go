@@ -200,10 +200,25 @@ func TestParseEdgeListErrors(t *testing.T) {
 		"inf cost":     "0 1 inf",
 		"+Inf cost":    "0 1 +Inf",
 		"bad capacity": "0 1 1 x",
+		"NaN capacity": "0 1 1 NaN",
+		"neg capacity": "0 1 1 -5",
 		"disconnected": "0 1\n2 3",
 	} {
 		if _, err := ParseEdgeList(strings.NewReader(src), "x", 1); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+}
+
+// TestParseEdgeListRejectsSparseIDs: a connected graph on n nodes needs
+// n-1 links, so a node ID beyond the link count is refused before the
+// graph is sized by it (one line naming node 1e8 would otherwise allocate
+// gigabytes; the cases here stay small in case the guard ever regresses).
+func TestParseEdgeListRejectsSparseIDs(t *testing.T) {
+	for _, src := range []string{"0 1\n1 3", "0 1000000", "0 9223372036854775807"} {
+		_, err := ParseEdgeList(strings.NewReader(src), "x", 1)
+		if err == nil || !strings.Contains(err.Error(), "dense") {
+			t.Errorf("%q: error %v, want the dense-ID refusal", src, err)
 		}
 	}
 }

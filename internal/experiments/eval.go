@@ -18,7 +18,8 @@ const rateEps = 1e-12
 // rescaled proportionally to carry the true rate; requests that the
 // decision did not anticipate (predicted rate zero but true rate positive)
 // fall back to route-to-nearest-replica under the decided placement, the
-// natural operational behaviour.
+// natural operational behaviour. With no decided paths every request falls
+// back: the roster's rnr rule.
 func EvaluateDecisionOnTruth(run *Run, pl *placement.Placement, decided []placement.ServingPath) (cost, maxUtil float64, err error) {
 	truth := run.Truth
 	byReq := map[placement.Request][]placement.ServingPath{}

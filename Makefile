@@ -19,7 +19,7 @@ vet:
 # library panics, dropped errors, magic tolerances, map-iteration-order
 # leaks, wall-clock reachability, lock discipline, hot-path allocations);
 # see README "Static analysis & invariants". `go vet` runs first, then
-# the thirteen jcrlint analyzers. CI also emits `-sarif` for inline
+# the twelve jcrlint analyzers. CI also emits `-sarif` for inline
 # annotations.
 lint: vet
 	$(GO) run ./cmd/jcrlint ./...

@@ -58,7 +58,6 @@ var rows = []struct {
 	{"BenchmarkDecide/alg2", "decide_alg2", false},
 	{"BenchmarkDecide/alternating", "decide_alternating", false},
 	{"BenchmarkDecide/cachenet-random", "decide_cachenet_random", false},
-	{"BenchmarkDecide/decomposed", "decide_decomposed", false},
 	{"BenchmarkDecide/iy-fixedpath", "decide_iy_fixedpath", false},
 	{"BenchmarkDecide/ksp", "decide_ksp", false},
 	{"BenchmarkDecide/mindelay", "decide_mindelay", true},

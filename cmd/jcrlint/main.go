@@ -29,8 +29,6 @@
 //	                 with plain access
 //	hot-alloc        no allocations or interface boxing inside loops of
 //	                 //jcr:hotpath functions
-//	cell-index       no raw NodeID/ArcID arithmetic inside //jcr:celllocal
-//	                 functions
 //
 // Usage:
 //

@@ -98,7 +98,7 @@ type ArenaResult struct {
 	Iterations int     `json:"iterations"`
 	WallMS     float64 `json:"wall_ms"`
 	// Method labels the dominant subroutine of the winning solve (the
-	// routing method, e.g. "lp" or "decomposed"); JSON-only — the CSV
+	// routing method, e.g. "lp" or "sequential"); JSON-only — the CSV
 	// column set is pinned.
 	Method string `json:"method,omitempty"`
 	Err    string `json:"error,omitempty"`

@@ -42,7 +42,7 @@ func benchmarkHarness(b *testing.B, id string) {
 	}
 }
 
-// BenchmarkScalingCells times one decomposed solve per representative
+// BenchmarkScalingCells times one alternating solve per representative
 // composite cell — K cost-assigned Abovenet blocks stitched through
 // gateways, the scaling experiment's construction.
 func BenchmarkScalingCells(b *testing.B) {
@@ -63,10 +63,7 @@ func BenchmarkScalingCells(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st := &strategy.Decomposed{
-					Alternating: strategy.Alternating{Options: strategy.Options{Seed: 1, MaxIters: 4, BestEffort: true}},
-					MinVars:     1,
-				}
+				st := &strategy.Alternating{Options: strategy.Options{Seed: 1, MaxIters: 4, BestEffort: true}}
 				if _, _, err := st.Decide(context.Background(), inst); err != nil {
 					b.Fatal(err)
 				}

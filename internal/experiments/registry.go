@@ -75,7 +75,7 @@ func Registry() []Experiment {
 		{ID: "zipf", Description: "extension: synthetic Zipf demand sweep (conference version)", Run: renderFigs(figs(ZipfSweep)), Figures: figs(ZipfSweep)},
 		{ID: "ablation", Description: "extension: ablations of implementation choices", Run: text(Ablation)},
 		{ID: "arena", Description: "extension: baseline arena — every registered strategy ranked over topology x catalog x skew x faults", Run: arenaRun, Score: Arena, Check: arenaCheck},
-		{ID: "scaling", Description: "extension: partition-aware scaling curve — decomposed vs monolithic over stitched composite topologies", Run: scalingRun, Score: Scaling, Check: scalingCheck},
+		{ID: "scaling", Description: "extension: alternating optimizer scaling curve over stitched composite topologies", Run: scalingRun, Score: Scaling, Check: scalingCheck},
 	}
 }
 

@@ -12,17 +12,16 @@ import (
 	"jcr/internal/topo"
 )
 
-// The scaling experiment measures the partition-aware solve pipeline
-// (DESIGN.md §10) where it was built to matter: composite networks far
-// beyond the monolithic multicommodity LP's reach. Each cell stitches K
-// Abovenet-style blocks through gateway links (topo.Composite), pins the
-// catalog at every block's origin (regional mirrors), and spreads Zipf
-// demand over all edge nodes; the grid sweeps K x catalog size and the
-// scorecard records the wall-clock curve of the decomposed strategy next
-// to the monolithic alternating baseline on the cells the baseline can
-// still attempt. The strategies run sequentially, one bout at a time, with
-// cfg.Workers threaded inside the bout (the decomposition's per-cell
-// parallelism) — so `-workers N` changes wall-clock only, never results.
+// The scaling experiment measures the alternating optimizer on composite
+// networks that grow past the multicommodity LP's reach (DESIGN.md §10).
+// Each cell stitches K Abovenet-style blocks through gateway links
+// (topo.Composite), pins the catalog at every block's origin (regional
+// mirrors), and spreads Zipf demand over all edge nodes; the grid sweeps
+// K x catalog size and the scorecard records alternating's wall-clock
+// curve. Small cells route on the exact LP, the larger ones on the
+// sequential residual heuristic (routing.Route's ladder). Bouts run one at
+// a time with cfg.Workers threaded inside the bout (the per-item min-cost
+// flows), so `-workers N` changes wall-clock only, never results.
 
 const (
 	// scalingAlpha is the Zipf skew of every scaling cell.
@@ -34,23 +33,14 @@ const (
 	// block's rate — per-link capacity stays constant as K grows, since
 	// each block carries its own demand. Tight enough that per-item
 	// independent routing overloads cheap shared links and the coupled
-	// multicommodity solve (monolithic or decomposed) must run; block
-	// augmentation keeps every cell feasible.
+	// routing rungs must run; block augmentation keeps every cell
+	// feasible.
 	scalingCapFrac = 0.005
-	// scalingMonoMaxBlocks is the largest composite the monolithic
-	// baseline is asked to attempt; above it the bout is recorded as
-	// skipped — the point of the curve is that only the decomposed
-	// pipeline keeps going.
-	scalingMonoMaxBlocks = 4
-	// scalingMinVars forces the decomposed strategy's partition path on
-	// every scaling cell (its production stand-down threshold would keep
-	// small-K cells monolithic, which is the baseline's column here).
-	scalingMinVars = 1
-	// scalingMaxRounds bounds the alternating rounds per bout, the same
-	// for both strategies, keeping the full grid tractable.
+	// scalingMaxRounds bounds the alternating rounds per bout, keeping the
+	// full grid tractable.
 	scalingMaxRounds = 4
-	// scalingServedTol is the slack on the full-service check: the
-	// decomposed strategy must serve everything on these feasible cells.
+	// scalingServedTol is the slack on the full-service check: alternating
+	// must serve everything on these feasible cells.
 	scalingServedTol = 1e-3
 )
 
@@ -89,8 +79,7 @@ func scalingCells(quick bool) []ScalingCell {
 // cfg.Workers when no clock is injected.
 func Scaling(ctx context.Context, cfg *Config, quick bool) (*Scorecard, error) {
 	cells := scalingCells(quick)
-	names := []string{"alternating", "decomposed"}
-	sc := &Scorecard{Title: "partition scaling sweep", Quick: quick, Seed: cfg.Seed}
+	sc := &Scorecard{Title: "composite scaling sweep", Quick: quick, Seed: cfg.Seed}
 	for _, cell := range cells {
 		sc.Cells = append(sc.Cells, cell.Name())
 	}
@@ -101,12 +90,10 @@ func Scaling(ctx context.Context, cfg *Config, quick bool) (*Scorecard, error) {
 			return nil, fmt.Errorf("scaling: cell %s: %w", cell.Name(), err)
 		}
 		dist := graph.AllPairs(spec.G)
-		for _, name := range names {
-			results = append(results, runScalingBout(ctx, cfg, cell, spec, dist, name))
-		}
+		results = append(results, runScalingBout(ctx, cfg, cell, spec, dist))
 	}
 	sc.Results = results
-	sc.Rows = rankArena(names, results)
+	sc.Rows = rankArena([]string{"alternating"}, results)
 	return sc, nil
 }
 
@@ -156,31 +143,17 @@ func buildScalingCell(cfg *Config, cell ScalingCell) (*placement.Spec, error) {
 	}, nil
 }
 
-// runScalingBout runs one strategy on one composite cell. The monolithic
-// baseline is recorded as skipped above scalingMonoMaxBlocks instead of
-// being run; the decomposed strategy is forced onto its partition path on
-// every cell so the curve measures the decomposition, not its stand-down.
-// Solver reuse stays on — warm per-cell resolves across alternating rounds
-// are part of what the experiment measures.
-func runScalingBout(ctx context.Context, cfg *Config, cell ScalingCell, spec *placement.Spec, dist [][]float64, name string) ArenaResult {
-	res := ArenaResult{Cell: cell.Name(), Strategy: name, Delay: -1}
-	if name == "alternating" && cell.Blocks > scalingMonoMaxBlocks {
-		res.Status = "skipped"
-		res.Err = fmt.Sprintf("monolithic baseline not attempted beyond %d blocks", scalingMonoMaxBlocks)
-		return res
-	}
-	alt := strategy.Alternating{Options: strategy.Options{
+// runScalingBout runs the alternating optimizer on one composite cell.
+// Solver reuse stays on: warm re-solves across alternating rounds are part
+// of what the experiment measures.
+func runScalingBout(ctx context.Context, cfg *Config, cell ScalingCell, spec *placement.Spec, dist [][]float64) ArenaResult {
+	res := ArenaResult{Cell: cell.Name(), Strategy: "alternating", Delay: -1}
+	st := &strategy.Alternating{Options: strategy.Options{
 		Seed:       cfg.Seed,
 		Workers:    cfg.Workers,
 		MaxIters:   scalingMaxRounds,
 		BestEffort: true,
 	}}
-	var st strategy.Strategy
-	if name == "decomposed" {
-		st = &strategy.Decomposed{Alternating: alt, MinVars: scalingMinVars}
-	} else {
-		st = &alt
-	}
 	inst := strategy.Instance{Spec: spec, Dist: dist}
 	lap := cfg.stopwatch()
 	plan, stats, err := st.Decide(ctx, inst)
@@ -225,28 +198,18 @@ func scalingRun(ctx context.Context, cfg *Config) (string, error) {
 }
 
 // scalingCheck is the claim EXPERIMENTS.md makes for the scaling curve:
-// the decomposed pipeline completes every composite cell — including the
-// ones the monolithic baseline does not attempt — serving all demand, and
-// the baseline completes at least the small-K overlap so the curve has a
-// reference.
+// alternating completes every composite cell, serving all demand.
 func scalingCheck(sc *Scorecard) error {
-	dec, ok := sc.Row("decomposed")
-	if !ok {
-		return fmt.Errorf("scaling: no decomposed row in the scorecard")
-	}
-	if dec.CellsOK != len(sc.Cells) {
-		return fmt.Errorf("scaling: decomposed completed %d of %d cells (%d failed, %d skipped)",
-			dec.CellsOK, len(sc.Cells), dec.Failed, dec.Skipped)
-	}
-	if dec.Served < 1-scalingServedTol {
-		return fmt.Errorf("scaling: decomposed served fraction %.6f below %g", dec.Served, 1-scalingServedTol)
-	}
 	alt, ok := sc.Row("alternating")
-	if !ok || alt.CellsOK == 0 {
-		return fmt.Errorf("scaling: monolithic baseline completed no cells; the curve has no reference")
+	if !ok {
+		return fmt.Errorf("scaling: no alternating row in the scorecard")
 	}
-	if alt.Failed > 0 {
-		return fmt.Errorf("scaling: monolithic baseline failed %d attempted cells", alt.Failed)
+	if alt.CellsOK != len(sc.Cells) {
+		return fmt.Errorf("scaling: alternating completed %d of %d cells (%d failed, %d skipped)",
+			alt.CellsOK, len(sc.Cells), alt.Failed, alt.Skipped)
+	}
+	if alt.Served < 1-scalingServedTol {
+		return fmt.Errorf("scaling: alternating served fraction %.6f below %g", alt.Served, 1-scalingServedTol)
 	}
 	return nil
 }

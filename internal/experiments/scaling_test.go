@@ -3,13 +3,15 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
+
+	"jcr/internal/routing"
 )
 
-// TestScalingQuick runs the CI smoke grid end-to-end: both strategies
-// complete every quick cell, the decomposed column actually took the
-// partition path, and the scorecard passes its registered check.
+// TestScalingQuick runs the CI smoke grid end-to-end: alternating
+// completes every quick cell, some cell overloads the independent per-item
+// flows so a coupled routing rung runs, and the scorecard passes its
+// registered check.
 func TestScalingQuick(t *testing.T) {
 	sc, err := Scaling(context.Background(), tinyConfig(), true)
 	if err != nil {
@@ -21,24 +23,17 @@ func TestScalingQuick(t *testing.T) {
 	if err := scalingCheck(sc); err != nil {
 		t.Errorf("scalingCheck: %v", err)
 	}
-	decomposedRouted := false
+	coupled := false
 	for _, r := range sc.Results {
 		if r.Status != "ok" {
 			t.Errorf("%s/%s: status %s (%s)", r.Cell, r.Strategy, r.Status, r.Err)
 		}
-		if r.Strategy == "decomposed" && r.Method == "decomposed" {
-			decomposedRouted = true
+		if r.Strategy == "alternating" && r.Method != routing.MethodIndependent {
+			coupled = true
 		}
 	}
-	if !decomposedRouted {
-		t.Errorf("no quick cell used the decomposed routing path; results: %+v", sc.Results)
-	}
-	// The curve's reference column exists: alternating attempted the
-	// overlap and its objective stayed comparable (the decomposition's
-	// duality-gap tolerance bounds the spread).
-	alt, _ := sc.Row("alternating")
-	if alt.CellsOK != len(sc.Cells) {
-		t.Errorf("alternating completed %d of %d quick cells", alt.CellsOK, len(sc.Cells))
+	if !coupled {
+		t.Errorf("every quick cell routed on independent flows; results: %+v", sc.Results)
 	}
 }
 
@@ -75,40 +70,32 @@ func TestScalingWorkersIdentical(t *testing.T) {
 	}
 }
 
-// TestScalingSkipsMonolithic pins the full grid's shape without running
-// it: above scalingMonoMaxBlocks the monolithic baseline is recorded as
-// skipped, not attempted.
-func TestScalingSkipsMonolithic(t *testing.T) {
+// TestScalingGrid pins the full grid's size without running it: four
+// composite sizes at two catalog sizes.
+func TestScalingGrid(t *testing.T) {
 	cells := scalingCells(false)
 	if len(cells) != 8 {
 		t.Fatalf("full grid has %d cells, want 8", len(cells))
-	}
-	cfg := tinyConfig()
-	big := ScalingCell{Blocks: scalingMonoMaxBlocks + 4, Catalog: 8}
-	res := runScalingBout(context.Background(), cfg, big, nil, nil, "alternating")
-	if res.Status != "skipped" || !strings.Contains(res.Err, "not attempted") {
-		t.Errorf("monolithic bout on %d blocks = %+v, want skipped", big.Blocks, res)
 	}
 }
 
 // TestScalingCheckRejects exercises the check's failure arms.
 func TestScalingCheckRejects(t *testing.T) {
-	sc := &Scorecard{
-		Cells: []string{"a", "b"},
-		Rows: []ScoreRow{
-			{Strategy: "decomposed", CellsOK: 1, Failed: 1, Served: 0.5},
-			{Strategy: "alternating", CellsOK: 1, Served: 1},
-		},
+	sc := &Scorecard{Cells: []string{"a", "b"}}
+	for _, bad := range []struct {
+		name string
+		rows []ScoreRow
+	}{
+		{"no alternating row", nil},
+		{"incomplete", []ScoreRow{{Strategy: "alternating", CellsOK: 1, Failed: 1, Served: 0.5}}},
+		{"underserved", []ScoreRow{{Strategy: "alternating", CellsOK: 2, Served: 0.99}}},
+	} {
+		sc.Rows = bad.rows
+		if err := scalingCheck(sc); err == nil {
+			t.Errorf("scalingCheck accepted the %s scorecard", bad.name)
+		}
 	}
-	if err := scalingCheck(sc); err == nil {
-		t.Error("scalingCheck accepted an incomplete decomposed row")
-	}
-	sc.Rows[0] = ScoreRow{Strategy: "decomposed", CellsOK: 2, Served: 1}
-	sc.Rows[1] = ScoreRow{Strategy: "alternating"}
-	if err := scalingCheck(sc); err == nil {
-		t.Error("scalingCheck accepted a baseline with no completed cells")
-	}
-	sc.Rows[1] = ScoreRow{Strategy: "alternating", CellsOK: 1, Served: 1}
+	sc.Rows = []ScoreRow{{Strategy: "alternating", CellsOK: 2, Served: 1}}
 	if err := scalingCheck(sc); err != nil {
 		t.Errorf("scalingCheck rejected a healthy scorecard: %v", err)
 	}

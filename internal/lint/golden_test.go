@@ -39,7 +39,6 @@ func TestGolden(t *testing.T) {
 			patterns: []string{"./testdata/src/wallclockdep", "./testdata/src/wallclockuse"}},
 		{name: "lockdiscipline", analyzer: "lock-discipline"},
 		{name: "hotalloc", analyzer: "hot-alloc"},
-		{name: "cellindex", analyzer: "cell-index"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -124,9 +124,8 @@ func objectKey(obj types.Object) (string, bool) {
 }
 
 // Registry is the full analyzer set, in reporting order: seven AST
-// checks, strategy-ctx, the four SSA-style dataflow analyzers (facts +
-// CFG) that encode the repo's determinism and concurrency invariants, and
-// cell-index.
+// checks, strategy-ctx, and the four SSA-style dataflow analyzers (facts +
+// CFG) that encode the repo's determinism and concurrency invariants.
 func Registry() []*Analyzer {
 	return []*Analyzer{
 		FloatEqAnalyzer,
@@ -141,6 +140,5 @@ func Registry() []*Analyzer {
 		WallClockAnalyzer,
 		LockDisciplineAnalyzer,
 		HotAllocAnalyzer,
-		CellIndexAnalyzer,
 	}
 }

@@ -41,51 +41,6 @@ func cloneItemMinCostFlow(aux *graph.Auxiliary, k int, ad itemDemand, residual [
 	return res.Arc[:aux.G.NumArcs()], nil
 }
 
-// cloneRecoverInOrder is recoverInOrder's former body, one auxiliary-graph
-// copy per item with the supply caps written onto the item's virtual arcs.
-func cloneRecoverInOrder(aux *graph.Auxiliary, active []itemDemand, order []int, supplyCaps []map[graph.NodeID]float64) ([][]float64, error) {
-	g := aux.G
-	residual := make([]float64, g.NumArcs())
-	for id := range residual {
-		residual[id] = g.Arc(id).Cap
-	}
-	flows := make([][]float64, len(active))
-	for _, k := range order {
-		gg := g.Clone()
-		for id := 0; id < g.NumArcs(); id++ {
-			if !aux.IsVirtualArc(id) {
-				gg.SetArcCap(id, residual[id])
-			}
-		}
-		if supplyCaps != nil {
-			for _, v := range sortedArcKeys(aux.VirtualArc[k]) {
-				gg.SetArcCap(aux.VirtualArc[k][v], supplyCaps[k][v])
-			}
-		}
-		super := gg.AddNode()
-		var total float64
-		for _, t := range active[k].sorted {
-			gg.AddArc(t, super, 0, active[k].sinks[t])
-			total += active[k].sinks[t]
-		}
-		res, err := flow.MinCostFlow(nil, gg, aux.VirtualSource[k], super, total)
-		if err != nil {
-			return nil, err
-		}
-		f := res.Arc[:g.NumArcs()]
-		flows[k] = f
-		for id, v := range f {
-			if !aux.IsVirtualArc(id) {
-				residual[id] -= v
-				if residual[id] < 0 {
-					residual[id] = 0
-				}
-			}
-		}
-	}
-	return flows, nil
-}
-
 // randomAuxInstance draws a capacitated random graph, an auxiliary graph
 // with one virtual source per item over 1-3 replica nodes, and per-item
 // demands at random sinks. Costs repeat on purpose, so ties between
@@ -180,44 +135,5 @@ func TestItemMinCostFlowMatchesClone(t *testing.T) {
 	}
 	if solved == 0 || refused == 0 {
 		t.Fatalf("%d solved and %d refused flows; both verdicts must occur", solved, refused)
-	}
-}
-
-// TestRecoverInOrderMatchesClone pins the decomposition's greedy recovery,
-// which overrides real-arc capacities with the running residual and the
-// item's virtual arcs with its supply caps, to the clone-based version.
-func TestRecoverInOrderMatchesClone(t *testing.T) {
-	r := rand.New(rand.NewSource(78))
-	var compared int
-	for trial := 0; trial < 200; trial++ {
-		aux, active := randomAuxInstance(r)
-		order := r.Perm(len(active))
-		var supplyCaps []map[graph.NodeID]float64
-		if trial%2 == 1 {
-			supplyCaps = make([]map[graph.NodeID]float64, len(active))
-			for k := range active {
-				supplyCaps[k] = make(map[graph.NodeID]float64)
-				for _, v := range sortedArcKeys(aux.VirtualArc[k]) {
-					supplyCaps[k][v] = active[k].total * (0.3 + r.Float64())
-				}
-			}
-		}
-		want, wantErr := cloneRecoverInOrder(aux, active, order, supplyCaps)
-		got, _, gotErr := recoverInOrder(nil, aux, active, order, supplyCaps)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: error %v, clone-based %v", trial, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		for k := range active {
-			if !sameFlow(got[k], want[k]) {
-				t.Fatalf("trial %d item %d: flow %v, clone-based %v", trial, k, got[k], want[k])
-			}
-		}
-		compared++
-	}
-	if compared < 50 {
-		t.Fatalf("only %d recoveries succeeded; the comparison needs feasible instances", compared)
 	}
 }

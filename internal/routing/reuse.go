@@ -7,7 +7,7 @@ import (
 
 // Reuse carries routing state worth keeping across Route calls on the same
 // instance — the alternating loop re-routes after every placement round, and
-// the online controller re-routes every hour. Four layers cache:
+// the online controller re-routes every hour. Three layers cache:
 //
 //   - per-item demand sets (which nodes want each item, at what rate),
 //     keyed by the Spec pointer: rebuilding the maps is pure overhead while
@@ -16,9 +16,7 @@ import (
 //     mutation generation (graph.Graph.Gen) plus the replica groups: once
 //     the alternating placement stabilizes, the groups repeat and the
 //     virtual-source construction is identical;
-//   - the shortest-path tree engine behind the best-effort reach filter;
-//   - the decomposed per-cell LP skeletons and their warm-start lp.Solver
-//     handles (see cellPrograms).
+//   - the shortest-path tree engine behind the best-effort reach filter.
 //
 // Every cache validates its key on each call and rebuilds on mismatch, so a
 // Reuse handle never changes results — only how much work they take. The
@@ -38,20 +36,6 @@ type Reuse struct {
 	auxGen    uint64
 	auxGroups [][]graph.NodeID
 	aux       *graph.Auxiliary
-
-	// Partition-aware solve caches (decompose.go): the cell decomposition
-	// snapshot, keyed on the base graph's freshness and the assignment
-	// content (with a Rebase fast path onto faults-degraded graphs), and
-	// the per-cell LP skeletons with their solver handles, keyed on the
-	// auxiliary graph's pointer and generation — between alternating
-	// rounds only the conservation right-hand sides and variable bounds
-	// move, so the skeletons mutate in place. The solver handles are reset
-	// between top-level calls (see cellPrograms) and warm-start only the
-	// within-call price-coordination re-solves.
-	dcSet   *graph.CellSet
-	dcAux   *graph.Auxiliary
-	dcGen   uint64
-	dcProgs []*cellProg
 
 	eng *graph.Engine
 }
@@ -74,8 +58,8 @@ func (r *Reuse) Engine() *graph.Engine {
 	return r.eng
 }
 
-// Invalidate drops every cache (and the retained LP bases), forcing the next
-// Route call to rebuild from scratch. Nil-safe.
+// Invalidate drops every cache, forcing the next Route call to rebuild
+// from scratch. Nil-safe.
 func (r *Reuse) Invalidate() {
 	if r == nil {
 		return
@@ -85,9 +69,6 @@ func (r *Reuse) Invalidate() {
 	r.auxBase = nil
 	r.auxGroups = nil
 	r.aux = nil
-	r.dcSet = nil
-	r.dcAux = nil
-	r.dcProgs = nil
 	r.eng = nil
 }
 
@@ -164,79 +145,4 @@ func cloneSinks(sinks map[graph.NodeID]float64) map[graph.NodeID]float64 {
 		out[v] = d
 	}
 	return out
-}
-
-// cellSet returns the decomposition snapshot for (base, assign), reusing
-// the cached one while it is fresh, rebasing it onto a faults-degraded
-// graph when possible, and rebuilding otherwise. Nil-safe.
-func (r *Reuse) cellSet(base *graph.Graph, assign []int) (*graph.CellSet, error) {
-	if r != nil && r.dcSet != nil && intSliceEqual(r.dcSet.Assign(), assign) {
-		if r.dcSet.Fresh(base) {
-			return r.dcSet, nil
-		}
-		if rb, ok := r.dcSet.Rebase(base); ok {
-			r.dcSet = rb
-			r.dcProgs = nil
-			return rb, nil
-		}
-	}
-	cs, err := graph.NewCellSet(base, assign)
-	if err != nil {
-		return nil, err
-	}
-	if r != nil {
-		r.dcSet = cs
-		r.dcProgs = nil
-	}
-	return cs, nil
-}
-
-// cellPrograms returns the per-cell LP skeletons for (cs, aux, active). On
-// a structurally repeated instance — the cached cell set, the cached
-// auxiliary graph at the same generation (which pins the replica groups),
-// and the same active item count — the cached skeletons are mutated in
-// place (demand right-hand sides and per-item bounds) so every cell's
-// solver warm-starts from its previous basis; otherwise the skeletons are
-// rebuilt and retained. Nil-safe.
-func (r *Reuse) cellPrograms(cs *graph.CellSet, aux *graph.Auxiliary, active []itemDemand) ([]*cellProg, error) {
-	if r != nil && r.dcProgs != nil && r.dcSet == cs && r.dcAux == aux && r.dcGen == aux.G.Gen() &&
-		mutateCellPrograms(r.dcProgs, active) {
-		// Drop the solver state retained from the previous top-level call.
-		// The price-coordination LPs are dual degenerate by construction
-		// (the prices equalize arc costs), so a warm start from a
-		// foreign basis can terminate at a different alternate optimum,
-		// fork the subgradient trajectory, and change the reported dual
-		// bound — violating the handle's results-never-change contract.
-		// A cold first iteration makes every call's solve sequence a pure
-		// function of the instance; the within-call re-solves (the bulk)
-		// still warm-start.
-		for _, pr := range r.dcProgs {
-			pr.solver.Invalidate()
-		}
-		return r.dcProgs, nil
-	}
-	progs, err := buildCellPrograms(cs, aux, active)
-	if err != nil {
-		return nil, err
-	}
-	if r != nil {
-		r.dcProgs = progs
-		r.dcSet = cs
-		r.dcAux = aux
-		r.dcGen = aux.G.Gen()
-	}
-	return progs, nil
-}
-
-// intSliceEqual reports element-wise equality of two assignments.
-func intSliceEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

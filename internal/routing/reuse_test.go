@@ -165,3 +165,30 @@ func TestReuseBestEffortKeepsCacheIntact(t *testing.T) {
 		t.Errorf("after repair: cost = %v, want 3", res.Cost)
 	}
 }
+
+// TestBaseDemandSortedHoisted pins the sorted-sinks hoist: the cached
+// demand sets carry their sink order, and the warm path neither re-sorts
+// nor allocates.
+func TestBaseDemandSortedHoisted(t *testing.T) {
+	s := reuseSpec()
+	reuse := NewReuse()
+	cold := reuse.baseDemand(s)
+	for _, bd := range cold {
+		if len(bd.sorted) != len(bd.sinks) {
+			t.Fatalf("item %d: sorted order covers %d of %d sinks", bd.item, len(bd.sorted), len(bd.sinks))
+		}
+		for i := 1; i < len(bd.sorted); i++ {
+			if bd.sorted[i-1] >= bd.sorted[i] {
+				t.Fatalf("item %d: sink order not strictly ascending: %v", bd.item, bd.sorted)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		warm := reuse.baseDemand(s)
+		if &warm[0] != &cold[0] {
+			t.Fatal("warm baseDemand rebuilt the demand sets")
+		}
+	}); allocs > 0 {
+		t.Errorf("warm baseDemand allocates %.0f objects per call, want 0", allocs)
+	}
+}

@@ -38,7 +38,6 @@ const (
 	MethodIndependent = "independent"
 	MethodLP          = "lp"
 	MethodSequential  = "sequential"
-	MethodDecomposed  = "decomposed"
 )
 
 // Numerical tolerances shared across the routing solver, named in one
@@ -90,16 +89,9 @@ type Options struct {
 	Workers int
 	// Reuse, when non-nil, carries caches across Route calls with the
 	// same spec and graph: per-item demand sets, the Lemma 4.5 auxiliary
-	// graph, the shortest-path tree engine, and the decomposed cell LPs
-	// (see Reuse). Nil solves from scratch.
+	// graph and the shortest-path tree engine (see Reuse). Nil solves
+	// from scratch.
 	Reuse *Reuse
-	// Decompose, when non-nil, enables the partition-aware solve path for
-	// instances too large for the monolithic LP: cells solve their own
-	// small LPs coordinated through Lagrangian prices on the gateway arcs
-	// (see decompose.go). Instances at or below Decompose.MinVars flow
-	// variables keep the monolithic pipeline, and any decomposition
-	// failure falls back to it as well.
-	Decompose *DecomposeOptions
 }
 
 const defaultLPMaxVars = 6000
@@ -133,9 +125,6 @@ type Result struct {
 	// the item reachable from the requester) to their demand rate. Only
 	// populated under Options.BestEffort; nil when everything is served.
 	Unserved map[placement.Request]float64
-	// Decomposed carries the partition-aware solve's duality certificate
-	// when Method is MethodDecomposed; nil otherwise.
-	Decomposed *DecomposeInfo
 }
 
 // Route solves the routing subproblem for the given placement. ctx is
@@ -228,7 +217,7 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 	aux := opts.Reuse.auxiliary(s.G, groups)
 
 	// Splittable per-item arc flows on the auxiliary graph.
-	flows, method, dinfo, err := splittableFlows(ctx, aux, active, opts)
+	flows, method, err := splittableFlows(ctx, aux, active, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +269,7 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 			}
 		}
 		cost, loads, maxUtil := placement.EvaluateServing(s, paths, pl)
-		return &Result{Paths: paths, Cost: cost, Loads: loads, MaxUtilization: maxUtil, Method: method, Unserved: unserved, Decomposed: dinfo}, nil
+		return &Result{Paths: paths, Cost: cost, Loads: loads, MaxUtilization: maxUtil, Method: method, Unserved: unserved}, nil
 	}
 	// Randomized rounding (MMUFP): draw each request's single path with
 	// probability proportional to its flow; repeat and keep the draw
@@ -319,7 +308,7 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 			paths = append(paths, placement.ServingPath{Req: ro.rq, Path: chosen.Path, Rate: ro.demand})
 		}
 		cost, loads, maxUtil := placement.EvaluateServing(s, paths, pl)
-		cand := &Result{Paths: paths, Cost: cost, Loads: loads, MaxUtilization: maxUtil, Method: method, Unserved: unserved, Decomposed: dinfo}
+		cand := &Result{Paths: paths, Cost: cost, Loads: loads, MaxUtilization: maxUtil, Method: method, Unserved: unserved}
 		if best == nil ||
 			cand.MaxUtilization < best.MaxUtilization-utilTol ||
 			(math.Abs(cand.MaxUtilization-best.MaxUtilization) <= utilTol && cand.Cost < best.Cost) {
@@ -396,9 +385,8 @@ func reachableFrom(g *graph.Graph, roots []graph.NodeID) []bool {
 
 // splittableFlows computes per-item arc flows (indexed like aux.G arcs)
 // satisfying each item's demands, minimizing total cost within shared real
-// link capacities when possible. The *DecomposeInfo is non-nil exactly when
-// the partition-aware path produced the flows.
-func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, opts Options) ([][]float64, string, *DecomposeInfo, error) {
+// link capacities when possible.
+func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, opts Options) ([][]float64, string, error) {
 	g := aux.G
 	// 1. Independent per-item min-cost flows, each respecting the link
 	// capacities on its own. The items are independent here — each one
@@ -423,7 +411,7 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 		flows[k] = f
 		return nil
 	}); err != nil {
-		return nil, "", nil, err
+		return nil, "", err
 	}
 	agg := make([]float64, g.NumArcs())
 	independentOK := true
@@ -439,34 +427,21 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 		}
 	}
 	if independentOK {
-		return flows, MethodIndependent, nil, nil
+		return flows, MethodIndependent, nil
 	}
-	// 2. Partition-aware decomposition for instances above its size
-	// threshold: per-cell LPs coordinated through gateway prices, with the
-	// monolithic pipeline below as the fallback (and differential oracle)
-	// whenever the decomposition cannot certify a feasible routing.
-	if dec := opts.Decompose; dec != nil && len(active)*g.NumArcs() > dec.minVars() {
-		dFlows, info, derr := decomposedFlows(ctx, aux, active, opts)
-		if derr == nil {
-			return dFlows, MethodDecomposed, info, nil
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return nil, "", nil, derr
-		}
-	}
-	// 3. Exact multicommodity LP when small enough.
+	// 2. Exact multicommodity LP when small enough.
 	if len(active)*g.NumArcs() <= opts.LPMaxVars {
 		lpFlows, err := multicommodityLP(ctx, aux, active)
 		if err == nil {
-			return lpFlows, MethodLP, nil, nil
+			return lpFlows, MethodLP, nil
 		}
 		if ctx != nil && ctx.Err() != nil {
-			return nil, "", nil, err
+			return nil, "", err
 		}
 		// Infeasible or numerically stuck: fall through to the
 		// sequential heuristic, which always produces a solution.
 	}
-	// 4. Sequential residual-capacity routing, largest demand first,
+	// 3. Sequential residual-capacity routing, largest demand first,
 	// with a capacity-oblivious fallback per item.
 	order := make([]int, len(active))
 	for i := range order {
@@ -481,13 +456,13 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 		f, err := itemMinCostFlow(ctx, aux, k, active[k], residual, false)
 		if err != nil {
 			if ctx != nil && ctx.Err() != nil {
-				return nil, "", nil, err
+				return nil, "", err
 			}
 			// No room left: route capacity-obliviously and absorb
 			// the congestion (measured by the caller).
 			f, err = itemMinCostFlow(ctx, aux, k, active[k], nil, true)
 			if err != nil {
-				return nil, "", nil, err
+				return nil, "", err
 			}
 		}
 		flows[k] = f
@@ -498,7 +473,7 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 			}
 		}
 	}
-	return flows, MethodSequential, nil, nil
+	return flows, MethodSequential, nil
 }
 
 // sortedSinks returns the sink nodes of a demand map in ascending node

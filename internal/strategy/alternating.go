@@ -39,10 +39,6 @@ const improveTol = 1e-9
 // parallel workers one Alternating each (DESIGN.md §3.9).
 type Alternating struct {
 	Options
-	// Decompose, when non-nil, threads the partition-aware routing path
-	// into every round's routing subproblem (see routing.DecomposeOptions
-	// and the Decomposed strategy wrapping this).
-	Decompose *routing.DecomposeOptions
 
 	prev    *placement.Placement
 	perPath *lp.Solver
@@ -72,7 +68,6 @@ func (a *Alternating) Decide(ctx context.Context, inst Instance) (*Plan, Stats, 
 		maxIters = 10
 	}
 	ropts := a.routing(a.rand())
-	ropts.Decompose = a.Decompose
 	var perPath *lp.Solver
 	if !a.NoSolverReuse {
 		if a.reuse == nil {

@@ -9,15 +9,13 @@ import (
 
 // gatewaysPerSeam is how many undirected gateway links stitch each pair of
 // consecutive blocks in a composite network: two, so no seam is a single
-// point of failure and the boundary coordinator always has a priced
-// alternative.
+// point of failure and traffic crossing a seam always has a second route.
 const gatewaysPerSeam = 2
 
 // CompositeNetwork is a Network stitched from identical copies of a base
-// network, plus the block structure the partition-aware solve pipeline
-// consumes: which block every node belongs to (the natural cell
-// assignment), each block's origin (regional catalog mirrors), and the
-// gateway links that couple consecutive blocks.
+// network, plus its block structure: which block every node belongs to,
+// each block's origin (regional catalog mirrors), and the gateway links
+// that couple consecutive blocks.
 type CompositeNetwork struct {
 	*Network
 	// Blocks is the number of stitched copies (the K of Composite).
@@ -31,9 +29,6 @@ type CompositeNetwork struct {
 	// GatewayLinks lists the stitching edges as (u, v) global node pairs,
 	// seam by seam; each is one undirected link (two arcs) of G.
 	GatewayLinks [][2]graph.NodeID
-	// Assign maps every node to its block index, ready for the cell
-	// decomposition (graph.NewCellSet).
-	Assign []int
 }
 
 // Composite stitches k copies of base into one network: block b occupies
@@ -43,8 +38,8 @@ type CompositeNetwork struct {
 // nodes. Composite(base, 1) adds no gateway links and is isomorphic to base
 // node-for-node and arc-for-arc (the property test pins this). Every
 // block's copy of the base origin is reported in BlockOrigins so callers
-// can pin regional catalog mirrors, which keeps each cell's subproblem
-// well-posed under decomposition.
+// can pin regional catalog mirrors, which keeps every block's demand
+// servable from inside the block.
 //
 // k < 1 is rejected, as is a base without the two distinct gateway
 // candidates a seam needs; the constructed seam count is validated against
@@ -69,7 +64,6 @@ func Composite(base *Network, k int) (*CompositeNetwork, error) {
 		},
 		Blocks:    k,
 		BlockSize: n,
-		Assign:    make([]int, n*k),
 	}
 	// Blocks first, arc order matching the base verbatim per block, so
 	// block b's arc id for base arc e is b*base.NumArcs() + e.
@@ -78,9 +72,6 @@ func Composite(base *Network, k int) (*CompositeNetwork, error) {
 		for id := 0; id < base.G.NumArcs(); id++ {
 			a := base.G.Arc(id)
 			g.AddArc(a.From+off, a.To+off, a.Cost, a.Cap)
-		}
-		for v := 0; v < n; v++ {
-			comp.Assign[off+v] = b
 		}
 		comp.BlockOrigins = append(comp.BlockOrigins, base.Origin+off)
 		for _, e := range base.Edges {

@@ -89,46 +89,6 @@ type Problem struct {
 	// warm-starts only across data changes, and uses structGen to detect
 	// cheaply that an instance it solved before kept its skeleton.
 	structGen int
-
-	// mut is a bounded log of data-only mutations since the last log
-	// reset, and mutEpoch counts resets. A reusable Solver remembers the
-	// (epoch, position) it last solved at; if the epoch is unchanged it
-	// replays only the tail of the log instead of rescanning the whole
-	// problem, which makes an RHS-only warm restart O(changed rows)
-	// rather than O(nnz). When the log would outgrow mutLogCap it is
-	// cleared and the epoch bumped, which simply demotes the next warm
-	// start to a full rescan.
-	mut      []mutation
-	mutEpoch int
-}
-
-// mutKind tags one entry of the data-mutation log.
-type mutKind uint8
-
-const (
-	mutObj mutKind = iota + 1
-	mutBounds
-	mutRHS
-	mutCoeff
-	mutSense
-)
-
-// mutation records one data-only edit: kind plus the constraint row i
-// and/or variable j it touched (unused coordinates are -1).
-type mutation struct {
-	kind mutKind
-	i, j int32
-}
-
-// mutLogCap bounds the mutation log; see the field comment.
-const mutLogCap = 1024
-
-func (p *Problem) noteMut(k mutKind, i, j int) {
-	if len(p.mut) >= mutLogCap {
-		p.mut = p.mut[:0]
-		p.mutEpoch++
-	}
-	p.mut = append(p.mut, mutation{kind: k, i: int32(i), j: int32(j)})
 }
 
 // NewProblem returns a problem with n variables, default bounds [0, +Inf),
@@ -162,13 +122,11 @@ func (p *Problem) SetObjectiveCoeff(j int, c float64) {
 		panic(fmt.Sprintf("lp: objective coefficient of x_%d must be finite, got %v", j, c))
 	}
 	p.obj[j] = c
-	p.noteMut(mutObj, -1, j)
 }
 
 // SetSense selects minimization or maximization.
 func (p *Problem) SetSense(s Sense) {
 	p.sense = s
-	p.noteMut(mutSense, -1, -1)
 }
 
 // SetBounds sets l <= x_j <= u. The lower bound must be finite and not
@@ -184,7 +142,6 @@ func (p *Problem) SetBounds(j int, lo, hi float64) {
 	}
 	p.lower[j] = lo
 	p.upper[j] = hi
-	p.noteMut(mutBounds, -1, j)
 }
 
 // AddConstraint adds the sparse constraint sum_k val[k]*x[idx[k]] (op) rhs.
@@ -217,38 +174,6 @@ func (p *Problem) AddConstraint(idx []int, val []float64, op Op, rhs float64) er
 	return nil
 }
 
-// SetConstraintRHS replaces the right-hand side of constraint i. It is a
-// data-only mutation — the skeleton (variable count, operators, index
-// patterns) is untouched — so a reusable Solver can warm-start across it.
-func (p *Problem) SetConstraintRHS(i int, rhs float64) error {
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return fmt.Errorf("%w: constraint %d has non-finite right-hand side %v", ErrBadConstraint, i, rhs)
-	}
-	p.cons[i].rhs = rhs
-	p.noteMut(mutRHS, i, -1)
-	return nil
-}
-
-// SetConstraintCoeff replaces the coefficient of x_j in constraint i. The
-// variable must already appear in the row's index pattern: the skeleton is
-// immutable, only values move. Setting an existing entry to zero is allowed
-// and keeps the entry in the skeleton, so the slot can be repopulated by a
-// later update without a structural change.
-func (p *Problem) SetConstraintCoeff(i, j int, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("%w: constraint %d has non-finite coefficient %v for x_%d", ErrBadConstraint, i, v, j)
-	}
-	c := &p.cons[i]
-	for k, jj := range c.idx {
-		if jj == j {
-			c.val[k] = v
-			p.noteMut(mutCoeff, i, j)
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: constraint %d has no skeleton entry for x_%d", ErrBadConstraint, i, j)
-}
-
 // validateRow rejects non-finite data and duplicate indices in constraint
 // row len(cons) (the one about to be appended).
 func (p *Problem) validateRow(idx []int, val []float64, rhs float64) error {
@@ -271,30 +196,6 @@ func (p *Problem) validateRow(idx []int, val []float64, rhs float64) error {
 		}
 		p.seen[j] = p.seenGen
 	}
-	return nil
-}
-
-// AddDenseConstraint adds the constraint row'x (op) rhs with a dense
-// coefficient row of length NumVars. Non-finite coefficients or right-hand
-// sides are rejected with an error wrapping ErrBadConstraint.
-func (p *Problem) AddDenseConstraint(row []float64, op Op, rhs float64) error {
-	if len(row) != p.nvars {
-		//jcrlint:allow lib-panic: programmer-error guard; a wrong-length dense row is a caller bug
-		panic("lp: dense constraint row has wrong length")
-	}
-	var idx []int
-	var val []float64
-	for j, v := range row {
-		if v != 0 {
-			idx = append(idx, j)
-			val = append(val, v)
-		}
-	}
-	if err := p.validateRow(idx, val, rhs); err != nil {
-		return err
-	}
-	p.cons = append(p.cons, constraint{idx: idx, val: val, op: op, rhs: rhs})
-	p.structGen++
 	return nil
 }
 

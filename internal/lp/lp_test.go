@@ -9,15 +9,29 @@ import (
 
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// addDense adds the constraint row'x (op) rhs given as a dense coefficient
+// row of length NumVars: its nonzeros become one AddConstraint row.
+func addDense(p *Problem, row []float64, op Op, rhs float64) error {
+	var idx []int
+	var val []float64
+	for j, v := range row {
+		if v != 0 {
+			idx = append(idx, j)
+			val = append(val, v)
+		}
+	}
+	return p.AddConstraint(idx, val, op, rhs)
+}
+
 func TestSimpleMaximize(t *testing.T) {
 	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (classic; opt 36 at (2,6)).
 	p := NewProblem(2)
 	p.SetSense(Maximize)
 	p.SetObjectiveCoeff(0, 3)
 	p.SetObjectiveCoeff(1, 5)
-	p.AddDenseConstraint([]float64{1, 0}, LE, 4)
-	p.AddDenseConstraint([]float64{0, 2}, LE, 12)
-	p.AddDenseConstraint([]float64{3, 2}, LE, 18)
+	addDense(p, []float64{1, 0}, LE, 4)
+	addDense(p, []float64{0, 2}, LE, 12)
+	addDense(p, []float64{3, 2}, LE, 18)
 	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +49,7 @@ func TestSimpleMinimizeWithGE(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjectiveCoeff(0, 2)
 	p.SetObjectiveCoeff(1, 3)
-	p.AddDenseConstraint([]float64{1, 1}, GE, 10)
+	addDense(p, []float64{1, 1}, GE, 10)
 	p.SetBounds(0, 2, math.Inf(1))
 	p.SetBounds(1, 3, math.Inf(1))
 	s, err := p.Solve(nil)
@@ -52,7 +66,7 @@ func TestEqualityConstraint(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjectiveCoeff(0, 1)
 	p.SetObjectiveCoeff(1, 2)
-	p.AddDenseConstraint([]float64{1, 1}, EQ, 5)
+	addDense(p, []float64{1, 1}, EQ, 5)
 	p.SetBounds(0, 0, 3)
 	s, err := p.Solve(nil)
 	if err != nil {
@@ -71,7 +85,7 @@ func TestUpperBoundFlip(t *testing.T) {
 	p.SetObjectiveCoeff(1, 1)
 	p.SetBounds(0, 0, 1)
 	p.SetBounds(1, 0, 1)
-	p.AddDenseConstraint([]float64{1, 1}, LE, 1.5)
+	addDense(p, []float64{1, 1}, LE, 1.5)
 	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +100,8 @@ func TestUpperBoundFlip(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	p := NewProblem(1)
-	p.AddDenseConstraint([]float64{1}, GE, 5)
-	p.AddDenseConstraint([]float64{1}, LE, 3)
+	addDense(p, []float64{1}, GE, 5)
+	addDense(p, []float64{1}, LE, 3)
 	if _, err := p.Solve(nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
@@ -97,7 +111,7 @@ func TestInfeasibleBoundsVsEquality(t *testing.T) {
 	p := NewProblem(2)
 	p.SetBounds(0, 0, 1)
 	p.SetBounds(1, 0, 1)
-	p.AddDenseConstraint([]float64{1, 1}, EQ, 3)
+	addDense(p, []float64{1, 1}, EQ, 3)
 	if _, err := p.Solve(nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
@@ -107,7 +121,7 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem(2)
 	p.SetSense(Maximize)
 	p.SetObjectiveCoeff(0, 1)
-	p.AddDenseConstraint([]float64{0, 1}, LE, 5)
+	addDense(p, []float64{0, 1}, LE, 5)
 	if _, err := p.Solve(nil); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
@@ -117,7 +131,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	// -x <= -3 means x >= 3; min x -> 3.
 	p := NewProblem(1)
 	p.SetObjectiveCoeff(0, 1)
-	p.AddDenseConstraint([]float64{-1}, LE, -3)
+	addDense(p, []float64{-1}, LE, -3)
 	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +151,7 @@ func TestShiftedLowerBounds(t *testing.T) {
 	p.SetObjectiveCoeff(1, 1)
 	p.SetBounds(0, 5, 10)
 	p.SetBounds(1, -2, 2)
-	p.AddDenseConstraint([]float64{1, 1}, GE, 6)
+	addDense(p, []float64{1, 1}, GE, 6)
 	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -158,9 +172,9 @@ func TestDegenerateLP(t *testing.T) {
 	for j, c := range []float64{-0.75, 150, -0.02, 6} {
 		p.SetObjectiveCoeff(j, c)
 	}
-	p.AddDenseConstraint([]float64{0.25, -60, -0.04, 9}, LE, 0)
-	p.AddDenseConstraint([]float64{0.5, -90, -0.02, 3}, LE, 0)
-	p.AddDenseConstraint([]float64{0, 0, 1, 0}, LE, 1)
+	addDense(p, []float64{0.25, -60, -0.04, 9}, LE, 0)
+	addDense(p, []float64{0.5, -90, -0.02, 3}, LE, 0)
+	addDense(p, []float64{0, 0, 1, 0}, LE, 1)
 	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -200,12 +214,6 @@ func TestAddConstraintRejectsBadRows(t *testing.T) {
 		},
 		"inf rhs": func(p *Problem) error {
 			return p.AddConstraint([]int{0}, []float64{1}, LE, math.Inf(1))
-		},
-		"dense nan": func(p *Problem) error {
-			return p.AddDenseConstraint([]float64{math.NaN(), 0}, LE, 1)
-		},
-		"dense inf rhs": func(p *Problem) error {
-			return p.AddDenseConstraint([]float64{1, 0}, GE, math.Inf(-1))
 		},
 	} {
 		p := NewProblem(2)
@@ -279,7 +287,6 @@ func TestPanics(t *testing.T) {
 		"infinite objective": func() { p.SetObjectiveCoeff(1, math.Inf(1)) },
 		"index out of range": func() { p.AddConstraint([]int{5}, []float64{1}, LE, 1) },
 		"len mismatch":       func() { p.AddConstraint([]int{0}, []float64{1, 2}, LE, 1) },
-		"dense wrong len":    func() { p.AddDenseConstraint([]float64{1}, LE, 1) },
 	} {
 		func() {
 			defer func() {
@@ -442,7 +449,7 @@ func TestSimplexMatchesBruteForceRandom(t *testing.T) {
 			}
 			op := []Op{LE, GE, EQ}[rng.Intn(3)]
 			rhs := float64(rng.Intn(15) - 3)
-			p.AddDenseConstraint(row, op, rhs)
+			addDense(p, row, op, rhs)
 		}
 		want, feasOK := bruteForce(p, t)
 		s, err := p.Solve(nil)

@@ -42,11 +42,11 @@ func (quickLP) Generate(rng *rand.Rand, size int) reflect.Value {
 		// Choose an operator/rhs pair the witness satisfies.
 		switch rng.Intn(3) {
 		case 0:
-			p.AddDenseConstraint(row, LE, lhs+rng.Float64()*3)
+			addDense(p, row, LE, lhs+rng.Float64()*3)
 		case 1:
-			p.AddDenseConstraint(row, GE, lhs-rng.Float64()*3)
+			addDense(p, row, GE, lhs-rng.Float64()*3)
 		default:
-			p.AddDenseConstraint(row, EQ, lhs)
+			addDense(p, row, EQ, lhs)
 		}
 	}
 	return reflect.ValueOf(quickLP{p: p})

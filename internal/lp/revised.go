@@ -232,43 +232,11 @@ func (r *revised) computeZ() {
 	r.zOK = true
 }
 
-// patchZ recomputes the reduced costs of the given columns against the
-// retained duals and reports whether every repriced column stayed
-// unattractive. It serves warm restarts whose mutations touched nonbasic
-// columns only (objective coefficient or matrix values): such edits leave
-// the duals y = B^-T c_B untouched — the basis, its costs, and the
-// factorization are all unchanged since the previous solve's
-// optimality-confirming computeZ — so repricing is one sparse dot product
-// per listed column, no BTRAN. The returned flag lets the caller skip the
-// full pricing sweep: the unlisted entries of z are bit-for-bit the fresh
-// reduced costs the previous confirm scan already cleared.
-//
-//jcr:hotpath
-func (r *revised) patchZ(cols []int) (stillDual bool) {
-	stillDual = true
-	for _, j := range cols {
-		if r.inRow[j] >= 0 {
-			r.z[j] = 0
-			continue
-		}
-		z := r.c[j] - r.f.dotCol(j, r.y)
-		r.z[j] = z
-		if r.frozen[j] || r.f.ub[j] == 0 {
-			continue
-		}
-		if (!r.atUp[j] && -z > costTol) || (r.atUp[j] && z > costTol) {
-			stillDual = false
-		}
-	}
-	return stillDual
-}
-
 // iterate runs revised-simplex pivots until optimality for the current cost
-// vector. The caller must have loaded a valid reduced-cost vector (computeZ
-// or an incremental equivalent). Optimality is confirmed on a fresh z: if a
-// scan over incrementally maintained reduced costs finds no entering
-// column, z is recomputed from the duals and the scan repeated before
-// declaring the basis optimal.
+// vector. The caller must have loaded fresh reduced costs (computeZ).
+// Optimality is confirmed on a fresh z: if a scan over incrementally
+// maintained reduced costs finds no entering column, z is recomputed from
+// the duals and the scan repeated before declaring the basis optimal.
 //
 //jcr:hotpath
 func (r *revised) iterate() error {
@@ -642,23 +610,6 @@ func (r *revised) recomputeBeta() {
 		}
 	}
 	r.b.ftran(r.beta)
-}
-
-// applyRHSDeltas folds right-hand-side changes into beta with a single
-// FTRAN of the delta vector instead of a full recomputation: the new basic
-// values are beta + B^-1 (delta rhs). rows/deltas pair row indices with the
-// change of f.rhs on that row (repeats accumulate).
-func (r *revised) applyRHSDeltas(rows []int, deltas []float64) {
-	for i := range r.d {
-		r.d[i] = 0
-	}
-	for k, i := range rows {
-		r.d[i] += deltas[k]
-	}
-	r.b.ftran(r.d)
-	for i := 0; i < r.f.m; i++ {
-		r.beta[i] += r.d[i]
-	}
 }
 
 // extract recovers the structural solution in original (unshifted)

@@ -63,17 +63,15 @@ var errWarmFallback = errors.New("lp: warm start abandoned")
 // skeleton as the retained one (same variable count and, row by row, the
 // same operator and index pattern — objective, bounds, right-hand sides,
 // and coefficient values are free to move). The standardized form is then
-// updated in place — replaying the problem's data-mutation log when the
-// handle solved this exact Problem before (O(changes)), or rescanning the
-// skeleton otherwise — and the solve walks a decision ladder:
+// rewritten in place by one rescan of the problem's data, whether the
+// caller rebuilt the Problem or edited the solved one, and the solve walks
+// a three-rung ladder:
 //
-//  1. retained basis still primal feasible and confirmed optimal by the
-//     previous solve, with reduced costs the mutations left valid: no
-//     pricing sweep at all;
-//  2. retained basis still primal feasible: primal iterations from the
-//     retained basis, factorization, and reduced costs;
-//  3. otherwise: cold solve (phase 1 + phase 2 from scratch);
-//  4. sparse numerical failure anywhere: dense tableau oracle.
+//  1. primal warm: the retained basis, refactorized if a matrix value
+//     moved, is still primal feasible; primal iterations run from it on
+//     freshly computed basic values and reduced costs;
+//  2. cold: phase 1 + phase 2 from scratch;
+//  3. dense: the tableau oracle, after a sparse numerical failure.
 //
 // Any failure along the way abandons the attempt one rung down, so a
 // Solver's verdict and objective always match a fresh Problem.Solve
@@ -95,36 +93,11 @@ type Solver struct {
 	hasBasis  bool
 	stats     SolverStats
 
-	// Position in prob's data-mutation log after the last successful
-	// solve; valid while logEpoch matches prob.mutEpoch.
-	logEpoch int
-	logPos   int
-
-	// Reused scratch of the incremental warm update.
-	patchCols []int
-	rhsRows   []int
-	rhsDeltas []float64
-
-	// deltaSolves counts consecutive warm solves whose beta was advanced
-	// by sparse RHS-delta FTRANs; a periodic full recompute sheds the
-	// accumulated drift.
-	deltaSolves int
-
 	// forceWarmNumericFailure, when true, makes the next warm-start
 	// attempt treat its basis refactorization as numerically singular
 	// (the errNumeric condition), exercising the cold-fallback path on
 	// demand. Set only by tests; the attempt that consumes it resets it.
 	forceWarmNumericFailure bool
-}
-
-// warmChange summarizes what a warm update actually changed, which decides
-// how much retained state survives.
-type warmChange struct {
-	ok        bool // false: data no longer fits the frozen skeleton
-	full      bool // full rescan ran (foreign pointer or log overflow)
-	valsBasic bool // a basic column's matrix value moved: refactorize
-	bounds    bool // some bound moved: recompute beta, re-check strands
-	costsFull bool // sense flip or basic-column objective change
 }
 
 // NewSolver returns an empty handle; its first solve is necessarily cold.
@@ -177,13 +150,10 @@ func (s *Solver) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	return s.coldSolve(ctx, p)
 }
 
-// retain records p as the problem behind the retained basis, including the
-// mutation-log position future warm solves replay from.
+// retain records p as the problem behind the retained basis.
 func (s *Solver) retain(p *Problem) {
 	s.prob = p
 	s.structGen = p.structGen
-	s.logEpoch = p.mutEpoch
-	s.logPos = len(p.mut)
 }
 
 // noteSolution folds a successful solve's per-solve counters into the
@@ -227,98 +197,21 @@ func (s *Solver) matches(p *Problem) bool {
 	return true
 }
 
-// applyMuts replays the tail of p's data-mutation log against the retained
-// standardized form, cost vector, and reduced costs, recording row deltas
-// and columns to reprice as it goes. It is the O(changes) alternative to
-// updateFrom's full rescan, valid because p is the identical Problem the
-// form was last synchronized with.
-func (s *Solver) applyMuts(p *Problem, muts []mutation) (ch warmChange) {
-	r := s.r
-	ch.ok = true
-	sign := 1.0
-	if p.sense == Maximize {
-		sign = -1.0
-	}
-	for _, m := range muts {
-		switch m.kind {
-		case mutRHS:
-			i := int(m.i)
-			if d := r.f.refreshRHS(p, i); d != 0 {
-				s.rhsRows = append(s.rhsRows, i)
-				s.rhsDeltas = append(s.rhsDeltas, d)
-			}
-		case mutObj:
-			j := int(m.j)
-			r.c[j] = sign * p.obj[j]
-			if r.inRow[j] >= 0 {
-				ch.costsFull = true // basic cost moved: every dual moves
-			} else {
-				s.patchCols = append(s.patchCols, j)
-			}
-		case mutSense:
-			sign = 1.0
-			if p.sense == Maximize {
-				sign = -1.0
-			}
-			ch.costsFull = true
-		case mutBounds:
-			r.f.refreshColBound(p, int(m.j))
-			ch.bounds = true
-		case mutCoeff:
-			i, j := int(m.i), int(m.j)
-			ok, changed := r.f.refreshCoeff(p, i, j)
-			if !ok {
-				ch.ok = false
-				return ch
-			}
-			if d := r.f.refreshRHS(p, i); d != 0 {
-				s.rhsRows = append(s.rhsRows, i)
-				s.rhsDeltas = append(s.rhsDeltas, d)
-			}
-			if changed {
-				if r.inRow[j] >= 0 {
-					ch.valsBasic = true
-				} else {
-					s.patchCols = append(s.patchCols, j)
-					if r.atUp[j] && r.f.ub[j] > 0 {
-						// A nonbasic-at-upper column contributes A_j u_j
-						// to the basic values; its changed column forces
-						// a beta recomputation.
-						ch.bounds = true
-					}
-				}
-			}
-		}
-	}
-	return ch
-}
-
-// warmSolve attempts to re-solve p from the retained optimal basis, walking
-// the decision ladder of the type comment. Any returned error means the
+// warmSolve attempts to re-solve p from the retained optimal basis (the
+// first rung of the type comment's ladder). Any returned error means the
 // caller must fall back to a cold solve; the retained state may then be
 // arbitrarily clobbered, which is fine because coldSolve rebuilds it from
 // scratch.
 func (s *Solver) warmSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	r := s.r
 	r.statsMark()
-	s.patchCols = s.patchCols[:0]
-	s.rhsRows = s.rhsRows[:0]
-	s.rhsDeltas = s.rhsDeltas[:0]
-	var ch warmChange
-	if p == s.prob && p.mutEpoch == s.logEpoch && s.logPos <= len(p.mut) {
-		ch = s.applyMuts(p, p.mut[s.logPos:])
-	} else {
-		ok, changed := r.f.updateFrom(p)
-		ch = warmChange{ok: ok, full: true, valsBasic: changed}
-	}
-	if !ch.ok {
+	ok, changed := r.f.updateFrom(p)
+	if !ok {
 		return nil, errWarmFallback
 	}
 	r.p = p
 	r.ctx = ctx
-	// Rung 0: refresh the factorization and the basic values, as cheaply
-	// as the change set allows.
-	if ch.valsBasic || s.forceWarmNumericFailure {
+	if changed || s.forceWarmNumericFailure {
 		ferr := r.b.refactor(r.f, r.basis)
 		if s.forceWarmNumericFailure {
 			s.forceWarmNumericFailure = false
@@ -328,78 +221,31 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (*Solution, error) {
 			return nil, ferr
 		}
 	}
-	if ch.full || ch.bounds {
-		// A bound change can strand a nonbasic variable at an upper bound
-		// that no longer exists (grew to +Inf) or collapsed onto the lower
-		// bound; those rest at their lower bound instead.
-		for j := 0; j < r.f.nStruct; j++ {
-			if r.atUp[j] && r.inRow[j] < 0 && (math.IsInf(r.f.ub[j], 1) || r.f.ub[j] == 0) {
-				r.atUp[j] = false
-			}
+	// A bound change can strand a nonbasic variable at an upper bound that
+	// no longer exists (grew to +Inf) or collapsed onto the lower bound;
+	// those rest at their lower bound instead.
+	for j := 0; j < r.f.nStruct; j++ {
+		if r.atUp[j] && r.inRow[j] < 0 && (math.IsInf(r.f.ub[j], 1) || r.f.ub[j] == 0) {
+			r.atUp[j] = false
 		}
 	}
-	switch {
-	case ch.valsBasic || ch.full || ch.bounds:
-		r.recomputeBeta()
-		s.deltaSolves = 0
-	case len(s.rhsRows) > 0:
-		// RHS-only movement: advance beta by one FTRAN of the deltas.
-		// Every deltaRecompute-th consecutive delta-advanced solve takes
-		// the full recomputation instead, shedding accumulated drift.
-		s.deltaSolves++
-		if s.deltaSolves >= deltaRecompute {
-			r.recomputeBeta()
-			s.deltaSolves = 0
-		} else {
-			r.applyRHSDeltas(s.rhsRows, s.rhsDeltas)
-		}
-	}
+	r.recomputeBeta()
 	// Only a retained basis that is still primal feasible warm-starts;
 	// anything else re-solves cold.
 	if !r.primalFeasible() {
 		return nil, errWarmFallback
 	}
-	// Refresh costs and reduced costs to match. confirmed tracks whether
-	// the refreshed z is known dual feasible without a pricing sweep: the
-	// previous solve confirmed optimality on fresh reduced costs, and the
-	// mutations either left z untouched (RHS-only movement) or repriced
-	// exactly the patched columns against the still-valid duals. Bound
-	// edits void the shortcut — they can flip atUp flags and with them the
-	// attractiveness test on columns nobody repriced.
-	confirmed := r.zOK && !ch.full && !ch.bounds
-	switch {
-	case ch.full || ch.costsFull:
-		r.setPhase2Costs()
-		r.computeZ()
-		confirmed = false
-	case ch.valsBasic:
-		r.computeZ()
-		confirmed = false
-	case len(s.patchCols) > 0:
-		if !r.zOK {
-			r.computeZ() // retained duals unexpectedly stale: reprice everything
-		} else if !r.patchZ(s.patchCols) {
-			confirmed = false
-		}
-	}
+	r.setPhase2Costs()
+	r.computeZ()
 	r.degenerate = 0
-	// A confirmed-optimal basis skips the pricing sweep entirely: iterate()
-	// would rescan all n columns only to find the same unattractive reduced
-	// costs the shortcut already vouches for.
-	if !confirmed {
-		if ierr := r.iterate(); ierr != nil {
-			return nil, ierr
-		}
+	if err := r.iterate(); err != nil {
+		return nil, err
 	}
 	x := r.extract()
 	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
 	r.fillCounters(sol)
 	return sol, nil
 }
-
-// deltaRecompute bounds how many consecutive warm solves may advance beta
-// by sparse delta FTRANs before a full recomputation sheds the drift.
-const deltaRecompute = 64
 
 // primalFeasible reports whether every basic value is inside its box
 // (within feasTol) and finite.

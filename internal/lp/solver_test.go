@@ -27,20 +27,13 @@ func perturb(rng *rand.Rand, p *Problem) {
 		p.SetBounds(j, lo, hi)
 	case 2:
 		if len(p.cons) > 0 {
-			i := rng.Intn(len(p.cons))
-			if err := p.SetConstraintRHS(i, float64(rng.Intn(17)-8)); err != nil {
-				panic(err) // generator bug: RHS values are finite
-			}
+			setRHS(p, rng.Intn(len(p.cons)), float64(rng.Intn(17)-8))
 		}
 	case 3:
 		if len(p.cons) > 0 {
 			i := rng.Intn(len(p.cons))
-			c := &p.cons[i]
-			if len(c.idx) > 0 {
-				j := c.idx[rng.Intn(len(c.idx))]
-				if err := p.SetConstraintCoeff(i, j, float64(rng.Intn(9)-4)); err != nil {
-					panic(err) // generator bug: j comes from the row's own pattern
-				}
+			if n := len(p.cons[i].idx); n > 0 {
+				setCoeff(p, i, rng.Intn(n), float64(rng.Intn(9)-4))
 			}
 		}
 	default:
@@ -158,10 +151,7 @@ func TestDifferentialWarmRHS(t *testing.T) {
 			continue // no retained basis to perturb
 		}
 		for step := 0; step < steps; step++ {
-			i := rng.Intn(len(p.cons))
-			if err := p.SetConstraintRHS(i, float64(rng.Intn(17)-8)); err != nil {
-				t.Fatal(err)
-			}
+			setRHS(p, rng.Intn(len(p.cons)), float64(rng.Intn(17)-8))
 			instances++
 			warmSol, warmErr := s.Solve(nil, p)
 			coldSol, coldErr := p.Solve(nil)
@@ -208,60 +198,6 @@ func TestDifferentialWarmRHS(t *testing.T) {
 	t.Logf("instances=%d stats=%+v", instances, agg)
 }
 
-// TestSolverDeltaRecompute drives the RHS-delta FTRAN across its periodic
-// full recomputation: BenchmarkSolverWarmPerturb's schedule of RHS and
-// objective moves on the minimising MMSFP-sized instance, run long enough
-// that deltaRecompute consecutive delta solves trip the recompute twice.
-// Every solve after the first must be a warm hit and match a one-shot
-// solve, and the basic values it leaves behind must match a fresh
-// recomputation (the optimum sits at the origin, so the objective alone
-// would not notice stale slacks).
-func TestSolverDeltaRecompute(t *testing.T) {
-	p := MMSFPSizedLP(12, 150, 7)
-	rng := rand.New(rand.NewSource(11))
-	s := NewSolver()
-	if _, err := s.Solve(nil, p); err != nil {
-		t.Fatal(err)
-	}
-	const solves = 2*deltaRecompute + 2
-	recomputes := 0
-	var kept []float64
-	for i := 0; i < solves; i++ {
-		if err := p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 5+rng.Float64()); err != nil {
-			t.Fatal(err)
-		}
-		p.SetObjectiveCoeff(rng.Intn(p.NumVars()), 1+rng.Float64())
-		warm, err := s.Solve(nil, p)
-		if err != nil {
-			t.Fatalf("solve %d: warm: %v", i, err)
-		}
-		if s.deltaSolves == 0 {
-			recomputes++
-		}
-		kept = append(kept[:0], s.r.beta...)
-		s.r.recomputeBeta()
-		for row, v := range s.r.beta {
-			if diff := math.Abs(kept[row] - v); diff > diffObjTol*(1+math.Abs(v)) {
-				t.Fatalf("solve %d: basic value %d is %v, fresh recomputation %v", i, row, kept[row], v)
-			}
-		}
-		copy(s.r.beta, kept) // keep the delta path's own values for the next solve
-		cold, err := p.Solve(nil)
-		if err != nil {
-			t.Fatalf("solve %d: one-shot: %v", i, err)
-		}
-		if diff := math.Abs(warm.Objective - cold.Objective); diff > diffObjTol*(1+math.Abs(cold.Objective)) {
-			t.Fatalf("solve %d: warm %v vs one-shot %v (diff %g)", i, warm.Objective, cold.Objective, diff)
-		}
-	}
-	if st := s.Stats(); st.WarmHits != solves || st.ColdSolves != 1 {
-		t.Errorf("want %d warm hits after one cold solve, got %+v", solves, st)
-	}
-	if recomputes < 2 {
-		t.Errorf("the delta FTRAN took its periodic full recompute %d times, want >= 2", recomputes)
-	}
-}
-
 // TestSolverStructuralChangeInvalidatesBasis covers the satellite edge case
 // of a skeleton change between solves: the handle must notice the added
 // row, abandon the retained basis, and still agree with a one-shot solve.
@@ -299,9 +235,7 @@ func TestSolverStructuralChangeInvalidatesBasis(t *testing.T) {
 		t.Fatalf("stats %+v: a structural change must force a second cold solve", st)
 	}
 	// A data-only follow-up on the grown skeleton must warm-start again.
-	if err := p.SetConstraintRHS(1, 2); err != nil {
-		t.Fatal(err)
-	}
+	setRHS(p, 1, 2)
 	sol, err = s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
@@ -331,9 +265,7 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 	if _, err := s.Solve(nil, p); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
-	if err := p.SetConstraintRHS(0, 5); err != nil {
-		t.Fatal(err)
-	}
+	setRHS(p, 0, 5)
 	sol, err := s.Solve(nil, p)
 	if err != nil {
 		t.Fatal(err)
@@ -345,9 +277,7 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 		t.Fatalf("stats %+v: infeasible leaves no basis, so the recovery must be cold", st)
 	}
 	// Feasible -> feasible: warm.
-	if err := p.SetConstraintRHS(0, 7); err != nil {
-		t.Fatal(err)
-	}
+	setRHS(p, 0, 7)
 	if sol, err = s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
@@ -359,9 +289,7 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 	}
 	// Feasible -> infeasible: the warm attempt loses primal feasibility,
 	// falls back cold, and the cold solve proves infeasibility.
-	if err := p.SetConstraintRHS(0, 25); err != nil {
-		t.Fatal(err)
-	}
+	setRHS(p, 0, 25)
 	if _, err := s.Solve(nil, p); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible after tightening, got %v", err)
 	}
@@ -370,9 +298,7 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 		t.Fatalf("stats %+v: the infeasible transition should have abandoned a warm attempt", st)
 	}
 	// And back again: recovery is cold (no basis survives infeasibility).
-	if err := p.SetConstraintRHS(0, 5); err != nil {
-		t.Fatal(err)
-	}
+	setRHS(p, 0, 5)
 	if sol, err = s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
@@ -391,9 +317,7 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 	if _, err := s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 9); err != nil {
-		t.Fatal(err)
-	}
+	setRHS(p, rng.Intn(p.NumConstraints()), 9)
 	s.forceNextWarmNumericFailure()
 	sol, err := s.Solve(nil, p)
 	if s.warmNumericFailurePending() {
@@ -414,9 +338,7 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 		t.Fatalf("stats %+v: want exactly one fallback into a second cold solve", st)
 	}
 	// The handle recovers: the next data-only solve warm-starts.
-	if err := p.SetConstraintRHS(0, 8); err != nil {
-		t.Fatal(err)
-	}
+	setRHS(p, 0, 8)
 	if _, err := s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
@@ -588,9 +510,7 @@ func TestNearSingularWarmUpdates(t *testing.T) {
 			t.Fatalf("eps=%g: %v", eps, err)
 		}
 		for step, rhs := range []float64{4, 12, 6} {
-			if err := p.SetConstraintRHS(step%2, rhs); err != nil {
-				t.Fatal(err)
-			}
+			setRHS(p, step%2, rhs)
 			warm, err := s.Solve(nil, p)
 			if err != nil {
 				t.Fatalf("eps=%g step %d: warm: %v", eps, step, err)
@@ -611,11 +531,14 @@ func TestNearSingularWarmUpdates(t *testing.T) {
 }
 
 // BenchmarkSolverWarmPerturb measures a warm-started solve sequence on the
-// MMSFP-sized instance: each iteration perturbs one right-hand side and one
-// objective coefficient and re-solves through the shared handle.
-// BenchmarkSolverColdPerturb runs the same mutation schedule through a nil
-// handle, a fresh solve each time; the pair is the LP-layer speedup the
-// incremental solve lifecycle buys.
+// MMSFP-sized instance: each iteration edits one right-hand side and one
+// objective coefficient of the solved Problem in place and re-solves
+// through the shared handle, which rescans the data and reprices from the
+// retained basis. BenchmarkSolverColdPerturb runs the same edit schedule
+// through a nil handle, a fresh solve each time. The pair measures what a
+// retained basis saves on an in-place edit pattern; the library's own
+// callers rebuild their Problem each round instead, the path
+// BenchmarkAlternatingSequenceWarm in internal/strategy measures.
 func BenchmarkSolverWarmPerturb(b *testing.B) {
 	benchmarkSolverPerturb(b, true)
 }
@@ -635,9 +558,7 @@ func benchmarkSolverPerturb(b *testing.B, warm bool) {
 	rng := rand.New(rand.NewSource(3))
 	var m lpMetrics
 	for i := 0; i < b.N; i++ {
-		if err := p.SetConstraintRHS(rng.Intn(p.NumConstraints()), 5+rng.Float64()); err != nil {
-			b.Fatal(err)
-		}
+		setRHS(p, rng.Intn(p.NumConstraints()), 5+rng.Float64())
 		p.SetObjectiveCoeff(rng.Intn(p.NumVars()), 1+rng.Float64())
 		sol, err := solver.Solve(nil, p)
 		if err != nil {

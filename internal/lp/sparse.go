@@ -265,64 +265,6 @@ func (f *stdForm) updateFrom(p *Problem) (ok, changed bool) {
 	return true, changed
 }
 
-// refreshRHS recomputes the normalized right-hand side of row i from p
-// (rhs minus the structural-lower-bound shift, under the frozen row sign)
-// and returns how much it moved. It is the O(row-nnz) unit of an
-// incremental warm update, against updateFrom's full rescan.
-func (f *stdForm) refreshRHS(p *Problem, i int) float64 {
-	c := &p.cons[i]
-	rhs := c.rhs
-	for k, j := range c.idx {
-		rhs -= c.val[k] * p.lower[j]
-	}
-	if f.neg[i] {
-		rhs = -rhs
-	}
-	delta := rhs - f.rhs[i]
-	f.rhs[i] = rhs
-	return delta
-}
-
-// refreshCoeff rewrites the CSC value of entry (i, j) from p's constraint
-// data. ok is false when the entry has no CSC slot (it was exactly zero
-// when the pattern was built) and the new value is nonzero — the frozen
-// skeleton cannot hold it, forcing a cold rebuild. changed reports whether
-// the stored value moved. The caller refreshes row i's right-hand side
-// separately (the lower-bound shift of the row involves the coefficient).
-func (f *stdForm) refreshCoeff(p *Problem, i, j int) (ok, changed bool) {
-	var v float64
-	for k, jj := range p.cons[i].idx {
-		if jj == j {
-			v = p.cons[i].val[k]
-			break
-		}
-	}
-	if f.neg[i] {
-		v = -v
-	}
-	for s := f.colPtr[j]; s < f.colPtr[j+1]; s++ {
-		if f.rowInd[s] == i {
-			//jcrlint:allow float-eq: exact-change detection decides refactorization, not a tolerance check
-			if f.values[s] != v {
-				f.values[s] = v
-				return true, true
-			}
-			return true, false
-		}
-	}
-	return v == 0, false
-}
-
-// refreshColBound rewrites the shifted upper bound of structural column j
-// and the right-hand sides of every row the column touches (a lower-bound
-// move shifts them all).
-func (f *stdForm) refreshColBound(p *Problem, j int) {
-	f.ub[j] = p.upper[j] - p.lower[j]
-	for s := f.colPtr[j]; s < f.colPtr[j+1]; s++ {
-		f.refreshRHS(p, f.rowInd[s])
-	}
-}
-
 // scatterCol adds column j of the matrix into the dense vector x.
 func (f *stdForm) scatterCol(j int, x []float64) {
 	for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {

@@ -358,31 +358,6 @@ func SolveMMSFPExact(ctx context.Context, s *placement.Spec, pl *placement.Place
 	return cost, nil
 }
 
-// reachableFrom marks the nodes reachable from any of the given roots
-// along arc direction, ignoring capacities (the capacity-oblivious last
-// resort can use any arc, so reachability is purely structural).
-func reachableFrom(g *graph.Graph, roots []graph.NodeID) []bool {
-	seen := make([]bool, g.NumNodes())
-	var stack []graph.NodeID
-	for _, r := range roots {
-		if !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.Out(v) {
-			if w := g.Arc(id).To; !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
 // splittableFlows computes per-item arc flows (indexed like aux.G arcs)
 // satisfying each item's demands, minimizing total cost within shared real
 // link capacities when possible.

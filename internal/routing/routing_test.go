@@ -270,3 +270,29 @@ func TestEngineReachMatchesStructuralSearch(t *testing.T) {
 		}
 	}
 }
+
+// reachableFrom marks the nodes reachable from any of the given roots
+// along arc direction, ignoring capacities: a plain depth-first search,
+// the oracle TestEngineReachMatchesStructuralSearch checks Engine.Reach
+// against.
+func reachableFrom(g *graph.Graph, roots []graph.NodeID) []bool {
+	seen := make([]bool, g.NumNodes())
+	var stack []graph.NodeID
+	for _, r := range roots {
+		if !seen[r] {
+			seen[r] = true
+			stack = append(stack, r)
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, id := range g.Out(v) {
+			if w := g.Arc(id).To; !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen
+}

@@ -1,16 +1,8 @@
 package lp
 
 // Hooks that force the rarely taken numeric paths of the simplex. Each sets
-// state on one Solver or one factorization, so tests that force failures
-// can run in parallel with any other solve.
-
-// forceNextWarmNumericFailure makes s's next warm-start attempt treat its
-// basis refactorization as numerically singular.
-func (s *Solver) forceNextWarmNumericFailure() { s.forceWarmNumericFailure = true }
-
-// warmNumericFailurePending reports whether the forced failure is still
-// waiting for a warm attempt to consume it.
-func (s *Solver) warmNumericFailurePending() bool { return s.forceWarmNumericFailure }
+// state on one factorization, so tests that force failures can run in
+// parallel with any other solve.
 
 // solveForcingUnstableUpdate solves p one-shot on the sparse simplex, with
 // the first eta update of its factorization reported as unstable.

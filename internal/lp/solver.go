@@ -92,12 +92,6 @@ type Solver struct {
 	structGen int
 	hasBasis  bool
 	stats     SolverStats
-
-	// forceWarmNumericFailure, when true, makes the next warm-start
-	// attempt treat its basis refactorization as numerically singular
-	// (the errNumeric condition), exercising the cold-fallback path on
-	// demand. Set only by tests; the attempt that consumes it resets it.
-	forceWarmNumericFailure bool
 }
 
 // NewSolver returns an empty handle; its first solve is necessarily cold.
@@ -211,14 +205,9 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	r.p = p
 	r.ctx = ctx
-	if changed || s.forceWarmNumericFailure {
-		ferr := r.b.refactor(r.f, r.basis)
-		if s.forceWarmNumericFailure {
-			s.forceWarmNumericFailure = false
-			ferr = errNumeric
-		}
-		if ferr != nil {
-			return nil, ferr
+	if changed {
+		if err := r.b.refactor(r.f, r.basis); err != nil {
+			return nil, err
 		}
 	}
 	// A bound change can strand a nonbasic variable at an upper bound that

@@ -307,22 +307,31 @@ func TestSolverInfeasibleToFeasible(t *testing.T) {
 	}
 }
 
-// TestSolverForcedNumericFallback forces the warm path's refactorization to
-// report the errNumeric condition and checks the attempt degrades to a cold
-// solve with the correct result.
+// TestSolverForcedNumericFallback re-solves an LP whose retained optimal
+// basis becomes singular under a data-only edit: the warm attempt's
+// refactorization fails (errNumeric), and the attempt must degrade to a
+// cold solve with the correct result.
 func TestSolverForcedNumericFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	p := MMSFPSizedLP(4, 40, 7)
+	// maximize x + y  s.t.  x + 2y <= 4,  x - y <= 1: optimal at (2, 1)
+	// with both structurals basic.
+	p := NewProblem(2)
+	p.SetSense(Maximize)
+	p.SetObjectiveCoeff(0, 1)
+	p.SetObjectiveCoeff(1, 1)
+	if err := p.AddConstraint([]int{0, 1}, []float64{1, 2}, LE, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddConstraint([]int{0, 1}, []float64{1, -1}, LE, 1); err != nil {
+		t.Fatal(err)
+	}
 	s := NewSolver()
 	if _, err := s.Solve(nil, p); err != nil {
 		t.Fatal(err)
 	}
-	setRHS(p, rng.Intn(p.NumConstraints()), 9)
-	s.forceNextWarmNumericFailure()
+	// The second row becomes -0.5 times the first: the basis {x, y} is
+	// singular, and the optimum moves to (4, 0).
+	setCoeff(p, 1, 0, -0.5)
 	sol, err := s.Solve(nil, p)
-	if s.warmNumericFailurePending() {
-		t.Fatal("warm attempt never consumed the forced failure")
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +340,7 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if diff := math.Abs(sol.Objective - ref.Objective); diff > diffObjTol*(1+math.Abs(ref.Objective)) {
-		t.Fatalf("objective after forced fallback %v, want %v", sol.Objective, ref.Objective)
+		t.Fatalf("objective after the singular transition %v, want %v", sol.Objective, ref.Objective)
 	}
 	st := s.Stats()
 	if st.Fallbacks != 1 || st.ColdSolves != 2 || st.WarmHits != 0 {
@@ -343,7 +352,7 @@ func TestSolverForcedNumericFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st = s.Stats(); st.WarmHits != 1 {
-		t.Fatalf("stats %+v: the handle should recover a warm start after the forced failure", st)
+		t.Fatalf("stats %+v: the handle should recover a warm start after the fallback", st)
 	}
 }
 

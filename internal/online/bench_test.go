@@ -91,18 +91,22 @@ func (rnrOnly) Decide(_ context.Context, inst strategy.Instance) (*strategy.Plan
 
 // BenchmarkFaultReroute runs the online controller over the fault horizon
 // with the cross-hour tree engine; BenchmarkFaultRerouteCold recomputes
-// every tree (Options.NoTreeReuse). The series are identical either way
+// every tree (a nil engine). The series are identical either way
 // (test-pinned), so the pair prices tree reuse alone.
-func BenchmarkFaultReroute(b *testing.B) { benchmarkFaultReroute(b, false) }
+func BenchmarkFaultReroute(b *testing.B) { benchmarkFaultReroute(b, true) }
 
-func BenchmarkFaultRerouteCold(b *testing.B) { benchmarkFaultReroute(b, true) }
+func BenchmarkFaultRerouteCold(b *testing.B) { benchmarkFaultReroute(b, false) }
 
-func benchmarkFaultReroute(b *testing.B, noTreeReuse bool) {
+func benchmarkFaultReroute(b *testing.B, reuse bool) {
 	hours := rerouteHours(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), rnrOnly{}, hours, Options{Resilient: true, NoTreeReuse: noTreeReuse}); err != nil {
+		var eng *graph.Engine
+		if reuse {
+			eng = graph.NewEngine()
+		}
+		if _, err := run(context.Background(), rnrOnly{}, hours, Options{Resilient: true}, eng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,16 +23,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"jcr/internal/graph"
 	"jcr/internal/placement"
 	"jcr/internal/strategy"
 )
-
-// rateEps is the request rate below which a decided total is treated as
-// zero (the decision did not anticipate the request).
-const rateEps = 1e-12
 
 // DecisionSource records where an hour's applied decision came from.
 type DecisionSource int
@@ -193,20 +188,23 @@ type Options struct {
 	// and unreachable demand is then accounted in HourMetrics rather
 	// than erroring.
 	Resilient bool
-	// NoTreeReuse disables the shortest-path-tree engine that carries
-	// repaired trees across consecutive hours of the truth evaluation
-	// (fault hours reuse the previous hour's trees, incrementally fixed
-	// for the links that moved). The engine is bit-for-bit invisible in
-	// every metric — disabling it only recomputes each tree cold — so
-	// this switch exists for A/B timing and determinism tests, mirroring
-	// strategy.Options.NoSolverReuse.
-	NoTreeReuse bool
 }
 
 // Run walks the hours, deciding each with st under the given hardening
 // options. ctx, when non-nil, cancels the whole simulation between hours
 // and carries the per-decision deadline of Options.Retry.DecideTimeout.
+// A shortest-path-tree engine carries repaired trees across consecutive
+// hours of the truth evaluation (fault hours reuse the previous hour's
+// trees, incrementally fixed for the links that moved); it is invisible in
+// every metric.
 func Run(ctx context.Context, st strategy.Strategy, hours []HourInput, opts Options) (*Series, error) {
+	return run(ctx, st, hours, opts, graph.NewEngine())
+}
+
+// run is Run with the truth evaluation's tree engine supplied; a nil
+// engine computes every tree cold, the reference the engine is tested
+// and timed against.
+func run(ctx context.Context, st strategy.Strategy, hours []HourInput, opts Options, eng *graph.Engine) (*Series, error) {
 	if opts.Retry.DecideTimeout > 0 && ctx == nil {
 		return nil, errors.New("online: Options.Retry.DecideTimeout requires a non-nil context")
 	}
@@ -214,10 +212,6 @@ func Run(ctx context.Context, st strategy.Strategy, hours []HourInput, opts Opti
 		return nil, fmt.Errorf("online: negative Options values: %+v", opts)
 	}
 	out := &Series{Strategy: st.Name()}
-	var eng *graph.Engine // nil when NoTreeReuse: every truth tree cold
-	if !opts.NoTreeReuse {
-		eng = graph.NewEngine()
-	}
 	var prev *placement.Placement     // previous hour's applied placement, for churn
 	var lastGood *placement.Placement // placement of the last fresh decision
 	stale := false
@@ -307,68 +301,24 @@ type hourEval struct {
 	demand, unserved, unanticipated float64
 }
 
-// evaluateOnTruth rescales the plan's serving paths to the realized
-// demand, serving unanticipated requests from their nearest replica. With
+// evaluateOnTruth scores the plan on the hour's realized demand
+// (placement.EvaluateOnTruth on the truth spec, with trees from eng). With
 // bestEffort, demand with no reachable replica is accounted as unserved
 // instead of failing the hour (degraded networks legitimately strand
 // requesters); otherwise unreachable demand is an error, the strict
-// historical behavior. The engine, when non-nil, serves the nearest-replica
-// trees from its cross-hour cache (identical bit for bit to computing them
-// cold); the local map still memoizes within the hour either way.
+// historical behavior.
 func evaluateOnTruth(h HourInput, dec *strategy.Plan, bestEffort bool, eng *graph.Engine) (hourEval, error) {
 	var ev hourEval
-	truth := h.Truth
-	byReq := map[placement.Request][]placement.ServingPath{}
-	decTotal := map[placement.Request]float64{}
-	for _, sp := range dec.Paths {
-		byReq[sp.Req] = append(byReq[sp.Req], sp)
-		decTotal[sp.Req] += sp.Rate
+	ev.cost, ev.cong, ev.unanticipated, ev.unserved = placement.EvaluateOnTruth(h.Truth, dec.Placement, dec.Paths, dec.Unserved, h.Dist, eng)
+	if ev.unserved > 0 && !bestEffort {
+		return hourEval{}, fmt.Errorf("%.6g of the realized demand has no reachable replica", ev.unserved)
 	}
-	var paths []placement.ServingPath
-	trees := map[graph.NodeID]graph.ShortestTree{}
-	for _, rq := range truth.Requests() {
-		lam := truth.Rates[rq.Item][rq.Node]
-		ev.demand += lam
-		if tot := decTotal[rq]; tot > rateEps {
-			for _, sp := range byReq[rq] {
-				paths = append(paths, placement.ServingPath{Req: rq, Path: sp.Path, Rate: lam * sp.Rate / tot})
+	for _, row := range h.Truth.Rates {
+		for _, lam := range row {
+			if lam > 0 {
+				ev.demand += lam
 			}
-			continue
-		}
-		best, bestD := -1, math.Inf(1)
-		for v := range dec.Placement.Stores {
-			if dec.Placement.Stores[v][rq.Item] && h.Dist[v][rq.Node] < bestD {
-				best, bestD = v, h.Dist[v][rq.Node]
-			}
-		}
-		if best < 0 {
-			if bestEffort {
-				ev.unserved += lam
-				continue
-			}
-			return hourEval{}, fmt.Errorf("no replica for unanticipated request %+v", rq)
-		}
-		tree, ok := trees[best]
-		if !ok {
-			tree = eng.Tree(truth.G, best)
-			trees[best] = tree
-		}
-		p, ok := tree.PathTo(truth.G, rq.Node)
-		if !ok {
-			if bestEffort {
-				ev.unserved += lam
-				continue
-			}
-			return hourEval{}, fmt.Errorf("requester %d unreachable from replica %d", rq.Node, best)
-		}
-		paths = append(paths, placement.ServingPath{Req: rq, Path: p, Rate: lam})
-		if _, declared := dec.Unserved[rq]; !declared {
-			// Served through the fallback without the decision having
-			// planned for it: a prediction miss, the unanticipated-
-			// demand volume of the hour.
-			ev.unanticipated += lam
 		}
 	}
-	ev.cost, _, ev.cong = placement.EvaluateServing(truth, paths, dec.Placement)
 	return ev, nil
 }

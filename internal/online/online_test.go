@@ -489,7 +489,7 @@ func TestTreeReuseIsBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(context.Background(), pol(), hours, Options{Resilient: true, NoTreeReuse: true})
+	cold, err := run(context.Background(), pol(), hours, Options{Resilient: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

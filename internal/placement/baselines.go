@@ -313,29 +313,3 @@ func KSPServingPaths(s *Spec, pl *Placement, origin graph.NodeID, k int) ([]Serv
 	}
 	return bestServingPaths(s, pl, reqs, candByNode), nil
 }
-
-// GlobalRNRServing turns a placement into serving paths by routing each
-// request from its nearest replica over that replica's least-cost path,
-// capacity-oblivious: the "RNR" routing used by the "SP + RNR" benchmark.
-func GlobalRNRServing(s *Spec, pl *Placement, dist [][]float64) ([]ServingPath, error) {
-	srcs, _, err := s.RNRSources(pl, dist)
-	if err != nil {
-		return nil, err
-	}
-	trees := map[graph.NodeID]graph.ShortestTree{}
-	var out []ServingPath
-	for _, rq := range s.Requests() {
-		v := srcs[rq]
-		tree, ok := trees[v]
-		if !ok {
-			tree = graph.TreeOf(s.G, v)
-			trees[v] = tree
-		}
-		p, ok := tree.PathTo(s.G, rq.Node)
-		if !ok {
-			return nil, fmt.Errorf("placement: requester %d unreachable from replica %d", rq.Node, v)
-		}
-		out = append(out, ServingPath{Req: rq, Path: p, Rate: s.Rates[rq.Item][rq.Node]})
-	}
-	return out, nil
-}

@@ -3,6 +3,7 @@ package placement
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"jcr/internal/graph"
@@ -458,21 +459,47 @@ func TestKSP3(t *testing.T) {
 	}
 }
 
-func TestGlobalRNRServing(t *testing.T) {
+func TestRNRServing(t *testing.T) {
 	s := lineSpec()
 	dist := graph.AllPairs(s.G)
 	res, err := Greedy(s, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := GlobalRNRServing(s, res.Placement, dist)
-	if err != nil {
-		t.Fatal(err)
+	paths, unserved := RNRServing(s, res.Placement, dist, nil)
+	if unserved != nil {
+		t.Fatalf("unserved %v on a connected network", unserved)
 	}
 	cost, _, _ := EvaluateServing(s, paths, res.Placement)
 	// RNR serving cost must match the RNR source-selection cost.
 	if math.Abs(cost-res.Cost) > 1e-9 {
 		t.Errorf("serving cost %v != RNR cost %v", cost, res.Cost)
+	}
+}
+
+// TestRNRServingPartitioned: a local hit is served with an empty path, a
+// requester no replica reaches lands in the unserved map, and the engine's
+// trees equal cold ones.
+func TestRNRServingPartitioned(t *testing.T) {
+	g := graph.New(5) // node 4 is isolated
+	g.AddEdge(0, 1, 1, graph.Unlimited)
+	g.AddEdge(1, 2, 2, graph.Unlimited)
+	g.AddEdge(2, 3, 10, graph.Unlimited)
+	s := &Spec{G: g, NumItems: 1, CacheCap: []float64{0, 1, 0, 0, 0}, Pinned: []graph.NodeID{3},
+		Rates: [][]float64{{2, 0, 0, 1, 5}}}
+	pl := s.NewPlacement()
+	pl.Stores[1][0] = true
+	dist := graph.AllPairs(g)
+	paths, unserved := RNRServing(s, pl, dist, nil)
+	if len(paths) != 2 || len(paths[0].Path.Arcs) != 1 || paths[1].Req.Node != 3 || len(paths[1].Path.Arcs) != 0 {
+		t.Fatalf("paths %+v: want node 0 served from node 1, node 3 a local hit", paths)
+	}
+	if want := map[Request]float64{{Item: 0, Node: 4}: 5}; !reflect.DeepEqual(unserved, want) {
+		t.Errorf("unserved %v, want %v", unserved, want)
+	}
+	warm, _ := RNRServing(s, pl, dist, graph.NewEngine())
+	if !reflect.DeepEqual(paths, warm) {
+		t.Errorf("engine paths %+v differ from cold %+v", warm, paths)
 	}
 }
 

@@ -253,49 +253,3 @@ func (s *Spec) EvictToFit(p *Placement) int {
 	}
 	return evicted
 }
-
-// RNRSources selects, for every request, the least-cost node storing the
-// requested item (route-to-nearest-replica). dist must be the all-pairs
-// least-cost matrix of s.G. The second return is the total routing cost
-// sum lambda_(i,s) * w_{v*->s}.
-func (s *Spec) RNRSources(p *Placement, dist [][]float64) (map[Request]graph.NodeID, float64, error) {
-	src := make(map[Request]graph.NodeID)
-	var cost float64
-	for _, rq := range s.Requests() {
-		best := -1
-		bestD := math.Inf(1)
-		for v := range p.Stores {
-			if !p.Stores[v][rq.Item] {
-				continue
-			}
-			if d := dist[v][rq.Node]; d < bestD {
-				bestD = d
-				best = v
-			}
-		}
-		if best < 0 {
-			return nil, 0, fmt.Errorf("placement: no reachable replica of item %d for requester %d", rq.Item, rq.Node)
-		}
-		src[rq] = best
-		cost += s.Rates[rq.Item][rq.Node] * bestD
-	}
-	return src, cost, nil
-}
-
-// SavingRNR evaluates the cost-saving set function F~_RNR of Eq. (4) up to
-// an additive constant: sum over requests of lambda * (wmax - nearest
-// replica distance), with wmax counted for items with no replica. It is
-// monotone and submodular in the placement (Lemma 4.1).
-func (s *Spec) SavingRNR(p *Placement, dist [][]float64, wmax float64) float64 {
-	var saving float64
-	for _, rq := range s.Requests() {
-		d := wmax
-		for v := range p.Stores {
-			if p.Stores[v][rq.Item] && dist[v][rq.Node] < d {
-				d = dist[v][rq.Node]
-			}
-		}
-		saving += s.Rates[rq.Item][rq.Node] * (wmax - d)
-	}
-	return saving
-}

@@ -38,9 +38,9 @@ func solveRNR(t testing.TB, s *placement.Spec) (*placement.Placement, []placemen
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := placement.GlobalRNRServing(s, res.Placement, dist)
-	if err != nil {
-		t.Fatal(err)
+	paths, unserved := placement.RNRServing(s, res.Placement, dist, nil)
+	if unserved != nil {
+		t.Fatalf("unserved %v", unserved)
 	}
 	return res.Placement, paths
 }

@@ -96,9 +96,9 @@ func (*RNR) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err := pollCtx(ctx, "rnr serving"); err != nil {
 		return nil, Stats{}, err
 	}
-	paths, err := placement.GlobalRNRServing(inst.Spec, res.Placement, dist)
-	if err != nil {
-		return nil, Stats{}, err
+	paths, unserved := placement.RNRServing(inst.Spec, res.Placement, dist, nil)
+	if len(unserved) > 0 {
+		return nil, Stats{}, fmt.Errorf("strategy: rnr: %d requests unreachable", len(unserved))
 	}
 	return finishPlan(inst.Spec, &Plan{Placement: res.Placement, Paths: paths}), Stats{Iterations: 1, Method: "greedy+rnr"}, nil
 }

@@ -3,7 +3,6 @@ package strategy
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"jcr/internal/graph"
@@ -49,7 +48,6 @@ func (p *IYFixedPath) Name() string { return "iy-fixedpath" }
 type iyRequest struct {
 	req  placement.Request
 	rate float64
-	path graph.Path
 	// up[k] is the k-th node on the request's upstream walk (up[0] is
 	// the requester, the last is the server); delta[k] is the extra cost
 	// of fetching from up[k] rather than up[k-1] (k >= 1).
@@ -67,50 +65,28 @@ func (p *IYFixedPath) Decide(ctx context.Context, inst Instance) (*Plan, Stats, 
 		return nil, Stats{}, err
 	}
 	dist := inst.Distances()
-	// Fixed routing: serve each request from its nearest pinned origin
-	// over that origin's shortest-path tree.
-	trees := map[graph.NodeID]graph.ShortestTree{}
-	var reqs []iyRequest
-	var unserved map[placement.Request]float64
-	for _, rq := range spec.Requests() {
-		lam := spec.Rates[rq.Item][rq.Node]
-		server := graph.NodeID(-1)
-		bestD := math.Inf(1)
-		for _, v := range spec.Pinned {
-			if d := dist[v][rq.Node]; d < bestD {
-				bestD = d
-				server = v
-			}
-		}
-		if server < 0 || math.IsInf(bestD, 1) {
-			if !p.BestEffort {
-				return nil, Stats{}, fmt.Errorf("strategy: iy-fixedpath: requester %d unreachable from every origin", rq.Node)
-			}
-			if unserved == nil {
-				unserved = map[placement.Request]float64{}
-			}
-			unserved[rq] += lam
-			continue
-		}
-		tree, ok := trees[server]
-		if !ok {
-			tree = graph.TreeOf(spec.G, server)
-			trees[server] = tree
-		}
-		path, _ := tree.PathTo(spec.G, rq.Node)
-		ir := iyRequest{req: rq, rate: lam, path: path}
-		nodes := path.Nodes(spec.G)
+	// Fixed routing: route-to-nearest-replica on the pinned-only placement
+	// serves each request from its nearest pinned origin over that
+	// origin's shortest-path tree.
+	paths, unserved := placement.RNRServing(spec, spec.NewPlacement(), dist, nil)
+	if len(unserved) > 0 && !p.BestEffort {
+		return nil, Stats{}, fmt.Errorf("strategy: iy-fixedpath: %d requests unreachable from every origin", len(unserved))
+	}
+	reqs := make([]iyRequest, len(paths))
+	for k, sp := range paths {
+		ir := iyRequest{req: sp.Req, rate: sp.Rate}
+		nodes := sp.Path.Nodes(spec.G)
 		if len(nodes) == 0 {
-			nodes = []graph.NodeID{rq.Node} // local: requester is the server
+			nodes = []graph.NodeID{sp.Req.Node} // local: requester is the server
 		}
 		// Walk upstream (requester -> server), accumulating cost deltas.
 		ir.up = append(ir.up, nodes[len(nodes)-1])
 		ir.delta = append(ir.delta, 0)
-		for k := len(path.Arcs) - 1; k >= 0; k-- {
-			ir.up = append(ir.up, nodes[k])
-			ir.delta = append(ir.delta, spec.G.Arc(path.Arcs[k]).Cost)
+		for j := len(sp.Path.Arcs) - 1; j >= 0; j-- {
+			ir.up = append(ir.up, nodes[j])
+			ir.delta = append(ir.delta, spec.G.Arc(sp.Path.Arcs[j]).Cost)
 		}
-		reqs = append(reqs, ir)
+		reqs[k] = ir
 	}
 	// Relaxed caching variables y[v][i] for cache-capable non-pinned
 	// nodes; pinned nodes are fixed at 1 implicitly via isServer.
@@ -176,10 +152,6 @@ func (p *IYFixedPath) Decide(ctx context.Context, inst Instance) (*Plan, Stats, 
 				room -= sz
 			}
 		}
-	}
-	paths := make([]placement.ServingPath, len(reqs))
-	for ri := range reqs {
-		paths[ri] = placement.ServingPath{Req: reqs[ri].req, Path: reqs[ri].path, Rate: reqs[ri].rate}
 	}
 	plan := finishPlan(spec, &Plan{Placement: pl, Paths: paths, Unserved: unserved})
 	return plan, Stats{Iterations: steps, Method: "continuous-greedy"}, nil

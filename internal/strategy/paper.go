@@ -66,7 +66,7 @@ func (a *Alg1) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) 
 	if err := pollCtx(ctx, "alg1 serving"); err != nil {
 		return nil, Stats{}, err
 	}
-	paths, unserved := rnrServe(spec, pl, dist)
+	paths, unserved := placement.RNRServing(spec, pl, dist, nil)
 	if len(unserved) > 0 && !a.BestEffort {
 		return nil, Stats{}, fmt.Errorf("strategy: alg1: %d requests unreachable (set BestEffort to serve partially)", len(unserved))
 	}

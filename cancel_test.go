@@ -69,10 +69,7 @@ func TestSolversHonourCanceledContext(t *testing.T) {
 	s := cancelSpec()
 	dist := graph.AllPairs(s.G)
 	origin := s.Pinned[0]
-	paths, err := placement.ShortestServingPaths(s, origin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := placement.ShortestServingPaths(s, origin)
 	// max x0 + x1 s.t. x0 + 2 x1 <= 4, x0 >= 1: the GE row needs phase 1,
 	// so both simplex implementations reach their pivot loops. Solving
 	// does not mutate the problem, so the rows share it.

@@ -77,20 +77,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, spCost, err := spec.RNRSources(sp, dist)
-	if err != nil {
-		log.Fatal(err)
-	}
+	_, spCost := spec.RNRSources(sp, dist)
 	fmt.Printf("%-26s %12.4g %15.2f%%\n", "shortest path [38]", spCost, 100*spec.MaxOccupancyRatio(sp))
 
 	ksp, err := placement.KSP3(spec, net.Origin, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, kspCost, err := spec.RNRSources(ksp.Placement, dist)
-	if err != nil {
-		log.Fatal(err)
-	}
+	_, kspCost := spec.RNRSources(ksp.Placement, dist)
 	fmt.Printf("%-26s %12.4g %15.2f%%\n", "k shortest paths [3]", kspCost, 100*spec.MaxOccupancyRatio(ksp.Placement))
 
 	fmt.Println("\noccupancy above 100% means the placement does not actually fit:")

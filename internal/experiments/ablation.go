@@ -59,10 +59,7 @@ func Ablation(cfg *Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	paths, err := placement.ShortestServingPaths(run.Decision, smallSc.Net.Origin)
-	if err != nil {
-		return "", err
-	}
+	paths := placement.ShortestServingPaths(run.Decision, smallSc.Net.Origin)
 	b.WriteString("\n2) Section 4.3.1 placement subroutine: LP+pipage vs greedy (downsized instance)\n")
 	fmt.Fprintf(&b, "   %-14s %14s %12s\n", "method", "saving F_{r,f}", "time (ms)")
 	for _, variant := range []struct {

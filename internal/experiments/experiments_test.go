@@ -315,10 +315,7 @@ func TestEvaluateDecisionOnTruthFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wantCost, err := run.Truth.RNRSources(pl, run.Dist)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, wantCost := run.Truth.RNRSources(pl, run.Dist)
 	if diff := cost - wantCost; diff > 1e-6*wantCost || diff < -1e-6*wantCost {
 		t.Errorf("fallback cost %v != RNR cost %v", cost, wantCost)
 	}

@@ -103,9 +103,12 @@ func (m method) score(run *Run) (outcome, error) {
 		var paths []placement.ServingPath
 		origin := run.Scenario.Net.Origin
 		if ksp, ok := m.st.(*strategy.KSP); ok {
-			paths, err = placement.KSPServingPaths(run.Truth, pl, origin, ksp.K)
+			paths = placement.KSPServingPaths(run.Truth, pl, origin, ksp.K)
 		} else {
-			paths, err = placement.ShortestServingPaths(run.Truth, origin)
+			paths = placement.ShortestServingPaths(run.Truth, origin)
+		}
+		if n := len(run.Truth.Requests()) - len(paths); n > 0 {
+			err = fmt.Errorf("%d requests unreachable from origin %d", n, origin)
 		}
 		out.cost, _, out.congestion = placement.EvaluateServing(run.Truth, paths, pl)
 	}

@@ -173,10 +173,7 @@ func Alg1(ctx context.Context, s *Spec, dist [][]float64, opts Alg1Options) (*Al
 	if !opts.DisablePolish {
 		polishPlacement(s, dist, wmax, pl, nodes)
 	}
-	src, cost, err := s.RNRSources(pl, dist)
-	if err != nil {
-		return nil, err
-	}
+	src, cost := s.RNRSources(pl, dist)
 	return &Alg1Result{Placement: pl, Sources: src, Cost: cost, LPValue: sol.Objective}, nil
 }
 

@@ -55,18 +55,17 @@ func servedFrom(g *graph.Graph, sp *ServingPath, pl *Placement) int {
 // ShortestServingPaths builds one serving path per request: the least-cost
 // path from the given root (typically the origin server) to the requester.
 // This is the fixed routing of the [38] baseline ("shortest path") and of
-// the "SP" benchmarks in Figs. 7-8.
-func ShortestServingPaths(s *Spec, root graph.NodeID) ([]ServingPath, error) {
+// the "SP" benchmarks in Figs. 7-8. Requesters the root cannot reach get
+// no path.
+func ShortestServingPaths(s *Spec, root graph.NodeID) []ServingPath {
 	tree := graph.TreeOf(s.G, root)
 	var out []ServingPath
 	for _, rq := range s.Requests() {
-		p, ok := tree.PathTo(s.G, rq.Node)
-		if !ok {
-			return nil, fmt.Errorf("placement: requester %d unreachable from root %d", rq.Node, root)
+		if p, ok := tree.PathTo(s.G, rq.Node); ok {
+			out = append(out, ServingPath{Req: rq, Path: p, Rate: s.Rates[rq.Item][rq.Node]})
 		}
-		out = append(out, ServingPath{Req: rq, Path: p, Rate: s.Rates[rq.Item][rq.Node]})
 	}
-	return out, nil
+	return out
 }
 
 // SP38 runs the [38] baseline: place content to maximize the per-path
@@ -77,10 +76,7 @@ func ShortestServingPaths(s *Spec, root graph.NodeID) ([]ServingPath, error) {
 // (the infeasibility the paper demonstrates in Fig. 5). ctx reaches the
 // per-path placement solve; nil means no cancellation.
 func SP38(ctx context.Context, s *Spec, origin graph.NodeID) (*Placement, []ServingPath, error) {
-	paths, err := ShortestServingPaths(s, origin)
-	if err != nil {
-		return nil, nil, err
-	}
+	paths := ShortestServingPaths(s, origin)
 	pl, err := PlacePerPath(ctx, equalSize(s), paths, PerPathOptions{})
 	if err != nil {
 		return nil, nil, err
@@ -144,11 +140,7 @@ func KSP3(s *Spec, origin graph.NodeID, k int) (*KSPResult, error) {
 		return nil, err
 	}
 	g := s.G
-	reqs := s.Requests()
-	candByNode, err := candidatePaths(s, reqs, origin, k)
-	if err != nil {
-		return nil, err
-	}
+	candByNode, reqs := candidatePaths(s, s.Requests(), origin, k)
 	caps := equalSize(s).CacheCap
 	pl := s.NewPlacement()
 	residual := make([]float64, g.NumNodes())
@@ -240,20 +232,23 @@ func KSP3(s *Spec, origin graph.NodeID, k int) (*KSPResult, error) {
 }
 
 // candidatePaths returns each requester's k least-cost paths from the
-// origin: the candidate routes of [3], shared across items.
-func candidatePaths(s *Spec, reqs []Request, origin graph.NodeID, k int) (map[graph.NodeID][]graph.Path, error) {
+// origin (the candidate routes of [3], shared across items) and the
+// requests among reqs that have one: a requester the origin cannot reach
+// has no candidates, and its requests are left out.
+func candidatePaths(s *Spec, reqs []Request, origin graph.NodeID, k int) (map[graph.NodeID][]graph.Path, []Request) {
 	candByNode := map[graph.NodeID][]graph.Path{}
+	var reachable []Request
 	for _, rq := range reqs {
-		if _, done := candByNode[rq.Node]; done {
-			continue
+		cands, done := candByNode[rq.Node]
+		if !done {
+			cands = graph.KShortestPaths(s.G, origin, rq.Node, k)
+			candByNode[rq.Node] = cands
 		}
-		cands := graph.KShortestPaths(s.G, origin, rq.Node, k)
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("placement: requester %d unreachable from origin %d", rq.Node, origin)
+		if len(cands) > 0 {
+			reachable = append(reachable, rq)
 		}
-		candByNode[rq.Node] = cands
 	}
-	return candByNode, nil
+	return candByNode, reachable
 }
 
 // bestCandidate returns the candidate path with the least serving cost of
@@ -302,14 +297,10 @@ func servingCostOnPath(s *Spec, pl *Placement, p graph.Path, item int) float64 {
 
 // KSPServingPaths recomputes, for every request of the spec, the best of
 // the k least-cost origin->requester candidate paths under the given
-// placement (the [3] routing rule). Used to evaluate a decided placement
-// against the true demand, whose request set may differ from the decision
-// demand's.
-func KSPServingPaths(s *Spec, pl *Placement, origin graph.NodeID, k int) ([]ServingPath, error) {
-	reqs := s.Requests()
-	candByNode, err := candidatePaths(s, reqs, origin, k)
-	if err != nil {
-		return nil, err
-	}
-	return bestServingPaths(s, pl, reqs, candByNode), nil
+// placement (the [3] routing rule); requesters the origin cannot reach get
+// no path. Used to evaluate a decided placement against the true demand,
+// whose request set may differ from the decision demand's.
+func KSPServingPaths(s *Spec, pl *Placement, origin graph.NodeID, k int) []ServingPath {
+	candByNode, reqs := candidatePaths(s, s.Requests(), origin, k)
+	return bestServingPaths(s, pl, reqs, candByNode)
 }

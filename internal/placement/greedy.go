@@ -98,9 +98,6 @@ func Greedy(s *Spec, dist [][]float64) (*GreedyResult, error) {
 			gains[c][bestI] = delta(v, bestI)
 		}
 	}
-	src, cost, err := s.RNRSources(pl, dist)
-	if err != nil {
-		return nil, err
-	}
+	src, cost := s.RNRSources(pl, dist)
 	return &GreedyResult{Placement: pl, Sources: src, Cost: cost, Saving: saving}, nil
 }

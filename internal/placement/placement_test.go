@@ -353,10 +353,7 @@ func TestPlacePerPathGreedyVsLP(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		s := randomSpec(rng, 5, 2)
 		origin := s.Pinned[0]
-		paths, err := ShortestServingPaths(s, origin)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		paths := ShortestServingPaths(s, origin)
 		plLP, err := PlacePerPath(nil, s, paths, PerPathOptions{Method: PerPathLP})
 		if err != nil {
 			t.Fatalf("trial %d LP: %v", trial, err)
@@ -393,10 +390,7 @@ func TestPerPathSavingPlusCostIsConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := randomSpec(rng, 6, 3)
 	origin := s.Pinned[0]
-	paths, err := ShortestServingPaths(s, origin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := ShortestServingPaths(s, origin)
 	var full float64
 	for k := range paths {
 		full += paths[k].Rate * paths[k].Path.Cost(s.G)

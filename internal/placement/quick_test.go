@@ -66,10 +66,7 @@ func TestQuickPlacementConservation(t *testing.T) {
 			for _, rq := range q.s.Requests() {
 				constant += q.s.Rates[rq.Item][rq.Node] * wmax
 			}
-			_, cost, err := q.s.RNRSources(pl, dist)
-			if err != nil {
-				return false
-			}
+			_, cost := q.s.RNRSources(pl, dist)
 			sv := q.s.SavingRNR(pl, dist, wmax)
 			return abs(sv+cost-constant) <= 1e-6*(1+constant)
 		}

@@ -189,10 +189,7 @@ func greedyReference(s *Spec, dist [][]float64) (*GreedyResult, error) {
 			}
 		}
 	}
-	src, cost, err := s.RNRSources(pl, dist)
-	if err != nil {
-		return nil, err
-	}
+	src, cost := s.RNRSources(pl, dist)
 	return &GreedyResult{Placement: pl, Sources: src, Cost: cost, Saving: saving}, nil
 }
 

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"fmt"
 	"math"
 
 	"jcr/internal/graph"
@@ -29,19 +28,20 @@ func nearestReplica(p *Placement, dist [][]float64, rq Request) (graph.NodeID, f
 // RNRSources selects, for every request, the least-cost node storing the
 // requested item (route-to-nearest-replica). dist must be the all-pairs
 // least-cost matrix of s.G. The second return is the total routing cost
-// sum lambda_(i,s) * w_{v*->s}.
-func (s *Spec) RNRSources(p *Placement, dist [][]float64) (map[Request]graph.NodeID, float64, error) {
+// sum lambda_(i,s) * w_{v*->s}. A request no replica reaches (on a
+// partitioned network) has no source and adds no cost.
+func (s *Spec) RNRSources(p *Placement, dist [][]float64) (map[Request]graph.NodeID, float64) {
 	src := make(map[Request]graph.NodeID)
 	var cost float64
 	for _, rq := range s.Requests() {
 		best, bestD := nearestReplica(p, dist, rq)
 		if best < 0 {
-			return nil, 0, fmt.Errorf("placement: no reachable replica of item %d for requester %d", rq.Item, rq.Node)
+			continue
 		}
 		src[rq] = best
 		cost += s.Rates[rq.Item][rq.Node] * bestD
 	}
-	return src, cost, nil
+	return src, cost
 }
 
 // SavingRNR evaluates the cost-saving set function F~_RNR of Eq. (4) up to

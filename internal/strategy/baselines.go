@@ -10,24 +10,28 @@ import (
 
 func init() {
 	register("sp", "SP [38]: per-path placement on the origin's shortest-path tree, served along those paths",
-		func(Options) Strategy { return &SP{} })
+		func(o Options) Strategy { return &SP{bestEffort: o.BestEffort} })
 	register("ksp", "k-SP [3] (k = 3 unless KSP.K is set): joint placement over each request's k least-cost origin paths",
-		func(Options) Strategy { return &KSP{} })
+		func(o Options) Strategy { return &KSP{bestEffort: o.BestEffort} })
 	register("rnr", "greedy placement + capacity-oblivious route-to-nearest-replica serving",
-		func(Options) Strategy { return &RNR{} })
+		func(o Options) Strategy { return &RNR{bestEffort: o.BestEffort} })
 }
 
 // SP is the paper's SP [38] baseline of Section 6: placement maximizes
 // the per-path saving along the origin's shortest-path tree and every
 // request is served along its tree path. The origin is the spec's single
 // pinned node.
-type SP struct{}
+type SP struct {
+	// bestEffort (Options.BestEffort) declares requesters the origin
+	// cannot reach in Plan.Unserved instead of failing the solve.
+	bestEffort bool
+}
 
 // Name implements Strategy.
 func (*SP) Name() string { return "sp" }
 
 // Decide implements Strategy.
-func (*SP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
+func (p *SP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err := pollCtx(ctx, "sp"); err != nil {
 		return nil, Stats{}, err
 	}
@@ -39,7 +43,11 @@ func (*SP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return finishPlan(inst.Spec, &Plan{Placement: pl, Paths: paths}), Stats{Iterations: 1, Method: "sp38"}, nil
+	plan, err := partialPlan("sp", p.bestEffort, inst.Spec, &Plan{Placement: pl, Paths: paths, Unserved: unservedOf(inst.Spec, paths)})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return plan, Stats{Iterations: 1, Method: "sp38"}, nil
 }
 
 // KSP is the paper's k-SP [3] baseline of Section 6: placement jointly
@@ -50,6 +58,9 @@ type KSP struct {
 	// K is the number of candidate paths per request; zero means 3 (the
 	// paper's figures run Config.CandidatePaths = 10, and 1 for SP + RNR).
 	K int
+	// bestEffort (Options.BestEffort) declares requesters the origin
+	// cannot reach in Plan.Unserved instead of failing the solve.
+	bestEffort bool
 }
 
 // Name implements Strategy.
@@ -72,19 +83,27 @@ func (k *KSP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return finishPlan(inst.Spec, &Plan{Placement: res.Placement, Paths: res.Chosen}), Stats{Iterations: 1, Method: "ksp3"}, nil
+	plan, err := partialPlan("ksp", k.bestEffort, inst.Spec, &Plan{Placement: res.Placement, Paths: res.Chosen, Unserved: unservedOf(inst.Spec, res.Chosen)})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return plan, Stats{Iterations: 1, Method: "ksp3"}, nil
 }
 
 // RNR places content greedily and routes every request from its nearest
 // replica, capacity-obliviously: the cheap baseline whose congestion the
 // online experiment contrasts with the joint optimizer.
-type RNR struct{}
+type RNR struct {
+	// bestEffort (Options.BestEffort) declares requests with no
+	// reachable replica in Plan.Unserved instead of failing the solve.
+	bestEffort bool
+}
 
 // Name implements Strategy.
 func (*RNR) Name() string { return "rnr" }
 
 // Decide implements Strategy.
-func (*RNR) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
+func (r *RNR) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err := pollCtx(ctx, "rnr"); err != nil {
 		return nil, Stats{}, err
 	}
@@ -97,10 +116,11 @@ func (*RNR) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 		return nil, Stats{}, err
 	}
 	paths, unserved := placement.RNRServing(inst.Spec, res.Placement, dist, nil)
-	if len(unserved) > 0 {
-		return nil, Stats{}, fmt.Errorf("strategy: rnr: %d requests unreachable", len(unserved))
+	plan, err := partialPlan("rnr", r.bestEffort, inst.Spec, &Plan{Placement: res.Placement, Paths: paths, Unserved: unserved})
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	return finishPlan(inst.Spec, &Plan{Placement: res.Placement, Paths: paths}), Stats{Iterations: 1, Method: "greedy+rnr"}, nil
+	return plan, Stats{Iterations: 1, Method: "greedy+rnr"}, nil
 }
 
 // soleOrigin returns the spec's single pinned node, the server the

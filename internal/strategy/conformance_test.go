@@ -178,3 +178,63 @@ func TestConformanceRoster(t *testing.T) {
 		}
 	}
 }
+
+// partitionSpec is a connected 6-node ring holding the origin and both
+// caches, plus a detached pair {6, 7} with no origin and no cache whose
+// node 7 requests both items: that requester's demand can only be
+// declared unserved.
+func partitionSpec() (*placement.Spec, map[placement.Request]float64) {
+	const nodes = 8
+	const items = 2
+	g := graph.New(nodes)
+	for v := 0; v < 6; v++ {
+		g.AddEdge(graph.NodeID(v), graph.NodeID((v+1)%6), float64(1+v%3), 100)
+	}
+	g.AddEdge(6, 7, 1, 100)
+	cacheCap := make([]float64, nodes)
+	cacheCap[2], cacheCap[4] = 1, 1
+	rates := [][]float64{
+		{0, 2, 0, 1, 0, 3, 0, 4},
+		{0, 0, 1, 2, 0, 1, 0, 2.5},
+	}
+	spec := &placement.Spec{G: g, NumItems: items, CacheCap: cacheCap, Pinned: []graph.NodeID{0}, Rates: rates}
+	stranded := map[placement.Request]float64{{Item: 0, Node: 7}: 4, {Item: 1, Node: 7}: 2.5}
+	return spec, stranded
+}
+
+// TestFaultPartitionBestEffort runs every registered strategy on a
+// partitioned network: with BestEffort the plan is valid and declares
+// exactly the cut-off requester's demand unserved; without it, Decide
+// fails rather than silently dropping demand.
+func TestFaultPartitionBestEffort(t *testing.T) {
+	spec, stranded := partitionSpec()
+	inst := Instance{Spec: spec}
+	// Strategies without a best-effort mode, and why; they must still
+	// refuse the spec.
+	noBestEffort := map[string]string{
+		"exact": "the brute-force IC-IR optimum is defined only when every request can be served, so exact reports a partitioned spec infeasible",
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			if reason, ok := noBestEffort[name]; ok {
+				if _, _, err := MustNew(name, Options{Seed: 11, BestEffort: true}).Decide(context.Background(), inst); err == nil {
+					t.Errorf("exempt (%s), yet Decide accepted a partitioned network", reason)
+				}
+				return
+			}
+			plan, _, err := MustNew(name, Options{Seed: 11, BestEffort: true}).Decide(context.Background(), inst)
+			if err != nil {
+				t.Fatalf("best effort: Decide: %v", err)
+			}
+			if err := Validate(inst, plan); err != nil {
+				t.Errorf("best effort: invalid plan: %v", err)
+			}
+			if !reflect.DeepEqual(plan.Unserved, stranded) {
+				t.Errorf("best effort: unserved %v, want %v", plan.Unserved, stranded)
+			}
+			if _, _, err := MustNew(name, Options{Seed: 11}).Decide(context.Background(), inst); err == nil {
+				t.Error("strict: Decide accepted a partitioned network")
+			}
+		})
+	}
+}

@@ -10,7 +10,9 @@ import (
 
 func init() {
 	register("mindelay", "MinDelay-style joint forwarding+caching: multipath splits alternate with greedy per-path caching (arXiv 1710.05130)",
-		func(o Options) Strategy { return &MinDelay{Rounds: o.MaxIters, Workers: o.Workers} })
+		func(o Options) Strategy {
+			return &MinDelay{Rounds: o.MaxIters, Workers: o.Workers, bestEffort: o.BestEffort}
+		})
 }
 
 // MinDelay is a MinDelay-style joint forwarding-and-caching heuristic
@@ -30,6 +32,9 @@ type MinDelay struct {
 	Rounds int
 	// Workers bounds the caching subproblem's worker pool.
 	Workers int
+	// bestEffort (Options.BestEffort) declares requests with no
+	// reachable replica in Plan.Unserved instead of failing the solve.
+	bestEffort bool
 }
 
 // Name implements Strategy.
@@ -70,6 +75,9 @@ func (m *MinDelay) Decide(ctx context.Context, inst Instance) (*Plan, Stats, err
 			best = cand
 		}
 		pl = newPl
+	}
+	if _, err := partialPlan("mindelay", m.bestEffort, spec, best); err != nil {
+		return nil, Stats{}, err
 	}
 	return best, Stats{Iterations: iters, Method: "multipath+greedy"}, nil
 }

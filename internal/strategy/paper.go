@@ -67,10 +67,11 @@ func (a *Alg1) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) 
 		return nil, Stats{}, err
 	}
 	paths, unserved := placement.RNRServing(spec, pl, dist, nil)
-	if len(unserved) > 0 && !a.BestEffort {
-		return nil, Stats{}, fmt.Errorf("strategy: alg1: %d requests unreachable (set BestEffort to serve partially)", len(unserved))
+	plan, err := partialPlan("alg1", a.BestEffort, spec, &Plan{Placement: pl, Paths: paths, Unserved: unserved})
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	return finishPlan(spec, &Plan{Placement: pl, Paths: paths, Unserved: unserved}), Stats{Iterations: 1, Method: method}, nil
+	return plan, Stats{Iterations: 1, Method: method}, nil
 }
 
 // Alg2 is the paper's Algorithm 2 behind the Strategy interface, for the

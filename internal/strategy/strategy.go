@@ -166,6 +166,34 @@ func finishPlan(s *placement.Spec, p *Plan) *Plan {
 	return p
 }
 
+// partialPlan finishes a plan whose Unserved requests no replica or
+// origin reaches: declared under bestEffort, otherwise a solve error.
+func partialPlan(name string, bestEffort bool, s *placement.Spec, p *Plan) (*Plan, error) {
+	if len(p.Unserved) > 0 && !bestEffort {
+		return nil, fmt.Errorf("strategy: %s: %d requests unreachable (set BestEffort to serve partially)", name, len(p.Unserved))
+	}
+	return finishPlan(s, p), nil
+}
+
+// unservedOf maps the spec's requests that no path serves to their rates;
+// nil when every request has a path.
+func unservedOf(s *placement.Spec, paths []placement.ServingPath) map[placement.Request]float64 {
+	served := make(map[placement.Request]bool, len(paths))
+	for _, sp := range paths {
+		served[sp.Req] = true
+	}
+	var out map[placement.Request]float64
+	for _, rq := range s.Requests() {
+		if !served[rq] {
+			if out == nil {
+				out = map[placement.Request]float64{}
+			}
+			out[rq] = s.Rates[rq.Item][rq.Node]
+		}
+	}
+	return out
+}
+
 // pollCtx returns ctx's error, wrapped, when it is canceled; nil-safe.
 func pollCtx(ctx context.Context, what string) error {
 	if ctx == nil {

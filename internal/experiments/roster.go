@@ -118,6 +118,20 @@ func (m method) score(run *Run) (outcome, error) {
 	return out, nil
 }
 
+// EvaluateDecisionOnTruth measures the true cost and congestion of serving
+// the TRUE demand with a decision made on the (possibly predicted)
+// decision demand: placement.EvaluateOnTruth on the run's truth, with the
+// run's tree engine. With no decided paths every request is served from
+// its nearest replica: the roster's rnr rule. True demand that no replica
+// reaches is an error.
+func EvaluateDecisionOnTruth(run *Run, pl *placement.Placement, decided []placement.ServingPath) (cost, maxUtil float64, err error) {
+	cost, maxUtil, _, unserved := placement.EvaluateOnTruth(run.Truth, pl, decided, nil, run.Dist, run.engine())
+	if unserved > 0 {
+		return 0, 0, fmt.Errorf("experiments: %.6g of the true demand has no reachable replica", unserved)
+	}
+	return cost, maxUtil, nil
+}
+
 // scoreRoster scores every method of the roster on one run, in roster
 // order.
 func scoreRoster(roster []method, run *Run) ([]outcome, error) {

@@ -3,7 +3,6 @@ package strategy
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"jcr/internal/exact"
 	"jcr/internal/graph"
@@ -130,17 +129,10 @@ func (a *Alg2) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) 
 	reqs := spec.Requests()
 	var unserved map[placement.Request]float64
 	if a.BestEffort {
-		dist := inst.Distances()
+		src, _ := spec.RNRSources(pl, inst.Distances())
 		kept := reqs[:0]
 		for _, rq := range reqs {
-			reachable := false
-			for _, u := range replicas {
-				if !math.IsInf(dist[u][rq.Node], 1) {
-					reachable = true
-					break
-				}
-			}
-			if reachable {
+			if _, ok := src[rq]; ok {
 				kept = append(kept, rq)
 				continue
 			}

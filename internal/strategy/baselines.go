@@ -43,11 +43,11 @@ func (p *SP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	plan, err := partialPlan("sp", p.bestEffort, inst.Spec, &Plan{Placement: pl, Paths: paths, Unserved: unservedOf(inst.Spec, paths)})
-	if err != nil {
+	unserved := unservedOf(inst.Spec, paths)
+	if err := checkUnserved("sp", p.bestEffort, unserved); err != nil {
 		return nil, Stats{}, err
 	}
-	return plan, Stats{Iterations: 1, Method: "sp38"}, nil
+	return finishPlan(inst.Spec, &Plan{Placement: pl, Paths: paths, Unserved: unserved}), Stats{Iterations: 1, Method: "sp38"}, nil
 }
 
 // KSP is the paper's k-SP [3] baseline of Section 6: placement jointly
@@ -83,11 +83,11 @@ func (k *KSP) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	plan, err := partialPlan("ksp", k.bestEffort, inst.Spec, &Plan{Placement: res.Placement, Paths: res.Chosen, Unserved: unservedOf(inst.Spec, res.Chosen)})
-	if err != nil {
+	unserved := unservedOf(inst.Spec, res.Chosen)
+	if err := checkUnserved("ksp", k.bestEffort, unserved); err != nil {
 		return nil, Stats{}, err
 	}
-	return plan, Stats{Iterations: 1, Method: "ksp3"}, nil
+	return finishPlan(inst.Spec, &Plan{Placement: res.Placement, Paths: res.Chosen, Unserved: unserved}), Stats{Iterations: 1, Method: "ksp3"}, nil
 }
 
 // RNR places content greedily and routes every request from its nearest
@@ -116,11 +116,10 @@ func (r *RNR) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) {
 		return nil, Stats{}, err
 	}
 	paths, unserved := placement.RNRServing(inst.Spec, res.Placement, dist, nil)
-	plan, err := partialPlan("rnr", r.bestEffort, inst.Spec, &Plan{Placement: res.Placement, Paths: paths, Unserved: unserved})
-	if err != nil {
+	if err := checkUnserved("rnr", r.bestEffort, unserved); err != nil {
 		return nil, Stats{}, err
 	}
-	return plan, Stats{Iterations: 1, Method: "greedy+rnr"}, nil
+	return finishPlan(inst.Spec, &Plan{Placement: res.Placement, Paths: paths, Unserved: unserved}), Stats{Iterations: 1, Method: "greedy+rnr"}, nil
 }
 
 // soleOrigin returns the spec's single pinned node, the server the

@@ -69,8 +69,8 @@ func (p *IYFixedPath) Decide(ctx context.Context, inst Instance) (*Plan, Stats, 
 	// serves each request from its nearest pinned origin over that
 	// origin's shortest-path tree.
 	paths, unserved := placement.RNRServing(spec, spec.NewPlacement(), dist, nil)
-	if len(unserved) > 0 && !p.BestEffort {
-		return nil, Stats{}, fmt.Errorf("strategy: iy-fixedpath: %d requests unreachable from every origin", len(unserved))
+	if err := checkUnserved("iy-fixedpath", p.BestEffort, unserved); err != nil {
+		return nil, Stats{}, err
 	}
 	reqs := make([]iyRequest, len(paths))
 	for k, sp := range paths {

@@ -76,7 +76,7 @@ func (m *MinDelay) Decide(ctx context.Context, inst Instance) (*Plan, Stats, err
 		}
 		pl = newPl
 	}
-	if _, err := partialPlan("mindelay", m.bestEffort, spec, best); err != nil {
+	if err := checkUnserved("mindelay", m.bestEffort, best.Unserved); err != nil {
 		return nil, Stats{}, err
 	}
 	return best, Stats{Iterations: iters, Method: "multipath+greedy"}, nil

@@ -66,11 +66,10 @@ func (a *Alg1) Decide(ctx context.Context, inst Instance) (*Plan, Stats, error) 
 		return nil, Stats{}, err
 	}
 	paths, unserved := placement.RNRServing(spec, pl, dist, nil)
-	plan, err := partialPlan("alg1", a.BestEffort, spec, &Plan{Placement: pl, Paths: paths, Unserved: unserved})
-	if err != nil {
+	if err := checkUnserved("alg1", a.BestEffort, unserved); err != nil {
 		return nil, Stats{}, err
 	}
-	return plan, Stats{Iterations: 1, Method: method}, nil
+	return finishPlan(spec, &Plan{Placement: pl, Paths: paths, Unserved: unserved}), Stats{Iterations: 1, Method: method}, nil
 }
 
 // Alg2 is the paper's Algorithm 2 behind the Strategy interface, for the

@@ -166,13 +166,13 @@ func finishPlan(s *placement.Spec, p *Plan) *Plan {
 	return p
 }
 
-// partialPlan finishes a plan whose Unserved requests no replica or
-// origin reaches: declared under bestEffort, otherwise a solve error.
-func partialPlan(name string, bestEffort bool, s *placement.Spec, p *Plan) (*Plan, error) {
-	if len(p.Unserved) > 0 && !bestEffort {
-		return nil, fmt.Errorf("strategy: %s: %d requests unreachable (set BestEffort to serve partially)", name, len(p.Unserved))
+// checkUnserved fails a solve that leaves requests unserved (no replica or
+// origin reaches them) unless bestEffort lets the plan declare them.
+func checkUnserved(name string, bestEffort bool, unserved map[placement.Request]float64) error {
+	if len(unserved) > 0 && !bestEffort {
+		return fmt.Errorf("strategy: %s: %d requests unreachable (set BestEffort to serve partially)", name, len(unserved))
 	}
-	return finishPlan(s, p), nil
+	return nil
 }
 
 // unservedOf maps the spec's requests that no path serves to their rates;

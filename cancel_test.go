@@ -104,10 +104,6 @@ func TestSolversHonourCanceledContext(t *testing.T) {
 			_, err := lp.NewSolver().Solve(ctx, prob)
 			return err
 		}},
-		{"lp.Problem.SolveDense", 0, "lp: canceled", func(ctx context.Context) error {
-			_, err := prob.SolveDense(ctx)
-			return err
-		}},
 		{"flow.MinCostFlow", 0, "flow: canceled", func(ctx context.Context) error {
 			_, err := flow.MinCostFlow(ctx, s.G, 0, 5, 1)
 			return err

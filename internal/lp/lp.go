@@ -1,11 +1,11 @@
 // Package lp implements a sparse revised two-phase primal simplex solver
 // with bounded variables: an LU-factored basis with eta updates and warm
-// starts through a reusable Solver. The dense tableau simplex survives as its
-// differential oracle and numerical fallback (SolveDense). It is the
-// numerical substrate for every linear program in the joint caching and
-// routing library: the auxiliary placement LP (paper Eq. (7)), the
-// per-path placement LP (Eq. (15)), the splittable multicommodity routing
-// LPs (MMSFP), and the fully fractional FC-FR case.
+// starts through a reusable Solver. It is the numerical substrate for every
+// linear program in the joint caching and routing library: the auxiliary
+// placement LP (paper Eq. (7)), the per-path placement LP (Eq. (15)), the
+// splittable multicommodity routing LPs (MMSFP), and the fully fractional
+// FC-FR case. The dense tableau simplex it grew from lives in the tests as
+// the differential oracle.
 //
 // The solver handles problems of the form
 //
@@ -252,28 +252,8 @@ const (
 // ctx means no cancellation.
 //
 // The working method is the sparse revised simplex (see revised.go). If its
-// basis factorization degenerates numerically — a condition that cannot be
-// ruled out under floating point even for well-posed inputs — the solve is
-// transparently retried with the dense tableau oracle, whose elimination
-// order is different and in practice unaffected.
+// basis factorization degenerates numerically, the solve fails with an
+// error; callers treat it like any other failed solve.
 func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	return (*Solver)(nil).coldSolve(ctx, p)
-}
-
-// SolveDense runs the original dense two-phase tableau simplex. It is kept
-// as the reference oracle for the randomized differential suite (the dense
-// elimination path shares no working-state code with the revised solver)
-// and as the numerical fallback of Solve. Semantics match Solve: nil ctx
-// means no cancellation.
-func (p *Problem) SolveDense(ctx context.Context) (*Solution, error) {
-	t, err := newTableau(p)
-	if err != nil {
-		return nil, err
-	}
-	t.ctx = ctx
-	if err := t.solve(); err != nil {
-		return nil, err
-	}
-	x := t.extract()
-	return &Solution{X: x, Objective: p.Value(x), Pivots: t.pivots}, nil
 }

@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// errNumeric tags internal numerical failures of the sparse path (singular
-// or near-singular basis factorization). Solve catches it and retries
-// with the dense oracle; it never escapes the package.
+// errNumeric tags numerical failures of the sparse path (singular or
+// near-singular basis factorization). A warm solve that hits it falls back
+// to a cold one; a cold solve returns it.
 var errNumeric = errors.New("lp: sparse basis factorization failed")
 
 // luPivotTol is the absolute magnitude below which a factorization pivot is
@@ -439,8 +439,8 @@ func newBasisLU(f *stdForm, basis []int) (*basisLU, error) {
 // The rebuild recycles the retired factor's storage, and the truncation
 // keeps the retired etas (and their idx/val backing arrays) live in the
 // slice's capacity so update can recycle them. On factorization failure the
-// retained lu is left invalid — every caller abandons the basis (cold or
-// dense fallback) on that path.
+// retained lu is left invalid — every caller abandons the basis on that
+// path (a warm solve for a cold one, a cold solve with the error).
 func (b *basisLU) refactor(f *stdForm, basis []int) error {
 	lu, err := luFactorize(f, basis, &b.ws, b.lu)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 // rescans once before returning, so accumulated drift cannot terminate a
 // solve early. Bland's rule (full scan over fresh z, lowest index) remains
 // the anti-cycling fallback after degenRun degenerate pivots. Verdicts and
-// objectives agree with tableau.go to the differential-suite tolerances.
+// objectives agree with tableau_test.go to the differential-suite tolerances.
 type revised struct {
 	p *Problem
 	f *stdForm
@@ -67,6 +67,11 @@ type revised struct {
 // devexResetW restarts the devex reference framework once some weight
 // outgrows it; past this the weights mostly measure their own history.
 const devexResetW = 1e12
+
+// ctxCheckPivots is how many pivots run between cancellation polls: rare
+// enough that ctx.Err is off the hot path, frequent enough that a deadline
+// stops the solver within milliseconds.
+const ctxCheckPivots = 64
 
 func newRevised(p *Problem) *revised {
 	f := newStdForm(p)

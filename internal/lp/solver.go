@@ -22,9 +22,6 @@ type SolverStats struct {
 	// (structural value outside the frozen sparsity pattern, a basis
 	// left primal infeasible, numerical failure, or any pivot-loop error).
 	Fallbacks int
-	// DenseFallbacks counts cold solves that fell through to the dense
-	// tableau oracle after a sparse numerical failure.
-	DenseFallbacks int
 
 	// Cumulative per-solve iteration counters (see Solution for the
 	// per-solve meanings).
@@ -65,20 +62,21 @@ var errWarmFallback = errors.New("lp: warm start abandoned")
 // and coefficient values are free to move). The standardized form is then
 // rewritten in place by one rescan of the problem's data, whether the
 // caller rebuilt the Problem or edited the solved one, and the solve walks
-// a three-rung ladder:
+// a two-rung ladder:
 //
 //  1. primal warm: the retained basis, refactorized if a matrix value
 //     moved, is still primal feasible; primal iterations run from it on
 //     freshly computed basic values and reduced costs;
-//  2. cold: phase 1 + phase 2 from scratch;
-//  3. dense: the tableau oracle, after a sparse numerical failure.
+//  2. cold: phase 1 + phase 2 from scratch.
 //
-// Any failure along the way abandons the attempt one rung down, so a
-// Solver's verdict and objective always match a fresh Problem.Solve
-// to within the solver tolerances (the differential suite pins this at
-// 1e-9). Solutions may differ across warm and cold paths only as alternate
-// optima. Infeasibility is only ever declared by the cold phase-1 path,
-// whose verdict is the one differential-tested against the dense oracle.
+// Any warm failure abandons the attempt for the cold rung, so a Solver's
+// verdict and objective always match a fresh Problem.Solve to within the
+// solver tolerances (the differential suite pins this at 1e-9). Solutions
+// may differ across warm and cold paths only as alternate optima.
+// Infeasibility is only ever declared by the cold phase-1 path, whose
+// verdict is the one differential-tested against the dense tableau oracle
+// of the tests. A cold solve's error, numerical failure included, is the
+// solve's error.
 //
 // A Solver is not safe for concurrent use. Never share one across parallel
 // workers (e.g. Monte-Carlo samples): per-sequence handles keep `-workers N`
@@ -250,10 +248,9 @@ func (r *revised) primalFeasible() bool {
 }
 
 // coldSolve is the one cold-solve body behind both entries: phase 1 and
-// phase 2 of the sparse revised simplex from scratch, falling through to
-// the dense tableau oracle on a sparse numerical failure. A non-nil
-// receiver counts the solve and retains the working state for the next
-// warm start on success; a nil receiver is the one-shot Problem.Solve.
+// phase 2 of the sparse revised simplex from scratch. A non-nil receiver
+// counts the solve and retains the working state for the next warm start
+// on success; a nil receiver is the one-shot Problem.Solve.
 func (s *Solver) coldSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	if s != nil {
 		s.stats.ColdSolves++
@@ -264,13 +261,7 @@ func (s *Solver) coldSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	r := newRevised(p)
 	r.ctx = ctx
 	if err := r.solve(); err != nil {
-		if !errors.Is(err, errNumeric) {
-			return nil, err
-		}
-		if s != nil {
-			s.stats.DenseFallbacks++
-		}
-		return p.SolveDense(ctx)
+		return nil, err
 	}
 	x := r.extract()
 	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}

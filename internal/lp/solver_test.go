@@ -108,7 +108,6 @@ func TestDifferentialWarmVsCold(t *testing.T) {
 		agg.WarmHits += st.WarmHits
 		agg.ColdSolves += st.ColdSolves
 		agg.Fallbacks += st.Fallbacks
-		agg.DenseFallbacks += st.DenseFallbacks
 	}
 	if instances < 200 {
 		t.Fatalf("only %d perturbation instances; the suite promises at least 200", instances)

@@ -6,6 +6,23 @@ import (
 	"math"
 )
 
+// SolveDense runs the dense two-phase tableau simplex, the reference oracle
+// of the randomized differential suites and the fuzz target: its dense
+// elimination path shares no working-state code with the sparse revised
+// solver. Semantics match Solve: nil ctx means no cancellation.
+func (p *Problem) SolveDense(ctx context.Context) (*Solution, error) {
+	t, err := newTableau(p)
+	if err != nil {
+		return nil, err
+	}
+	t.ctx = ctx
+	if err := t.solve(); err != nil {
+		return nil, err
+	}
+	x := t.extract()
+	return &Solution{X: x, Objective: p.Value(x), Pivots: t.pivots}, nil
+}
+
 // tableau is the dense simplex working state. Variables are shifted so
 // every column has lower bound 0 and upper bound ub[j] (possibly +Inf).
 // beta[i] stores the current VALUE of the basic variable of row i, not
@@ -34,11 +51,6 @@ type tableau struct {
 	// caller deadline stops the solver mid-run (see Problem.Solve).
 	ctx context.Context
 }
-
-// ctxCheckPivots is how many pivots run between cancellation polls: rare
-// enough that ctx.Err is off the hot path, frequent enough that a deadline
-// stops the solver within milliseconds.
-const ctxCheckPivots = 64
 
 func newTableau(p *Problem) (*tableau, error) {
 	m := len(p.cons)

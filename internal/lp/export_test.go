@@ -1,25 +1,6 @@
 package lp
 
-// Hooks that force the rarely taken numeric paths of the simplex. Each sets
-// state on one factorization, so tests that force failures can run in
-// parallel with any other solve.
-
-// solveForcingUnstableUpdate solves p one-shot on the sparse simplex, with
-// the first eta update of its factorization reported as unstable.
-func solveForcingUnstableUpdate(p *Problem) (*Solution, error) {
-	r := newRevised(p)
-	if err := r.factorInitial(); err != nil {
-		return nil, err
-	}
-	r.b.forceUnstableUpdate = true
-	if err := r.phases(); err != nil {
-		return nil, err
-	}
-	x := r.extract()
-	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
-	r.fillCounters(sol)
-	return sol, nil
-}
+// In-place data edits of a solved Problem, for the warm-start tests.
 
 // setRHS replaces the right-hand side of constraint i in place, a data-only
 // edit that keeps p's skeleton, so a Solver that solved p may warm-start

@@ -402,12 +402,6 @@ type basisLU struct {
 	refactors int64 // luFactorize calls, including the initial one
 	updates   int64 // eta updates appended
 	updateNNZ int64 // total off-pivot nonzeros across appended etas
-
-	// forceUnstableUpdate, when true, makes the next eta update report
-	// itself as unstable regardless of its pivot magnitude, exercising the
-	// stability-triggered refactorization path on demand. Set only by
-	// tests; the update that consumes it resets it.
-	forceUnstableUpdate bool
 }
 
 const (
@@ -491,10 +485,6 @@ func (b *basisLU) update(r int, d []float64) (needRefactor bool) {
 				nnz++
 			}
 		}
-	}
-	if b.forceUnstableUpdate {
-		b.forceUnstableUpdate = false
-		return true
 	}
 	if math.Abs(d[r]) <= ftStabTol*dmax {
 		return true // stability trigger: rebuild instead of appending

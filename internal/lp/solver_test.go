@@ -448,46 +448,58 @@ func TestSolverBoundBecomesInfinite(t *testing.T) {
 
 // TestStabilityTriggeredRefactor pins the Forrest-Tomlin-style stability
 // discipline: an update whose pivot element is relatively tiny must be
-// refused in favor of a fresh factorization, not absorbed. The test-only
-// forceUnstableUpdate hook makes the first eta append of a solve report
-// instability (solveForcingUnstableUpdate sets it on the solve's
-// factorization); the solve must complete with one extra refactorization
-// and the identical objective.
+// refused in favor of a fresh factorization, not absorbed. The LP's first
+// exchange pivots on a degenerate row whose entering-column coefficient
+// (1e-8) sits next to one of 100, so |d_r| <= ftStabTol*max|d| and the
+// ratio test still accepts it (the row's step limit is zero). The solve
+// must take one extra refactorization against a well-scaled twin, whose
+// first pivot coefficient is 1, and match the dense oracle's objective.
 func TestStabilityTriggeredRefactor(t *testing.T) {
-	build := func() *Problem {
-		p := NewProblem(3)
+	// maximize x0  s.t.  a*x0 - x1 <= 0,  100*x0 <= 100: x0 enters first
+	// and leaves row 0's slack at a zero step; the optimum is x0 = 1.
+	build := func(a float64) *Problem {
+		p := NewProblem(2)
 		p.SetSense(Maximize)
-		for j := 0; j < 3; j++ {
-			p.SetObjectiveCoeff(j, float64(j+1))
-			p.SetBounds(j, 0, 10)
+		p.SetObjectiveCoeff(0, 1)
+		if err := p.AddConstraint([]int{0, 1}, []float64{a, -1}, LE, 0); err != nil {
+			t.Fatal(err)
 		}
-		for _, row := range [][3]float64{{1, 1, 0}, {0, 1, 1}, {1, 0, 1}} {
-			if err := p.AddConstraint([]int{0, 1, 2}, []float64{row[0], row[1], row[2]}, LE, 4); err != nil {
-				t.Fatal(err)
-			}
+		if err := p.AddConstraint([]int{0}, []float64{100}, LE, 100); err != nil {
+			t.Fatal(err)
 		}
 		return p
 	}
-	base, err := build().Solve(nil)
+	if tiny := 1e-8; tiny > ftStabTol*100 || tiny <= pivotTol {
+		t.Fatalf("coefficient %g no longer straddles the stability floor and the ratio-test tolerance", tiny)
+	}
+	twin, err := build(1).Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.EtaUpdates == 0 {
-		t.Fatalf("baseline solve performed no eta updates (pivots=%d); the hook would not fire", base.Pivots)
+	if twin.EtaUpdates == 0 {
+		t.Fatalf("well-scaled twin performed no eta updates (pivots=%d)", twin.Pivots)
 	}
-	forced, err := solveForcingUnstableUpdate(build())
+	p := build(1e-8)
+	tiny, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forced.Refactors != base.Refactors+1 {
-		t.Errorf("forced-unstable solve refactored %d times, want %d (baseline %d + 1)",
-			forced.Refactors, base.Refactors+1, base.Refactors)
+	if tiny.PrimalPivots != twin.PrimalPivots {
+		t.Fatalf("pivot paths differ: %d exchanges vs twin %d", tiny.PrimalPivots, twin.PrimalPivots)
 	}
-	if forced.EtaUpdates >= base.EtaUpdates+1 {
-		t.Errorf("refused update still appended: %d etas vs baseline %d", forced.EtaUpdates, base.EtaUpdates)
+	if tiny.Refactors != twin.Refactors+1 {
+		t.Errorf("tiny-pivot solve refactored %d times, want %d (twin %d + 1)",
+			tiny.Refactors, twin.Refactors+1, twin.Refactors)
 	}
-	if math.Abs(forced.Objective-base.Objective) > diffObjTol*(1+math.Abs(base.Objective)) {
-		t.Errorf("objective moved under a forced refactorization: %v vs %v", forced.Objective, base.Objective)
+	if tiny.EtaUpdates >= twin.EtaUpdates {
+		t.Errorf("refused update still appended: %d etas vs twin %d", tiny.EtaUpdates, twin.EtaUpdates)
+	}
+	dense, err := p.SolveDense(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(tiny.Objective-dense.Objective) > diffObjTol*(1+math.Abs(dense.Objective)) {
+		t.Errorf("objective %v vs dense oracle %v", tiny.Objective, dense.Objective)
 	}
 }
 

@@ -140,15 +140,3 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[g
 	}
 	return out, nil
 }
-
-// Recompose converts path flows back to an arc flow, the inverse of
-// Decompose up to dropped cycles.
-func Recompose(g *graph.Graph, paths []PathFlow) []float64 {
-	arc := make([]float64, g.NumArcs())
-	for _, pf := range paths {
-		for _, id := range pf.Path.Arcs {
-			arc[id] += pf.Amount
-		}
-	}
-	return arc
-}

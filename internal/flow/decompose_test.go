@@ -58,7 +58,7 @@ func TestDecomposeZeroFlowArcsAfterCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := Recompose(g, paths)
+	rec := recompose(g, paths)
 	for _, id := range []graph.ArcID{a12, a21} {
 		if rec[id] != 0 {
 			t.Errorf("cycle arc %d recomposed to %v, want 0", id, rec[id])
@@ -104,7 +104,7 @@ func TestDecomposeIgnoresLPNoiseArcs(t *testing.T) {
 // property: degrade a random network by removing a random subset of links,
 // route a min-cost flow on the survivor, and require the decomposition to
 // reproduce the arc flow exactly. Min-cost flows on positive-cost arcs are
-// cycle-free, so Recompose(Decompose(f)) must equal f per arc, and each
+// cycle-free, so recompose(Decompose(f)) must equal f per arc, and each
 // sink's paths must add up to its demand.
 func TestQuickDecomposeConservesFlowUnderLinkRemovals(t *testing.T) {
 	property := func(qn quickNet, removalSeed int64) bool {
@@ -152,7 +152,7 @@ func TestQuickDecomposeConservesFlowUnderLinkRemovals(t *testing.T) {
 				return false
 			}
 		}
-		rec := Recompose(g, paths)
+		rec := recompose(g, paths)
 		for id := range rec {
 			if math.Abs(rec[id]-arcFlow[id]) > 1e-6*(1+arcFlow[id]) {
 				return false
@@ -163,4 +163,16 @@ func TestQuickDecomposeConservesFlowUnderLinkRemovals(t *testing.T) {
 	if err := quick.Check(property, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// recompose converts path flows back to an arc flow, the inverse of
+// Decompose up to dropped cycles.
+func recompose(g *graph.Graph, paths []PathFlow) []float64 {
+	arc := make([]float64, g.NumArcs())
+	for _, pf := range paths {
+		for _, id := range pf.Path.Arcs {
+			arc[id] += pf.Amount
+		}
+	}
+	return arc
 }

@@ -257,7 +257,7 @@ func TestDecomposeRoundTrip(t *testing.T) {
 		}
 		// Recomposed flow never exceeds the original on any arc
 		// (cycles may have been dropped).
-		rec := Recompose(g, paths)
+		rec := recompose(g, paths)
 		for id := range rec {
 			if rec[id] > arcFlow[id]+1e-7 {
 				t.Fatalf("trial %d: recomposed arc %d = %v > original %v", trial, id, rec[id], arcFlow[id])

@@ -219,7 +219,7 @@ type Solution struct {
 	Refactors int
 	// EtaUpdates and EtaNNZ count product-form basis updates appended to
 	// the eta file and their total stored off-pivot nonzeros; their ratio
-	// is the average eta density (SolverStats.AvgEtaNNZ).
+	// is the average eta density.
 	EtaUpdates int
 	EtaNNZ     int
 }

@@ -398,7 +398,7 @@ type basisLU struct {
 	fileNNZ int // off-pivot nonzeros currently in the eta file
 
 	// Cumulative counters since the basisLU was created; the Solver
-	// surfaces per-solve deltas (SolverStats.Refactors, AvgEtaNNZ).
+	// surfaces per-solve deltas (SolverStats.Refactors, EtaNNZ).
 	refactors int64 // luFactorize calls, including the initial one
 	updates   int64 // eta updates appended
 	updateNNZ int64 // total off-pivot nonzeros across appended etas

@@ -32,16 +32,6 @@ type SolverStats struct {
 	EtaNNZ       int64
 }
 
-// AvgEtaNNZ is the average off-pivot nonzero count of the product-form
-// basis updates, the density the work-triggered refactorization budgets
-// against. Zero when no updates were appended.
-func (s SolverStats) AvgEtaNNZ() float64 {
-	if s.EtaUpdates == 0 {
-		return 0
-	}
-	return float64(s.EtaNNZ) / float64(s.EtaUpdates)
-}
-
 // errWarmFallback tags an abandoned warm-start attempt; the Solver catches
 // it (and every other warm-path error) and re-solves cold, so it never
 // escapes the package.

@@ -155,7 +155,8 @@ func Alg1(ctx context.Context, s *Spec, dist [][]float64, opts Alg1Options) (*Al
 
 	// Pipage rounding per node (Lemma 4.3).
 	for vi := range nodes {
-		pipageRound(xFrac[vi], weights[vi], s.CacheCap[nodes[vi]])
+		w := weights[vi]
+		pipageRound(xFrac[vi], s.CacheCap[nodes[vi]], func(i int) float64 { return w[i] })
 	}
 
 	pl := s.NewPlacement()
@@ -188,46 +189,46 @@ func gain(dist [][]float64, v, sNode graph.NodeID, wmax float64) float64 {
 	return (wmax - d) / wmax
 }
 
-// pipageRound rounds the fractional vector x (one node's caching decision)
-// to integers without decreasing the linear proxy objective
-// sum_i weights[i]*x[i], preserving sum_i x_i <= cap (Eqs. 8-9). Because
-// the objective is linear in any two coordinates, shifting mass toward the
-// larger weight never decreases it (the proof of Lemma 4.3).
-func pipageRound(x, weights []float64, cap_ float64) {
-	frac := func() (int, int) {
-		a := -1
+// pipageRound rounds the fractional row x (one node's caching decision) to
+// integers, preserving sum_i x_i <= cap (Eqs. 8-9). It repeatedly shifts
+// mass between two fractional coordinates toward the one with the larger
+// partial derivative deriv(i) of the objective, read at the current point;
+// the objective is linear in any two coordinates (Alg. 1's linear proxy,
+// or the multilinear F of Eq. (14)), so no shift decreases it (the proof
+// of Lemma 4.3). Leftover integral slack then goes to the zero coordinates
+// with the largest positive derivative.
+func pipageRound(x []float64, cap_ float64, deriv func(i int) float64) {
+	for {
+		a, b := -1, -1
 		for i, v := range x {
 			if v > fracTol && v < 1-fracTol {
 				if a < 0 {
 					a = i
 				} else {
-					return a, i
+					b = i
+					break
 				}
 			}
 		}
-		return a, -1
-	}
-	for {
-		i, j := frac()
-		if i < 0 {
+		if a < 0 {
 			break
 		}
-		if j < 0 {
+		if b < 0 {
 			// A single fractional variable: integer capacity leaves
 			// room to round it up (Lemma 4.3), which never hurts the
 			// monotone objective.
-			x[i] = 1
+			x[a] = 1
 			break
 		}
-		if weights[i] < weights[j] {
-			i, j = j, i
+		if deriv(a) < deriv(b) {
+			a, b = b, a
 		}
-		// Shift mass from j to i (Eq. 8).
-		total := x[i] + x[j]
-		x[i] = math.Min(1, total)
-		x[j] = total - x[i]
+		// Shift mass from b to a (Eq. 8).
+		total := x[a] + x[b]
+		x[a] = math.Min(1, total)
+		x[b] = total - x[a]
 		// Snap near-integers to avoid float drift.
-		for _, k := range []int{i, j} {
+		for _, k := range []int{a, b} {
 			if x[k] < fracTol {
 				x[k] = 0
 			} else if x[k] > 1-fracTol {
@@ -244,15 +245,17 @@ func pipageRound(x, weights []float64, cap_ float64) {
 	if slack := int(cap_ - used + capSlack); slack > 0 {
 		type pair struct {
 			i int
-			w float64
+			d float64
 		}
 		var zeros []pair
 		for i, v := range x {
-			if v == 0 && weights[i] > 0 {
-				zeros = append(zeros, pair{i, weights[i]})
+			if v == 0 {
+				if d := deriv(i); d > 0 {
+					zeros = append(zeros, pair{i, d})
+				}
 			}
 		}
-		sort.Slice(zeros, func(a, b int) bool { return zeros[a].w > zeros[b].w })
+		sort.Slice(zeros, func(p, q int) bool { return zeros[p].d > zeros[q].d })
 		for k := 0; k < slack && k < len(zeros); k++ {
 			x[zeros[k].i] = 1
 		}

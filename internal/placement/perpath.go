@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"jcr/internal/core/lputil"
@@ -474,7 +473,7 @@ func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers i
 		return d
 	}
 	for vi, v := range nodes {
-		pipageRoundWithDeriv(xFrac, vi, s.CacheCap[v], s.NumItems, func(i int) float64 {
+		pipageRound(xFrac[vi], s.CacheCap[v], func(i int) float64 {
 			return deriv(v, i, xFrac)
 		})
 	}
@@ -487,67 +486,4 @@ func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers i
 		}
 	}
 	return pl, nil
-}
-
-// pipageRoundWithDeriv rounds node vi's row of x to integers, repeatedly
-// shifting mass between two fractional coordinates toward the larger
-// partial derivative (recomputed each step since F is not linear globally).
-func pipageRoundWithDeriv(x [][]float64, vi int, cap_ float64, numItems int, deriv func(i int) float64) {
-	row := x[vi]
-	for {
-		a, b := -1, -1
-		for i, v := range row {
-			if v > fracTol && v < 1-fracTol {
-				if a < 0 {
-					a = i
-				} else {
-					b = i
-					break
-				}
-			}
-		}
-		if a < 0 {
-			break
-		}
-		if b < 0 {
-			row[a] = 1 // integer capacity always leaves room (Lemma 4.3)
-			break
-		}
-		if deriv(a) < deriv(b) {
-			a, b = b, a
-		}
-		total := row[a] + row[b]
-		row[a] = math.Min(1, total)
-		row[b] = total - row[a]
-		for _, k := range []int{a, b} {
-			if row[k] < fracTol {
-				row[k] = 0
-			} else if row[k] > 1-fracTol {
-				row[k] = 1
-			}
-		}
-	}
-	// Spend leftover integral slack on the best unplaced items.
-	var used float64
-	for _, v := range row {
-		used += v
-	}
-	if slack := int(cap_ - used + capSlack); slack > 0 {
-		type pair struct {
-			i int
-			d float64
-		}
-		var zeros []pair
-		for i, v := range row {
-			if v == 0 {
-				if d := deriv(i); d > 0 {
-					zeros = append(zeros, pair{i, d})
-				}
-			}
-		}
-		sort.Slice(zeros, func(p, q int) bool { return zeros[p].d > zeros[q].d })
-		for k := 0; k < slack && k < len(zeros); k++ {
-			row[zeros[k].i] = 1
-		}
-	}
 }

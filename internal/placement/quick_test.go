@@ -141,7 +141,7 @@ func TestQuickPipagePreservesLinearObjective(t *testing.T) {
 		for i := range x {
 			before += w[i] * x[i]
 		}
-		pipageRound(x, w, cap_)
+		pipageRound(x, cap_, func(i int) float64 { return w[i] })
 		var after, used float64
 		for i := range x {
 			if x[i] != 0 && x[i] != 1 {

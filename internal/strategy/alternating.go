@@ -109,7 +109,9 @@ func (a *Alternating) Decide(ctx context.Context, inst Instance) (*Plan, Stats, 
 	pths, uns := best.Paths, best.Unserved
 	cost, util := best.Cost, best.MaxUtilization
 	if a.BestEffort && len(uns) > 0 {
-		pths = repairStranded(spec, pl, pths, uns, inst.Distances())
+		dist := inst.Distances()
+		pths = repairStranded(spec, pl, pths, uns, dist)
+		pths, uns = serveReachable(spec, pl, pths, uns, dist)
 		// The repair moved content and dropped paths; re-measure.
 		cost, _, util = placement.EvaluateServing(spec, pths, pl)
 	}
@@ -151,9 +153,8 @@ func (a *Alternating) seed(inst Instance) *placement.Placement {
 // reachable replica is re-served via nearest-replica fallback) -- and
 // accepts a swap only when it strands strictly less demand than it
 // recovers. Paths served from an evicted replica are dropped and their
-// demand declared unserved; the repaired request's own Unserved entry
-// stays, and the evaluator re-checks reachability and serves it from the
-// new replica. Returns the surviving paths.
+// demand declared unserved; serveReachable then serves every unserved
+// request a replica reaches. Returns the surviving paths.
 func repairStranded(spec *placement.Spec, pl *placement.Placement, paths []placement.ServingPath, unserved map[placement.Request]float64, dist [][]float64) []placement.ServingPath {
 	// Paths indexed by their replica: the response originates at the
 	// path's source (at the requester itself for a local hit), so
@@ -260,6 +261,25 @@ func repairStranded(spec *placement.Spec, pl *placement.Placement, paths []place
 		}
 	}
 	return out
+}
+
+// serveReachable serves the unserved demand that some replica reaches
+// under pl, after the repair stocked new replicas or dropped paths whose
+// request has another copy: each such request gets its unserved rate over
+// its nearest replica's shortest path (placement.RNRServing's rule,
+// capacity-obliviously). Returns the extended paths and the demand that
+// stays unserved (nil when none does).
+func serveReachable(spec *placement.Spec, pl *placement.Placement, paths []placement.ServingPath, unserved map[placement.Request]float64, dist [][]float64) ([]placement.ServingPath, map[placement.Request]float64) {
+	rest := *spec
+	rest.Rates = make([][]float64, spec.NumItems)
+	for i := range rest.Rates {
+		rest.Rates[i] = make([]float64, spec.G.NumNodes())
+	}
+	for rq, lam := range unserved {
+		rest.Rates[rq.Item][rq.Node] = lam
+	}
+	served, uns := placement.RNRServing(&rest, pl, dist, nil)
+	return append(paths, served...), uns
 }
 
 // repairStoreAt tries to store rq's item at cache v, freeing space by

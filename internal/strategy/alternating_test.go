@@ -44,3 +44,32 @@ func TestAlternatingEvictsOverCapacityInitial(t *testing.T) {
 		}
 	}
 }
+
+// TestAlternatingServesRepairedRequests gives the partitioned network's
+// cut-off component a cache (node 6, next to requester 7). The best-effort
+// repair stocks both items there, and the plan must then serve requester
+// 7 from node 6 instead of declaring its demand unserved.
+func TestAlternatingServesRepairedRequests(t *testing.T) {
+	spec, stranded := partitionSpec()
+	spec.CacheCap[6] = 2
+	inst := Instance{Spec: spec}
+	plan, _, err := (&Alternating{Options: Options{BestEffort: true}}).Decide(context.Background(), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(inst, plan); err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Unserved) != 0 {
+		t.Fatalf("unserved %v, want none: the repair stocked a cache the requester reaches", plan.Unserved)
+	}
+	served := map[placement.Request]float64{}
+	for _, sp := range plan.Paths {
+		if _, ok := stranded[sp.Req]; ok && sp.Path.Source(spec.G) == 6 {
+			served[sp.Req] += sp.Rate
+		}
+	}
+	if !reflect.DeepEqual(served, stranded) {
+		t.Fatalf("served from node 6: %v, want %v", served, stranded)
+	}
+}

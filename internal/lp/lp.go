@@ -4,8 +4,8 @@
 // linear program in the joint caching and routing library: the auxiliary
 // placement LP (paper Eq. (7)), the per-path placement LP (Eq. (15)), the
 // splittable multicommodity routing LPs (MMSFP), and the fully fractional
-// FC-FR case. The dense tableau simplex it grew from lives in the tests as
-// the differential oracle.
+// FC-FR case. A dense tableau simplex in the tests is its differential
+// oracle.
 //
 // The solver handles problems of the form
 //

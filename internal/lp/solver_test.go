@@ -469,8 +469,9 @@ func TestStabilityTriggeredRefactor(t *testing.T) {
 		}
 		return p
 	}
-	if tiny := 1e-8; tiny > ftStabTol*100 || tiny <= pivotTol {
-		t.Fatalf("coefficient %g no longer straddles the stability floor and the ratio-test tolerance", tiny)
+	const small = 1e-8
+	if small > ftStabTol*100 || small <= pivotTol {
+		t.Fatalf("coefficient %g no longer sits between the ratio-test tolerance and the stability floor", small)
 	}
 	twin, err := build(1).Solve(nil)
 	if err != nil {
@@ -479,7 +480,7 @@ func TestStabilityTriggeredRefactor(t *testing.T) {
 	if twin.EtaUpdates == 0 {
 		t.Fatalf("well-scaled twin performed no eta updates (pivots=%d)", twin.Pivots)
 	}
-	p := build(1e-8)
+	p := build(small)
 	tiny, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)

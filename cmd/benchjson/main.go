@@ -59,9 +59,9 @@ var rows = []struct {
 	{"BenchmarkDecide/alternating", "decide_alternating", false},
 	{"BenchmarkDecide/cachenet-random", "decide_cachenet_random", false},
 	{"BenchmarkDecide/iy-fixedpath", "decide_iy_fixedpath", false},
-	{"BenchmarkDecide/ksp", "decide_ksp", false},
+	{"BenchmarkDecide/ksp", "decide_ksp", true},
 	{"BenchmarkDecide/mindelay", "decide_mindelay", true},
-	{"BenchmarkDecide/rnr", "decide_rnr", false},
+	{"BenchmarkDecide/rnr", "decide_rnr", true},
 	{"BenchmarkDecide/sp", "decide_sp", false},
 	{"BenchmarkScalingCells/x4_c16", "scaling_cells_x4_c16", false},
 	{"BenchmarkScalingCells/x16_c16", "scaling_cells_x16_c16", false},

@@ -93,17 +93,6 @@ func (s *Solver) Stats() SolverStats {
 	return s.stats
 }
 
-// Invalidate drops the retained basis and problem reference, forcing the
-// next solve to run cold. Nil-safe.
-func (s *Solver) Invalidate() {
-	if s == nil {
-		return
-	}
-	s.hasBasis = false
-	s.r = nil
-	s.prob = nil
-}
-
 // Solve solves p, warm-starting from the retained basis when the problem
 // is structurally unchanged since the previous successful solve (see the
 // type comment for the policy). A nil receiver solves one-shot, identical

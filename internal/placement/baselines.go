@@ -19,7 +19,7 @@ func EvaluateServing(s *Spec, paths []ServingPath, pl *Placement) (cost float64,
 	loads = make([]float64, g.NumArcs())
 	for k := range paths {
 		sp := &paths[k]
-		for j := servedFrom(g, sp, pl); j < len(sp.Path.Arcs); j++ {
+		for j := servedFrom(g, sp.Path, sp.Req.Item, pl); j < len(sp.Path.Arcs); j++ {
 			id := sp.Path.Arcs[j]
 			loads[id] += sp.Rate
 			cost += sp.Rate * g.Arc(id).Cost
@@ -37,15 +37,13 @@ func EvaluateServing(s *Spec, paths []ServingPath, pl *Placement) (cost float64,
 	return cost, loads, maxUtil
 }
 
-// servedFrom returns the position, in sp.Path.Nodes order, of the node
-// nearest the requester that stores the requested item under pl, or 0 when
-// none does: the path is paid from that node on. It walks the arcs rather
-// than materializing the node list, as it runs for every path of every
-// evaluation.
-func servedFrom(g *graph.Graph, sp *ServingPath, pl *Placement) int {
-	arcs := sp.Path.Arcs
-	for j := len(arcs); j >= 1; j-- {
-		if pl.Stores[g.Arc(arcs[j-1]).To][sp.Req.Item] {
+// servedFrom returns the position, in p.Nodes order, of the node nearest
+// the requester that stores item under pl, or 0 when none does: the path
+// is paid from that node on. It walks the arcs rather than materializing
+// the node list, as it runs for every path of every evaluation.
+func servedFrom(g *graph.Graph, p graph.Path, item int, pl *Placement) int {
+	for j := len(p.Arcs); j >= 1; j-- {
+		if pl.Stores[g.Arc(p.Arcs[j-1]).To][item] {
 			return j
 		}
 	}
@@ -141,16 +139,7 @@ func KSP3(s *Spec, origin graph.NodeID, k int) (*KSPResult, error) {
 	}
 	g := s.G
 	candByNode, reqs := candidatePaths(s, s.Requests(), origin, k)
-	caps := equalSize(s).CacheCap
 	pl := s.NewPlacement()
-	residual := make([]float64, g.NumNodes())
-	var candidates []graph.NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		residual[v] = caps[v]
-		if caps[v] > 0 && !s.IsPinned(v) {
-			candidates = append(candidates, v)
-		}
-	}
 	// Serving a request from a cached node v costs the static suffix of
 	// some candidate path from v's position; with the current best cost
 	// b, caching v yields min(b, suffixMin[node][v]). Precomputing the
@@ -191,41 +180,27 @@ func KSP3(s *Spec, origin graph.NodeID, k int) (*KSPResult, error) {
 		reqsByItem[rq.Item] = append(reqsByItem[rq.Item], ri)
 	}
 	// Greedy over (node, item) additions on the joint objective
-	// sum_rq lambda * (baseline - min over candidate paths of cost).
-	for {
-		bestV, bestI := -1, -1
-		bestGain := 0.0
-		for _, v := range candidates {
-			if residual[v] < 1-capSlack {
-				continue
-			}
-			for i := 0; i < s.NumItems; i++ {
-				if pl.Stores[v][i] {
-					continue
-				}
-				var gainTotal float64
-				for _, ri := range reqsByItem[i] {
-					rq := reqs[ri]
-					if c := suffixMin[rq.Node][v]; c < bestCost[ri] {
-						gainTotal += s.Rates[i][rq.Node] * (bestCost[ri] - c)
-					}
-				}
-				if gainTotal > bestGain {
-					bestGain, bestV, bestI = gainTotal, v, i
-				}
-			}
-		}
-		if bestV < 0 {
-			break
-		}
-		pl.Stores[bestV][bestI] = true
-		residual[bestV]--
-		for _, ri := range reqsByItem[bestI] {
+	// sum_rq lambda * (baseline - min over candidate paths of cost), in
+	// equal-size slots: each pick takes one slot.
+	gain := func(v graph.NodeID, i int) float64 {
+		var d float64
+		for _, ri := range reqsByItem[i] {
 			rq := reqs[ri]
-			if c := suffixMin[rq.Node][bestV]; c < bestCost[ri] {
+			if c := suffixMin[rq.Node][v]; c < bestCost[ri] {
+				d += s.Rates[i][rq.Node] * (bestCost[ri] - c)
+			}
+		}
+		return d
+	}
+	err := greedyFill(nil, equalSize(s), pl, gain, func(v graph.NodeID, i int, _ float64) {
+		for _, ri := range reqsByItem[i] {
+			if c := suffixMin[reqs[ri].Node][v]; c < bestCost[ri] {
 				bestCost[ri] = c
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Final routing: each request picks its best candidate path.
 	return &KSPResult{Placement: pl, Chosen: bestServingPaths(s, pl, reqs, candByNode)}, nil
@@ -252,11 +227,16 @@ func candidatePaths(s *Spec, reqs []Request, origin graph.NodeID, k int) (map[gr
 }
 
 // bestCandidate returns the candidate path with the least serving cost of
-// the item under pl (the first on ties) and that cost.
+// the item under pl (the first on ties) and that cost: the cost of the
+// path from its servedFrom cut on.
 func bestCandidate(s *Spec, pl *Placement, cands []graph.Path, item int) (graph.Path, float64) {
 	bi, bc := 0, math.Inf(1)
 	for pi, p := range cands {
-		if c := servingCostOnPath(s, pl, p, item); c < bc {
+		var c float64
+		for _, id := range p.Arcs[servedFrom(s.G, p, item, pl):] {
+			c += s.G.Arc(id).Cost
+		}
+		if c < bc {
 			bc, bi = c, pi
 		}
 	}
@@ -271,28 +251,6 @@ func bestServingPaths(s *Spec, pl *Placement, reqs []Request, candByNode map[gra
 		out[ri] = ServingPath{Req: rq, Path: p, Rate: s.Rates[rq.Item][rq.Node]}
 	}
 	return out
-}
-
-// servingCostOnPath is the cost of the path suffix from the cached node
-// nearest the requester (the path head — origin — always stores).
-func servingCostOnPath(s *Spec, pl *Placement, p graph.Path, item int) float64 {
-	g := s.G
-	nodes := p.Nodes(g)
-	if len(nodes) == 0 {
-		return 0
-	}
-	cut := 0
-	for j := len(nodes) - 1; j >= 1; j-- {
-		if pl.Stores[nodes[j]][item] {
-			cut = j
-			break
-		}
-	}
-	var c float64
-	for j := cut; j < len(p.Arcs); j++ {
-		c += g.Arc(p.Arcs[j]).Cost
-	}
-	return c
 }
 
 // KSPServingPaths recomputes, for every request of the spec, the best of

@@ -1,6 +1,10 @@
 package placement
 
-import "jcr/internal/graph"
+import (
+	"context"
+
+	"jcr/internal/graph"
+)
 
 // GreedyResult carries the greedy placement's outputs.
 type GreedyResult struct {
@@ -42,15 +46,6 @@ func Greedy(s *Spec, dist [][]float64) (*GreedyResult, error) {
 		saving += s.Rates[rq.Item][rq.Node] * (wmax - d)
 		reqsByItem[rq.Item] = append(reqsByItem[rq.Item], rq)
 	}
-	residual := make([]float64, s.G.NumNodes())
-	var candidates []graph.NodeID
-	for v := 0; v < s.G.NumNodes(); v++ {
-		residual[v] = s.CacheCap[v]
-		if s.CacheCap[v] > 0 && !s.IsPinned(v) {
-			candidates = append(candidates, v)
-		}
-	}
-
 	delta := func(v graph.NodeID, i int) float64 {
 		var d float64
 		for _, rq := range reqsByItem[i] {
@@ -60,44 +55,77 @@ func Greedy(s *Spec, dist [][]float64) (*GreedyResult, error) {
 		}
 		return d
 	}
+	err := greedyFill(nil, s, pl, delta, func(v graph.NodeID, i int, gain float64) {
+		saving += gain
+		for _, rq := range reqsByItem[i] {
+			if dd := dist[v][rq.Node]; dd < nearest[rq] {
+				nearest[rq] = dd
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	src, cost := s.RNRSources(pl, dist)
+	return &GreedyResult{Placement: pl, Sources: src, Cost: cost, Saving: saving}, nil
+}
 
-	// gains[c][i] is delta(candidates[c], i). A pick lowers nearest only
-	// for its own item's requests, so only that item's column changes.
-	gains := make([][]float64, len(candidates))
+// greedyFill is the greedy loop shared by Greedy, placePerPathGreedy and
+// KSP3: starting from pl, it caches the (node, item) pair with the largest
+// positive marginal gain that fits the residual capacity, ties going to
+// the first pair in (node, item) order, until no pair fits or gains. The
+// candidates are the unpinned nodes with positive capacity.
+//
+// gain(v, i) is the marginal saving of caching item i at node v under the
+// caller's state, and picked(v, i, g) moves that state after pl has
+// stored the pick; a pick may change the gains of its own item only (the
+// requests of distinct items are disjoint), so only that item's column of
+// the gain table is recomputed. ctx, when non-nil, is polled before every
+// pick; its error is returned as is.
+func greedyFill(ctx context.Context, s *Spec, pl *Placement, gain func(v graph.NodeID, i int) float64, picked func(v graph.NodeID, i int, g float64)) error {
+	residual := make([]float64, s.G.NumNodes())
+	var candidates []graph.NodeID
+	for v := range residual {
+		residual[v] = s.CacheCap[v]
+		if s.CacheCap[v] > 0 && !s.IsPinned(v) {
+			candidates = append(candidates, v)
+		}
+	}
+	// gains[c*n+i] is gain(candidates[c], i).
+	n := s.NumItems
+	gains := make([]float64, len(candidates)*n)
 	for c, v := range candidates {
-		gains[c] = make([]float64, s.NumItems)
-		for i := range gains[c] {
-			gains[c][i] = delta(v, i)
+		for i := 0; i < n; i++ {
+			gains[c*n+i] = gain(v, i)
 		}
 	}
 	for {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		bestV, bestI := -1, -1
 		best := 0.0
 		for c, v := range candidates {
-			for i := 0; i < s.NumItems; i++ {
-				if pl.Stores[v][i] || s.Size(i) > residual[v]+capSlack {
+			stores, room := pl.Stores[v], residual[v]+capSlack
+			for i, d := range gains[c*n : c*n+n] {
+				if stores[i] || s.Size(i) > room {
 					continue
 				}
-				if d := gains[c][i]; d > best {
+				if d > best {
 					best, bestV, bestI = d, v, i
 				}
 			}
 		}
 		if bestV < 0 {
-			break
+			return nil
 		}
 		pl.Stores[bestV][bestI] = true
 		residual[bestV] -= s.Size(bestI)
-		saving += best
-		for _, rq := range reqsByItem[bestI] {
-			if dd := dist[bestV][rq.Node]; dd < nearest[rq] {
-				nearest[rq] = dd
-			}
-		}
+		picked(bestV, bestI, best)
 		for c, v := range candidates {
-			gains[c][bestI] = delta(v, bestI)
+			gains[c*n+bestI] = gain(v, bestI)
 		}
 	}
-	src, cost := s.RNRSources(pl, dist)
-	return &GreedyResult{Placement: pl, Sources: src, Cost: cost, Saving: saving}, nil
 }

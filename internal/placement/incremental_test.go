@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"jcr/internal/graph"
@@ -256,5 +257,146 @@ func TestAlg1PolishProperties(t *testing.T) {
 	}
 	if tested < 100 || improved == 0 {
 		t.Fatalf("degenerate instances: %d tested, polish improved %d", tested, improved)
+	}
+}
+
+// TestKSP3MatchesReference compares KSP3's incremental greedy with its
+// from-scratch reference on homogeneous and heterogeneous instances (the
+// latter in equal-size slots), with K in {1, 2, 3} and requesters the
+// origin cannot reach: same placement and the same chosen paths.
+func TestKSP3MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var tested, unreachable int
+	for trial := 0; trial < diffInstances; trial++ {
+		s := diffSpec(rng, trial%2 == 1, trial%3 == 0)
+		if len(s.Pinned) == 0 {
+			continue // no origin: every requester would hold requests at it
+		}
+		tested++
+		origin := s.Pinned[rng.Intn(len(s.Pinned))]
+		k := 1 + trial%3
+		got, err := KSP3(s, origin, k)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := kspReference(s, origin, k)
+		if err != nil {
+			t.Fatalf("trial %d reference: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got.Placement.Stores, want.Placement.Stores) {
+			t.Fatalf("trial %d (k=%d): placement %v, reference %v", trial, k, got.Placement.Stores, want.Placement.Stores)
+		}
+		if !reflect.DeepEqual(got.Chosen, want.Chosen) {
+			t.Fatalf("trial %d (k=%d): chosen paths %v, reference %v", trial, k, got.Chosen, want.Chosen)
+		}
+		unreachable += len(s.Requests()) - len(got.Chosen)
+	}
+	if tested < diffInstances/2 || unreachable == 0 {
+		t.Fatalf("degenerate instances: %d tested, %d requests unreachable from the origin", tested, unreachable)
+	}
+}
+
+// randomPlacement adds each (node, item) pair to s's pinned placement with
+// probability 0.3, ignoring capacities: the replica sets the nearest-two
+// tests scan.
+func randomPlacement(rng *rand.Rand, s *Spec) *Placement {
+	pl := s.NewPlacement()
+	for v := range pl.Stores {
+		for i := range pl.Stores[v] {
+			if rng.Float64() < 0.3 {
+				pl.Stores[v][i] = true
+			}
+		}
+	}
+	return pl
+}
+
+// sortedReplicas is the nearest-two oracle: rq's reachable replicas under
+// pl, sorted by distance and then node ID.
+func sortedReplicas(pl *Placement, dist [][]float64, rq Request) []graph.NodeID {
+	var reps []graph.NodeID
+	for v := range pl.Stores {
+		if pl.Stores[v][rq.Item] && !math.IsInf(dist[v][rq.Node], 1) {
+			reps = append(reps, v)
+		}
+	}
+	sort.SliceStable(reps, func(a, b int) bool { return dist[reps[a]][rq.Node] < dist[reps[b]][rq.Node] })
+	return reps
+}
+
+// TestNearestTwoMatchesSort checks nearestTwo, and the MinDelay split built
+// on it, against the sort-based oracle on tie-heavy instances with
+// unreachable replicas: the two nearest reachable replicas, ties to the
+// smaller ID, -1 at +Inf when missing; and per request one path at the
+// full rate (a local hit or a single replica) or two paths split
+// inversely to distance, each the replica's shortest-path-tree path.
+func TestNearestTwoMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var ties, unreachable, splits int
+	for trial := 0; trial < diffInstances; trial++ {
+		s := diffSpec(rng, false, false)
+		dist := graph.AllPairs(s.G)
+		pl := randomPlacement(rng, s)
+		var want []ServingPath
+		wantUnserved := map[Request]float64{}
+		for _, rq := range s.Requests() {
+			reps := sortedReplicas(pl, dist, rq)
+			wv1, wv2, wd1, wd2 := -1, -1, math.Inf(1), math.Inf(1)
+			if len(reps) > 0 {
+				wv1, wd1 = reps[0], dist[reps[0]][rq.Node]
+			}
+			if len(reps) > 1 {
+				wv2, wd2 = reps[1], dist[reps[1]][rq.Node]
+				//jcrlint:allow float-eq: counts exact distance ties, which the integer arc costs make common
+				if wd1 == wd2 {
+					ties++
+				}
+			}
+			for v := range pl.Stores {
+				if pl.Stores[v][rq.Item] && math.IsInf(dist[v][rq.Node], 1) {
+					unreachable++
+				}
+			}
+			v1, v2, d1, d2 := nearestTwo(pl, dist, rq)
+			//jcrlint:allow float-eq: the scan must return the oracle's distances themselves
+			if v1 != wv1 || v2 != wv2 || d1 != wd1 || d2 != wd2 {
+				t.Fatalf("trial %d, request %v: nearestTwo (%d, %d, %v, %v), oracle (%d, %d, %v, %v)", trial, rq, v1, v2, d1, d2, wv1, wv2, wd1, wd2)
+			}
+			lam := s.Rates[rq.Item][rq.Node]
+			pathFrom := func(v graph.NodeID) graph.Path {
+				p, _ := graph.TreeOf(s.G, v).PathTo(s.G, rq.Node)
+				return p
+			}
+			switch {
+			case wv1 < 0:
+				wantUnserved[rq] += lam
+			case wv1 == rq.Node || wv2 < 0:
+				want = append(want, ServingPath{Req: rq, Path: pathFrom(wv1), Rate: lam})
+			default:
+				splits++
+				w1, w2 := 1/(wd1+1), 1/(wd2+1)
+				rate1 := lam * w1 / (w1 + w2)
+				want = append(want,
+					ServingPath{Req: rq, Path: pathFrom(wv1), Rate: rate1},
+					ServingPath{Req: rq, Path: pathFrom(wv2), Rate: lam - rate1})
+			}
+		}
+		got, unserved := MultipathServing(s, pl, dist)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d serving paths, oracle %d", trial, len(got), len(want))
+		}
+		for k := range got {
+			g, w := got[k], want[k]
+			//jcrlint:allow float-eq: the split must do the oracle's float operations, so the rates are bit-identical
+			if g.Req != w.Req || g.Rate != w.Rate || g.Path.Len() != w.Path.Len() || (g.Path.Len() > 0 && !reflect.DeepEqual(g.Path, w.Path)) {
+				t.Fatalf("trial %d, path %d: %+v, oracle %+v", trial, k, g, w)
+			}
+		}
+		if len(unserved) != len(wantUnserved) || (len(unserved) > 0 && !reflect.DeepEqual(unserved, wantUnserved)) {
+			t.Fatalf("trial %d: unserved %v, oracle %v", trial, unserved, wantUnserved)
+		}
+	}
+	if ties == 0 || unreachable == 0 || splits == 0 {
+		t.Fatalf("degenerate instances: %d ties, %d unreachable replicas, %d splits", ties, unreachable, splits)
 	}
 }

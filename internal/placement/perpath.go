@@ -74,7 +74,7 @@ func PerPathCost(s *Spec, paths []ServingPath, pl *Placement) float64 {
 // to the requester) storing the item.
 func pathCostUnder(s *Spec, sp *ServingPath, pl *Placement) (full, remaining float64) {
 	g := s.G
-	cut := servedFrom(g, sp, pl)
+	cut := servedFrom(g, sp.Path, sp.Req.Item, pl)
 	for j, id := range sp.Path.Arcs {
 		w := g.Arc(id).Cost
 		full += w
@@ -171,22 +171,8 @@ func placePerPathGreedy(ctx context.Context, s *Spec, paths []ServingPath) (*Pla
 		for j := len(sp.Path.Arcs) - 1; j >= 0; j-- {
 			suffix[j] = suffix[j+1] + g.Arc(sp.Path.Arcs[j]).Cost
 		}
-		st := &pstate{sp: sp, nodes: nodes, suffix: suffix, cut: 0}
-		for j := len(nodes) - 1; j >= 1; j-- {
-			if pl.Stores[nodes[j]][sp.Req.Item] {
-				st.cut = j
-				break
-			}
-		}
+		st := &pstate{sp: sp, nodes: nodes, suffix: suffix, cut: servedFrom(g, sp.Path, sp.Req.Item, pl)}
 		byItem[sp.Req.Item] = append(byItem[sp.Req.Item], st)
-	}
-	residual := make([]float64, g.NumNodes())
-	var candidates []graph.NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		residual[v] = s.CacheCap[v]
-		if s.CacheCap[v] > 0 && !s.IsPinned(v) {
-			candidates = append(candidates, v)
-		}
 	}
 	delta := func(v graph.NodeID, i int) float64 {
 		var d float64
@@ -200,49 +186,18 @@ func placePerPathGreedy(ctx context.Context, s *Spec, paths []ServingPath) (*Pla
 		}
 		return d
 	}
-	// gains[c][i] is delta(candidates[c], i). A pick moves the cuts of
-	// its own item's paths only, so only that item's column changes.
-	gains := make([][]float64, len(candidates))
-	for c, v := range candidates {
-		gains[c] = make([]float64, s.NumItems)
-		for i := range gains[c] {
-			gains[c][i] = delta(v, i)
-		}
-	}
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("placement: per-path greedy canceled: %w", err)
-			}
-		}
-		bestV, bestI := -1, -1
-		best := 0.0
-		for c, v := range candidates {
-			for i := 0; i < s.NumItems; i++ {
-				if pl.Stores[v][i] || s.Size(i) > residual[v]+capSlack {
-					continue
-				}
-				if d := gains[c][i]; d > best {
-					best, bestV, bestI = d, v, i
-				}
-			}
-		}
-		if bestV < 0 {
-			break
-		}
-		pl.Stores[bestV][bestI] = true
-		residual[bestV] -= s.Size(bestI)
-		for _, st := range byItem[bestI] {
+	err := greedyFill(ctx, s, pl, delta, func(v graph.NodeID, i int, _ float64) {
+		for _, st := range byItem[i] {
 			for j := len(st.nodes) - 1; j > st.cut; j-- {
-				if st.nodes[j] == bestV {
+				if st.nodes[j] == v {
 					st.cut = j
 					break
 				}
 			}
 		}
-		for c, v := range candidates {
-			gains[c][bestI] = delta(v, bestI)
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("placement: per-path greedy canceled: %w", err)
 	}
 	return pl, nil
 }

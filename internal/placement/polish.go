@@ -30,21 +30,17 @@ func polishPlacement(s *Spec, dist [][]float64, wmax float64, pl *Placement, nod
 	for _, rq := range s.Requests() {
 		near[rq.Item] = append(near[rq.Item], nearest{rq: rq})
 	}
+	// Clamped to wmax, nearestTwo is the scan that starts from wmax: a
+	// replica no closer than wmax counts as absent.
 	refresh := func(i int) {
 		for k := range near[i] {
 			n := &near[i][k]
-			n.d1, n.d2, n.v1 = wmax, wmax, -1
-			for v := range pl.Stores {
-				if !pl.Stores[v][i] {
-					continue
-				}
-				d := dist[v][n.rq.Node]
-				if d < n.d1 {
-					n.d2 = n.d1
-					n.d1, n.v1 = d, v
-				} else if d < n.d2 {
-					n.d2 = d
-				}
+			n.v1, _, n.d1, n.d2 = nearestTwo(pl, dist, n.rq)
+			if n.d1 >= wmax {
+				n.v1, n.d1 = -1, wmax
+			}
+			if n.d2 > wmax {
+				n.d2 = wmax
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package placement
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 
 	"jcr/internal/graph"
 )
@@ -278,4 +280,150 @@ func perPathGreedyReference(ctx context.Context, s *Spec, paths []ServingPath) (
 		}
 	}
 	return pl, nil
+}
+
+// kspReference is KSP3 recomputing every marginal gain after every pick,
+// with the node-list serving cost it had before bestCandidate cut paths
+// with servedFrom.
+func kspReference(s *Spec, origin graph.NodeID, k int) (*KSPResult, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("placement: k must be positive, got %d", k)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	g := s.G
+	candByNode, reqs := candidatePaths(s, s.Requests(), origin, k)
+	caps := equalSize(s).CacheCap
+	pl := s.NewPlacement()
+	residual := make([]float64, g.NumNodes())
+	var candidates []graph.NodeID
+	for v := 0; v < g.NumNodes(); v++ {
+		residual[v] = caps[v]
+		if caps[v] > 0 && !s.IsPinned(v) {
+			candidates = append(candidates, v)
+		}
+	}
+	// Serving a request from a cached node v costs the static suffix of
+	// some candidate path from v's position; with the current best cost
+	// b, caching v yields min(b, suffixMin[node][v]). Precomputing the
+	// per-(requester, node) suffix minimum makes each greedy evaluation
+	// O(1) instead of a path scan.
+	suffixMin := map[graph.NodeID][]float64{}
+	requesters := make([]graph.NodeID, 0, len(candByNode))
+	for node := range candByNode {
+		requesters = append(requesters, node)
+	}
+	sort.Ints(requesters)
+	for _, node := range requesters {
+		cands := candByNode[node]
+		sm := make([]float64, g.NumNodes())
+		for v := range sm {
+			sm[v] = math.Inf(1)
+		}
+		for _, p := range cands {
+			nodes := p.Nodes(g)
+			suffix := 0.0
+			// Walk from the requester backwards accumulating cost.
+			sm[nodes[len(nodes)-1]] = 0
+			for j := len(p.Arcs) - 1; j >= 1; j-- {
+				suffix += g.Arc(p.Arcs[j]).Cost
+				if v := nodes[j]; suffix < sm[v] {
+					sm[v] = suffix
+				}
+			}
+		}
+		suffixMin[node] = sm
+	}
+	// bestCost[rq] is the current min over candidate paths of the
+	// actual serving cost under pl.
+	bestCost := make([]float64, len(reqs))
+	reqsByItem := make([][]int, s.NumItems)
+	for ri, rq := range reqs {
+		_, bestCost[ri] = bestCandidateReference(s, pl, candByNode[rq.Node], rq.Item)
+		reqsByItem[rq.Item] = append(reqsByItem[rq.Item], ri)
+	}
+	// Greedy over (node, item) additions on the joint objective
+	// sum_rq lambda * (baseline - min over candidate paths of cost).
+	for {
+		bestV, bestI := -1, -1
+		bestGain := 0.0
+		for _, v := range candidates {
+			if residual[v] < 1-capSlack {
+				continue
+			}
+			for i := 0; i < s.NumItems; i++ {
+				if pl.Stores[v][i] {
+					continue
+				}
+				var gainTotal float64
+				for _, ri := range reqsByItem[i] {
+					rq := reqs[ri]
+					if c := suffixMin[rq.Node][v]; c < bestCost[ri] {
+						gainTotal += s.Rates[i][rq.Node] * (bestCost[ri] - c)
+					}
+				}
+				if gainTotal > bestGain {
+					bestGain, bestV, bestI = gainTotal, v, i
+				}
+			}
+		}
+		if bestV < 0 {
+			break
+		}
+		pl.Stores[bestV][bestI] = true
+		residual[bestV]--
+		for _, ri := range reqsByItem[bestI] {
+			rq := reqs[ri]
+			if c := suffixMin[rq.Node][bestV]; c < bestCost[ri] {
+				bestCost[ri] = c
+			}
+		}
+	}
+	// Final routing: each request picks its best candidate path.
+	return &KSPResult{Placement: pl, Chosen: bestServingPathsReference(s, pl, reqs, candByNode)}, nil
+}
+
+// bestCandidateReference is bestCandidate over servingCostReference.
+func bestCandidateReference(s *Spec, pl *Placement, cands []graph.Path, item int) (graph.Path, float64) {
+	bi, bc := 0, math.Inf(1)
+	for pi, p := range cands {
+		if c := servingCostReference(s, pl, p, item); c < bc {
+			bc, bi = c, pi
+		}
+	}
+	return cands[bi], bc
+}
+
+// bestServingPathsReference is bestServingPaths over
+// bestCandidateReference.
+func bestServingPathsReference(s *Spec, pl *Placement, reqs []Request, candByNode map[graph.NodeID][]graph.Path) []ServingPath {
+	out := make([]ServingPath, len(reqs))
+	for ri, rq := range reqs {
+		p, _ := bestCandidateReference(s, pl, candByNode[rq.Node], rq.Item)
+		out[ri] = ServingPath{Req: rq, Path: p, Rate: s.Rates[rq.Item][rq.Node]}
+	}
+	return out
+}
+
+// servingCostReference is the cost of the path suffix from the cached node
+// nearest the requester (the path head — origin — always stores).
+func servingCostReference(s *Spec, pl *Placement, p graph.Path, item int) float64 {
+	g := s.G
+	nodes := p.Nodes(g)
+	if len(nodes) == 0 {
+		return 0
+	}
+	cut := 0
+	for j := len(nodes) - 1; j >= 1; j-- {
+		if pl.Stores[nodes[j]][item] {
+			cut = j
+			break
+		}
+	}
+	var c float64
+	for j := cut; j < len(p.Arcs); j++ {
+		c += g.Arc(p.Arcs[j]).Cost
+	}
+	return c
 }

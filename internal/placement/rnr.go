@@ -25,6 +25,27 @@ func nearestReplica(p *Placement, dist [][]float64, rq Request) (graph.NodeID, f
 	return best, bestD
 }
 
+// nearestTwo extends nearestReplica to the two least-cost replicas of rq's
+// item: the nearest v1 at d1 and the runner-up v2 at d2, by the same scan
+// (ascending node ID, strict <, an unreachable replica never chosen). A
+// missing replica is -1 at +Inf.
+func nearestTwo(p *Placement, dist [][]float64, rq Request) (v1, v2 graph.NodeID, d1, d2 float64) {
+	v1, v2 = -1, -1
+	d1, d2 = math.Inf(1), math.Inf(1)
+	for v := range p.Stores {
+		if !p.Stores[v][rq.Item] {
+			continue
+		}
+		if d := dist[v][rq.Node]; d < d1 {
+			v2, d2 = v1, d1
+			v1, d1 = v, d
+		} else if d < d2 {
+			v2, d2 = v, d
+		}
+	}
+	return v1, v2, d1, d2
+}
+
 // RNRSources selects, for every request, the least-cost node storing the
 // requested item (route-to-nearest-replica). dist must be the all-pairs
 // least-cost matrix of s.G. The second return is the total routing cost
@@ -67,15 +88,20 @@ type rnrRouter struct {
 	trees map[graph.NodeID]graph.ShortestTree
 }
 
-// route returns rq's path from its nearest replica (empty for a local hit,
-// which computes no tree); ok is false when no replica reaches the
-// requester.
+// route returns rq's path from its nearest replica; ok is false when no
+// replica reaches the requester.
 func (r *rnrRouter) route(rq Request) (graph.Path, bool) {
 	v, _ := nearestReplica(r.pl, r.dist, rq)
 	if v < 0 {
 		return graph.Path{}, false
 	}
-	if v == rq.Node {
+	return r.pathFrom(v, rq.Node)
+}
+
+// pathFrom returns the least-cost path from replica v to node to over v's
+// memoized shortest-path tree (empty when v is to, which computes no tree).
+func (r *rnrRouter) pathFrom(v, to graph.NodeID) (graph.Path, bool) {
+	if v == to {
 		return graph.Path{}, true
 	}
 	tree, ok := r.trees[v]
@@ -86,7 +112,7 @@ func (r *rnrRouter) route(rq Request) (graph.Path, bool) {
 		tree = r.eng.Tree(r.g, v)
 		r.trees[v] = tree
 	}
-	return tree.PathTo(r.g, rq.Node)
+	return tree.PathTo(r.g, to)
 }
 
 // RNRServing builds route-to-nearest-replica serving paths, capacity-
@@ -111,6 +137,47 @@ func RNRServing(s *Spec, pl *Placement, dist [][]float64, eng *graph.Engine) ([]
 			continue
 		}
 		paths = append(paths, ServingPath{Req: rq, Path: p, Rate: lam})
+	}
+	return paths, unserved
+}
+
+// MultipathServing is the forwarding rule of the MinDelay-style baseline
+// (arXiv 1710.05130): every request of s, in Requests order, is split over
+// its two nearest replicas under pl (nearestTwo), inversely to their
+// distance, each share on the replica's shortest-path tree. A local hit or
+// a single reachable replica takes the whole rate; requests no replica
+// reaches come back in the unserved map with their rates (nil when every
+// request is served). Trees are cold and memoized per replica within the
+// call. dist must be the all-pairs least-cost matrix of s.G.
+func MultipathServing(s *Spec, pl *Placement, dist [][]float64) ([]ServingPath, map[Request]float64) {
+	r := rnrRouter{g: s.G, pl: pl, dist: dist}
+	var paths []ServingPath
+	var unserved map[Request]float64
+	for _, rq := range s.Requests() {
+		lam := s.Rates[rq.Item][rq.Node]
+		r1, r2, d1, d2 := nearestTwo(pl, dist, rq)
+		switch {
+		case r1 < 0:
+			if unserved == nil {
+				unserved = map[Request]float64{}
+			}
+			unserved[rq] += lam
+		case r1 == rq.Node || r2 < 0:
+			p, _ := r.pathFrom(r1, rq.Node)
+			paths = append(paths, ServingPath{Req: rq, Path: p, Rate: lam})
+		default:
+			// w_p = 1/(d_p + 1): the cheaper path carries more, but
+			// the second replica stays warm (the multipath behavior
+			// MinDelay's hop-by-hop splits induce).
+			w1, w2 := 1/(d1+1), 1/(d2+1)
+			rate1 := lam * w1 / (w1 + w2)
+			p1, _ := r.pathFrom(r1, rq.Node)
+			p2, _ := r.pathFrom(r2, rq.Node)
+			paths = append(paths,
+				ServingPath{Req: rq, Path: p1, Rate: rate1},
+				ServingPath{Req: rq, Path: p2, Rate: lam - rate1},
+			)
+		}
 	}
 	return paths, unserved
 }

@@ -58,20 +58,6 @@ func (r *Reuse) Engine() *graph.Engine {
 	return r.eng
 }
 
-// Invalidate drops every cache, forcing the next Route call to rebuild
-// from scratch. Nil-safe.
-func (r *Reuse) Invalidate() {
-	if r == nil {
-		return
-	}
-	r.demSpec = nil
-	r.demand = nil
-	r.auxBase = nil
-	r.auxGroups = nil
-	r.aux = nil
-	r.eng = nil
-}
-
 // baseDemand returns the per-item demand sets of s (every item with positive
 // total rate, its sink map and total), cached on the Spec pointer. The
 // returned maps are shared with the cache: callers that delete entries

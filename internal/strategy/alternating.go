@@ -29,10 +29,10 @@ const improveTol = 1e-9
 // at the first non-improving round or after MaxIters (zero means 10; the
 // paper observes convergence within 10 in all evaluated cases).
 //
-// It is a Warm strategy: unless NoSolverReuse is set it carries the per-path
-// LP's warm-start handle and the routing caches across rounds and Decide
-// calls, and with WarmStart it additionally seeds each Decide with the
-// previous plan's placement. With BestEffort, demand with no reachable
+// Unless NoSolverReuse is set it carries the per-path LP's warm-start
+// handle and the routing caches across rounds and Decide calls, and with
+// WarmStart it additionally seeds each Decide with the previous plan's
+// placement; a fresh Alternating starts cold. With BestEffort, demand with no reachable
 // replica is declared in Plan.Unserved instead of failing the solve, and a
 // repair post-pass re-homes content for stranded requesters (see
 // repairStranded). The carried state is not safe for concurrent use; give
@@ -47,14 +47,6 @@ type Alternating struct {
 
 // Name implements Strategy.
 func (a *Alternating) Name() string { return "alternating" }
-
-// Invalidate implements Warm: the next Decide starts cold, with no carried
-// placement and no retained solver state.
-func (a *Alternating) Invalidate() {
-	a.prev = nil
-	a.perPath.Invalidate()
-	a.reuse.Invalidate()
-}
 
 // Decide implements Strategy. ctx is threaded into both subproblem solvers
 // and polled between rounds, so a deadline stops the optimizer mid-run.

@@ -117,14 +117,6 @@ type Strategy interface {
 	Decide(ctx context.Context, inst Instance) (*Plan, Stats, error)
 }
 
-// Warm is implemented by strategies that carry solver state (warm-started
-// LP bases, routing caches, previous placements) across Decide calls.
-type Warm interface {
-	Strategy
-	// Invalidate drops all carried state; the next Decide starts cold.
-	Invalidate()
-}
-
 // Sized is implemented by strategies with hard instance-size limits (the
 // brute-force exact solver). The arena skips instances a strategy reports
 // it cannot fit instead of recording a failure.

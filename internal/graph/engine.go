@@ -22,10 +22,11 @@ import (
 //
 // Determinism is absolute, not statistical: every path through the engine
 // — cold kernel, exact cache hit, incremental repair — produces the
-// canonical tree of the current graph (see dijkstraCSR), bit for bit equal
-// to TreeOf on the same graph. Oversized deltas merely fall back to the
-// cold kernel, mirroring the warm/cold LP discipline of DESIGN.md §3.9:
-// caching changes how much work a tree costs, never which tree comes back.
+// canonical tree of the current graph (see dijkstraCSRPlain), bit for bit
+// equal to TreeOf on the same graph. Oversized deltas merely fall back to
+// the cold kernel, mirroring the warm/cold LP discipline of DESIGN.md
+// §3.9: caching changes how much work a tree costs, never which tree comes
+// back.
 //
 // A graph with arcs the home universe lacks — a recovered link after a
 // faulty hour, a re-priced arc from a degrade event — does not discard the
@@ -34,9 +35,9 @@ import (
 // with the unseen arcs recorded as disabled, and the ordinary mask repair
 // brings them up to date. Only a node-count change or runaway universe
 // growth forces a true re-home, dropping all cached trees. An Engine is not
-// safe for concurrent use — like routing.Reuse, thread one per worker — and
-// a nil *Engine is valid, computing everything cold, so call sites take an
-// optional handle without branching.
+// safe for concurrent use — thread one per worker — and a nil *Engine is
+// valid, computing everything cold, so call sites take an optional handle
+// without branching.
 type Engine struct {
 	home    *Graph // graph the universe was last rebuilt from; nil after a merge
 	homeGen uint64
@@ -94,13 +95,11 @@ func (e *Engine) Stats() EngineStats {
 	return e.stats
 }
 
-// repairMaxDelta floors the mask-delta bound (arcs flipped either way)
-// beyond which repair is assumed not to beat a cold kernel run. The
-// effective bound grows with the universe — cold recompute costs O(m), so
-// on a large graph a proportionally larger delta is still worth repairing —
-// and the detached-region size check inside repair is the real guard
-// against a delta that detaches half the tree. Purely a performance
-// threshold: both paths return the identical canonical tree.
+// repairMaxDelta is the mask delta (arcs flipped either way) beyond which
+// repair is assumed not to beat a cold kernel run: a fixed 64 arcs, whatever
+// the universe size. The detached-region size check inside repair is the
+// real guard against a delta that detaches half the tree. Purely a
+// performance threshold: both paths return the identical canonical tree.
 const repairMaxDelta = 64
 
 // Tree returns the canonical shortest-path tree of g from src, identical
@@ -433,12 +432,12 @@ func (e *Engine) ensure(src NodeID) *engTree {
 // mask, in home arc space.
 func (e *Engine) coldCompute(t *engTree) {
 	c := e.c
-	var mask []uint64
-	if e.att.anyDisabled {
-		mask = e.att.mask
-	}
 	s := acquireScratch(c.n)
-	dijkstraCSRMask(c, t.src, s, mask)
+	if e.att.anyDisabled {
+		dijkstraCSRMask(c, t.src, -1, s, e.att.mask)
+	} else {
+		dijkstraCSRPlain(c, t.src, s)
+	}
 	if t.dist == nil {
 		t.dist = make([]float64, c.n)
 		t.parent = make([]int32, c.n)
@@ -476,10 +475,6 @@ func (e *Engine) coldCompute(t *engTree) {
 // settle order; see DESIGN.md §3.10 for the argument.
 func (e *Engine) repair(t *engTree) bool {
 	newMask := e.att.mask
-	maxDelta := len(e.arcs) / 8
-	if maxDelta < repairMaxDelta {
-		maxDelta = repairMaxDelta
-	}
 	var downTree, up []int32
 	changed := 0
 	for w := range newMask {

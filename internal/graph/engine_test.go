@@ -397,3 +397,46 @@ func TestEngineMergeRepairMatchesColdWithRepricing(t *testing.T) {
 		}
 	}
 }
+
+// The kernels' parents, not just their distances, are the canonical ones
+// canonicalParents derives from the reference distances: TreeOf, the engine
+// across random fault masks (cold, cached and repaired trees), and the
+// masked kernel under Yen-style arc and node bans, on the tie-heavy
+// fixtures where a heap accident would pick a different equal-cost parent.
+func TestKernelParentsAreCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	graphs := []*Graph{spGraph(400)}
+	for trial := 0; trial < 40; trial++ {
+		graphs = append(graphs, tieGraph(rng, 3+rng.Intn(14), rng.Intn(30)))
+	}
+	for gi, g := range graphs {
+		n := g.NumNodes()
+		src := rng.Intn(n)
+		if got, want := TreeOf(g, src).ParentArc, canonicalParents(g, src, nil, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d src %d: TreeOf parents are not canonical", gi, src)
+		}
+		eng := NewEngine()
+		for hour := 0; hour < 6; hour++ {
+			disabled := map[ArcID]bool{}
+			for k := 0; k < rng.Intn(4); k++ {
+				disabled[ArcID(rng.Intn(g.NumArcs()))] = true
+			}
+			h := subgraphWithout(g, disabled)
+			if got, want := eng.Tree(h, src).ParentArc, canonicalParents(h, src, nil, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("graph %d hour %d src %d: engine parents are not canonical (stats %+v)", gi, hour, src, eng.Stats())
+			}
+		}
+		banArc, banNode := make([]bool, g.NumArcs()), make([]bool, n)
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			banArc[rng.Intn(g.NumArcs())] = true
+			if v := rng.Intn(n); v != src {
+				banNode[v] = true
+			}
+		}
+		skipArc := func(id ArcID) bool { return banArc[id] }
+		skipNode := func(v NodeID) bool { return banNode[v] }
+		if got, want := banTree(g, src, banArc, banNode).ParentArc, canonicalParents(g, src, skipArc, skipNode); !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d src %d: banned-search parents are not canonical", gi, src)
+		}
+	}
+}

@@ -112,13 +112,25 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-// banTree runs Yen's ban kernel without a goal, giving the full tree of g
-// from src with the given arcs and nodes left out.
+// banTree runs the masked kernel the way Yen's searches do, without a
+// goal: the full tree of g from src with the given arcs left out and the
+// given nodes banned through their in-arcs.
 func banTree(g *Graph, src NodeID, banArc, banNode []bool) ShortestTree {
 	c := g.view()
+	mask := make([]uint64, (g.NumArcs()+63)/64)
+	for id, b := range banArc {
+		if b {
+			maskSetBit(mask, id)
+		}
+	}
+	for v, b := range banNode {
+		for j := c.revHead[v]; b && j < c.revHead[v+1]; j++ {
+			maskSetBit(mask, int(c.revArc[j]))
+		}
+	}
 	s := acquireScratch(c.n)
 	defer releaseScratch(s)
-	dijkstraCSRBan(c, src, -1, s, banArc, banNode)
+	dijkstraCSRMask(c, src, -1, s, mask)
 	return s.extractTree(src, c.n)
 }
 

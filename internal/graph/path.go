@@ -115,47 +115,16 @@ func (t ShortestTree) PathTo(g *Graph, v NodeID) (Path, bool) {
 	return Path{Arcs: arcs}, true
 }
 
-// dijkstraCSR runs the canonical shortest-path kernel from src over the
-// CSR view into s, which must hold a freshly reset epoch. Settle order is
-// ascending (dist, node), relaxation is strictly improving, and each
+// dijkstraCSRPlain runs the canonical shortest-path kernel from src over
+// the CSR view into s, which must hold a freshly reset epoch. Settle order
+// is ascending (dist, node), relaxation is strictly improving, and each
 // node's out-arcs are scanned in ascending arc-ID order; together these
 // make the parent of every node the arc minimizing
 // (dist[tail], tail, arc ID) among the arcs attaining its distance. The
 // resulting tree is a pure function of the graph — no heap accidents —
 // which is what lets the repair engine reproduce trees bit for bit
-// (DESIGN.md §3.10). The run stops as soon as goal settles (its distance
-// and parent chain are final then); Yen's first search is the caller.
-//
-//jcr:hotpath
-func dijkstraCSR(c *csr, src, goal NodeID, s *scratch) {
-	sv := int32(src)
-	s.visit(sv)
-	s.dist[sv] = 0
-	s.heapFix(s.dist, sv)
-	for len(s.heap) > 0 {
-		v := s.heapPop(s.dist)
-		if int(v) == goal {
-			return
-		}
-		d := s.dist[v]
-		for j := c.fwdHead[v]; j < c.fwdHead[v+1]; j++ {
-			id := c.fwdArc[j]
-			w := c.fwdTo[j]
-			nd := d + c.fwdCost[j]
-			s.visit(w)
-			if nd < s.dist[w] {
-				s.dist[w] = nd
-				s.parent[w] = id
-				s.heapFix(s.dist, w)
-			}
-		}
-	}
-}
-
-// dijkstraCSRPlain is the full-tree kernel: identical settle order,
-// relaxation, and tie behaviour to dijkstraCSR, with no goal and with the
-// CSR arrays hoisted out of the loop. The full-tree entry points (TreeOf,
-// AllPairs, the engine's unmasked cold path) all land here.
+// (DESIGN.md §3.10). The full-tree entry points (TreeOf, AllPairs, the
+// engine's unmasked cold path) all land here.
 //
 //jcr:hotpath
 func dijkstraCSRPlain(c *csr, src NodeID, s *scratch) {
@@ -187,15 +156,15 @@ func dijkstraCSRPlain(c *csr, src NodeID, s *scratch) {
 	}
 }
 
-// dijkstraCSRBan is dijkstraCSR with arc and node bans given as bool
-// arrays, the shape of Yen's spur searches. Identical settle order,
-// relaxation, and tie behaviour on the arcs and nodes left in; the flat
-// arrays keep the kernel free of indirect calls, which matters when it runs
-// hundreds of times per Yen invocation.
-// banNode[src] must be false (Yen never bans the spur node).
+// dijkstraCSRMask is dijkstraCSRPlain with a bitmask of arcs left out,
+// inlined so the scan pays no indirect call per arc. Identical settle
+// order, relaxation, and tie behaviour on the arcs left in. It serves the
+// engine's cold path and Yen's searches, which ban a node by masking its
+// in-arcs. The run stops as soon as goal settles (its distance and parent
+// chain are final then); goal -1 grows the full tree.
 //
 //jcr:hotpath
-func dijkstraCSRBan(c *csr, src, goal NodeID, s *scratch, banArc, banNode []bool) {
+func dijkstraCSRMask(c *csr, src, goal NodeID, s *scratch, mask []uint64) {
 	sv := int32(src)
 	s.visit(sv)
 	s.dist[sv] = 0
@@ -206,49 +175,6 @@ func dijkstraCSRBan(c *csr, src, goal NodeID, s *scratch, banArc, banNode []bool
 		if int(v) == goal {
 			return
 		}
-		d := s.dist[v]
-		for j := c.fwdHead[v]; j < c.fwdHead[v+1]; j++ {
-			if banArc[fwdArc[j]] {
-				continue
-			}
-			w := fwdTo[j]
-			if banNode[w] {
-				continue
-			}
-			nd := d + fwdCost[j]
-			if s.stamp[w] != s.cur {
-				s.stamp[w] = s.cur
-				s.dist[w] = nd
-				s.parent[w] = fwdArc[j]
-				s.pos[w] = -1
-				s.heapFix(s.dist, w)
-			} else if nd < s.dist[w] {
-				s.dist[w] = nd
-				s.parent[w] = fwdArc[j]
-				s.heapFix(s.dist, w)
-			}
-		}
-	}
-}
-
-// dijkstraCSRMask is the full-tree kernel with the engine's disabled-arc
-// bitmask inlined (nil means nothing disabled). Same canonical behaviour as
-// dijkstraCSR; it exists so the engine's cold path and repairs do not pay an
-// indirect call per scanned arc.
-//
-//jcr:hotpath
-func dijkstraCSRMask(c *csr, src NodeID, s *scratch, mask []uint64) {
-	if mask == nil {
-		dijkstraCSRPlain(c, src, s)
-		return
-	}
-	sv := int32(src)
-	s.visit(sv)
-	s.dist[sv] = 0
-	s.heapFix(s.dist, sv)
-	fwdTo, fwdCost, fwdArc := c.fwdTo, c.fwdCost, c.fwdArc
-	for len(s.heap) > 0 {
-		v := s.heapPop(s.dist)
 		d := s.dist[v]
 		for j := c.fwdHead[v]; j < c.fwdHead[v+1]; j++ {
 			id := fwdArc[j]
@@ -309,12 +235,12 @@ func (s *scratch) path(g *Graph, src, dst NodeID) (Path, bool) {
 	return Path{Arcs: arcs}, true
 }
 
-// TreeOf is the one-shot full-tree entry point: the canonical shortest-path
-// tree of g from src, with ties broken canonically (see dijkstraCSR), so
-// the tree is a pure function of the graph. It equals Engine.Tree on the
-// same graph bit for bit; use an Engine instead when the same or nearly the
-// same tree is needed repeatedly (across alternating rounds, fault hours,
-// or replica loops).
+// TreeOf is the one-shot full-tree entry point: the canonical
+// shortest-path tree of g from src, with ties broken canonically (see
+// dijkstraCSRPlain), so the tree is a pure function of the graph. It
+// equals Engine.Tree on the same graph bit for bit; use an Engine instead
+// when the same or nearly the same tree is needed repeatedly (across
+// alternating rounds, fault hours, or replica loops).
 func TreeOf(g *Graph, src NodeID) ShortestTree {
 	c := g.view()
 	s := acquireScratch(c.n)

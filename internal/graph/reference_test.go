@@ -96,3 +96,32 @@ func referenceDijkstra(g *Graph, src NodeID, skipArc func(ArcID) bool, skipNode 
 	}
 	return ShortestTree{Source: src, Dist: dist, ParentArc: parent}
 }
+
+// canonicalParents derives the canonical parent of every node from
+// referenceDijkstra's distances alone, with no heap involved: among the
+// in-arcs left in whose tail distance plus cost attains the node's
+// distance, the one minimizing (dist[tail], tail, arc ID). The source and
+// unreached nodes get -1. This is the tree the kernels promise.
+func canonicalParents(g *Graph, src NodeID, skipArc func(ArcID) bool, skipNode func(NodeID) bool) []ArcID {
+	dist := referenceDijkstra(g, src, skipArc, skipNode).Dist
+	parent := make([]ArcID, len(dist))
+	for v := range parent {
+		parent[v] = -1
+		if v == src || math.IsInf(dist[v], 1) {
+			continue
+		}
+		for _, id := range g.In(v) {
+			a := g.Arc(id)
+			if (skipArc != nil && skipArc(id)) || dist[a.From]+a.Cost != dist[v] {
+				continue
+			}
+			if p := parent[v]; p < 0 {
+				parent[v] = id
+			} else if b := g.Arc(p); dist[a.From] < dist[b.From] ||
+				(dist[a.From] == dist[b.From] && (a.From < b.From || (a.From == b.From && id < p))) {
+				parent[v] = id
+			}
+		}
+	}
+	return parent
+}

@@ -7,10 +7,11 @@ import "sort"
 // paths if the graph does not contain that many distinct simple paths. The
 // baseline of Ioannidis & Yeh [3] builds its candidate path set this way.
 //
-// All spur searches share one CSR snapshot and one pooled scratch, stop as
-// soon as dst settles, and express their arc/node bans as flat []bool
-// arrays set and unset around each search — no per-spur map allocation or
-// hashing on the kernel's hot path.
+// All searches share one CSR snapshot and one pooled scratch, stop as soon
+// as dst settles, and run on the masked kernel with one arc bitmask set and
+// cleared around each spur search. A banned root node is a ban on its
+// in-arcs, so the kernel never reaches it: the arcs left in and their scan
+// order are exactly those of a search that skips the node.
 func KShortestPaths(g *Graph, src, dst NodeID, k int) []Path {
 	if k <= 0 {
 		return nil
@@ -18,7 +19,8 @@ func KShortestPaths(g *Graph, src, dst NodeID, k int) []Path {
 	c := g.view()
 	s := acquireScratch(c.n)
 	defer releaseScratch(s)
-	dijkstraCSR(c, src, dst, s)
+	ban := make([]uint64, (g.NumArcs()+63)/64)
+	dijkstraCSRMask(c, src, dst, s, ban)
 	first, ok := s.path(g, src, dst)
 	if !ok {
 		return nil
@@ -37,9 +39,7 @@ func KShortestPaths(g *Graph, src, dst NodeID, k int) []Path {
 	var seen pathSet
 	seen.add(first.Arcs)
 
-	banArc := make([]bool, g.NumArcs())
-	banNode := make([]bool, c.n)
-	var banned []ArcID // arcs set in banArc for the current spur
+	var banned []int32 // arcs set in ban for the current spur
 
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1]
@@ -54,26 +54,25 @@ func KShortestPaths(g *Graph, src, dst NodeID, k int) []Path {
 			banned = banned[:0]
 			for _, p := range accepted {
 				if len(p.Arcs) > i && sameArcs(p.Arcs[:i], rootArcs) {
-					if id := p.Arcs[i]; !banArc[id] {
-						banArc[id] = true
-						banned = append(banned, id)
-					}
+					banned = append(banned, int32(p.Arcs[i]))
 				}
 			}
 			// Nodes removed: all root nodes before the spur node.
 			for _, v := range prevNodes[:i] {
-				banNode[v] = true
+				banned = append(banned, c.revArc[c.revHead[v]:c.revHead[v+1]]...)
+			}
+			for _, id := range banned {
+				maskSetBit(ban, int(id))
 			}
 
 			s.reset(c.n)
-			dijkstraCSRBan(c, spurNode, dst, s, banArc, banNode)
+			dijkstraCSRMask(c, spurNode, dst, s, ban)
 			spur, ok := s.path(g, spurNode, dst)
 
+			// Every set bit belongs to banned, so zeroing their
+			// words clears the mask.
 			for _, id := range banned {
-				banArc[id] = false
-			}
-			for _, v := range prevNodes[:i] {
-				banNode[v] = false
+				ban[id>>6] = 0
 			}
 			if !ok {
 				continue

@@ -160,8 +160,10 @@ func KSP3(s *Spec, origin graph.NodeID, k int) (*KSPResult, error) {
 		for _, p := range cands {
 			nodes := p.Nodes(g)
 			suffix := 0.0
-			// Walk from the requester backwards accumulating cost.
-			sm[nodes[len(nodes)-1]] = 0
+			// Walk from the requester backwards accumulating cost. The
+			// requester ends every candidate (at the origin itself the
+			// one candidate is empty and has no node list).
+			sm[node] = 0
 			for j := len(p.Arcs) - 1; j >= 1; j-- {
 				suffix += g.Arc(p.Arcs[j]).Cost
 				if v := nodes[j]; suffix < sm[v] {

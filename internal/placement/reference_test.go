@@ -325,7 +325,7 @@ func kspReference(s *Spec, origin graph.NodeID, k int) (*KSPResult, error) {
 			nodes := p.Nodes(g)
 			suffix := 0.0
 			// Walk from the requester backwards accumulating cost.
-			sm[nodes[len(nodes)-1]] = 0
+			sm[node] = 0
 			for j := len(p.Arcs) - 1; j >= 1; j-- {
 				suffix += g.Arc(p.Arcs[j]).Cost
 				if v := nodes[j]; suffix < sm[v] {

@@ -42,7 +42,7 @@ func BenchmarkItemMinCostFlow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	active := (*Reuse)(nil).baseDemand(s)
+	active := demandSets(s)
 	groups := make([][]graph.NodeID, len(active))
 	for k, ad := range active {
 		groups[k] = gr.Placement.Replicas(ad.item)

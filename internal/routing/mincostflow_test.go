@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"jcr/internal/flow"
@@ -78,6 +79,16 @@ func randomAuxInstance(r *rand.Rand) (*graph.Auxiliary, []itemDemand) {
 		active[i] = itemDemand{item: i, sinks: sinks, sorted: sortedSinks(sinks), total: total}
 	}
 	return graph.NewAuxiliary(g, sources), active
+}
+
+// sortedSinks returns the sink nodes of a demand map in ascending order.
+func sortedSinks(sinks map[graph.NodeID]float64) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(sinks))
+	for v := range sinks {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // sameFlow reports whether two arc flows agree bit for bit.

@@ -65,12 +65,10 @@ type Options struct {
 	// multicommodity LP; larger instances use the sequential heuristic.
 	// Zero means the default.
 	LPMaxVars int
-	// Rng drives randomized rounding. Nil builds a generator from Seed,
-	// so runs are bit-reproducible either way; see DESIGN.md ("Seeding").
+	// Rng drives randomized rounding. Nil builds a generator from
+	// rng.DefaultSeed, so runs are bit-reproducible either way; see
+	// DESIGN.md ("Seeding").
 	Rng *rand.Rand
-	// Seed seeds the rounding generator when Rng is nil; zero means
-	// rng.DefaultSeed.
-	Seed int64
 	// RoundingTrials is how many independent randomized roundings to
 	// draw under integral routing, keeping the one with the least
 	// congestion (ties broken by cost). Zero means the default of 5.
@@ -87,11 +85,12 @@ type Options struct {
 	// means GOMAXPROCS. Results are merged in item order, so the output
 	// is identical for any worker count (see internal/par).
 	Workers int
-	// Reuse, when non-nil, carries caches across Route calls with the
-	// same spec and graph: per-item demand sets, the Lemma 4.5 auxiliary
-	// graph and the shortest-path tree engine (see Reuse). Nil solves
-	// from scratch.
-	Reuse *Reuse
+	// Engine, when non-nil, serves the best-effort reach filter's
+	// shortest-path trees, which repeat across alternating rounds (same
+	// graph, same replicas) and repair cheaply across fault hours. Nil
+	// computes cold trees; the result is identical either way. Not safe
+	// for concurrent use: thread one per worker.
+	Engine *graph.Engine
 }
 
 const defaultLPMaxVars = 6000
@@ -103,8 +102,7 @@ type itemDemand struct {
 	sinks map[graph.NodeID]float64
 	// sorted lists the sink nodes ascending, computed once when the demand
 	// set is built: the per-item flow loop and the path decomposition both
-	// need a deterministic sink order, and re-sorting inside those loops
-	// was pure per-call overhead (the demand sets repeat across rounds).
+	// need a deterministic sink order.
 	sorted []graph.NodeID
 	total  float64
 }
@@ -139,82 +137,59 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 		opts.LPMaxVars = defaultLPMaxVars
 	}
 	if opts.Rng == nil {
-		seed := opts.Seed
-		if seed == 0 {
-			seed = rng.DefaultSeed
-		}
-		opts.Rng = rng.New(seed)
+		opts.Rng = rng.New(rng.DefaultSeed)
 	}
 	if opts.RoundingTrials <= 0 {
 		opts.RoundingTrials = 5
 	}
-	// Active items and their replica sets. The per-item demand sets come
-	// from the Reuse cache when one is threaded (nil-safe: computed fresh
-	// otherwise); replica filtering always runs per call because the
-	// placement changes between rounds.
+	// Active items and their replica sets; the demand sets are built
+	// fresh, so the best-effort filter edits them in place.
 	var active []itemDemand
 	var groups [][]graph.NodeID
 	unserved := map[placement.Request]float64{}
-	for _, bd := range opts.Reuse.baseDemand(s) {
-		i, sinks, total := bd.item, bd.sinks, bd.total
-		reps := pl.Replicas(i)
+	for _, ad := range demandSets(s) {
+		reps := pl.Replicas(ad.item)
 		if len(reps) == 0 {
 			if opts.BestEffort {
-				for v, r := range sinks {
-					unserved[placement.Request{Item: i, Node: v}] = r
+				for v, r := range ad.sinks {
+					unserved[placement.Request{Item: ad.item, Node: v}] = r
 				}
 				continue
 			}
-			return nil, fmt.Errorf("routing: item %d has no replicas", i)
+			return nil, fmt.Errorf("routing: item %d has no replicas", ad.item)
 		}
-		sorted := bd.sorted
 		if opts.BestEffort {
 			// Drop demand no replica can reach (links down, network
 			// partitioned); the flow solvers would otherwise fail the
-			// whole solve over it. The sink map is shared with the demand
-			// cache, so filter a copy.
-			sinks = cloneSinks(sinks)
-			// Reachability is tie-independent, so the engine's cached
-			// trees (replica sets repeat across rounds and hours) give
-			// exactly the set a structural search would.
-			reach := opts.Reuse.Engine().Reach(s.G, reps)
-			// The cached sorted order keeps the floating-point subtraction
-			// sequence (and hence total's last bits) independent of map
-			// iteration; filtering preserves it, so nothing re-sorts. The
-			// kept-slice copy is deferred until the first drop — in the
-			// common all-reachable case the cached slice is shared as-is.
-			var kept []graph.NodeID
-			dropped := false
-			for idx, v := range bd.sorted {
+			// whole solve over it. Reachability is tie-independent, so the
+			// engine's trees give exactly the set a structural search
+			// would. Walking the sinks in sorted order keeps the
+			// subtraction sequence (and hence total's last bits)
+			// independent of map iteration.
+			reach := opts.Engine.Reach(s.G, reps)
+			kept := ad.sorted[:0]
+			for _, v := range ad.sorted {
 				if reach[v] {
-					if dropped {
-						kept = append(kept, v)
-					}
+					kept = append(kept, v)
 					continue
 				}
-				if !dropped {
-					kept = append(kept, bd.sorted[:idx]...)
-					dropped = true
-				}
-				r := sinks[v]
-				unserved[placement.Request{Item: i, Node: v}] = r
-				delete(sinks, v)
-				total -= r
+				r := ad.sinks[v]
+				unserved[placement.Request{Item: ad.item, Node: v}] = r
+				delete(ad.sinks, v)
+				ad.total -= r
 			}
-			if dropped {
-				sorted = kept
-			}
-			if total <= 0 {
+			ad.sorted = kept
+			if ad.total <= 0 {
 				continue
 			}
 		}
-		active = append(active, itemDemand{item: i, sinks: sinks, sorted: sorted, total: total})
+		active = append(active, ad)
 		groups = append(groups, reps)
 	}
 	if len(unserved) == 0 {
 		unserved = nil
 	}
-	aux := opts.Reuse.auxiliary(s.G, groups)
+	aux := graph.NewAuxiliary(s.G, groups)
 
 	// Splittable per-item arc flows on the auxiliary graph.
 	flows, method, err := splittableFlows(ctx, aux, active, opts)
@@ -333,7 +308,7 @@ func SolveMMSFPExact(ctx context.Context, s *placement.Spec, pl *placement.Place
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	active := (*Reuse)(nil).baseDemand(s)
+	active := demandSets(s)
 	if len(active) == 0 {
 		return 0, nil
 	}
@@ -451,14 +426,24 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 	return flows, MethodSequential, nil
 }
 
-// sortedSinks returns the sink nodes of a demand map in ascending node
-// order, giving map-backed loops a deterministic iteration sequence.
-func sortedSinks(sinks map[graph.NodeID]float64) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(sinks))
-	for v := range sinks {
-		out = append(out, v)
+// demandSets returns the per-item demand sets of s: every item with
+// positive total rate, its sink map, its sinks in ascending node order and
+// its total.
+func demandSets(s *placement.Spec) []itemDemand {
+	var out []itemDemand
+	for i := 0; i < s.NumItems; i++ {
+		ad := itemDemand{item: i, sinks: map[graph.NodeID]float64{}}
+		for v, rate := range s.Rates[i] {
+			if rate > 0 {
+				ad.sinks[v] = rate
+				ad.sorted = append(ad.sorted, v)
+				ad.total += rate
+			}
+		}
+		if ad.total > 0 {
+			out = append(out, ad)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 

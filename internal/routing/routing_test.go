@@ -244,7 +244,7 @@ func TestRouteRandomizedConsistency(t *testing.T) {
 
 // The engine-backed reach filter must mark exactly the nodes the
 // structural search does — on intact graphs and after link removals,
-// through both a threaded Reuse handle and the nil fallback.
+// through both a threaded engine and the nil fallback.
 func TestEngineReachMatchesStructuralSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 40; trial++ {
@@ -258,15 +258,15 @@ func TestEngineReachMatchesStructuralSearch(t *testing.T) {
 		}
 		roots := []graph.NodeID{rng.Intn(n), rng.Intn(n)}
 		want := reachableFrom(g, roots)
-		reuse := NewReuse()
+		eng := graph.NewEngine()
 		for pass := 0; pass < 2; pass++ { // second pass is all cache hits
-			if got := reuse.Engine().Reach(g, roots); !reflect.DeepEqual(want, got) {
+			if got := eng.Reach(g, roots); !reflect.DeepEqual(want, got) {
 				t.Fatalf("trial %d pass %d: engine reach differs from structural search", trial, pass)
 			}
 		}
-		var nilReuse *Reuse
-		if got := nilReuse.Engine().Reach(g, roots); !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: nil-handle reach differs from structural search", trial)
+		var nilEng *graph.Engine
+		if got := nilEng.Reach(g, roots); !reflect.DeepEqual(want, got) {
+			t.Fatalf("trial %d: nil-engine reach differs from structural search", trial)
 		}
 	}
 }

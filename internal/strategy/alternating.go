@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"jcr/internal/graph"
 	"jcr/internal/lp"
 	"jcr/internal/placement"
 	"jcr/internal/routing"
@@ -30,9 +31,9 @@ const improveTol = 1e-9
 // paper observes convergence within 10 in all evaluated cases).
 //
 // Unless NoSolverReuse is set it carries the per-path LP's warm-start
-// handle and the routing caches across rounds and Decide calls, and with
-// WarmStart it additionally seeds each Decide with the previous plan's
-// placement; a fresh Alternating starts cold. With BestEffort, demand with no reachable
+// handle and the routing's shortest-path tree engine across rounds and
+// Decide calls, and with WarmStart it additionally seeds each Decide with
+// the previous plan's placement; a fresh Alternating starts cold. With BestEffort, demand with no reachable
 // replica is declared in Plan.Unserved instead of failing the solve, and a
 // repair post-pass re-homes content for stranded requesters (see
 // repairStranded). The carried state is not safe for concurrent use; give
@@ -42,7 +43,7 @@ type Alternating struct {
 
 	prev    *placement.Placement
 	perPath *lp.Solver
-	reuse   *routing.Reuse
+	eng     *graph.Engine
 }
 
 // Name implements Strategy.
@@ -62,10 +63,10 @@ func (a *Alternating) Decide(ctx context.Context, inst Instance) (*Plan, Stats, 
 	ropts := a.routing(a.rand())
 	var perPath *lp.Solver
 	if !a.NoSolverReuse {
-		if a.reuse == nil {
-			a.perPath, a.reuse = lp.NewSolver(), routing.NewReuse()
+		if a.eng == nil {
+			a.perPath, a.eng = lp.NewSolver(), graph.NewEngine()
 		}
-		perPath, ropts.Reuse = a.perPath, a.reuse
+		perPath, ropts.Engine = a.perPath, a.eng
 	}
 	pl := a.seed(inst)
 	best, err := routing.Route(ctx, spec, pl, ropts)

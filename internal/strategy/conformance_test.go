@@ -164,6 +164,43 @@ func TestEqualSizeBaselinesOnFileLevel(t *testing.T) {
 	}
 }
 
+// TestKSPServesOriginRequestLocally: a request at the origin itself has one
+// candidate route, the empty path. KSP3 and the ksp strategy must serve it
+// as a local hit at cost 0 beside the remote requests.
+func TestKSPServesOriginRequestLocally(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1, 1, 10)
+	g.AddEdge(1, 2, 1, 10)
+	spec := &placement.Spec{
+		G: g, NumItems: 1, CacheCap: []float64{0, 1, 0}, Pinned: []graph.NodeID{0},
+		Rates: [][]float64{{2, 0, 1}},
+	}
+	local := placement.Request{Item: 0, Node: 0}
+	res, err := placement.KSP3(spec, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := MustNew("ksp", Options{}).Decide(context.Background(), Instance{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*Plan{"KSP3": {Placement: res.Placement, Paths: res.Chosen}, "ksp": plan} {
+		paths := got.Paths
+		if len(paths) != 2 {
+			t.Fatalf("%s: %d serving paths, want 2", name, len(paths))
+		}
+		for _, sp := range paths {
+			if sp.Req == local && (sp.Path.Len() != 0 || sp.Rate != 2) {
+				t.Errorf("%s: origin request served over %v at rate %v, want a local hit at rate 2", name, sp.Path.Arcs, sp.Rate)
+			}
+		}
+		cost, _, _ := placement.EvaluateServing(spec, paths, got.Placement)
+		if cost != 1 { // node 2 from node 1's replica; the local hit is free
+			t.Errorf("%s: cost %v, want 1", name, cost)
+		}
+	}
+}
+
 // TestConformanceRoster pins the registry roster: the paper's algorithms,
 // its Section 6 baselines
 // (sp, ksp, rnr), and the three related-work baselines.

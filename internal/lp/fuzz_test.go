@@ -145,7 +145,9 @@ func agreeOn(p *Problem, got *Solution, gotErr error, ref *Solution, refErr erro
 // verdict disagreement), then re-solves a second data vector on
 // the same skeleton through the Solver that solved the first (warm when the
 // retained basis stays primal feasible) and checks it against a one-shot
-// solve. The seed corpus is drawn from randomLP and its perturbations.
+// solve. Both solves also run through the pivot-trace oracle: the
+// production and the reference kernels must take the same pivots to the
+// same bits. The seed corpus is drawn from randomLP and its perturbations.
 func FuzzLPProblem(f *testing.F) {
 	rng := rand.New(rand.NewSource(31))
 	for k := int64(0); k < 24; k++ {
@@ -166,6 +168,10 @@ func FuzzLPProblem(f *testing.F) {
 		if err := agreeOn(p1, sol, err, dense, denseErr); err != nil {
 			t.Fatalf("sparse vs dense: %v\n%s", err, describeLP(p1))
 		}
+		o := newPivotTraceOracle()
+		if err := o.check(p1); err != nil {
+			t.Fatalf("pivot trace: %v\n%s", err, describeLP(p1))
+		}
 		target := p2
 		if inPlace {
 			p1.sense = p2.sense
@@ -182,6 +188,9 @@ func FuzzLPProblem(f *testing.F) {
 		one, oneErr := target.Solve(nil)
 		if err := agreeOn(target, warm, warmErr, one, oneErr); err != nil {
 			t.Fatalf("warm vs one-shot (in place %v, stats %+v): %v\n%s", inPlace, s.Stats(), err, describeLP(target))
+		}
+		if err := o.check(target); err != nil {
+			t.Fatalf("pivot trace, second solve (in place %v): %v\n%s", inPlace, err, describeLP(target))
 		}
 	})
 }

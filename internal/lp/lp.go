@@ -255,5 +255,5 @@ const (
 // basis factorization degenerates numerically, the solve fails with an
 // error; callers treat it like any other failed solve.
 func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
-	return (*Solver)(nil).coldSolve(ctx, p)
+	return (*Solver)(nil).Solve(ctx, p)
 }

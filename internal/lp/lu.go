@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // errNumeric tags numerical failures of the sparse path (singular or
@@ -29,6 +30,7 @@ type luFactor struct {
 	ux    []float64
 	udiag []float64
 	pinv  []int
+	perm  []int // perm[k] = the original row pivoted at position k (pinv's inverse)
 
 	// Row-major mirrors of both factors, rebuilt after every factorization:
 	// row j's entries of U (columns k > j) and of L (columns k < j), both
@@ -105,6 +107,7 @@ func luFactorize(f *stdForm, basis []int, ws *luScratch, old *luFactor) (*luFact
 			ucp:   make([]int, 1, m+1),
 			udiag: make([]float64, m),
 			pinv:  make([]int, m),
+			perm:  make([]int, m),
 		}
 	} else {
 		lu.lcp = lu.lcp[:1]
@@ -195,6 +198,9 @@ func luFactorize(f *stdForm, basis []int, ws *luScratch, old *luFactor) (*luFact
 	// row is pivoted by now, so the map is total.
 	for p := range lu.li {
 		lu.li[p] = lu.pinv[lu.li[p]]
+	}
+	for i, k := range lu.pinv {
+		lu.perm[k] = i
 	}
 	lu.buildRowMirrors()
 	return lu, nil
@@ -299,79 +305,66 @@ func (lu *luFactor) reach(start int, marked []bool, stack, pstack, topo []int, t
 	return top
 }
 
-// ftran solves B v = b in place: on entry v holds b indexed by constraint
-// row, on exit it holds the solution indexed by basis position. tmp is a
-// caller-provided scratch vector of length m.
-func (lu *luFactor) ftran(v, tmp []float64) {
-	for i := 0; i < lu.m; i++ {
-		tmp[lu.pinv[i]] = v[i]
-	}
-	for j := 0; j < lu.m; j++ { // L solve (unit diagonal)
-		if xj := tmp[j]; xj != 0 {
-			for p := lu.lcp[j]; p < lu.lcp[j+1]; p++ {
-				tmp[lu.li[p]] -= lu.lx[p] * xj
-			}
-		}
-	}
-	for j := lu.m - 1; j >= 0; j-- { // U solve (zero rows skip the division too)
-		xj := tmp[j]
-		if xj == 0 {
-			continue
-		}
-		xj /= lu.udiag[j]
-		tmp[j] = xj
-		for p := lu.ucp[j]; p < lu.ucp[j+1]; p++ {
-			tmp[lu.ui[p]] -= lu.ux[p] * xj
-		}
-	}
-	copy(v, tmp)
+// hvec is a length-m work vector that carries its nonzero pattern: nz lists
+// in ascending order every position that may hold a nonzero (an exact zero
+// left by cancellation may stay listed), and every unlisted position holds
+// +0. A dense vector keeps no list, and any position may be nonzero. Every
+// pass over an hvec walks its list, or 0..m-1 when dense; both visit the
+// nonzeros in the same ascending order, so a kernel's arithmetic does not
+// depend on which one it got.
+type hvec struct {
+	x     []float64
+	nz    []int
+	dense bool
 }
 
-// btran solves B' y = c in place: on entry v holds c indexed by basis
-// position, on exit it holds y indexed by constraint row. tmp is scratch of
-// length m. Both triangular solves run in scatter form over the row-major
-// mirrors: a finished solution entry pushes its contribution into the rows
-// that reference it, so an entry that is exactly zero — the common case for
-// the unit right-hand sides of pivot-row pricing — costs one compare and no
-// memory traffic, making the work proportional to the solution's support
-// instead of nnz(L)+nnz(U).
-func (lu *luFactor) btran(v, tmp []float64) {
-	m := lu.m
-	copy(tmp, v[:m])
-	for j := 0; j < m; j++ { // U' solve, forward scatter (row j feeds k > j)
-		xj := tmp[j]
-		if xj == 0 {
-			continue
-		}
-		xj /= lu.udiag[j]
-		tmp[j] = xj
-		for p := lu.urp[j]; p < lu.urp[j+1]; p++ {
-			tmp[lu.urc[p]] -= lu.urx[p] * xj
+func newHvec(m int) hvec {
+	return hvec{x: make([]float64, m), nz: make([]int, 0, m)}
+}
+
+// index returns the positions a pass over v visits: its pattern, or all
+// (the list 0..m-1) when v is dense.
+func (v *hvec) index(all []int) []int {
+	if v.dense {
+		return all
+	}
+	return v.nz
+}
+
+// clear zeroes v and empties its pattern.
+func (v *hvec) clear() {
+	if v.dense {
+		clear(v.x)
+	} else {
+		for _, i := range v.nz {
+			v.x[i] = 0
 		}
 	}
-	for j := m - 1; j >= 0; j-- { // L' solve, backward scatter (row j feeds k < j)
-		xj := tmp[j]
-		if xj == 0 {
-			continue
-		}
-		for p := lu.lrp[j]; p < lu.lrp[j+1]; p++ {
-			tmp[lu.lrc[p]] -= lu.lrx[p] * xj
-		}
-	}
-	for i := 0; i < m; i++ {
-		v[i] = tmp[lu.pinv[i]]
+	v.nz = v.nz[:0]
+	v.dense = false
+}
+
+// setPattern records list as v's pattern; a list naming all m positions
+// makes v dense.
+func (v *hvec) setPattern(list []int, m int) {
+	v.nz = v.nz[:0]
+	v.dense = len(list) == m
+	if !v.dense {
+		v.nz = append(v.nz, list...)
 	}
 }
 
 // eta is one product-form basis update: replacing the variable at basis
 // position r with an entering column whose FTRAN direction was d turns the
 // basis B into B·E, where E is the identity with column r set to d. Only the
-// nonzero off-pivot entries of d are stored.
+// nonzero off-pivot entries of d are stored, in the basisLU's eta arena at
+// [from, to), ascending by position. prevPiv is the newest older eta with
+// the same pivot position r, or -1.
 type eta struct {
-	r   int
-	dr  float64
-	idx []int
-	val []float64
+	r        int
+	dr       float64
+	from, to int
+	prevPiv  int
 }
 
 // basisLU is the working basis representation of the revised simplex: an LU
@@ -382,18 +375,46 @@ type eta struct {
 // (a Forrest–Tomlin-style stability trigger) or because the eta file has
 // outgrown the LU enough that replaying it costs more than refactorizing
 // (a work trigger).
+//
+// Its solves are hypersparse (Hall & McKinnon): they take and return an
+// hvec, and a triangular solve whose right-hand side is short walks only
+// the positions its symbolic reach names, sorted into the order the dense
+// loop would visit them, so every entry receives its updates in the dense
+// loop's order and the result is bit-for-bit the dense one. A reach past
+// the density cut runs the dense loop instead.
 type basisLU struct {
 	lu   *luFactor
 	etas []eta
-	tmp  []float64
 	ws   luScratch
 
-	// Capture scratch of update: the direction's nonzeros are gathered here
-	// in the same pass that measures stability, then the buffers are swapped
-	// into the appended eta (the eta's previous buffers become the next
-	// scratch), so a capture is one sweep over d and zero copies.
-	scrIdx []int
-	scrVal []float64
+	// The eta arena: every eta's off-pivot entries, appended in file order
+	// and truncated by refactor, so steady-state pivoting reuses its
+	// capacity instead of allocating per update. The file is also linked
+	// by position, newest first, for the sparse BTRAN: posHead[i] is the
+	// newest arena entry at position i and etaNext[p] the next older one
+	// (-1 ends a chain), etaOwner[p] the eta holding entry p; pivHead[i]
+	// is the newest eta pivoting at i. act flags the etas a sparse BTRAN
+	// must apply; it is all false between solves.
+	etaIdx   []int
+	etaVal   []float64
+	etaNext  []int
+	etaOwner []int
+	posHead  []int
+	pivHead  []int
+	act      []bool
+
+	// Solve workspace, all of length m. tmp holds +0 everywhere between
+	// solves. all is 0..m-1, the visiting list of a dense pass. stamp and
+	// epoch mark set membership in O(1) without clearing; seeds, setA and
+	// setB hold reach lists.
+	tmp   []float64
+	all   []int
+	stamp []int64
+	epoch int64
+	seeds []int
+	setA  []int
+	setB  []int
+	cut   int // reach size above which a triangular solve runs dense
 
 	fileNNZ int // off-pivot nonzeros currently in the eta file
 
@@ -416,10 +437,32 @@ const (
 	// maxEtas hard-caps the eta file against pathological cases where the
 	// work trigger never fires (e.g. an extremely dense LU).
 	maxEtas = 512
+	// hyperDenom sets the density cut of the triangular solves at m /
+	// hyperDenom positions: past it the sorted reach costs more than the
+	// dense sweep it replaces (Hall & McKinnon switch near 10%).
+	hyperDenom = 10
 )
 
 func newBasisLU(f *stdForm, basis []int) (*basisLU, error) {
-	b := &basisLU{tmp: make([]float64, f.m)}
+	m := f.m
+	b := &basisLU{
+		tmp:   make([]float64, m),
+		all:   make([]int, m),
+		stamp: make([]int64, m),
+		seeds: make([]int, 0, m),
+		setA:  make([]int, 0, m),
+		setB:  make([]int, 0, m),
+		cut:   m / hyperDenom,
+
+		posHead: make([]int, m),
+		pivHead: make([]int, m),
+		act:     make([]bool, maxEtas),
+	}
+	for i := range b.all {
+		b.all[i] = i
+		b.posHead[i] = -1
+		b.pivHead[i] = -1
+	}
 	lu, err := luFactorize(f, basis, &b.ws, nil)
 	if err != nil {
 		return nil, err
@@ -430,18 +473,25 @@ func newBasisLU(f *stdForm, basis []int) (*basisLU, error) {
 }
 
 // refactor rebuilds the LU from the current basis and drops the eta file.
-// The rebuild recycles the retired factor's storage, and the truncation
-// keeps the retired etas (and their idx/val backing arrays) live in the
-// slice's capacity so update can recycle them. On factorization failure the
-// retained lu is left invalid — every caller abandons the basis on that
-// path (a warm solve for a cold one, a cold solve with the error).
+// The rebuild recycles the retired factor's storage and the truncation
+// keeps the eta arena's capacity. On factorization failure the retained lu
+// is left invalid — every caller abandons the basis on that path (a warm
+// solve for a cold one, a cold solve with the error).
 func (b *basisLU) refactor(f *stdForm, basis []int) error {
 	lu, err := luFactorize(f, basis, &b.ws, b.lu)
 	if err != nil {
 		return err
 	}
 	b.lu = lu
+	for _, i := range b.etaIdx {
+		b.posHead[i] = -1
+	}
+	for _, e := range b.etas {
+		b.pivHead[e.r] = -1
+	}
 	b.etas = b.etas[:0]
+	b.etaIdx = b.etaIdx[:0]
+	b.etaVal = b.etaVal[:0]
 	b.fileNNZ = 0
 	b.refactors++
 	return nil
@@ -459,87 +509,329 @@ func (b *basisLU) luNNZ() int {
 // later FTRAN/BTRAN, so the exchange is realized by refactorizing from the
 // already-updated basis array instead) or the eta file has outgrown its work
 // budget. The ratio test guarantees |d[r]| is nonzero, but not that it is
-// large. Storage is pooled two ways: the direction's nonzeros are gathered
-// into a persistent scratch in the same pass that measures stability, and on
-// append the scratch buffers are swapped into the eta slot (retired slots
-// donate their buffers back), so steady-state pivoting neither allocates nor
-// copies.
+// large. The capture walks d's pattern, gathering the nonzeros straight into
+// the eta arena while it measures stability.
 //
 //jcr:hotpath
-func (b *basisLU) update(r int, d []float64) (needRefactor bool) {
-	if cap(b.scrIdx) < len(d) {
-		b.scrIdx = make([]int, len(d))
-		b.scrVal = make([]float64, len(d))
-	}
-	idx, val := b.scrIdx[:len(d)], b.scrVal[:len(d)]
-	nnz := 0
+func (b *basisLU) update(r int, d *hvec) (needRefactor bool) {
+	list := d.index(b.all)
+	from := len(b.etaIdx)
+	idx := growInts(b.etaIdx, from+len(list))[:from+len(list)]
+	val := growFloats(b.etaVal, from+len(list))[:from+len(list)]
+	to := from
 	dmax := 0.0
-	for i, v := range d {
-		if v != 0 {
+	for _, i := range list {
+		if v := d.x[i]; v != 0 {
 			if a := math.Abs(v); a > dmax {
 				dmax = a
 			}
 			if i != r {
-				idx[nnz] = i
-				val[nnz] = v
-				nnz++
+				idx[to] = i
+				val[to] = v
+				to++
 			}
 		}
 	}
-	if math.Abs(d[r]) <= ftStabTol*dmax {
+	nnz := to - from
+	if math.Abs(d.x[r]) <= ftStabTol*dmax {
 		return true // stability trigger: rebuild instead of appending
 	}
 	if len(b.etas) >= maxEtas ||
 		float64(b.fileNNZ+nnz) > etaWorkBudget*float64(b.luNNZ()) {
 		return true // work trigger: replaying the file beats its budget
 	}
-	var e eta
-	if n := len(b.etas); n < cap(b.etas) {
-		b.etas = b.etas[:n+1]
-		e = b.etas[n] // recycled slot: donates its buffers to the scratch
-	} else {
-		b.etas = append(b.etas, eta{})
+	t := len(b.etas)
+	b.etaIdx, b.etaVal = idx[:to], val[:to]
+	b.etaNext = growInts(b.etaNext, to)[:to]
+	b.etaOwner = growInts(b.etaOwner, to)[:to]
+	for p := from; p < to; p++ {
+		i := idx[p]
+		b.etaNext[p] = b.posHead[i]
+		b.posHead[i] = p
+		b.etaOwner[p] = t
 	}
-	e.r, e.dr = r, d[r]
-	e.idx, b.scrIdx = b.scrIdx[:nnz], e.idx
-	e.val, b.scrVal = b.scrVal[:nnz], e.val
-	b.etas[len(b.etas)-1] = e
+	//jcrlint:allow hot-alloc: amortized growth, the eta file is capped at maxEtas entries and truncated (capacity kept) by refactor
+	b.etas = append(b.etas, eta{r: r, dr: d.x[r], from: from, to: to, prevPiv: b.pivHead[r]})
+	b.pivHead[r] = t
 	b.fileNNZ += nnz
 	b.updates++
 	b.updateNNZ += int64(nnz)
 	return false
 }
 
-// ftran solves B v = b for the current basis (LU plus eta updates, applied
-// oldest first). An eta whose pivot entry of v is exactly zero is a no-op
-// (its scatter would subtract exact zeros) and is skipped, which matters for
-// the sparse directions of entering-column FTRANs.
-func (b *basisLU) ftran(v []float64) {
-	b.lu.ftran(v, b.tmp)
+// growInts returns s with capacity for at least n entries, keeping its
+// contents; growth doubles, so a steady-state arena stops allocating.
+func growInts(s []int, n int) []int {
+	if n <= cap(s) {
+		return s
+	}
+	g := make([]int, len(s), max(n, 2*cap(s)))
+	copy(g, s)
+	return g
+}
+
+// growFloats is growInts for float64 slices.
+func growFloats(s []float64, n int) []float64 {
+	if n <= cap(s) {
+		return s
+	}
+	g := make([]float64, len(s), max(n, 2*cap(s)))
+	copy(g, s)
+	return g
+}
+
+// activate flags for the sparse BTRAN every eta older than below whose
+// transpose reads position i: those storing an entry at i and those
+// pivoting at i.
+func (b *basisLU) activate(i, below int) {
+	for p := b.posHead[i]; p >= 0; p = b.etaNext[p] {
+		if t := b.etaOwner[p]; t < below {
+			b.act[t] = true
+		}
+	}
+	for t := b.pivHead[i]; t >= 0; t = b.etas[t].prevPiv {
+		if t < below {
+			b.act[t] = true
+		}
+	}
+}
+
+// mark starts a new membership epoch and marks the positions of list.
+func (b *basisLU) mark(list []int) int64 {
+	b.epoch++
+	for _, i := range list {
+		b.stamp[i] = b.epoch
+	}
+	return b.epoch
+}
+
+// visit returns the ascending positions a triangular solve over the graph
+// (ptr, adj) — position j feeds adj[ptr[j]:ptr[j+1]] — must visit when the
+// right-hand side is nonzero only at seeds: the symbolic reach of seeds,
+// sorted into out. It returns all, the dense pass, when seeds already covers
+// every position or the reach outgrows the density cut.
+//
+//jcr:hotpath
+func (b *basisLU) visit(ptr, adj, seeds, out []int) []int {
+	if len(seeds) == len(b.all) || len(seeds) > b.cut {
+		return b.all
+	}
+	ep := b.mark(nil)
+	out = out[:len(b.all)]
+	n := 0
+	for _, s := range seeds {
+		if b.stamp[s] != ep {
+			b.stamp[s] = ep
+			out[n] = s
+			n++
+		}
+	}
+	for q := 0; q < n; q++ {
+		j := out[q]
+		for p := ptr[j]; p < ptr[j+1]; p++ {
+			if i := adj[p]; b.stamp[i] != ep {
+				if n == b.cut {
+					return b.all
+				}
+				b.stamp[i] = ep
+				out[n] = i
+				n++
+			}
+		}
+	}
+	out = out[:n]
+	slices.Sort(out)
+	return out
+}
+
+// ftran solves B v = b in place: on entry v holds b indexed by constraint
+// row, on exit the solution indexed by basis position, with its pattern.
+// The LU solves run first (L ascending, U descending, in pivot order), then
+// the eta file oldest first; an eta whose pivot entry is exactly zero is a
+// no-op (its scatter would subtract exact zeros) and is skipped.
+//
+//jcr:hotpath
+func (b *basisLU) ftran(v *hvec) {
+	lu, tmp := b.lu, b.tmp
+	seeds := b.all
+	if v.dense {
+		for i, k := range lu.pinv {
+			tmp[k] = v.x[i]
+		}
+	} else {
+		seeds = b.seeds[:len(v.nz)]
+		for t, i := range v.nz {
+			k := lu.pinv[i]
+			tmp[k] = v.x[i]
+			v.x[i] = 0
+			seeds[t] = k
+		}
+	}
+	lset := b.visit(lu.lcp, lu.li, seeds, b.setA)
+	for _, j := range lset { // L solve (unit diagonal)
+		if xj := tmp[j]; xj != 0 {
+			for p := lu.lcp[j]; p < lu.lcp[j+1]; p++ {
+				tmp[lu.li[p]] -= lu.lx[p] * xj
+			}
+		}
+	}
+	uset := b.visit(lu.ucp, lu.ui, lset, b.setB)
+	for t := len(uset) - 1; t >= 0; t-- { // U solve (zero rows skip the division too)
+		j := uset[t]
+		xj := tmp[j]
+		if xj == 0 {
+			continue
+		}
+		xj /= lu.udiag[j]
+		tmp[j] = xj
+		for p := lu.ucp[j]; p < lu.ucp[j+1]; p++ {
+			tmp[lu.ui[p]] -= lu.ux[p] * xj
+		}
+	}
+	for _, k := range uset {
+		v.x[k] = tmp[k]
+		tmp[k] = 0
+	}
+	v.setPattern(uset, len(b.all))
+	if v.dense {
+		for t := range b.etas {
+			e := &b.etas[t]
+			xr := v.x[e.r]
+			if xr == 0 {
+				continue
+			}
+			xr /= e.dr
+			for p := e.from; p < e.to; p++ {
+				v.x[b.etaIdx[p]] -= b.etaVal[p] * xr
+			}
+			v.x[e.r] = xr
+		}
+		return
+	}
+	ep := b.mark(v.nz)
+	sorted := true
 	for t := range b.etas {
 		e := &b.etas[t]
-		xr := v[e.r]
+		xr := v.x[e.r]
 		if xr == 0 {
 			continue
 		}
 		xr /= e.dr
-		for k, i := range e.idx {
-			v[i] -= e.val[k] * xr
+		for p := e.from; p < e.to; p++ {
+			i := b.etaIdx[p]
+			v.x[i] -= b.etaVal[p] * xr
+			if b.stamp[i] != ep {
+				b.stamp[i] = ep
+				//jcrlint:allow hot-alloc: v.nz has capacity m and holds each position at most once, so this append never grows the backing array
+				v.nz = append(v.nz, i)
+				sorted = false
+			}
 		}
-		v[e.r] = xr
+		v.x[e.r] = xr
+	}
+	if !sorted {
+		slices.Sort(v.nz)
 	}
 }
 
-// btran solves B' y = c for the current basis (eta transposes newest first,
-// then the LU).
-func (b *basisLU) btran(v []float64) {
-	for t := len(b.etas) - 1; t >= 0; t-- {
-		e := &b.etas[t]
-		s := v[e.r]
-		for k, i := range e.idx {
-			s -= e.val[k] * v[i]
+// btran solves B' y = c in place: on entry v holds c indexed by basis
+// position, on exit y indexed by constraint row, with its pattern. The eta
+// transposes run newest first, then the LU: both triangular solves run in
+// scatter form over the row-major mirrors (U' ascending, L' descending), so
+// an entry that is exactly zero costs one compare and no memory traffic.
+// On a sparse v an eta transpose whose result is an exact zero at an
+// unlisted position is not written, leaving +0 where the dense loop would
+// store a signed zero; every nonzero comes out bit-for-bit the same.
+//
+//jcr:hotpath
+func (b *basisLU) btran(v *hvec) {
+	if v.dense {
+		for t := len(b.etas) - 1; t >= 0; t-- {
+			e := &b.etas[t]
+			s := v.x[e.r]
+			for p := e.from; p < e.to; p++ {
+				s -= b.etaVal[p] * v.x[b.etaIdx[p]]
+			}
+			v.x[e.r] = s / e.dr
 		}
-		v[e.r] = s / e.dr
+	} else if len(b.etas) > 0 {
+		// Only an eta whose transpose reads a listed position can change
+		// v; activate walks the position chains to flag those, and each
+		// position a transpose adds to the list flags the older ones.
+		ep := b.mark(v.nz)
+		for _, i := range v.nz {
+			b.activate(i, len(b.etas))
+		}
+		for t := len(b.etas) - 1; t >= 0; t-- {
+			if !b.act[t] {
+				continue
+			}
+			b.act[t] = false
+			e := &b.etas[t]
+			s := v.x[e.r]
+			for p := e.from; p < e.to; p++ {
+				s -= b.etaVal[p] * v.x[b.etaIdx[p]]
+			}
+			if b.stamp[e.r] != ep {
+				if s == 0 {
+					continue
+				}
+				b.stamp[e.r] = ep
+				//jcrlint:allow hot-alloc: v.nz has capacity m and holds each position at most once, so this append never grows the backing array
+				v.nz = append(v.nz, e.r)
+				b.activate(e.r, t)
+			}
+			v.x[e.r] = s / e.dr
+		}
 	}
-	b.lu.btran(v, b.tmp)
+	lu, tmp := b.lu, b.tmp
+	seeds := b.all
+	if v.dense {
+		copy(tmp, v.x)
+	} else {
+		seeds = v.nz
+		for _, k := range seeds {
+			tmp[k] = v.x[k]
+			v.x[k] = 0
+		}
+	}
+	uset := b.visit(lu.urp, lu.urc, seeds, b.setA)
+	for _, j := range uset { // U' solve, forward scatter (row j feeds k > j)
+		xj := tmp[j]
+		if xj == 0 {
+			continue
+		}
+		xj /= lu.udiag[j]
+		tmp[j] = xj
+		for p := lu.urp[j]; p < lu.urp[j+1]; p++ {
+			tmp[lu.urc[p]] -= lu.urx[p] * xj
+		}
+	}
+	lset := b.visit(lu.lrp, lu.lrc, uset, b.setB)
+	for t := len(lset) - 1; t >= 0; t-- { // L' solve, backward scatter (row j feeds k < j)
+		j := lset[t]
+		xj := tmp[j]
+		if xj == 0 {
+			continue
+		}
+		for p := lu.lrp[j]; p < lu.lrp[j+1]; p++ {
+			tmp[lu.lrc[p]] -= lu.lrx[p] * xj
+		}
+	}
+	if len(lset) == len(b.all) {
+		for i, k := range lu.pinv {
+			v.x[i] = tmp[k]
+		}
+		clear(tmp)
+		v.setPattern(b.all, len(b.all))
+		return
+	}
+	v.nz = v.nz[:len(lset)]
+	for t, k := range lset {
+		i := lu.perm[k]
+		v.x[i] = tmp[k]
+		tmp[k] = 0
+		v.nz[t] = i
+	}
+	slices.Sort(v.nz)
 }

@@ -12,8 +12,13 @@ import (
 // B^-1 A matrix. Pricing is devex with partial (sectioned) scanning over an
 // incrementally maintained reduced-cost vector z: an exchange updates z and
 // the devex reference weights from the pivot row (one BTRAN plus sparse
-// column dot products), so choosing the next entering column is a cheap
-// scan rather than a full pricing pass. Optimality is never declared from
+// column dot products), and per-block best candidates over the devex
+// scores (pricing) answer each section's argmax, so choosing the next entering
+// column rescores only the columns that moved since the last choice. The pivot
+// direction d and the pivot row rho carry their nonzero patterns (hvec),
+// so every per-pivot pass — the solves, the ratio test, the beta update,
+// the eta capture and the pivot-row gather — costs the nonzeros it
+// touches. Optimality is never declared from
 // the incremental z alone — the loop recomputes z from the duals and
 // rescans once before returning, so accumulated drift cannot terminate a
 // solve early. Bland's rule (full scan over fresh z, lowest index) remains
@@ -31,11 +36,12 @@ type revised struct {
 	frozen []bool    // columns barred from entering
 	c      []float64 // current phase cost vector, len n
 	y      []float64 // dual workspace (BTRAN result), len m
-	d      []float64 // pivot direction workspace (FTRAN result), len m
+	d      hvec      // pivot direction workspace (FTRAN result), len m
 
-	z   []float64 // reduced costs, incrementally maintained, len n
-	w   []float64 // devex reference weights, len n
-	rho []float64 // pivot-row BTRAN workspace, len m
+	z     []float64 // reduced costs, incrementally maintained, len n
+	w     []float64 // devex reference weights, len n
+	rho   hvec      // pivot-row BTRAN workspace, len m
+	price pricing   // devex scores of z and w, refreshed block by block
 
 	// Sparse pivot-row gather state (priceRow): alpha holds rho . A_j for
 	// the columns named by alphaTouched; alphaStamp/alphaEpoch implement
@@ -85,10 +91,11 @@ func newRevised(p *Problem) *revised {
 		frozen: make([]bool, f.n),
 		c:      make([]float64, f.n),
 		y:      make([]float64, f.m),
-		d:      make([]float64, f.m),
+		d:      newHvec(f.m),
 		z:      make([]float64, f.n),
 		w:      make([]float64, f.n),
-		rho:    make([]float64, f.m),
+		rho:    newHvec(f.m),
+		price:  newPricing(f.n),
 	}
 	for j := range r.inRow {
 		r.inRow[j] = -1
@@ -216,6 +223,7 @@ func (r *revised) resetDevex() {
 		r.w[j] = 1
 	}
 	r.wMax = 1
+	r.price.invalidate()
 }
 
 // computeZ recomputes the duals y = B^-T c_B and every nonbasic reduced
@@ -226,7 +234,8 @@ func (r *revised) computeZ() {
 	for i := 0; i < r.f.m; i++ {
 		r.y[i] = r.c[r.basis[i]]
 	}
-	r.b.btran(r.y)
+	y := hvec{x: r.y, dense: true}
+	r.b.btran(&y)
 	for j := 0; j < r.f.n; j++ {
 		if r.inRow[j] >= 0 {
 			r.z[j] = 0
@@ -235,6 +244,27 @@ func (r *revised) computeZ() {
 		r.z[j] = r.c[j] - r.f.dotCol(j, r.y)
 	}
 	r.zOK = true
+	r.price.invalidate()
+}
+
+// devexScore is column j's devex pricing score: s^2/w_j when the column may
+// enter and moving it off its bound improves the objective at rate s >
+// costTol, else 0 (not a candidate).
+func (r *revised) devexScore(j int) float64 {
+	if r.inRow[j] >= 0 || r.frozen[j] || r.f.ub[j] == 0 {
+		return 0
+	}
+	z := r.z[j]
+	var s float64
+	if !r.atUp[j] {
+		s = -z // increasing x_j improves if z_j < 0
+	} else {
+		s = z // decreasing x_j improves if z_j > 0
+	}
+	if s > costTol {
+		return s * s / r.w[j]
+	}
+	return 0
 }
 
 // iterate runs revised-simplex pivots until optimality for the current cost
@@ -276,9 +306,9 @@ func (r *revised) iterate() error {
 func (r *revised) pivotLimit() int { return 200*(r.f.m+r.f.n) + 20000 }
 
 // priceRow gathers the pivot-row alphas alpha_j = rho . A_j for every
-// column holding a nonzero in some row where rho is nonzero, walking the
-// row-major mirror — O(nnz of the touched rows) against the dense sweep's
-// O(nnz of the whole matrix). The returned list names the touched columns
+// column holding a nonzero in some row where rho is nonzero, walking rho's
+// pattern and the row-major mirror — O(nnz of the touched rows) against the
+// dense sweep's O(nnz of the whole matrix). The returned list names the touched columns
 // (every other column's alpha is an exact zero and owes no update); values
 // land in r.alpha. Rows are visited in ascending order, so each alpha
 // accumulates in exactly dotCol's term order and the gather is bit-for-bit
@@ -302,9 +332,10 @@ func (r *revised) priceRow() (touched []int, dense bool) {
 		r.alphaStamp = make([]int64, f.n)
 		r.alphaTouched = make([]int, 0, f.n)
 	}
+	rows := r.rho.index(r.b.all)
 	work := 0
-	for i := 0; i < f.m; i++ {
-		if r.rho[i] != 0 {
+	for _, i := range rows {
+		if r.rho.x[i] != 0 {
 			work += f.rowPtr[i+1] - f.rowPtr[i]
 		}
 	}
@@ -314,8 +345,8 @@ func (r *revised) priceRow() (touched []int, dense bool) {
 	r.alphaEpoch++
 	ep := r.alphaEpoch
 	touched = r.alphaTouched[:0]
-	for i := 0; i < f.m; i++ {
-		ri := r.rho[i]
+	for _, i := range rows {
+		ri := r.rho.x[i]
 		if ri == 0 {
 			continue
 		}
@@ -340,15 +371,15 @@ func (r *revised) priceRow() (touched []int, dense bool) {
 // workloads; the crossover is flat enough that a small integer serves.
 const priceRowPenalty = 3
 
-// chooseEntering scans the maintained reduced costs for an improving
-// nonbasic column, or -1 at (tentative) optimality. The default rule is
-// devex: among candidates in the current pricing section, the largest
-// z_j^2 / w_j wins, where w_j is the column's devex reference weight. The
-// scan is partial — sections of the column range are examined round-robin
-// from a persistent cursor, stopping at the first section that yields any
-// candidate — so an iteration prices a fraction of the columns in the
-// common case. Under Bland's rule the lowest-index eligible column wins
-// (full scan; the caller guarantees z is fresh).
+// chooseEntering returns an improving nonbasic column, or -1 at
+// (tentative) optimality. The default rule is devex: among candidates in the
+// current pricing section, the largest z_j^2 / w_j wins, where w_j is the
+// column's devex reference weight, and the first column in scan order wins
+// ties. Pricing is partial — sections of the column range are examined
+// round-robin from a persistent cursor, stopping at the first section that
+// yields any candidate — and each section's best candidate comes from the
+// maintained per-block bests (pricing). Under Bland's rule the lowest-index eligible
+// column wins (full scan; the caller guarantees z is fresh).
 //
 //jcr:hotpath
 func (r *revised) chooseEntering(bland bool) int {
@@ -368,57 +399,35 @@ func (r *revised) chooseEntering(bland bool) int {
 	if r.wMax > devexResetW {
 		r.resetDevex()
 	}
-	// Section size trades pricing cost against pivot quality: tiny
-	// sections pick myopically and inflate the pivot count, full scans
-	// price every column every iteration. A 1024-column floor makes
-	// small and mid-size instances (placement- and per-path-shaped LPs)
-	// effectively fully priced while the largest instances still scan
-	// n/8 at a time; both ends measured faster than 64/256/full-scan
-	// alternatives on the LP row benchmarks (internal/lp bench_test.go).
+	// Section size trades pivot quality against the work per iteration:
+	// tiny sections pick myopically and inflate the pivot count. A
+	// 1024-column floor makes small and mid-size instances (placement-
+	// and per-path-shaped LPs) effectively fully priced while the largest
+	// instances still take the best of n/8 at a time; both ends measured
+	// fewer pivots than 64/256/full-range alternatives on the LP row
+	// benchmarks (internal/lp bench_test.go).
 	sec := n / 8
 	if sec < 1024 {
 		sec = 1024
 	}
-	best := -1
-	bestScore := 0.0
 	j := r.scanFrom
 	if j >= n {
 		j = 0
 	}
 	for scanned := 0; scanned < n; {
-		secEnd := scanned + sec
-		if secEnd > n {
-			secEnd = n
-		}
-		for ; scanned < secEnd; scanned++ {
-			col := j
-			j++
-			if j == n {
-				j = 0
-			}
-			if r.inRow[col] >= 0 || r.frozen[col] || r.f.ub[col] == 0 {
-				continue
-			}
-			z := r.z[col]
-			var s float64
-			if !r.atUp[col] {
-				s = -z // increasing x_col improves if z_col < 0
-			} else {
-				s = z // decreasing x_col improves if z_col > 0
-			}
-			if s > costTol {
-				if sc := s * s / r.w[col]; sc > bestScore {
-					bestScore = sc
-					best = col
-				}
-			}
+		l := min(sec, n-scanned)
+		best := r.bestCyclic(j, l)
+		scanned += l
+		if j += l; j >= n {
+			j -= n
 		}
 		if best >= 0 {
-			break
+			r.scanFrom = j
+			return int(best)
 		}
 	}
 	r.scanFrom = j
-	return best
+	return -1
 }
 
 // pivot moves the entering column e as far as the ratio test allows,
@@ -427,11 +436,11 @@ func (r *revised) chooseEntering(bland bool) int {
 //
 //jcr:hotpath
 func (r *revised) pivot(e int, bland bool) error {
-	for i := range r.d {
-		r.d[i] = 0
-	}
-	r.f.scatterCol(e, r.d)
-	r.b.ftran(r.d)
+	d := &r.d
+	d.clear()
+	r.f.scatterCol(e, d)
+	r.b.ftran(d)
+	rows := d.index(r.b.all)
 	// sigma = +1 when the entering variable increases from its lower
 	// bound, -1 when it decreases from its upper bound.
 	sigma := 1.0
@@ -441,8 +450,8 @@ func (r *revised) pivot(e int, bland bool) error {
 	tMax := r.f.ub[e] // bound-flip limit (possibly +Inf)
 	leave := -1
 	leaveAtUpper := false
-	for i := 0; i < r.f.m; i++ {
-		delta := -sigma * r.d[i] // change of basic value per unit step
+	for _, i := range rows {
+		delta := -sigma * d.x[i] // change of basic value per unit step
 		var lim float64
 		var hitsUpper bool
 		switch {
@@ -484,15 +493,19 @@ func (r *revised) pivot(e int, bland bool) error {
 		r.degenerate = 0
 	}
 	if tMax > 0 {
-		for i := 0; i < r.f.m; i++ {
-			r.beta[i] += -sigma * r.d[i] * tMax
+		// Unlisted rows have d_i = +0; the dense loop's update there
+		// only changes the sign of a zero beta_i.
+		for _, i := range rows {
+			r.beta[i] += -sigma * d.x[i] * tMax
 		}
 	}
 	if leave < 0 {
 		// Pure bound flip of the entering variable: no basis change, so
-		// the reduced costs and devex weights are untouched.
+		// the reduced costs and devex weights are untouched and only
+		// column e's score moves.
 		r.atUp[e] = !r.atUp[e]
 		r.boundFlips++
+		r.price.touch(e)
 		return nil
 	}
 	enterVal := tMax
@@ -511,8 +524,8 @@ func (r *revised) pivot(e int, bland bool) error {
 	// the factorization still represents the pre-exchange basis, then fold
 	// the exchange in (refactorizing if the update reports instability or
 	// an over-budget eta file).
-	r.updateDualsForExchange(e, lv, leave, r.d[leave])
-	if r.b.update(leave, r.d) {
+	r.updateDualsForExchange(e, lv, leave, d.x[leave])
+	if r.b.update(leave, d) {
 		return r.refactor()
 	}
 	return nil
@@ -528,45 +541,25 @@ func (r *revised) pivot(e int, bland bool) error {
 //
 //jcr:hotpath
 func (r *revised) updateDualsForExchange(e, lv, leave int, ae float64) {
-	for i := range r.rho {
-		r.rho[i] = 0
-	}
-	r.rho[leave] = 1
-	r.b.btran(r.rho)
+	rho := &r.rho
+	rho.clear()
+	rho.x[leave] = 1
+	rho.setPattern(r.b.all[leave:leave+1], r.f.m)
+	r.b.btran(rho)
 	theta := r.z[e] / ae
 	scale := r.w[e] / (ae * ae)
 	if touched, dn := r.priceRow(); dn {
 		for j := 0; j < r.f.n; j++ {
-			if r.inRow[j] >= 0 {
-				continue
-			}
-			a := r.f.dotCol(j, r.rho)
-			if a == 0 {
-				continue
-			}
-			r.z[j] -= theta * a
-			if g := a * a * scale; g > r.w[j] {
-				r.w[j] = g
-				if g > r.wMax {
-					r.wMax = g
+			if r.inRow[j] < 0 {
+				if a := r.f.dotCol(j, rho.x); a != 0 {
+					r.shiftDual(j, a, theta, scale)
 				}
 			}
 		}
 	} else {
 		for _, j := range touched {
-			if r.inRow[j] >= 0 {
-				continue
-			}
-			a := r.alpha[j]
-			if a == 0 {
-				continue
-			}
-			r.z[j] -= theta * a
-			if g := a * a * scale; g > r.w[j] {
-				r.w[j] = g
-				if g > r.wMax {
-					r.wMax = g
-				}
+			if r.inRow[j] < 0 && r.alpha[j] != 0 {
+				r.shiftDual(j, r.alpha[j], theta, scale)
 			}
 		}
 	}
@@ -577,6 +570,21 @@ func (r *revised) updateDualsForExchange(e, lv, leave int, ae float64) {
 		r.w[lv] = 1
 	}
 	r.zOK = false
+	r.price.touch(e)
+	r.price.touch(lv)
+}
+
+// shiftDual applies one pivot-row entry alpha_j = a to nonbasic column j:
+// z_j -= theta * a and the devex weight update w_j = max(w_j, a^2 * scale).
+func (r *revised) shiftDual(j int, a, theta, scale float64) {
+	r.z[j] -= theta * a
+	if g := a * a * scale; g > r.w[j] {
+		r.w[j] = g
+		if g > r.wMax {
+			r.wMax = g
+		}
+	}
+	r.price.touch(j)
 }
 
 // tieBreak decides whether candidate row i should replace the current
@@ -586,7 +594,7 @@ func (r *revised) tieBreak(bland bool, i, cur int) bool {
 	if bland {
 		return r.basis[i] < r.basis[cur]
 	}
-	return math.Abs(r.d[i]) > math.Abs(r.d[cur])
+	return math.Abs(r.d.x[i]) > math.Abs(r.d.x[cur])
 }
 
 // refactor rebuilds the LU from the current basis and recomputes beta,
@@ -614,7 +622,8 @@ func (r *revised) recomputeBeta() {
 			}
 		}
 	}
-	r.b.ftran(r.beta)
+	beta := hvec{x: r.beta, dense: true}
+	r.b.ftran(&beta)
 }
 
 // extract recovers the structural solution in original (unshifted)

@@ -99,6 +99,11 @@ func (s *Solver) Stats() SolverStats {
 // to p.Solve(ctx). A done ctx aborts the solve with an error wrapping
 // ctx.Err(); nil means no cancellation.
 func (s *Solver) Solve(ctx context.Context, p *Problem) (*Solution, error) {
+	if ctx != nil {
+		if observe, ok := ctx.Value(observerKey{}).(func(*Solver, *Problem)); ok {
+			observe(s, p)
+		}
+	}
 	if s == nil {
 		return s.coldSolve(ctx, p)
 	}
@@ -120,6 +125,12 @@ func (s *Solver) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	return s.coldSolve(ctx, p)
 }
+
+// observerKey is the context key of a solve observer, a func(*Solver,
+// *Problem) that every Solve call hands its handle (nil for one-shot) and
+// problem before solving. The package's tests install one to replay the
+// LPs other packages build through the pivot-trace oracle.
+type observerKey struct{}
 
 // retain records p as the problem behind the retained basis.
 func (s *Solver) retain(p *Problem) {

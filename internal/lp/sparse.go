@@ -265,11 +265,13 @@ func (f *stdForm) updateFrom(p *Problem) (ok, changed bool) {
 	return true, changed
 }
 
-// scatterCol adds column j of the matrix into the dense vector x.
-func (f *stdForm) scatterCol(j int, x []float64) {
+// scatterCol adds column j of the matrix into x, which must be zero, and
+// sets x's pattern to the column's rows (ascending, as CSC stores them).
+func (f *stdForm) scatterCol(j int, x *hvec) {
 	for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-		x[f.rowInd[p]] += f.values[p]
+		x.x[f.rowInd[p]] += f.values[p]
 	}
+	x.setPattern(f.rowInd[f.colPtr[j]:f.colPtr[j+1]], f.m)
 }
 
 // dotCol returns the inner product of column j with the dense vector y.

@@ -28,17 +28,21 @@ func (r *byteReader) next() byte {
 
 // decodeFuzzLP decodes one skeleton and two data vectors on it into two
 // structurally identical problems. The layout is a header (variable count,
-// row count, in-place flag), one (operator, variable mask) byte pair per
-// row, then each data vector: the sense, per variable a lower bound in
-// [-3, 3], a box width in [0, 7] or +Inf and an objective coefficient in
-// [-4, 4], per skeleton entry a coefficient in [-4, 4], and per row a
-// right-hand side in [-8, 8]. inPlace asks for the second data vector to
-// be written into the first problem instead of a rebuilt one.
-func decodeFuzzLP(b []byte) (p1, p2 *Problem, inPlace bool) {
+// row count, in-place flag, scale exponent k in [0, 9]), one (operator,
+// variable mask) byte pair per row, then each data vector: the sense, per
+// variable a lower bound in [-3, 3], a box width in [0, 7] or +Inf and an
+// objective coefficient in [-4, 4], per skeleton entry a coefficient in
+// [-4, 4], and per row a right-hand side in [-8, 8]. The bounds and the
+// right-hand sides are multiplied by 10^k — the variables change unit, as
+// flows do when rates are counted in bits — so the same small-integer LPs
+// also arrive with |b| up to 8e9. inPlace asks for the second data vector
+// to be written into the first problem instead of a rebuilt one.
+func decodeFuzzLP(b []byte) (p1, p2 *Problem, inPlace bool, scale float64) {
 	r := byteReader(b)
 	n := 1 + int(r.next())%fuzzMaxVars
 	m := int(r.next()) % (fuzzMaxRows + 1)
 	inPlace = r.next()%2 == 1
+	scale = math.Pow(10, float64(r.next()%10))
 	ops := make([]Op, m)
 	idx := make([][]int, m)
 	for i := range ops {
@@ -56,10 +60,10 @@ func decodeFuzzLP(b []byte) (p1, p2 *Problem, inPlace bool) {
 			p.SetSense(Maximize)
 		}
 		for j := 0; j < n; j++ {
-			lo := float64(int(r.next())%7 - 3)
+			lo := scale * float64(int(r.next())%7-3)
 			hi := math.Inf(1)
 			if w := int(r.next()) % 9; w < 8 {
-				hi = lo + float64(w)
+				hi = lo + scale*float64(w)
 			}
 			p.SetBounds(j, lo, hi)
 			p.SetObjectiveCoeff(j, float64(int(r.next())%9-4))
@@ -69,7 +73,7 @@ func decodeFuzzLP(b []byte) (p1, p2 *Problem, inPlace bool) {
 			for k := range val {
 				val[k] = float64(int(r.next())%9 - 4)
 			}
-			if err := p.AddConstraint(idx[i], val, op, float64(int(r.next())%17-8)); err != nil {
+			if err := p.AddConstraint(idx[i], val, op, scale*float64(int(r.next())%17-8)); err != nil {
 				panic(err) // decoder bug: data is small integers, indices a sorted mask
 			}
 		}
@@ -77,17 +81,18 @@ func decodeFuzzLP(b []byte) (p1, p2 *Problem, inPlace bool) {
 	}
 	p1 = build()
 	p2 = build()
-	return p1, p2, inPlace
+	return p1, p2, inPlace, scale
 }
 
 // encodeFuzzLP is decodeFuzzLP's inverse for seeding: it projects p onto
 // its first fuzzMaxVars variables and fuzzMaxRows rows and encodes p's and
-// q's data on that skeleton. q must share p's skeleton; right-hand sides
-// are rounded and clamped into the decoder's range.
-func encodeFuzzLP(p, q *Problem, inPlace bool) []byte {
+// q's data on that skeleton at scale exponent k. q must share p's
+// skeleton; right-hand sides are rounded and clamped into the decoder's
+// range.
+func encodeFuzzLP(p, q *Problem, inPlace bool, k int) []byte {
 	n := min(p.nvars, fuzzMaxVars)
 	m := min(len(p.cons), fuzzMaxRows)
-	b := []byte{byte(n - 1), byte(m), 0}
+	b := []byte{byte(n - 1), byte(m), 0, byte(k)}
 	if inPlace {
 		b[2] = 1
 	}
@@ -121,20 +126,21 @@ func encodeFuzzLP(p, q *Problem, inPlace bool) []byte {
 	return b
 }
 
-// agreeOn checks a solve of p against a reference solve of p: the same
-// verdict and, when optimal, objectives within diffObjTol relative and a
-// solution that satisfies p.
-func agreeOn(p *Problem, got *Solution, gotErr error, ref *Solution, refErr error) error {
+// agreeOn checks a solve of p against a reference solve of p whose bounds
+// and right-hand sides were scaled up by scale: the same verdict and, when
+// optimal, objectives within diffObjTol of scale + |reference| and a
+// solution that satisfies p to 1e-6 * scale.
+func agreeOn(p *Problem, scale float64, got *Solution, gotErr error, ref *Solution, refErr error) error {
 	if gv, rv := verdict(gotErr), verdict(refErr); gv != rv {
 		return fmt.Errorf("verdicts disagree: %q vs reference %q", gv, rv)
 	}
 	if refErr != nil {
 		return nil
 	}
-	if diff := math.Abs(got.Objective - ref.Objective); diff > diffObjTol*(1+math.Abs(ref.Objective)) {
+	if diff := math.Abs(got.Objective - ref.Objective); diff > diffObjTol*(scale+math.Abs(ref.Objective)) {
 		return fmt.Errorf("objective %v vs reference %v (diff %g)", got.Objective, ref.Objective, diff)
 	}
-	if !feasible(p, got.X) {
+	if !feasibleWithin(p, got.X, 1e-6*scale) {
 		return fmt.Errorf("solution %v infeasible", got.X)
 	}
 	return nil
@@ -157,15 +163,15 @@ func FuzzLPProblem(f *testing.F) {
 		q := randomLP(rand.New(rand.NewSource(k)))
 		perturb(rng, q)
 		perturb(rng, q)
-		f.Add(encodeFuzzLP(p, q, k%3 == 0))
+		f.Add(encodeFuzzLP(p, q, k%3 == 0, int(k%10)))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p1, p2, inPlace := decodeFuzzLP(b)
+		p1, p2, inPlace, scale := decodeFuzzLP(b)
 		s := NewSolver()
 		// The handle's first solve is the cold one-shot solve.
 		sol, err := s.Solve(nil, p1)
 		dense, denseErr := p1.SolveDense(nil)
-		if err := agreeOn(p1, sol, err, dense, denseErr); err != nil {
+		if err := agreeOn(p1, scale, sol, err, dense, denseErr); err != nil {
 			t.Fatalf("sparse vs dense: %v\n%s", err, describeLP(p1))
 		}
 		o := newPivotTraceOracle()
@@ -186,7 +192,7 @@ func FuzzLPProblem(f *testing.F) {
 		}
 		warm, warmErr := s.Solve(nil, target)
 		one, oneErr := target.Solve(nil)
-		if err := agreeOn(target, warm, warmErr, one, oneErr); err != nil {
+		if err := agreeOn(target, scale, warm, warmErr, one, oneErr); err != nil {
 			t.Fatalf("warm vs one-shot (in place %v, stats %+v): %v\n%s", inPlace, s.Stats(), err, describeLP(target))
 		}
 		if err := o.check(target); err != nil {

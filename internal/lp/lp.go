@@ -239,7 +239,23 @@ const (
 	costTol  = 1e-9
 	ratioTol = 1e-12 // ratio-test tie margin in the leaving-variable choice
 	degenRun = 64    // consecutive degenerate pivots before Bland's rule
+
+	// infeasRelTol scales the phase-1 verdict with the data: roundoff in
+	// the artificial sum grows with the right-hand sides, so a problem
+	// whose |b| reaches 1e8 (rates in bits) leaves residuals near 1e-7 on
+	// a feasible instance.
+	infeasRelTol = 1e-12
 )
+
+// phase1Tol is the artificial sum above which phase 1 declares a problem
+// infeasible: feasTol plus infeasRelTol times the largest |b_i|.
+func phase1Tol(rhs []float64) float64 {
+	var bmax float64
+	for _, b := range rhs {
+		bmax = math.Max(bmax, math.Abs(b))
+	}
+	return feasTol + infeasRelTol*bmax
+}
 
 // Solve runs the bounded-variable simplex method and returns an optimal
 // solution, or ErrInfeasible / ErrUnbounded / ErrIterationLimit. It is the

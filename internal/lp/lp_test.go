@@ -398,8 +398,11 @@ func solveSquare(cands []lin, idx []int, n int) ([]float64, bool) {
 	return x, true
 }
 
-func feasible(p *Problem, x []float64) bool {
-	const tol = 1e-6
+func feasible(p *Problem, x []float64) bool { return feasibleWithin(p, x, 1e-6) }
+
+// feasibleWithin is feasible with an absolute tolerance tol on every row and
+// bound, for problems whose data were scaled up by a known factor.
+func feasibleWithin(p *Problem, x []float64, tol float64) bool {
 	for j := 0; j < p.nvars; j++ {
 		if x[j] < p.lower[j]-tol || x[j] > p.upper[j]+tol {
 			return false

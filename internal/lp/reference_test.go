@@ -504,7 +504,7 @@ func (t *tracedSolve) phases() error {
 				obj1 += r.beta[i]
 			}
 		}
-		if obj1 > feasTol {
+		if obj1 > phase1Tol(r.f.rhs) {
 			return ErrInfeasible
 		}
 		for j := r.f.artFrom; j < r.f.n; j++ {

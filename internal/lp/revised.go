@@ -174,7 +174,7 @@ func (r *revised) phases() error {
 				obj1 += r.beta[i]
 			}
 		}
-		if obj1 > feasTol {
+		if obj1 > phase1Tol(r.f.rhs) {
 			return ErrInfeasible
 		}
 		// Bar artificials from ever re-entering and pin them to 0.

@@ -44,6 +44,8 @@ type tableau struct {
 	atUp   []bool    // nonbasic-at-upper-bound flags
 	frozen []bool    // columns barred from entering (artificials that left)
 
+	infeasTol float64 // phase-1 verdict threshold, phase1Tol of the rhs
+
 	pivots     int
 	degenerate int // consecutive degenerate pivots
 
@@ -151,6 +153,7 @@ func newTableau(p *Problem) (*tableau, error) {
 			art++
 		}
 	}
+	t.infeasTol = phase1Tol(t.beta)
 	return t, nil
 }
 
@@ -187,7 +190,7 @@ func (t *tableau) solve() error {
 				obj1 += t.beta[i]
 			}
 		}
-		if obj1 > feasTol {
+		if obj1 > t.infeasTol {
 			return ErrInfeasible
 		}
 		// Bar artificials from ever re-entering and pin them to 0.

@@ -3,25 +3,36 @@ package lp
 // priceBlock is the column count of one pricing block.
 const priceBlock = 32
 
-// pricing is the maintained state behind chooseEntering's devex pricing:
-// the columns are cut into blocks of priceBlock, and each block caches its
-// columns' scores s_j^2/w_j (see devexScore; 0 for a column that cannot
-// enter) and its best candidate — the largest score, the lowest index on
-// ties — or -1. A change to a column's z, w or status only marks its block
-// stale; a section query rescores the stale blocks it meets, so a pivot
-// pays for the blocks its exchange or bound flip touched plus one compare
-// per block of the section, instead of rescoring the whole section.
+// Pricing status of a column (pricing.status).
+const (
+	atLower uint8 = iota // nonbasic at its lower bound: enters increasing
+	atUpper              // nonbasic at its upper bound: enters decreasing
+	barred               // basic, frozen, or fixed (ub 0): cannot enter
+)
+
+// pricing is the maintained state behind chooseEntering's devex pricing.
+// status packs, per column, what devexScore needs besides z and w. The
+// columns are cut into blocks of priceBlock, each caching its best
+// candidate — the largest devex score, the lowest index on ties — and that
+// score. A column whose z, w or status moved is rescored on the spot
+// (rescore): it takes over its block when it beats the cached best, and
+// only a best candidate whose score fell marks its block stale, to be
+// rescanned by the next query that covers it. A pivot then pays for the
+// columns its exchange or bound flip touched plus one compare per block of
+// the section, instead of rescanning the whole section.
 type pricing struct {
-	score      []float64
-	blockBest  []int32 // valid while the block is not stale
+	status     []uint8
+	blockBest  []int32 // -1 when the block has no candidate; valid unless stale
+	blockScore []float64
 	blockStale []bool
 }
 
 func newPricing(n int) pricing {
 	nb := (n + priceBlock - 1) / priceBlock
 	p := pricing{
-		score:      make([]float64, n),
+		status:     make([]uint8, n),
 		blockBest:  make([]int32, nb),
+		blockScore: make([]float64, nb),
 		blockStale: make([]bool, nb),
 	}
 	p.invalidate()
@@ -35,66 +46,105 @@ func (p *pricing) invalidate() {
 	}
 }
 
-// touch marks column j's block stale, after its z, w or status moved.
-func (p *pricing) touch(j int) { p.blockStale[j/priceBlock] = true }
-
-// better returns the preferred of two candidates where a precedes b in scan
-// order: b only when its score is strictly larger, so ties keep the first.
-func (p *pricing) better(a, b int32) int32 {
-	if b < 0 {
-		return a
+// setStatus recomputes column j's pricing status from the basis, bound and
+// freeze state and rescores it.
+func (r *revised) setStatus(j int) {
+	switch {
+	case r.inRow[j] >= 0 || r.frozen[j] || r.f.ub[j] == 0:
+		r.price.status[j] = barred
+	case r.atUp[j]:
+		r.price.status[j] = atUpper
+	default:
+		r.price.status[j] = atLower
 	}
-	if a < 0 || p.score[b] > p.score[a] {
-		return b
-	}
-	return a
+	r.rescore(j)
 }
 
-// scan returns the best candidate among columns [lo, hi) of one fresh
-// block, from the cached scores.
-func (p *pricing) scan(lo, hi int) int32 {
-	best := int32(-1)
-	bestScore := 0.0
+// rescore refreshes column j's block after j's z, w or status moved, with
+// the scan's rules: the largest positive score wins, the lowest index on
+// ties, and a NaN score never wins.
+func (r *revised) rescore(j int) {
+	p := &r.price
+	b := j / priceBlock
+	if p.blockStale[b] {
+		return
+	}
+	sc, best := r.devexScore(j), p.blockBest[b]
+	switch {
+	case int32(j) == best:
+		if sc >= p.blockScore[b] {
+			p.blockScore[b] = sc // still the block's maximum
+		} else {
+			p.blockStale[b] = true // another column may lead now
+		}
+	case sc > p.blockScore[b] || (sc > 0 && sc >= p.blockScore[b] && int32(j) < best):
+		p.blockBest[b], p.blockScore[b] = int32(j), sc
+	}
+}
+
+// devexScore is column j's devex pricing score: s^2/w_j when the column may
+// enter and moving it off its bound improves the objective at rate s >
+// costTol, else 0 (not a candidate).
+func (r *revised) devexScore(j int) float64 {
+	var s float64
+	switch r.price.status[j] {
+	case atLower:
+		s = -r.z[j] // increasing x_j improves if z_j < 0
+	case atUpper:
+		s = r.z[j] // decreasing x_j improves if z_j > 0
+	default:
+		return 0
+	}
+	if s > costTol {
+		return s * s / r.w[j]
+	}
+	return 0
+}
+
+// scan returns the best candidate among columns [lo, hi) and its score:
+// the first column of largest positive score, or -1.
+//
+//jcr:hotpath
+func (r *revised) scan(lo, hi int) (int32, float64) {
+	best, bestScore := int32(-1), 0.0
 	for j := lo; j < hi; j++ {
-		if sc := p.score[j]; sc > bestScore {
+		if sc := r.devexScore(j); sc > bestScore {
 			best, bestScore = int32(j), sc
 		}
 	}
-	return best
+	return best, bestScore
 }
 
-// bestIn returns the best candidate among columns [lo, hi), rescoring the
-// stale blocks the range meets.
+// bestIn returns the best candidate among columns [lo, hi) and its score,
+// rescanning the stale blocks the range covers whole; a partly covered
+// block is scanned directly.
 //
 //jcr:hotpath
-func (r *revised) bestIn(lo, hi int) int32 {
+func (r *revised) bestIn(lo, hi int) (int32, float64) {
 	p := &r.price
-	best := int32(-1)
+	best, bestScore := int32(-1), 0.0
 	for lo < hi {
 		b := lo / priceBlock
 		from := b * priceBlock
-		to := min(from+priceBlock, len(p.score))
-		if p.blockStale[b] {
-			bb, bbScore := int32(-1), 0.0
-			for j := from; j < to; j++ {
-				sc := r.devexScore(j)
-				p.score[j] = sc
-				if sc > bbScore {
-					bb, bbScore = int32(j), sc
-				}
-			}
-			p.blockBest[b] = bb
-			p.blockStale[b] = false
-		}
+		to := min(from+priceBlock, r.f.n)
 		end := min(to, hi)
+		var cand int32
+		var sc float64
 		if lo == from && end == to {
-			best = p.better(best, p.blockBest[b])
+			if p.blockStale[b] {
+				p.blockBest[b], p.blockScore[b] = r.scan(from, to)
+				p.blockStale[b] = false
+			}
+			cand, sc = p.blockBest[b], p.blockScore[b]
 		} else {
-			best = p.better(best, p.scan(lo, end))
+			cand, sc = r.scan(lo, end)
+		}
+		if cand >= 0 && sc > bestScore {
+			best, bestScore = cand, sc
 		}
 		lo = end
 	}
-	return best
+	return best, bestScore
 }
 
 // bestCyclic returns the best candidate among the l columns from lo in
@@ -103,8 +153,12 @@ func (r *revised) bestIn(lo, hi int) int32 {
 func (r *revised) bestCyclic(lo, l int) int32 {
 	n := r.f.n
 	if lo+l <= n {
-		return r.bestIn(lo, lo+l)
+		best, _ := r.bestIn(lo, lo+l)
+		return best
 	}
-	first := r.bestIn(lo, n)
-	return r.price.better(first, r.bestIn(0, lo+l-n))
+	best, bestScore := r.bestIn(lo, n)
+	if wrapped, sc := r.bestIn(0, lo+l-n); sc > bestScore {
+		best = wrapped
+	}
+	return best
 }

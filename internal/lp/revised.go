@@ -244,27 +244,12 @@ func (r *revised) computeZ() {
 		r.z[j] = r.c[j] - r.f.dotCol(j, r.y)
 	}
 	r.zOK = true
-	r.price.invalidate()
-}
-
-// devexScore is column j's devex pricing score: s^2/w_j when the column may
-// enter and moving it off its bound improves the objective at rate s >
-// costTol, else 0 (not a candidate).
-func (r *revised) devexScore(j int) float64 {
-	if r.inRow[j] >= 0 || r.frozen[j] || r.f.ub[j] == 0 {
-		return 0
+	// Every wholesale change of the column statuses (the phase boundary,
+	// a warm start's new bounds) is followed by computeZ, which reloads
+	// them; pivot keeps them in step with each exchange and bound flip.
+	for j := 0; j < r.f.n; j++ {
+		r.setStatus(j)
 	}
-	z := r.z[j]
-	var s float64
-	if !r.atUp[j] {
-		s = -z // increasing x_j improves if z_j < 0
-	} else {
-		s = z // decreasing x_j improves if z_j > 0
-	}
-	if s > costTol {
-		return s * s / r.w[j]
-	}
-	return 0
 }
 
 // iterate runs revised-simplex pivots until optimality for the current cost
@@ -505,7 +490,7 @@ func (r *revised) pivot(e int, bland bool) error {
 		// column e's score moves.
 		r.atUp[e] = !r.atUp[e]
 		r.boundFlips++
-		r.price.touch(e)
+		r.setStatus(e)
 		return nil
 	}
 	enterVal := tMax
@@ -570,8 +555,8 @@ func (r *revised) updateDualsForExchange(e, lv, leave int, ae float64) {
 		r.w[lv] = 1
 	}
 	r.zOK = false
-	r.price.touch(e)
-	r.price.touch(lv)
+	r.setStatus(e)
+	r.setStatus(lv)
 }
 
 // shiftDual applies one pivot-row entry alpha_j = a to nonbasic column j:
@@ -584,7 +569,7 @@ func (r *revised) shiftDual(j int, a, theta, scale float64) {
 			r.wMax = g
 		}
 	}
-	r.price.touch(j)
+	r.rescore(j)
 }
 
 // tieBreak decides whether candidate row i should replace the current

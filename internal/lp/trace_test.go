@@ -111,7 +111,7 @@ func TestPricingMatchesScan(t *testing.T) {
 				for k := 0; k < 1+n/20; k++ {
 					j := rng.Intn(n)
 					drawPricingColumn(rng, r, j, density)
-					r.price.touch(j)
+					r.setStatus(j)
 				}
 			}
 		}
@@ -134,6 +134,7 @@ func pricingFixture(rng *rand.Rand, n int, density float64) *revised {
 	}
 	for j := 0; j < n; j++ {
 		drawPricingColumn(rng, r, j, density)
+		r.setStatus(j)
 	}
 	return r
 }

@@ -693,23 +693,8 @@ func (b *basisLU) ftran(v *hvec) {
 		tmp[k] = 0
 	}
 	v.setPattern(uset, len(b.all))
-	if v.dense {
-		for t := range b.etas {
-			e := &b.etas[t]
-			xr := v.x[e.r]
-			if xr == 0 {
-				continue
-			}
-			xr /= e.dr
-			for p := e.from; p < e.to; p++ {
-				v.x[b.etaIdx[p]] -= b.etaVal[p] * xr
-			}
-			v.x[e.r] = xr
-		}
-		return
-	}
 	ep := b.mark(v.nz)
-	sorted := true
+	grown := false
 	for t := range b.etas {
 		e := &b.etas[t]
 		xr := v.x[e.r]
@@ -720,16 +705,16 @@ func (b *basisLU) ftran(v *hvec) {
 		for p := e.from; p < e.to; p++ {
 			i := b.etaIdx[p]
 			v.x[i] -= b.etaVal[p] * xr
-			if b.stamp[i] != ep {
+			if !v.dense && b.stamp[i] != ep {
 				b.stamp[i] = ep
 				//jcrlint:allow hot-alloc: v.nz has capacity m and holds each position at most once, so this append never grows the backing array
 				v.nz = append(v.nz, i)
-				sorted = false
+				grown = true
 			}
 		}
 		v.x[e.r] = xr
 	}
-	if !sorted {
+	if grown {
 		slices.Sort(v.nz)
 	}
 }
@@ -745,44 +730,35 @@ func (b *basisLU) ftran(v *hvec) {
 //
 //jcr:hotpath
 func (b *basisLU) btran(v *hvec) {
-	if v.dense {
-		for t := len(b.etas) - 1; t >= 0; t-- {
-			e := &b.etas[t]
-			s := v.x[e.r]
-			for p := e.from; p < e.to; p++ {
-				s -= b.etaVal[p] * v.x[b.etaIdx[p]]
-			}
-			v.x[e.r] = s / e.dr
-		}
-	} else if len(b.etas) > 0 {
-		// Only an eta whose transpose reads a listed position can change
-		// v; activate walks the position chains to flag those, and each
-		// position a transpose adds to the list flags the older ones.
-		ep := b.mark(v.nz)
-		for _, i := range v.nz {
-			b.activate(i, len(b.etas))
-		}
-		for t := len(b.etas) - 1; t >= 0; t-- {
+	// On a sparse v only an eta whose transpose reads a listed position
+	// can change it; activate walks the position chains to flag those,
+	// and each position a transpose adds to the list flags the older ones.
+	ep := b.mark(v.nz)
+	for _, i := range v.nz {
+		b.activate(i, len(b.etas))
+	}
+	for t := len(b.etas) - 1; t >= 0; t-- {
+		if !v.dense {
 			if !b.act[t] {
 				continue
 			}
 			b.act[t] = false
-			e := &b.etas[t]
-			s := v.x[e.r]
-			for p := e.from; p < e.to; p++ {
-				s -= b.etaVal[p] * v.x[b.etaIdx[p]]
-			}
-			if b.stamp[e.r] != ep {
-				if s == 0 {
-					continue
-				}
-				b.stamp[e.r] = ep
-				//jcrlint:allow hot-alloc: v.nz has capacity m and holds each position at most once, so this append never grows the backing array
-				v.nz = append(v.nz, e.r)
-				b.activate(e.r, t)
-			}
-			v.x[e.r] = s / e.dr
 		}
+		e := &b.etas[t]
+		s := v.x[e.r]
+		for p := e.from; p < e.to; p++ {
+			s -= b.etaVal[p] * v.x[b.etaIdx[p]]
+		}
+		if !v.dense && b.stamp[e.r] != ep {
+			if s == 0 {
+				continue
+			}
+			b.stamp[e.r] = ep
+			//jcrlint:allow hot-alloc: v.nz has capacity m and holds each position at most once, so this append never grows the backing array
+			v.nz = append(v.nz, e.r)
+			b.activate(e.r, t)
+		}
+		v.x[e.r] = s / e.dr
 	}
 	lu, tmp := b.lu, b.tmp
 	seeds := b.all

@@ -102,14 +102,30 @@ func (r *revised) devexScore(j int) float64 {
 }
 
 // scan returns the best candidate among columns [lo, hi) and its score:
-// the first column of largest positive score, or -1.
+// the first column of largest positive score, or -1. Devex weights are at
+// least 1, so a column with s^2 <= bestScore cannot win and skips the
+// division.
 //
 //jcr:hotpath
 func (r *revised) scan(lo, hi int) (int32, float64) {
 	best, bestScore := int32(-1), 0.0
 	for j := lo; j < hi; j++ {
-		if sc := r.devexScore(j); sc > bestScore {
-			best, bestScore = int32(j), sc
+		var s float64
+		switch r.price.status[j] {
+		case atLower:
+			s = -r.z[j]
+		case atUpper:
+			s = r.z[j]
+		default:
+			continue
+		}
+		if s <= costTol {
+			continue
+		}
+		if ss := s * s; ss > bestScore {
+			if sc := ss / r.w[j]; sc > bestScore {
+				best, bestScore = int32(j), sc
+			}
 		}
 	}
 	return best, bestScore

@@ -582,18 +582,22 @@ func growFloats(s []float64, n int) []float64 {
 
 // activate flags for the sparse BTRAN every eta older than below whose
 // transpose reads position i: those storing an entry at i and those
-// pivoting at i.
-func (b *basisLU) activate(i, below int) {
+// pivoting at i. It returns the number of chain links it walked.
+func (b *basisLU) activate(i, below int) int {
+	walked := 0
 	for p := b.posHead[i]; p >= 0; p = b.etaNext[p] {
 		if t := b.etaOwner[p]; t < below {
 			b.act[t] = true
 		}
+		walked++
 	}
 	for t := b.pivHead[i]; t >= 0; t = b.etas[t].prevPiv {
 		if t < below {
 			b.act[t] = true
 		}
+		walked++
 	}
+	return walked
 }
 
 // mark starts a new membership epoch and marks the positions of list.
@@ -733,17 +737,23 @@ func (b *basisLU) btran(v *hvec) {
 	// On a sparse v only an eta whose transpose reads a listed position
 	// can change it; activate walks the position chains to flag those,
 	// and each position a transpose adds to the list flags the older ones.
+	// Once the walks outgrow an eighth of the gathers they save (fileNNZ:
+	// a link is a dependent load, a gather entry a streamed one), every
+	// remaining eta is applied instead, as for a dense v.
 	ep := b.mark(v.nz)
+	every := v.dense
+	budget := b.fileNNZ / 8
 	for _, i := range v.nz {
-		b.activate(i, len(b.etas))
+		if budget -= b.activate(i, len(b.etas)); budget < 0 {
+			every = true
+			break
+		}
 	}
 	for t := len(b.etas) - 1; t >= 0; t-- {
-		if !v.dense {
-			if !b.act[t] {
-				continue
-			}
-			b.act[t] = false
+		if !every && !b.act[t] {
+			continue
 		}
+		b.act[t] = false
 		e := &b.etas[t]
 		s := v.x[e.r]
 		for p := e.from; p < e.to; p++ {
@@ -756,7 +766,11 @@ func (b *basisLU) btran(v *hvec) {
 			b.stamp[e.r] = ep
 			//jcrlint:allow hot-alloc: v.nz has capacity m and holds each position at most once, so this append never grows the backing array
 			v.nz = append(v.nz, e.r)
-			b.activate(e.r, t)
+			if !every {
+				if budget -= b.activate(e.r, t); budget < 0 {
+					every = true
+				}
+			}
 		}
 		v.x[e.r] = s / e.dr
 	}

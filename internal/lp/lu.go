@@ -318,9 +318,7 @@ type hvec struct {
 	dense bool
 }
 
-func newHvec(m int) hvec {
-	return hvec{x: make([]float64, m), nz: make([]int, 0, m)}
-}
+func newHvec(m int) hvec { return hvec{x: make([]float64, m)} }
 
 // index returns the positions a pass over v visits: its pattern, or all
 // (the list 0..m-1) when v is dense.
@@ -345,11 +343,15 @@ func (v *hvec) clear() {
 }
 
 // setPattern records list as v's pattern; a list naming all m positions
-// makes v dense.
+// makes v dense. The first sparse pattern sizes the list's storage to m,
+// so the kernels can grow a pattern in place.
 func (v *hvec) setPattern(list []int, m int) {
 	v.nz = v.nz[:0]
 	v.dense = len(list) == m
 	if !v.dense {
+		if cap(v.nz) < m {
+			v.nz = make([]int, 0, m)
+		}
 		v.nz = append(v.nz, list...)
 	}
 }
@@ -394,7 +396,8 @@ type basisLU struct {
 	// newest arena entry at position i and etaNext[p] the next older one
 	// (-1 ends a chain), etaOwner[p] the eta holding entry p; pivHead[i]
 	// is the newest eta pivoting at i. act flags the etas a sparse BTRAN
-	// must apply; it is all false between solves.
+	// must apply; it is all false between solves. The three are allocated
+	// by the first appended eta.
 	etaIdx   []int
 	etaVal   []float64
 	etaNext  []int
@@ -405,13 +408,13 @@ type basisLU struct {
 
 	// Solve workspace, all of length m. tmp holds +0 everywhere between
 	// solves. all is 0..m-1, the visiting list of a dense pass. stamp and
-	// epoch mark set membership in O(1) without clearing; seeds, setA and
-	// setB hold reach lists.
+	// epoch mark set membership in O(1) without clearing; setA and setB
+	// hold reach lists. The first sparse solve allocates stamp, setA and
+	// setB, so a solve that never pivots pays for none of them.
 	tmp   []float64
 	all   []int
 	stamp []int64
 	epoch int64
-	seeds []int
 	setA  []int
 	setB  []int
 	cut   int // reach size above which a triangular solve runs dense
@@ -446,22 +449,12 @@ const (
 func newBasisLU(f *stdForm, basis []int) (*basisLU, error) {
 	m := f.m
 	b := &basisLU{
-		tmp:   make([]float64, m),
-		all:   make([]int, m),
-		stamp: make([]int64, m),
-		seeds: make([]int, 0, m),
-		setA:  make([]int, 0, m),
-		setB:  make([]int, 0, m),
-		cut:   m / hyperDenom,
-
-		posHead: make([]int, m),
-		pivHead: make([]int, m),
-		act:     make([]bool, maxEtas),
+		tmp: make([]float64, m),
+		all: make([]int, m),
+		cut: m / hyperDenom,
 	}
 	for i := range b.all {
 		b.all[i] = i
-		b.posHead[i] = -1
-		b.pivHead[i] = -1
 	}
 	lu, err := luFactorize(f, basis, &b.ws, nil)
 	if err != nil {
@@ -483,11 +476,13 @@ func (b *basisLU) refactor(f *stdForm, basis []int) error {
 		return err
 	}
 	b.lu = lu
-	for _, i := range b.etaIdx {
-		b.posHead[i] = -1
-	}
-	for _, e := range b.etas {
-		b.pivHead[e.r] = -1
+	if b.posHead != nil {
+		for _, i := range b.etaIdx {
+			b.posHead[i] = -1
+		}
+		for _, e := range b.etas {
+			b.pivHead[e.r] = -1
+		}
 	}
 	b.etas = b.etas[:0]
 	b.etaIdx = b.etaIdx[:0]
@@ -541,6 +536,14 @@ func (b *basisLU) update(r int, d *hvec) (needRefactor bool) {
 		return true // work trigger: replaying the file beats its budget
 	}
 	t := len(b.etas)
+	if b.posHead == nil {
+		b.posHead = make([]int, len(b.all))
+		b.pivHead = make([]int, len(b.all))
+		for i := range b.posHead {
+			b.posHead[i], b.pivHead[i] = -1, -1
+		}
+		b.act = make([]bool, maxEtas)
+	}
 	b.etaIdx, b.etaVal = idx[:to], val[:to]
 	b.etaNext = growInts(b.etaNext, to)[:to]
 	b.etaOwner = growInts(b.etaOwner, to)[:to]
@@ -598,6 +601,16 @@ func (b *basisLU) activate(i, below int) int {
 		walked++
 	}
 	return walked
+}
+
+// sparseScratch allocates the workspace of the sparse solves on first use.
+func (b *basisLU) sparseScratch() {
+	if b.stamp == nil {
+		m := len(b.all)
+		b.stamp = make([]int64, m)
+		b.setA = make([]int, 0, m)
+		b.setB = make([]int, 0, m)
+	}
 }
 
 // mark starts a new membership epoch and marks the positions of list.
@@ -663,7 +676,8 @@ func (b *basisLU) ftran(v *hvec) {
 			tmp[k] = v.x[i]
 		}
 	} else {
-		seeds = b.seeds[:len(v.nz)]
+		b.sparseScratch()
+		seeds = v.nz // rewritten in place to pivot positions; setPattern rebuilds v.nz
 		for t, i := range v.nz {
 			k := lu.pinv[i]
 			tmp[k] = v.x[i]
@@ -740,10 +754,16 @@ func (b *basisLU) btran(v *hvec) {
 	// Once the walks outgrow an eighth of the gathers they save (fileNNZ:
 	// a link is a dependent load, a gather entry a streamed one), every
 	// remaining eta is applied instead, as for a dense v.
+	if !v.dense {
+		b.sparseScratch()
+	}
 	ep := b.mark(v.nz)
 	every := v.dense
 	budget := b.fileNNZ / 8
 	for _, i := range v.nz {
+		if len(b.etas) == 0 {
+			break
+		}
 		if budget -= b.activate(i, len(b.etas)); budget < 0 {
 			every = true
 			break

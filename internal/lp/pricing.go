@@ -46,17 +46,22 @@ func (p *pricing) invalidate() {
 	}
 }
 
-// setStatus recomputes column j's pricing status from the basis, bound and
-// freeze state and rescores it.
-func (r *revised) setStatus(j int) {
+// statusOf derives column j's pricing status from the basis, bound and
+// freeze state.
+func (r *revised) statusOf(j int) uint8 {
 	switch {
 	case r.inRow[j] >= 0 || r.frozen[j] || r.f.ub[j] == 0:
-		r.price.status[j] = barred
+		return barred
 	case r.atUp[j]:
-		r.price.status[j] = atUpper
+		return atUpper
 	default:
-		r.price.status[j] = atLower
+		return atLower
 	}
+}
+
+// setStatus refreshes column j's pricing status and rescores it.
+func (r *revised) setStatus(j int) {
+	r.price.status[j] = r.statusOf(j)
 	r.rescore(j)
 }
 

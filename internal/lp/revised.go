@@ -248,8 +248,9 @@ func (r *revised) computeZ() {
 	// a warm start's new bounds) is followed by computeZ, which reloads
 	// them; pivot keeps them in step with each exchange and bound flip.
 	for j := 0; j < r.f.n; j++ {
-		r.setStatus(j)
+		r.price.status[j] = r.statusOf(j)
 	}
+	r.price.invalidate()
 }
 
 // iterate runs revised-simplex pivots until optimality for the current cost
@@ -534,6 +535,8 @@ func (r *revised) updateDualsForExchange(e, lv, leave int, ae float64) {
 	theta := r.z[e] / ae
 	scale := r.w[e] / (ae * ae)
 	if touched, dn := r.priceRow(); dn {
+		// A dense pivot row moves most scores: rescanning every block
+		// at the next choice beats rescoring column by column.
 		for j := 0; j < r.f.n; j++ {
 			if r.inRow[j] < 0 {
 				if a := r.f.dotCol(j, rho.x); a != 0 {
@@ -541,10 +544,12 @@ func (r *revised) updateDualsForExchange(e, lv, leave int, ae float64) {
 				}
 			}
 		}
+		r.price.invalidate()
 	} else {
 		for _, j := range touched {
 			if r.inRow[j] < 0 && r.alpha[j] != 0 {
 				r.shiftDual(j, r.alpha[j], theta, scale)
+				r.rescore(j)
 			}
 		}
 	}
@@ -569,7 +574,6 @@ func (r *revised) shiftDual(j int, a, theta, scale float64) {
 			r.wMax = g
 		}
 	}
-	r.rescore(j)
 }
 
 // tieBreak decides whether candidate row i should replace the current

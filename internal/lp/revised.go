@@ -13,12 +13,12 @@ import (
 // incrementally maintained reduced-cost vector z: an exchange updates z and
 // the devex reference weights from the pivot row (one BTRAN plus sparse
 // column dot products), and per-block best candidates over the devex
-// scores (pricing) answer each section's argmax, so choosing the next entering
-// column rescores only the columns that moved since the last choice. The pivot
-// direction d and the pivot row rho carry their nonzero patterns (hvec),
-// so every per-pivot pass — the solves, the ratio test, the beta update,
-// the eta capture and the pivot-row gather — costs the nonzeros it
-// touches. Optimality is never declared from
+// scores (pricing) answer each section's argmax, so choosing the next
+// entering column rescores only the columns that moved since the last
+// choice. The pivot direction d and the pivot row rho carry their nonzero
+// patterns (hvec), so every per-pivot pass — the solves, the ratio test,
+// the beta update, the eta capture and the pivot-row gather — costs the
+// nonzeros it touches. Optimality is never declared from
 // the incremental z alone — the loop recomputes z from the duals and
 // rescans once before returning, so accumulated drift cannot terminate a
 // solve early. Bland's rule (full scan over fresh z, lowest index) remains
@@ -294,11 +294,11 @@ func (r *revised) pivotLimit() int { return 200*(r.f.m+r.f.n) + 20000 }
 // priceRow gathers the pivot-row alphas alpha_j = rho . A_j for every
 // column holding a nonzero in some row where rho is nonzero, walking rho's
 // pattern and the row-major mirror — O(nnz of the touched rows) against the
-// dense sweep's O(nnz of the whole matrix). The returned list names the touched columns
-// (every other column's alpha is an exact zero and owes no update); values
-// land in r.alpha. Rows are visited in ascending order, so each alpha
-// accumulates in exactly dotCol's term order and the gather is bit-for-bit
-// interchangeable with the dense sweep it replaces.
+// dense sweep's O(nnz of the whole matrix). The returned list names the
+// touched columns (every other column's alpha is an exact zero and owes no
+// update); values land in r.alpha. Rows are visited in ascending order, so
+// each alpha accumulates in exactly dotCol's term order and the gather is
+// bit-for-bit interchangeable with the dense sweep it replaces.
 //
 // The gather's scattered writes cost roughly priceRowPenalty times the
 // dense sweep's sequential reads per nonzero, so a dense pivot row — the
@@ -364,8 +364,8 @@ const priceRowPenalty = 3
 // ties. Pricing is partial — sections of the column range are examined
 // round-robin from a persistent cursor, stopping at the first section that
 // yields any candidate — and each section's best candidate comes from the
-// maintained per-block bests (pricing). Under Bland's rule the lowest-index eligible
-// column wins (full scan; the caller guarantees z is fresh).
+// maintained per-block bests (pricing). Under Bland's rule the lowest-index
+// eligible column wins (full scan; the caller guarantees z is fresh).
 //
 //jcr:hotpath
 func (r *revised) chooseEntering(bland bool) int {
@@ -385,13 +385,13 @@ func (r *revised) chooseEntering(bland bool) int {
 	if r.wMax > devexResetW {
 		r.resetDevex()
 	}
-	// Section size trades pivot quality against the work per iteration:
-	// tiny sections pick myopically and inflate the pivot count. A
-	// 1024-column floor makes small and mid-size instances (placement-
-	// and per-path-shaped LPs) effectively fully priced while the largest
-	// instances still take the best of n/8 at a time; both ends measured
-	// fewer pivots than 64/256/full-range alternatives on the LP row
-	// benchmarks (internal/lp bench_test.go).
+	// Section size trades pricing cost against pivot quality: tiny
+	// sections pick myopically and inflate the pivot count, full scans
+	// price every column every iteration. A 1024-column floor makes
+	// small and mid-size instances (placement- and per-path-shaped LPs)
+	// effectively fully priced while the largest instances still scan
+	// n/8 at a time; both ends measured faster than 64/256/full-scan
+	// alternatives on the LP row benchmarks (internal/lp bench_test.go).
 	sec := n / 8
 	if sec < 1024 {
 		sec = 1024

@@ -511,8 +511,8 @@ func (b *basisLU) luNNZ() int {
 func (b *basisLU) update(r int, d *hvec) (needRefactor bool) {
 	list := d.index(b.all)
 	from := len(b.etaIdx)
-	idx := growInts(b.etaIdx, from+len(list))[:from+len(list)]
-	val := growFloats(b.etaVal, from+len(list))[:from+len(list)]
+	idx := grow(b.etaIdx, from+len(list))[:from+len(list)]
+	val := grow(b.etaVal, from+len(list))[:from+len(list)]
 	to := from
 	dmax := 0.0
 	for _, i := range list {
@@ -545,8 +545,8 @@ func (b *basisLU) update(r int, d *hvec) (needRefactor bool) {
 		b.act = make([]bool, maxEtas)
 	}
 	b.etaIdx, b.etaVal = idx[:to], val[:to]
-	b.etaNext = growInts(b.etaNext, to)[:to]
-	b.etaOwner = growInts(b.etaOwner, to)[:to]
+	b.etaNext = grow(b.etaNext, to)[:to]
+	b.etaOwner = grow(b.etaOwner, to)[:to]
 	for p := from; p < to; p++ {
 		i := idx[p]
 		b.etaNext[p] = b.posHead[i]
@@ -562,23 +562,13 @@ func (b *basisLU) update(r int, d *hvec) (needRefactor bool) {
 	return false
 }
 
-// growInts returns s with capacity for at least n entries, keeping its
+// grow returns s with capacity for at least n entries, keeping its
 // contents; growth doubles, so a steady-state arena stops allocating.
-func growInts(s []int, n int) []int {
+func grow[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s
 	}
-	g := make([]int, len(s), max(n, 2*cap(s)))
-	copy(g, s)
-	return g
-}
-
-// growFloats is growInts for float64 slices.
-func growFloats(s []float64, n int) []float64 {
-	if n <= cap(s) {
-		return s
-	}
-	g := make([]float64, len(s), max(n, 2*cap(s)))
+	g := make([]T, len(s), max(n, 2*cap(s)))
 	copy(g, s)
 	return g
 }

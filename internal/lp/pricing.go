@@ -87,20 +87,22 @@ func (r *revised) rescore(j int) {
 	}
 }
 
-// devexScore is column j's devex pricing score: s^2/w_j when the column may
-// enter and moving it off its bound improves the objective at rate s >
-// costTol, else 0 (not a candidate).
-func (r *revised) devexScore(j int) float64 {
-	var s float64
+// improvement is the rate s at which moving column j off its bound
+// improves the objective, or 0 when j cannot enter.
+func (r *revised) improvement(j int) float64 {
 	switch r.price.status[j] {
 	case atLower:
-		s = -r.z[j] // increasing x_j improves if z_j < 0
+		return -r.z[j] // increasing x_j improves if z_j < 0
 	case atUpper:
-		s = r.z[j] // decreasing x_j improves if z_j > 0
-	default:
-		return 0
+		return r.z[j] // decreasing x_j improves if z_j > 0
 	}
-	if s > costTol {
+	return 0
+}
+
+// devexScore is column j's devex pricing score: s^2/w_j when s > costTol,
+// else 0 (not a candidate).
+func (r *revised) devexScore(j int) float64 {
+	if s := r.improvement(j); s > costTol {
 		return s * s / r.w[j]
 	}
 	return 0
@@ -115,16 +117,8 @@ func (r *revised) devexScore(j int) float64 {
 func (r *revised) scan(lo, hi int) (int32, float64) {
 	best, bestScore := int32(-1), 0.0
 	for j := lo; j < hi; j++ {
-		var s float64
-		switch r.price.status[j] {
-		case atLower:
-			s = -r.z[j]
-		case atUpper:
-			s = r.z[j]
-		default:
-			continue
-		}
-		if s <= costTol {
+		s := r.improvement(j)
+		if !(s > costTol) {
 			continue
 		}
 		if ss := s * s; ss > bestScore {

@@ -55,10 +55,11 @@ func (l *solveLog) check(t *testing.T, what string) lp.PivotTraceStats {
 
 // TestPivotTraceAbovenet runs the pivot-trace oracle on LPs the library
 // builds on the default Abovenet scenario, captured as they are solved:
-// Algorithm 1's auxiliary LP at three cache sizes, the per-path LP of the
-// alternating optimizer over warm-started consecutive hours, and the
-// multicommodity routing LP the alternating rounds solve under the default
-// link capacities. Production and reference kernels must pivot alike and
+// Algorithm 1's auxiliary LP at three cache sizes, the per-path LPs of the
+// warm-started alternating optimizer over four trace hours and four
+// rate-scaled copies of one hour (which keep the skeleton, so they solve
+// warm), and the exact multicommodity routing LP of a file-level
+// alternating plan. Production and reference kernels must pivot alike and
 // return the same bits on every one of them.
 func TestPivotTraceAbovenet(t *testing.T) {
 	sc := experiments.NewScenario(experiments.DefaultConfig(), nil)
@@ -137,8 +138,8 @@ func TestPivotTraceAbovenet(t *testing.T) {
 	if _, err := routing.SolveMMSFPExact(ctx, fileRun.Decision, filePlan.Placement); err != nil {
 		t.Logf("MC LP: %v", err)
 	}
-	for k, seq := range mc.seqs {
-		t.Logf("seq %d: %d problems, %d x %d", k, len(seq), seq[0].NumVars(), seq[0].NumConstraints())
+	if len(mc.seqs) != 1 {
+		t.Fatalf("captured %d multicommodity LPs, want 1", len(mc.seqs))
 	}
 	st = mc.check(t, "multicommodity")
 	t.Logf("MC LP: %+v", st)

@@ -399,7 +399,8 @@ func (r *revised) refPriceRow() (touched []int, dense bool) {
 }
 
 // pivotStep is one iteration of a traced solve: the entering column and
-// either the leaving basis position or a bound flip (leave -1).
+// the leaving basis position, -1 for a bound flip, or -2 for a pivot that
+// failed (an unbounded ray).
 type pivotStep struct {
 	enter, leave int
 	flip         bool

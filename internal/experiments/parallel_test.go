@@ -21,13 +21,15 @@ func renderAll(figs []Figure) string {
 // TestParallelMatchesSequential is the determinism property test for the
 // Monte-Carlo worker pool: a multi-worker run must reproduce the
 // sequential run's rendered text and CSV output bit for bit. Fig13 covers
-// the hour x run sample grid; ZipfSweep covers the run-only grid.
+// the hour x run sample grid; Fig15 adds a sweep whose x changes the
+// scenario; ZipfSweep covers the run-only grid.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, exp := range []struct {
 		name string
 		run  func(*Config) ([]Figure, error)
 	}{
 		{"Fig13", Fig13},
+		{"Fig15", Fig15},
 		{"ZipfSweep", ZipfSweep},
 	} {
 		t.Run(exp.name, func(t *testing.T) {

@@ -13,8 +13,9 @@ var updatePreRefactor = flag.Bool("update-prerefactor", false, "rewrite the pre-
 
 // preRefactorRender produces the rendered outputs the strategy-layer
 // refactor must preserve bit for bit: Fig. 5 (the Alg. 1 / greedy vs
-// [3]/[38] comparison, rendered and as full-precision CSV), Figs. 7-8 (the
-// general-case contenders, as CSV), the fault-robustness extension (the
+// [3]/[38] comparison, rendered and as full-precision CSV), Figs. 7-8 and
+// the appendix sweeps of Figs. 11-13 and 15 (the general-case contenders,
+// as CSV), the Zipf sweep (as CSV), the fault-robustness extension (the
 // online controller and its policies), the online experiment (plain,
 // warm-started and static alternating against the fixed-path baselines),
 // Table 2 (the qualitative summary built on the alternating optimizer) and
@@ -50,6 +51,22 @@ func preRefactorRender(t *testing.T, id string) string {
 				t.Fatal(err)
 			}
 			figs = append(figs, fs...)
+		}
+		return figuresCSV(figs)
+	case "appendix":
+		var figs []Figure
+		for _, f := range []func(*Config) ([]Figure, error){Fig11, Fig12, Fig13, Fig15} {
+			fs, err := f(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			figs = append(figs, fs...)
+		}
+		return figuresCSV(figs)
+	case "zipf":
+		figs, err := ZipfSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return figuresCSV(figs)
 	case "fault":
@@ -105,7 +122,7 @@ func figuresCSV(figs []Figure) string {
 // the strategy-layer extraction: rewiring the solvers behind
 // internal/strategy must not change a single byte of them.
 func TestPreRefactorOutputsBitForBit(t *testing.T) {
-	for _, id := range []string{"fig5", "fig5csv", "general", "fault", "tables", "online"} {
+	for _, id := range []string{"fig5", "fig5csv", "general", "appendix", "zipf", "fault", "tables", "online"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			got := preRefactorRender(t, id)

@@ -113,22 +113,28 @@ func (inst *Instance) TotalDemand() float64 {
 
 // SplittableOptimum computes the minimum-cost splittable flow satisfying
 // all demands within the arc capacities (Algorithm 2, line 1) via a
-// super-sink min-cost flow. The returned arc flow is indexed by the
-// instance graph's arc IDs. A done ctx aborts the flow with an error
-// wrapping ctx.Err(); nil means no cancellation.
+// super-sink min-cost flow. The sink arcs go in ascending node order, so
+// equal-cost ties resolve the same way on every call. The returned arc
+// flow is indexed by the instance graph's arc IDs. A done ctx aborts the
+// flow with an error wrapping ctx.Err(); nil means no cancellation.
 func (inst *Instance) SplittableOptimum(ctx context.Context) (*flow.Result, error) {
 	if len(inst.Commodities) == 0 {
 		return nil, ErrNoCommodities
 	}
-	gg := inst.G.Clone()
-	super := gg.AddNode()
-	demand := map[graph.NodeID]float64{}
+	demand := make([]float64, inst.G.NumNodes())
 	for _, c := range inst.Commodities {
 		demand[c.Dest] += c.Demand
 	}
+	gg := inst.G.Clone()
+	super := gg.AddNode()
 	for t, d := range demand {
-		gg.AddArc(t, super, 0, d)
+		if d > 0 {
+			gg.AddArc(t, super, 0, d)
+		}
 	}
+	// The value is summed in commodity order: flow.MinCostFlowToSinks
+	// would sum the sink amounts in node order instead, and that last-bit
+	// difference moves Alg. 2's rounding on some instances.
 	res, err := flow.MinCostFlow(ctx, gg, inst.Source, super, inst.TotalDemand())
 	if err != nil {
 		return nil, fmt.Errorf("msufp: splittable optimum: %w", err)

@@ -341,3 +341,50 @@ func TestLargerKWeaklyReducesCongestionOnAverage(t *testing.T) {
 		t.Errorf("average congestion K=50 (%v) noticeably worse than K=2 (%v) over %d instances", avg50/float64(count), avg2/float64(count), count)
 	}
 }
+
+// tieInstance is a random instance whose arc costs take only the values 1
+// and 2 and whose capacities are small integers, so many routes tie on cost
+// and the splittable flow has many optimal arc flows.
+func tieInstance(rng *rand.Rand) *Instance {
+	n := 6 + rng.Intn(6)
+	g := graph.New(n)
+	for v := 0; v+1 < n; v++ {
+		g.AddEdge(v, v+1, float64(1+rng.Intn(2)), float64(2+rng.Intn(3)))
+	}
+	for e := 0; e < 2*n; e++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			g.AddEdge(u, v, float64(1+rng.Intn(2)), float64(2+rng.Intn(3)))
+		}
+	}
+	inst := &Instance{G: g, Source: 0}
+	for i := 0; i < 3+rng.Intn(5); i++ {
+		inst.Commodities = append(inst.Commodities, Commodity{Dest: 1 + rng.Intn(n-1), Demand: 1})
+	}
+	return inst
+}
+
+// TestSplittableOptimumDeterministic requires repeated solves of one
+// instance to return the same arc flow bit for bit: the sink order must
+// not depend on map iteration, which Go randomizes per range loop.
+func TestSplittableOptimumDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		inst := tieInstance(rng)
+		first, err := inst.SplittableOptimum(nil)
+		if err != nil {
+			continue // capacities too tight for this draw
+		}
+		for call := 1; call < 30; call++ {
+			res, err := inst.SplittableOptimum(nil)
+			if err != nil {
+				t.Fatalf("trial %d call %d: %v", trial, call, err)
+			}
+			for id := range first.Arc {
+				if math.Float64bits(res.Arc[id]) != math.Float64bits(first.Arc[id]) {
+					t.Fatalf("trial %d call %d: arc %d carries %v, first call %v", trial, call, id, res.Arc[id], first.Arc[id])
+				}
+			}
+		}
+	}
+}

@@ -6,8 +6,7 @@
 // controller and evaluation actually see. Scenarios are plain data (a list
 // of timed events), so a run is bit-reproducible from its seed, and
 // builders compose: independently drawn per-link failures (MTBF/MTTR
-// chains), targeted worst-k link cuts by carried flow, and hand-scripted
-// events merge into one scenario.
+// chains) and hand-scripted events merge into one scenario.
 //
 // The package deliberately knows nothing about policies or metrics: it
 // rewrites placement.Spec inputs (graph, cache capacities, demand rates)
@@ -395,38 +394,6 @@ func RandomLinkFaults(g *graph.Graph, hours int, mtbf, mttr float64, seed int64)
 	return sc, nil
 }
 
-// TargetedWorstLinks cuts the k links carrying the most flow for hours in
-// [start, start+duration): the adversarial counterpart of RandomLinkFaults.
-// loads is a per-arc flow vector (placement.EvaluateServing's Loads); a
-// link's carried flow is the sum over its two directions. Ties break toward
-// the lower link index so the scenario is deterministic.
-func TargetedWorstLinks(g *graph.Graph, loads []float64, k, start, duration int) (*Scenario, error) {
-	links, err := Links(g)
-	if err != nil {
-		return nil, err
-	}
-	if len(loads) != g.NumArcs() {
-		return nil, fmt.Errorf("faults: %d loads for %d arcs", len(loads), g.NumArcs())
-	}
-	if k <= 0 || duration <= 0 {
-		return nil, fmt.Errorf("faults: need positive k and duration, got k=%d duration=%d", k, duration)
-	}
-	if k > len(links) {
-		k = len(links)
-	}
-	order := make([]int, len(links))
-	for i := range order {
-		order[i] = i
-	}
-	carried := func(i int) float64 { return loads[links[i].Fwd] + loads[links[i].Rev] }
-	sort.SliceStable(order, func(a, b int) bool { return carried(order[a]) > carried(order[b]) })
-	sc := &Scenario{Name: fmt.Sprintf("targeted-worst-%d", k)}
-	for _, i := range order[:k] {
-		sc.Events = append(sc.Events, Event{Kind: LinkDown, Start: start, Duration: duration, Link: i})
-	}
-	return sc, nil
-}
-
 // CacheFailure scripts a single cache-node failure with content loss.
 func CacheFailure(node graph.NodeID, start, duration int) *Scenario {
 	return &Scenario{
@@ -492,38 +459,4 @@ func CorruptedPush(start, duration int) *Scenario {
 		Name:   fmt.Sprintf("corrupt-push@%d+%d", start, duration),
 		Events: []Event{{Kind: PushCorrupt, Start: start, Duration: duration}},
 	}
-}
-
-// RandomControlPlaneOutages draws a seeded failure/repair chain for the
-// control plane over the horizon, the CP counterpart of RandomLinkFaults:
-// an up control plane dies each hour with probability 1/mtbf and recovers
-// with probability 1/mttr (both in hours, at least 1). Fully determined by
-// the seed, so CP chaos is as reproducible as link chaos.
-func RandomControlPlaneOutages(hours int, mtbf, mttr float64, seed int64) (*Scenario, error) {
-	if hours <= 0 {
-		return nil, fmt.Errorf("faults: horizon must be positive, got %d", hours)
-	}
-	if mtbf < 1 || math.IsNaN(mtbf) {
-		return nil, fmt.Errorf("faults: mtbf %v must be at least 1 hour", mtbf)
-	}
-	if mttr < 1 || math.IsNaN(mttr) {
-		return nil, fmt.Errorf("faults: mttr %v must be at least 1 hour", mttr)
-	}
-	r := rng.New(seed)
-	sc := &Scenario{Name: fmt.Sprintf("random-cp-outages(mtbf=%g,mttr=%g,seed=%d)", mtbf, mttr, seed)}
-	downSince := -1
-	for h := 0; h < hours; h++ {
-		if downSince < 0 {
-			if r.Float64() < 1/mtbf {
-				downSince = h
-			}
-		} else if r.Float64() < 1/mttr {
-			sc.Events = append(sc.Events, Event{Kind: ControlPlaneDown, Start: downSince, Duration: h - downSince})
-			downSince = -1
-		}
-	}
-	if downSince >= 0 {
-		sc.Events = append(sc.Events, Event{Kind: ControlPlaneDown, Start: downSince, Duration: hours - downSince})
-	}
-	return sc, nil
 }

@@ -253,39 +253,6 @@ func TestFaultRandomLinkFaultsDeterministic(t *testing.T) {
 	}
 }
 
-func TestFaultTargetedWorstLinks(t *testing.T) {
-	dec, _ := line4(t)
-	loads := []float64{5, 0, 1, 1, 9, 2} // carried: link0=5, link1=2, link2=11
-	sc, err := TargetedWorstLinks(dec.G, loads, 2, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cut []int
-	for _, e := range sc.Events {
-		if e.Kind != LinkDown || e.Start != 3 || e.Duration != 4 {
-			t.Fatalf("malformed event %+v", e)
-		}
-		cut = append(cut, e.Link)
-	}
-	if !reflect.DeepEqual(cut, []int{2, 0}) {
-		t.Errorf("cut links %v, want [2 0] (by carried flow, descending)", cut)
-	}
-	// k larger than the link count is clamped, not an error.
-	sc, err = TargetedWorstLinks(dec.G, loads, 10, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Events) != 3 {
-		t.Errorf("clamped scenario cuts %d links, want 3", len(sc.Events))
-	}
-	if _, err := TargetedWorstLinks(dec.G, loads[:2], 1, 0, 1); err == nil {
-		t.Error("wrong loads length accepted")
-	}
-	if _, err := TargetedWorstLinks(dec.G, loads, 0, 0, 1); err == nil {
-		t.Error("zero k accepted")
-	}
-}
-
 func TestFaultMergeAndActiveAt(t *testing.T) {
 	a := CacheFailure(1, 2, 2)
 	b := Surge(0, 2, 3, 1)
@@ -367,53 +334,6 @@ func TestFaultApplyCPFaultsRewriteNothing(t *testing.T) {
 	}
 	if !cond.CPDown || len(cond.LinksDown) != 1 {
 		t.Fatalf("composed condition %+v", cond)
-	}
-}
-
-func TestFaultRandomControlPlaneOutagesDeterministic(t *testing.T) {
-	a, err := RandomControlPlaneOutages(200, 12, 3, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RandomControlPlaneOutages(200, 12, 3, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Events, b.Events) {
-		t.Fatal("same seed, different outage chains")
-	}
-	c, err := RandomControlPlaneOutages(200, 12, 3, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Events, c.Events) {
-		t.Fatal("different seeds, identical outage chains")
-	}
-	if len(a.Events) == 0 {
-		t.Fatal("mtbf 12 over 200 hours produced no outages")
-	}
-	down := 0
-	for h := 0; h < 200; h++ {
-		if a.ControlPlaneDownAt(h) {
-			down++
-		}
-	}
-	if down == 0 || down == 200 {
-		t.Fatalf("outage chain covers %d/200 hours", down)
-	}
-	for _, e := range a.Events {
-		if e.Kind != ControlPlaneDown || e.Duration <= 0 || e.Start < 0 || e.Start+e.Duration > 200 {
-			t.Fatalf("malformed event %+v", e)
-		}
-	}
-	if _, err := RandomControlPlaneOutages(0, 12, 3, 1); err == nil {
-		t.Fatal("accepted a zero horizon")
-	}
-	if _, err := RandomControlPlaneOutages(10, 0.5, 3, 1); err == nil {
-		t.Fatal("accepted mtbf < 1")
-	}
-	if _, err := RandomControlPlaneOutages(10, 12, math.NaN(), 1); err == nil {
-		t.Fatal("accepted NaN mttr")
 	}
 }
 

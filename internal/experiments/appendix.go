@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"jcr/internal/demand"
 	"jcr/internal/topo"
 )
@@ -14,40 +12,21 @@ func Fig11(cfg *Config) ([]Figure, error) {
 		{ID: "Fig11a", Title: "Varying #videos: routing cost", XLabel: "#videos", YLabel: "routing cost"},
 		{ID: "Fig11b", Title: "Varying #videos: congestion", XLabel: "#videos", YLabel: "max load/capacity"},
 	}
-	cCost := newCollector(&figs[0])
-	cCong := newCollector(&figs[1])
-	samples := 0
-	for _, nv := range []int{6, 8, 10, 12} {
+	xs := []float64{6, 8, 10, 12}
+	scs := make([]*Scenario, len(xs))
+	for i, nv := range xs {
 		sub := *cfg
-		sub.NumVideos = nv
-		sc := NewScenario(&sub, nil)
-		ss := hourSamples(cfg)
-		err := runSampleSet(nil, cfg, ss, func(s *sample) error {
-			for _, mode := range fig5Modes {
-				tag := modeTag(mode)
-				run, err := sc.MakeRun(RunParams{Mode: mode, Hour: s.Hour, MCSeed: int64(s.MC)})
-				if err != nil {
-					return err
-				}
-				results, err := scoreRoster(generalRoster(cfg), run)
-				if err != nil {
-					return fmt.Errorf("Fig11 #videos=%d: %w", nv, err)
-				}
-				for _, r := range results {
-					s.add(cCost, r.label+" ("+tag+")", float64(nv), r.cost)
-					s.add(cCong, r.label+" ("+tag+")", float64(nv), r.congestion)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		samples = len(ss)
+		sub.NumVideos = int(nv)
+		scs[i] = NewScenario(&sub, nil)
 	}
-	note := fmt.Sprintf("averaged over %d samples per point", samples)
-	cCost.finish(samples, note)
-	cCong.finish(samples, note)
+	sw := sweep{
+		xs:   xs,
+		run:  func(p RunParams, i int) (*Run, error) { return scs[i].MakeRun(p) },
+		note: "averaged over %d samples per point",
+	}
+	if err := generalSweep(cfg, sw, &figs[0], &figs[1], nil); err != nil {
+		return nil, err
+	}
 	return figs, nil
 }
 
@@ -61,41 +40,16 @@ func Fig12(cfg *Config) ([]Figure, error) {
 		{ID: "Fig12a", Title: "Varying chunk size: routing cost (MB-normalized)", XLabel: "chunk size (MB)", YLabel: "routing cost x chunkMB/100"},
 		{ID: "Fig12b", Title: "Varying chunk size: congestion", XLabel: "chunk size (MB)", YLabel: "max load/capacity"},
 	}
-	cCost := newCollector(&figs[0])
-	cCong := newCollector(&figs[1])
-	samples := hourSamples(cfg)
-	err := runSampleSet(nil, cfg, samples, func(s *sample) error {
-		for _, mode := range fig5Modes {
-			tag := modeTag(mode)
-			for _, chunkMB := range []float64{25, 50, 100} {
-				run, err := sc.MakeRun(RunParams{
-					ChunkMB: chunkMB,
-					// Same cache bytes: 12 x 100 MB.
-					CacheSlots: cfg.ChunkSlots * demand.DefaultChunkMB / chunkMB,
-					Mode:       mode, Hour: s.Hour, MCSeed: int64(s.MC),
-				})
-				if err != nil {
-					return err
-				}
-				results, err := scoreRoster(generalRoster(cfg), run)
-				if err != nil {
-					return fmt.Errorf("Fig12 chunkMB=%v: %w", chunkMB, err)
-				}
-				for _, r := range results {
-					// Normalize cost to MB so chunk sizes compare.
-					s.add(cCost, r.label+" ("+tag+")", chunkMB, r.cost*chunkMB/demand.DefaultChunkMB)
-					s.add(cCong, r.label+" ("+tag+")", chunkMB, r.congestion)
-				}
-			}
-		}
-		return nil
+	sw := paramSweep(sc, []float64{25, 50, 100}, func(p *RunParams, chunkMB float64) {
+		p.ChunkMB = chunkMB
+		// Same cache bytes: 12 x 100 MB.
+		p.CacheSlots = cfg.ChunkSlots * demand.DefaultChunkMB / chunkMB
 	})
-	if err != nil {
+	// Normalize cost to MB so chunk sizes compare.
+	sw.cost = func(cost, chunkMB float64) float64 { return cost * chunkMB / demand.DefaultChunkMB }
+	if err := generalSweep(cfg, sw, &figs[0], &figs[1], nil); err != nil {
 		return nil, err
 	}
-	note := fmt.Sprintf("averaged over %d samples", len(samples))
-	cCost.finish(len(samples), note)
-	cCong.finish(len(samples), note)
 	return figs, nil
 }
 
@@ -107,35 +61,11 @@ func Fig13(cfg *Config) ([]Figure, error) {
 		{ID: "Fig13a", Title: "Varying prediction error: routing cost", XLabel: "sigma (fraction of mean demand)", YLabel: "routing cost"},
 		{ID: "Fig13b", Title: "Varying prediction error: congestion", XLabel: "sigma (fraction of mean demand)", YLabel: "max load/capacity"},
 	}
-	cCost := newCollector(&figs[0])
-	cCong := newCollector(&figs[1])
-	samples := hourSamples(cfg)
-	err := runSampleSet(nil, cfg, samples, func(s *sample) error {
-		for _, sigma := range []float64{0, 0.2, 0.5, 1.0} {
-			run, err := sc.MakeRun(RunParams{
-				Mode: SyntheticError, SigmaFrac: sigma,
-				Hour: s.Hour, MCSeed: int64(s.MC),
-			})
-			if err != nil {
-				return err
-			}
-			results, err := scoreRoster(generalRoster(cfg), run)
-			if err != nil {
-				return fmt.Errorf("Fig13 sigma=%v: %w", sigma, err)
-			}
-			for _, r := range results {
-				s.add(cCost, r.label, sigma, r.cost)
-				s.add(cCong, r.label, sigma, r.congestion)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	sw := paramSweep(sc, []float64{0, 0.2, 0.5, 1.0}, func(p *RunParams, sigma float64) { p.SigmaFrac = sigma })
+	sw.modes = []PredictionMode{SyntheticError}
+	if err := generalSweep(cfg, sw, &figs[0], &figs[1], nil); err != nil {
 		return nil, err
 	}
-	note := fmt.Sprintf("averaged over %d samples", len(samples))
-	cCost.finish(len(samples), note)
-	cCong.finish(len(samples), note)
 	return figs, nil
 }
 
@@ -147,51 +77,26 @@ func Fig15(cfg *Config) ([]Figure, error) {
 		{ID: "Fig15a", Title: "Varying topology: routing cost", XLabel: "topology (0=Abvt, 1=Tinet, 2=Deltacom)", YLabel: "routing cost"},
 		{ID: "Fig15b", Title: "Varying topology: congestion", XLabel: "topology (0=Abvt, 1=Tinet, 2=Deltacom)", YLabel: "max load/capacity"},
 	}
-	cCost := newCollector(&figs[0])
-	cCong := newCollector(&figs[1])
-	nets := []struct {
-		name string
-		mk   func(int64) *topo.Network
-	}{
-		{"Abvt", topo.Abvt},
-		{"Tinet", topo.Tinet},
-		{"Deltacom", topo.Deltacom},
+	nets := []func(int64) *topo.Network{topo.Abvt, topo.Tinet, topo.Deltacom}
+	xs := make([]float64, len(nets))
+	scs := make([]*Scenario, len(nets))
+	for i, mk := range nets {
+		xs[i] = float64(i)
+		scs[i] = NewScenario(cfg, mk(cfg.Seed))
 	}
 	// 1 Gbps in chunks/hour: 1e9 b/s * 3600 s / (100 MB * 8e6 b/MB).
 	const gbpsChunksPerHour = 1e9 * 3600 / (demand.DefaultChunkMB * 8e6)
-	samples := 0
-	for ni, nt := range nets {
-		sc := NewScenario(cfg, nt.mk(cfg.Seed))
-		ss := hourSamples(cfg)
-		err := runSampleSet(nil, cfg, ss, func(s *sample) error {
-			for _, mode := range fig5Modes {
-				tag := modeTag(mode)
-				run, err := sc.MakeRun(RunParams{
-					CapacityFrac: absoluteCapacity(sc, gbpsChunksPerHour, s.Hour),
-					Mode:         mode, Hour: s.Hour, MCSeed: int64(s.MC),
-				})
-				if err != nil {
-					return err
-				}
-				results, err := scoreRoster(generalRoster(cfg), run)
-				if err != nil {
-					return fmt.Errorf("Fig15 %s: %w", nt.name, err)
-				}
-				for _, r := range results {
-					s.add(cCost, r.label+" ("+tag+")", float64(ni), r.cost)
-					s.add(cCong, r.label+" ("+tag+")", float64(ni), r.congestion)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		samples = len(ss)
+	sw := sweep{
+		xs: xs,
+		run: func(p RunParams, i int) (*Run, error) {
+			p.CapacityFrac = absoluteCapacity(scs[i], gbpsChunksPerHour, p.Hour)
+			return scs[i].MakeRun(p)
+		},
+		note: "averaged over %d samples per topology",
 	}
-	note := fmt.Sprintf("averaged over %d samples per topology", samples)
-	cCost.finish(samples, note)
-	cCong.finish(samples, note)
+	if err := generalSweep(cfg, sw, &figs[0], &figs[1], nil); err != nil {
+		return nil, err
+	}
 	return figs, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"jcr/internal/demand"
 	"jcr/internal/faults"
 	"jcr/internal/graph"
 	"jcr/internal/par"
@@ -184,35 +183,11 @@ func buildArenaCell(cfg *Config, cell ArenaCell, ci int) (*placement.Spec, error
 	}
 	r := rng.Derive(cfg.Seed, 9000+int64(ci))
 	net.AssignCosts(r, 100, 200, 1, 20)
-	pop := demand.Zipf(cell.Catalog, cell.Alpha)
-	itemRates := make([]float64, cell.Catalog)
-	for i := range itemRates {
-		itemRates[i] = pop[i] * arenaTotalRate
-	}
-	perEdge := demand.SpreadToEdges(itemRates, len(net.Edges), r)
-	rates := make([][]float64, cell.Catalog)
-	edgeTotals := make([]float64, len(net.Edges))
-	for i := range rates {
-		rates[i] = make([]float64, net.G.NumNodes())
-		for e, v := range net.Edges {
-			rates[i][v] = perEdge[i][e]
-			edgeTotals[e] += perEdge[i][e]
-		}
-	}
+	spec, edgeTotals := zipfSpec(net, cell.Catalog, cell.Alpha, arenaTotalRate, cfg.ChunkSlots, r)
+	spec.Pinned = []graph.NodeID{net.Origin}
 	net.SetUniformCapacity(arenaCapFrac * arenaTotalRate)
 	if err := net.AugmentFeasibility(edgeTotals); err != nil {
 		return nil, err
-	}
-	cacheCap := make([]float64, net.G.NumNodes())
-	for _, v := range net.Edges {
-		cacheCap[v] = cfg.ChunkSlots
-	}
-	spec := &placement.Spec{
-		G:        net.G,
-		NumItems: cell.Catalog,
-		CacheCap: cacheCap,
-		Pinned:   []graph.NodeID{net.Origin},
-		Rates:    rates,
 	}
 	if !cell.Faulty {
 		return spec, nil
@@ -236,7 +211,6 @@ func buildArenaCell(cfg *Config, cell ArenaCell, ci int) (*placement.Spec, error
 // run best-effort (fault cells may strand requests) and sequentially
 // inside the bout — the arena's own worker pool is the parallelism.
 func runArenaBout(ctx context.Context, cfg *Config, cell ArenaCell, spec *placement.Spec, dist [][]float64, name string) ArenaResult {
-	res := ArenaResult{Cell: cell.Name(), Strategy: name, Delay: -1}
 	st, err := strategy.New(name, strategy.Options{
 		Seed:          cfg.Seed,
 		Workers:       1,
@@ -244,34 +218,37 @@ func runArenaBout(ctx context.Context, cfg *Config, cell ArenaCell, spec *placem
 		NoSolverReuse: true,
 	})
 	if err != nil {
-		res.Status = "failed"
-		res.Err = err.Error()
-		return res
+		return ArenaResult{Cell: cell.Name(), Strategy: name, Status: "failed", Delay: -1, Err: err.Error()}
 	}
 	inst := strategy.Instance{Spec: spec, Dist: dist}
 	if sized, ok := st.(strategy.Sized); ok && !sized.Fits(inst) {
-		res.Status = "skipped"
-		res.Err = "instance beyond the strategy's size limits"
-		return res
+		return ArenaResult{Cell: cell.Name(), Strategy: name, Status: "skipped", Delay: -1, Err: "instance beyond the strategy's size limits"}
 	}
+	return scoreBout(ctx, cfg, cell.Name(), name, st, inst)
+}
+
+// scoreBout times st's decision on inst, validates the plan and scores
+// it: the served fraction of the instance's demand, the expected delay
+// per served unit and the congestion. The arena and the scaling sweep
+// both score their bouts here.
+func scoreBout(ctx context.Context, cfg *Config, cell, name string, st strategy.Strategy, inst strategy.Instance) ArenaResult {
+	res := ArenaResult{Cell: cell, Strategy: name, Delay: -1}
 	lap := cfg.stopwatch()
 	plan, stats, err := st.Decide(ctx, inst)
 	res.WallMS = lap().Seconds() * 1000
 	res.Iterations = stats.Iterations
 	res.Method = stats.Method
+	if err == nil {
+		err = strategy.Validate(inst, plan)
+	}
 	if err != nil {
 		res.Status = "failed"
 		res.Err = err.Error()
 		return res
 	}
-	if err := strategy.Validate(inst, plan); err != nil {
-		res.Status = "failed"
-		res.Err = err.Error()
-		return res
-	}
 	total := 0.0
-	for i := range spec.Rates {
-		for _, lam := range spec.Rates[i] {
+	for i := range inst.Spec.Rates {
+		for _, lam := range inst.Spec.Rates[i] {
 			total += lam
 		}
 	}

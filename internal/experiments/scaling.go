@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"jcr/internal/demand"
 	"jcr/internal/graph"
 	"jcr/internal/placement"
 	"jcr/internal/rng"
@@ -89,8 +88,16 @@ func Scaling(ctx context.Context, cfg *Config, quick bool) (*Scorecard, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scaling: cell %s: %w", cell.Name(), err)
 		}
-		dist := graph.AllPairs(spec.G)
-		results = append(results, runScalingBout(ctx, cfg, cell, spec, dist))
+		// Solver reuse stays on: warm re-solves across alternating rounds
+		// are part of what the experiment measures.
+		st := &strategy.Alternating{Options: strategy.Options{
+			Seed:       cfg.Seed,
+			Workers:    cfg.Workers,
+			MaxIters:   scalingMaxRounds,
+			BestEffort: true,
+		}}
+		inst := strategy.Instance{Spec: spec, Dist: graph.AllPairs(spec.G)}
+		results = append(results, scoreBout(ctx, cfg, cell.Name(), "alternating", st, inst))
 	}
 	sc.Results = results
 	sc.Rows = rankArena([]string{"alternating"}, results)
@@ -110,82 +117,13 @@ func buildScalingCell(cfg *Config, cell ScalingCell) (*placement.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	totalRate := scalingBlockRate * float64(cell.Blocks)
-	pop := demand.Zipf(cell.Catalog, scalingAlpha)
-	itemRates := make([]float64, cell.Catalog)
-	for i := range itemRates {
-		itemRates[i] = pop[i] * totalRate
-	}
-	perEdge := demand.SpreadToEdges(itemRates, len(comp.Edges), r)
-	rates := make([][]float64, cell.Catalog)
-	edgeTotals := make([]float64, len(comp.Edges))
-	for i := range rates {
-		rates[i] = make([]float64, comp.G.NumNodes())
-		for e, v := range comp.Edges {
-			rates[i][v] = perEdge[i][e]
-			edgeTotals[e] += perEdge[i][e]
-		}
-	}
+	spec, edgeTotals := zipfSpec(comp.Network, cell.Catalog, scalingAlpha, scalingBlockRate*float64(cell.Blocks), cfg.ChunkSlots, r)
+	spec.Pinned = comp.BlockOrigins
 	comp.SetUniformCapacity(scalingCapFrac * scalingBlockRate)
 	if err := comp.AugmentBlockFeasibility(edgeTotals); err != nil {
 		return nil, err
 	}
-	cacheCap := make([]float64, comp.G.NumNodes())
-	for _, v := range comp.Edges {
-		cacheCap[v] = cfg.ChunkSlots
-	}
-	return &placement.Spec{
-		G:        comp.G,
-		NumItems: cell.Catalog,
-		CacheCap: cacheCap,
-		Pinned:   comp.BlockOrigins,
-		Rates:    rates,
-	}, nil
-}
-
-// runScalingBout runs the alternating optimizer on one composite cell.
-// Solver reuse stays on: warm re-solves across alternating rounds are part
-// of what the experiment measures.
-func runScalingBout(ctx context.Context, cfg *Config, cell ScalingCell, spec *placement.Spec, dist [][]float64) ArenaResult {
-	res := ArenaResult{Cell: cell.Name(), Strategy: "alternating", Delay: -1}
-	st := &strategy.Alternating{Options: strategy.Options{
-		Seed:       cfg.Seed,
-		Workers:    cfg.Workers,
-		MaxIters:   scalingMaxRounds,
-		BestEffort: true,
-	}}
-	inst := strategy.Instance{Spec: spec, Dist: dist}
-	lap := cfg.stopwatch()
-	plan, stats, err := st.Decide(ctx, inst)
-	res.WallMS = lap().Seconds() * 1000
-	res.Iterations = stats.Iterations
-	res.Method = stats.Method
-	if err != nil {
-		res.Status = "failed"
-		res.Err = err.Error()
-		return res
-	}
-	if err := strategy.Validate(inst, plan); err != nil {
-		res.Status = "failed"
-		res.Err = err.Error()
-		return res
-	}
-	total := 0.0
-	for i := range spec.Rates {
-		for _, lam := range spec.Rates[i] {
-			total += lam
-		}
-	}
-	served := total - plan.UnservedMass()
-	res.Status = "ok"
-	res.Congestion = plan.MaxUtilization
-	if total > 0 {
-		res.Served = served / total
-	}
-	if served > 0 {
-		res.Delay = plan.Cost / served
-	}
-	return res
+	return spec, nil
 }
 
 // scalingRun adapts the scaling scorecard to the plain Run signature.

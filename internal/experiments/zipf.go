@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"jcr/internal/demand"
 	"jcr/internal/graph"
@@ -21,69 +22,64 @@ func ZipfSweep(cfg *Config) ([]Figure, error) {
 		{ID: "ZipfA", Title: "Zipf demand: routing cost vs skew", XLabel: "alpha", YLabel: "routing cost"},
 		{ID: "ZipfB", Title: "Zipf demand: congestion vs skew", XLabel: "alpha", YLabel: "max load/capacity"},
 	}
-	cCost := newCollector(&figs[0])
-	cCong := newCollector(&figs[1])
 	const numItems = 54
 	const totalRate = 10000.0
-	samples := mcSamples(cfg)
-	err := runSampleSet(nil, cfg, samples, func(s *sample) error {
-		for _, alpha := range []float64{0.4, 0.8, 1.2} {
+	alphas := []float64{0.4, 0.8, 1.2}
+	sw := sweep{
+		samples: mcSamples(cfg),
+		modes:   []PredictionMode{TrueDemand},
+		xs:      alphas,
+		run: func(p RunParams, i int) (*Run, error) {
 			net := topo.Abovenet(cfg.Seed)
-			rng := rng.Derive(cfg.Seed, 500+int64(s.MC))
-			net.AssignCosts(rng, 100, 200, 1, 20)
-
-			pop := demand.Zipf(numItems, alpha)
-			itemRates := make([]float64, numItems)
-			for i := range itemRates {
-				itemRates[i] = pop[i] * totalRate
-			}
-			perEdge := demand.SpreadToEdges(itemRates, len(net.Edges), rng)
-			rates := make([][]float64, numItems)
-			edgeTotals := make([]float64, len(net.Edges))
-			for i := range rates {
-				rates[i] = make([]float64, net.G.NumNodes())
-				for e, v := range net.Edges {
-					rates[i][v] = perEdge[i][e]
-					edgeTotals[e] += perEdge[i][e]
-				}
-			}
+			r := rng.Derive(cfg.Seed, 500+p.MCSeed)
+			net.AssignCosts(r, 100, 200, 1, 20)
+			spec, edgeTotals := zipfSpec(net, numItems, alphas[i], totalRate, cfg.ChunkSlots, r)
+			spec.Pinned = []graph.NodeID{net.Origin}
 			net.SetUniformCapacity(cfg.CapacityFrac * totalRate)
 			if err := net.AugmentFeasibility(edgeTotals); err != nil {
-				return err
+				return nil, err
 			}
-			cacheCap := make([]float64, net.G.NumNodes())
-			for _, v := range net.Edges {
-				cacheCap[v] = cfg.ChunkSlots
-			}
-			spec := &placement.Spec{
-				G:        net.G,
-				NumItems: numItems,
-				CacheCap: cacheCap,
-				Pinned:   []graph.NodeID{net.Origin},
-				Rates:    rates,
-			}
-			run := &Run{
+			return &Run{
 				Scenario: &Scenario{Cfg: cfg, Net: net},
 				Decision: spec,
 				Truth:    spec,
 				Dist:     graph.AllPairs(net.G),
-			}
-			results, err := scoreRoster(generalRoster(cfg), run)
-			if err != nil {
-				return fmt.Errorf("zipf alpha=%v: %w", alpha, err)
-			}
-			for _, r := range results {
-				s.add(cCost, r.label, alpha, r.cost)
-				s.add(cCong, r.label, alpha, r.congestion)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+			}, nil
+		},
+		note: fmt.Sprintf("synthetic Zipf demand, %d items, total rate %.0f, averaged over %%d runs", numItems, totalRate),
+	}
+	if err := generalSweep(cfg, sw, &figs[0], &figs[1], nil); err != nil {
 		return nil, err
 	}
-	note := fmt.Sprintf("synthetic Zipf demand, %d items, total rate %.0f, averaged over %d runs", numItems, totalRate, len(samples))
-	cCost.finish(len(samples), note)
-	cCong.finish(len(samples), note)
 	return figs, nil
+}
+
+// zipfSpec builds the demand side of a synthetic Zipf cell on net (the
+// Zipf sweep, the arena and the scaling sweep): Zipf(alpha) popularity over
+// the catalog scaled to totalRate, spread across the edge nodes with r,
+// and caches of the given slots at every edge node. It returns the spec,
+// with no pinned origins yet, and each edge node's total demand for the
+// caller's capacity augmentation; topology, link capacities and origins
+// are the caller's.
+func zipfSpec(net *topo.Network, catalog int, alpha, totalRate, slots float64, r *rand.Rand) (*placement.Spec, []float64) {
+	pop := demand.Zipf(catalog, alpha)
+	itemRates := make([]float64, catalog)
+	for i := range itemRates {
+		itemRates[i] = pop[i] * totalRate
+	}
+	perEdge := demand.SpreadToEdges(itemRates, len(net.Edges), r)
+	rates := make([][]float64, catalog)
+	edgeTotals := make([]float64, len(net.Edges))
+	for i := range rates {
+		rates[i] = make([]float64, net.G.NumNodes())
+		for e, v := range net.Edges {
+			rates[i][v] = perEdge[i][e]
+			edgeTotals[e] += perEdge[i][e]
+		}
+	}
+	cacheCap := make([]float64, net.G.NumNodes())
+	for _, v := range net.Edges {
+		cacheCap[v] = slots
+	}
+	return &placement.Spec{G: net.G, NumItems: catalog, CacheCap: cacheCap, Rates: rates}, edgeTotals
 }

@@ -83,7 +83,7 @@ perfbench:
 
 # Full suite under the race detector (also a CI job).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Serving-layer soak gate (also a CI job): the control plane is killed
 # halfway and every lookup of the run must still resolve.

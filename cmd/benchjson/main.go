@@ -41,9 +41,10 @@ var rows = []struct {
 	{"BenchmarkSolverWarmPerturb", "lp_solver_warm_perturb", false},
 	{"BenchmarkSolverColdPerturb", "lp_solver_cold_perturb", false},
 	{"BenchmarkLPPivotHeavyFT", "lp_pivot_heavy_ft", true},
-	{"BenchmarkAlternatingSequenceWarm", "alternating_sequence_warm", false},
+	{"BenchmarkAlternatingSequenceWarm", "alternating_sequence_warm", true},
 	{"BenchmarkAlternatingSequenceCold", "alternating_sequence_cold", false},
 	{"BenchmarkMSUFPAlg2", "msufp_alg2_k1000", false},
+	{"BenchmarkRouteSequential", "route_sequential", false},
 	{"BenchmarkDijkstra", "dijkstra_tree", true},
 	{"BenchmarkDijkstraReference", "dijkstra_tree_ref", false},
 	{"BenchmarkYenK25", "yen_k25", true},
@@ -56,7 +57,7 @@ var rows = []struct {
 	{"BenchmarkHarnessFig6", "harness_fig6", false},
 	{"BenchmarkDecide/alg1", "decide_alg1", true},
 	{"BenchmarkDecide/alg2", "decide_alg2", false},
-	{"BenchmarkDecide/alternating", "decide_alternating", false},
+	{"BenchmarkDecide/alternating", "decide_alternating", true},
 	{"BenchmarkDecide/cachenet-random", "decide_cachenet_random", false},
 	{"BenchmarkDecide/iy-fixedpath", "decide_iy_fixedpath", false},
 	{"BenchmarkDecide/ksp", "decide_ksp", true},

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"fmt"
-	"sort"
 
 	"jcr/internal/graph"
 )
@@ -16,31 +15,31 @@ type PathFlow struct {
 }
 
 // Decompose splits a single-commodity arc flow rooted at src into simple
-// paths, each ending at a sink with positive demand. demand maps sink nodes
-// to the amount of flow terminating there; the arc flow must satisfy
-// conservation with net outflow sum(demand) at src and net inflow demand[t]
-// at each sink t (the flow-decomposition precondition). Cycles in the flow
-// are canceled and dropped, which never increases cost since arc costs are
-// nonnegative. The number of returned paths is at most |E| plus the number
-// of sinks, matching the bound used in the proof of Theorem 4.7.
-func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[graph.NodeID]float64) ([]PathFlow, error) {
+// paths, each ending at a sink with positive demand. sinks lists the nodes
+// where flow terminates, in strictly ascending node order, with the amount
+// each receives; the arc flow must satisfy conservation with net outflow
+// the sum of the amounts at src and net inflow Amount at each sink (the
+// flow-decomposition precondition). Cycles in the flow are canceled and
+// dropped, which never increases cost since arc costs are nonnegative. The
+// number of returned paths is at most |E| plus the number of sinks,
+// matching the bound used in the proof of Theorem 4.7.
+func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, sinks []Demand) ([]PathFlow, error) {
 	if len(arcFlow) != g.NumArcs() {
 		return nil, fmt.Errorf("flow: arc flow has %d entries for %d arcs", len(arcFlow), g.NumArcs())
 	}
 	res := append([]float64(nil), arcFlow...)
-	remaining := make(map[graph.NodeID]float64, len(demand))
+	// remaining[v] is the demand still unserved at v, zero off the sinks.
+	remaining := make([]float64, g.NumNodes())
 	var total float64
-	// Sum demand in sorted sink order: total feeds the tolerances below,
-	// and map iteration order would otherwise leak into their last bits.
-	sinks := make([]graph.NodeID, 0, len(demand))
-	for t := range demand {
-		sinks = append(sinks, t)
-	}
-	sort.Ints(sinks)
-	for _, t := range sinks {
-		if d := demand[t]; d > eps {
-			remaining[t] = d
-			total += d
+	// total is summed in ascending sink order: it feeds the tolerances
+	// below, so the order fixes their last bits.
+	for j, d := range sinks {
+		if d.Node < 0 || d.Node >= g.NumNodes() || (j > 0 && d.Node <= sinks[j-1].Node) {
+			return nil, fmt.Errorf("flow: sink %d at position %d is out of range or out of ascending order", d.Node, j)
+		}
+		if d.Amount > eps {
+			remaining[d.Node] = d.Amount
+			total += d.Amount
 		}
 	}
 	// Tolerances scale with the demand magnitude so that float residue
@@ -64,7 +63,7 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[g
 		v := src
 		stamp[v] = walkID
 		for {
-			if rem, isSink := remaining[v]; isSink && rem > tol && v != src {
+			if remaining[v] > tol && v != src {
 				break
 			}
 			// Follow the largest-residual out-arc. LP-produced flows carry
@@ -80,7 +79,7 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, demand map[g
 				}
 			}
 			if next < 0 {
-				if rem, isSink := remaining[v]; isSink && rem > tol {
+				if remaining[v] > tol {
 					break // src itself is a sink (degenerate but legal)
 				}
 				return nil, fmt.Errorf("flow: decomposition stuck at node %d with %.6g demand left (flow does not satisfy conservation)", v, total)

@@ -25,7 +25,7 @@ func TestDecomposeCancelsResidualCycleOnPath(t *testing.T) {
 	arcFlow[a12] = 3
 	arcFlow[a21] = 3
 	arcFlow[a13] = 2
-	paths, err := Decompose(g, arcFlow, 0, map[graph.NodeID]float64{3: 2})
+	paths, err := Decompose(g, arcFlow, 0, []Demand{{Node: 3, Amount: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestDecomposeZeroFlowArcsAfterCancellation(t *testing.T) {
 	arcFlow[a12] = 1
 	arcFlow[a21] = 1
 	arcFlow[a13] = 1
-	paths, err := Decompose(g, arcFlow, 0, map[graph.NodeID]float64{3: 1})
+	paths, err := Decompose(g, arcFlow, 0, []Demand{{Node: 3, Amount: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDecomposeIgnoresLPNoiseArcs(t *testing.T) {
 	arcFlow[n04] = 1e-9 // above arcTol, below any real flow
 	arcFlow[a01] = 20
 	arcFlow[a13] = 20
-	paths, err := Decompose(g, arcFlow, 0, map[graph.NodeID]float64{3: 20})
+	paths, err := Decompose(g, arcFlow, 0, []Demand{{Node: 3, Amount: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestQuickDecomposeConservesFlowUnderLinkRemovals(t *testing.T) {
 			return true // removals disconnected the sinks; nothing to check
 		}
 		arcFlow := res.Arc[:g.NumArcs()]
-		paths, err := Decompose(g, arcFlow, src, sinks)
+		paths, err := Decompose(g, arcFlow, src, sortedDemands(sinks))
 		if err != nil {
 			return false
 		}

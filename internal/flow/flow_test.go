@@ -236,7 +236,7 @@ func TestDecomposeRoundTrip(t *testing.T) {
 		}
 		// Project back to g's arcs (g's arc IDs coincide with gg's).
 		arcFlow := res.Arc[:g.NumArcs()]
-		paths, err := Decompose(g, arcFlow, 0, sinks)
+		paths, err := Decompose(g, arcFlow, 0, sortedDemands(sinks))
 		if err != nil {
 			t.Fatalf("trial %d: Decompose: %v", trial, err)
 		}
@@ -274,12 +274,12 @@ func TestDecomposeRejectsBadFlow(t *testing.T) {
 	g := graph.New(3)
 	g.AddArc(0, 1, 1, 5)
 	// Flow claims 2 units reach node 2, but no arcs go there.
-	_, err := Decompose(g, []float64{2}, 0, map[graph.NodeID]float64{2: 2})
+	_, err := Decompose(g, []float64{2}, 0, []Demand{{Node: 2, Amount: 2}})
 	if err == nil {
 		t.Error("expected error for non-conserving flow")
 	}
 	// Wrong arc-flow length.
-	_, err = Decompose(g, []float64{1, 2}, 0, map[graph.NodeID]float64{1: 1})
+	_, err = Decompose(g, []float64{1, 2}, 0, []Demand{{Node: 1, Amount: 1}})
 	if err == nil {
 		t.Error("expected error for wrong arc slice length")
 	}
@@ -295,7 +295,7 @@ func TestDecomposeDropsCycle(t *testing.T) {
 	arcFlow[a01] = 1
 	arcFlow[a12] = 1
 	arcFlow[a21] = 1
-	paths, err := Decompose(g, arcFlow, 0, map[graph.NodeID]float64{1: 1})
+	paths, err := Decompose(g, arcFlow, 0, []Demand{{Node: 1, Amount: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

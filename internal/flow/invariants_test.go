@@ -40,7 +40,7 @@ func TestDecomposeSatisfiesInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfs, err := flow.Decompose(g, r.Arc, 0, map[graph.NodeID]float64{3: 6})
+	pfs, err := flow.Decompose(g, r.Arc, 0, []flow.Demand{{Node: 3, Amount: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -444,12 +444,3 @@ func NetOutflow(g *graph.Graph, arcFlow []float64, v graph.NodeID) float64 {
 	}
 	return net
 }
-
-// Cost computes the total routing cost of an arc flow.
-func Cost(g *graph.Graph, arcFlow []float64) float64 {
-	var c float64
-	for id, f := range arcFlow {
-		c += f * g.Arc(id).Cost
-	}
-	return c
-}

@@ -139,7 +139,7 @@ func TestQuickDecomposeCostNeverExceedsFlow(t *testing.T) {
 			return true // infeasible instance, nothing to check
 		}
 		arcFlow := res.Arc[:qn.G.NumArcs()]
-		paths, err := Decompose(qn.G, arcFlow, src, sinks)
+		paths, err := Decompose(qn.G, arcFlow, src, sortedDemands(sinks))
 		if err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // mapOrderFact marks a function whose returned slice is ordered by map
@@ -30,6 +31,10 @@ type mapOrderFact struct {
 //     order (integer accumulation is exact and not flagged);
 //   - emission — fmt printing, Write/WriteString-style calls, channel
 //     sends — whose interleaving is the iteration order;
+//   - Add* method calls on a value from outside the loop with
+//     key/value-derived arguments: like an append, they build the
+//     receiver in iteration order (g.AddArc numbers the arcs, and the
+//     arc order decides a solver's ties);
 //   - returns of key/value-derived data from inside the loop body, which
 //     select a nondeterministic witness.
 //
@@ -402,6 +407,9 @@ func (a *mapOrderAnalysis) report(reported map[token.Pos]bool) {
 			case *ast.CallExpr:
 				if name, ok := emitCall(a.p.Pkg, n); ok {
 					emit(n.Pos(), "%s inside range over %s emits output in map iteration order; iterate sorted keys", name, loop.source)
+				} else if sel, ok := growCall(a.p.Pkg, n); ok && a.anyTainted(loop, n.Args...) && !a.anyTainted(loop, sel.X) {
+					emit(n.Pos(), "%s inside range over %s builds %s in map iteration order; iterate sorted keys",
+						types.ExprString(sel), loop.source, types.ExprString(sel.X))
 				}
 			case *ast.ReturnStmt:
 				if a.anyTainted(loop, n.Results...) {
@@ -457,6 +465,17 @@ func emitCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// growCall recognizes a method call that adds to its receiver, named
+// Add* like graph.Graph.AddArc, and returns its selector.
+func growCall(pkg *Package, call *ast.CallExpr) (*ast.SelectorExpr, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !strings.HasPrefix(sel.Sel.Name, "Add") {
+		return nil, false
+	}
+	s, isMethod := pkg.Info.Selections[sel]
+	return sel, isMethod && s.Kind() == types.MethodVal
 }
 
 // identObject resolves an identifier to its object, whether the ident

@@ -98,3 +98,31 @@ func DrainUnordered(m map[string]int, sink chan<- string) {
 		sink <- k //jcrlint:allow map-order: downstream set union is order-insensitive
 	}
 }
+
+// Graph stands in for graph.Graph: AddArc numbers the arcs in call order.
+type Graph struct{ arcs [][2]int }
+
+// AddArc adds an arc and returns its ID.
+func (g *Graph) AddArc(from, to int, cost, capacity float64) int {
+	g.arcs = append(g.arcs, [2]int{from, to})
+	return len(g.arcs) - 1
+}
+
+// SuperSinkLeak is the old msufp.SplittableOptimum loop: the super-sink
+// arcs are numbered in map iteration order, and the arc order decides
+// which of several equal-cost flows the solver returns (violation).
+func SuperSinkLeak(g *Graph, super int, demand map[int]float64) {
+	for t, d := range demand {
+		if d > 0 {
+			g.AddArc(t, super, 0, d)
+		}
+	}
+}
+
+// GrowEach adds to each graph of a map: the receiver is the iteration's
+// own value, so no shared state sees the order (compliant).
+func GrowEach(graphs map[string]*Graph) {
+	for _, g := range graphs {
+		g.AddArc(0, 1, 0, 1)
+	}
+}

@@ -112,32 +112,35 @@ func SolveRNR(inst *Instance) (*Assignment, error) {
 // attributed to individual commodities. Commodities sharing a destination
 // split that destination's path flows greedily (they are interchangeable).
 func decomposePerCommodity(inst *Instance, arcFlow []float64) ([][]flow.PathFlow, error) {
-	demand := map[graph.NodeID]float64{}
-	byDest := map[graph.NodeID][]int{}
+	n := inst.G.NumNodes()
+	// Per-destination demand is summed in commodity order, then handed to
+	// the decomposition in ascending node order: Alg. 2's output moves on
+	// the last bits of these totals.
+	demand := make([]float64, n)
+	byDest := make([][]int, n)
 	for i, c := range inst.Commodities {
 		demand[c.Dest] += c.Demand
 		byDest[c.Dest] = append(byDest[c.Dest], i)
 	}
-	paths, err := flow.Decompose(inst.G, arcFlow, inst.Source, demand)
+	var sinks []flow.Demand
+	for v, d := range demand {
+		if len(byDest[v]) > 0 {
+			sinks = append(sinks, flow.Demand{Node: v, Amount: d})
+		}
+	}
+	paths, err := flow.Decompose(inst.G, arcFlow, inst.Source, sinks)
 	if err != nil {
 		return nil, fmt.Errorf("msufp: decompose splittable flow: %w", err)
 	}
-	byDestPaths := map[graph.NodeID][]flow.PathFlow{}
+	byDestPaths := make([][]flow.PathFlow, n)
 	for _, pf := range paths {
 		byDestPaths[pf.Sink] = append(byDestPaths[pf.Sink], pf)
 	}
 	out := make([][]flow.PathFlow, len(inst.Commodities))
-	// Process destinations in sorted order: the greedy split consumes
-	// shared path flows with compound float arithmetic, and the shortfall
-	// error picks a witness, so map order here was exactly the
-	// nondeterminism bug class this repo's map-order lint exists for.
-	dests := make([]graph.NodeID, 0, len(byDest))
-	for dest := range byDest {
-		dests = append(dests, dest)
-	}
-	sort.Ints(dests)
-	for _, dest := range dests {
-		ids := byDest[dest]
+	// Destinations are processed in ascending order: the greedy split
+	// consumes shared path flows with compound float arithmetic, and the
+	// shortfall error picks a witness.
+	for dest, ids := range byDest {
 		avail := byDestPaths[dest]
 		pi := 0
 		for _, i := range ids {

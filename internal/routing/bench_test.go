@@ -1,8 +1,10 @@
 package routing
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"jcr/internal/graph"
@@ -10,13 +12,12 @@ import (
 	"jcr/internal/topo"
 )
 
-// BenchmarkItemMinCostFlow measures one item's min-cost flow, the inner
-// step of the independent routing rung, on the paper scenario's auxiliary
-// graph: Abovenet (23 nodes), 54 items with Zipf-like rates at every edge
-// node, and 9 edge caches of 12 slots filled by the greedy placement, so
-// the graph carries 54 virtual sources. Each op routes the next item in
-// turn, so ns/op is the mean over the catalog.
-func BenchmarkItemMinCostFlow(b *testing.B) {
+// abovenetRouting is the paper scenario's routing instance: Abovenet (23
+// nodes), 54 items with Zipf-like rates at every edge node, and 9 edge
+// caches of 12 slots filled by the greedy placement, so the auxiliary graph
+// carries 54 virtual sources. linkCap, when positive, replaces every link
+// capacity.
+func abovenetRouting(b *testing.B, linkCap float64) (*placement.Spec, *placement.Placement) {
 	const items, slots = 54, 12
 	rng := rand.New(rand.NewSource(1))
 	net := topo.Abovenet(1)
@@ -38,14 +39,28 @@ func BenchmarkItemMinCostFlow(b *testing.B) {
 	for _, v := range net.Edges {
 		s.CacheCap[v] = slots
 	}
+	if linkCap > 0 {
+		for id := 0; id < s.G.NumArcs(); id++ {
+			s.G.SetArcCap(id, linkCap)
+		}
+	}
 	gr, err := placement.Greedy(s, graph.AllPairs(s.G))
 	if err != nil {
 		b.Fatal(err)
 	}
+	return s, gr.Placement
+}
+
+// BenchmarkItemMinCostFlow measures one item's min-cost flow, the inner
+// step of the independent routing rung, on abovenetRouting's auxiliary
+// graph. Each op routes the next item in turn, so ns/op is the mean over
+// the catalog.
+func BenchmarkItemMinCostFlow(b *testing.B) {
+	s, pl := abovenetRouting(b, 0)
 	active := demandSets(s)
 	groups := make([][]graph.NodeID, len(active))
 	for k, ad := range active {
-		groups[k] = gr.Placement.Replicas(ad.item)
+		groups[k] = pl.Replicas(ad.item)
 	}
 	aux := graph.NewAuxiliary(s.G, groups)
 	b.ReportAllocs()
@@ -56,4 +71,33 @@ func BenchmarkItemMinCostFlow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRouteSequential measures a whole Route on abovenetRouting with
+// every link capacity at 4, tight enough that the independent flows
+// overflow and, with 54 items too many for the multicommodity LP, the
+// sequential rung routes them. ships/op counts the min-cost flows a Route
+// solves; refRoute, the ladder that finished the independent rung, solves
+// 108.
+func BenchmarkRouteSequential(b *testing.B) {
+	s, pl := abovenetRouting(b, 4)
+	var ships atomic.Int64
+	ctx := countShips(context.Background(), &ships)
+	opts := Options{Workers: 1}
+	res, err := Route(ctx, s, pl, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Method != MethodSequential {
+		b.Fatalf("method %q, want %q", res.Method, MethodSequential)
+	}
+	ships.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Route(ctx, s, pl, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ships.Load())/float64(b.N), "ships/op")
 }

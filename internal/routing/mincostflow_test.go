@@ -31,9 +31,9 @@ func cloneItemMinCostFlow(aux *graph.Auxiliary, k int, ad itemDemand, residual [
 	}
 	super := gg.AddNode()
 	var total float64
-	for _, t := range ad.sorted {
-		gg.AddArc(t, super, 0, ad.sinks[t])
-		total += ad.sinks[t]
+	for _, d := range ad.sinks {
+		gg.AddArc(d.Node, super, 0, d.Amount)
+		total += d.Amount
 	}
 	res, err := flow.MinCostFlow(nil, gg, aux.VirtualSource[k], super, total)
 	if err != nil {
@@ -76,18 +76,18 @@ func randomAuxInstance(r *rand.Rand) (*graph.Auxiliary, []itemDemand) {
 			sinks[r.Intn(n)] += d
 			total += d
 		}
-		active[i] = itemDemand{item: i, sinks: sinks, sorted: sortedSinks(sinks), total: total}
+		active[i] = itemDemand{item: i, sinks: sortedSinks(sinks), total: total}
 	}
 	return graph.NewAuxiliary(g, sources), active
 }
 
-// sortedSinks returns the sink nodes of a demand map in ascending order.
-func sortedSinks(sinks map[graph.NodeID]float64) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(sinks))
-	for v := range sinks {
-		out = append(out, v)
+// sortedSinks lists a demand map in ascending sink order.
+func sortedSinks(sinks map[graph.NodeID]float64) []flow.Demand {
+	out := make([]flow.Demand, 0, len(sinks))
+	for v, d := range sinks {
+		out = append(out, flow.Demand{Node: v, Amount: d})
 	}
-	sort.Ints(out)
+	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
 	return out
 }
 

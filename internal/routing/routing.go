@@ -98,13 +98,13 @@ const defaultLPMaxVars = 6000
 // itemDemand aggregates one content item's requests: which nodes want it
 // and at what rate.
 type itemDemand struct {
-	item  int
-	sinks map[graph.NodeID]float64
-	// sorted lists the sink nodes ascending, computed once when the demand
-	// set is built: the per-item flow loop and the path decomposition both
-	// need a deterministic sink order.
-	sorted []graph.NodeID
-	total  float64
+	item int
+	// sinks lists the requesting nodes in ascending order with their
+	// rates: the sink arcs' positions decide which of several equal-cost
+	// flows the solver returns, and the decomposition sums the rates in
+	// this order.
+	sinks []flow.Demand
+	total float64
 }
 
 // Result is a routing solution.
@@ -151,8 +151,8 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 		reps := pl.Replicas(ad.item)
 		if len(reps) == 0 {
 			if opts.BestEffort {
-				for v, r := range ad.sinks {
-					unserved[placement.Request{Item: ad.item, Node: v}] = r
+				for _, d := range ad.sinks {
+					unserved[placement.Request{Item: ad.item, Node: d.Node}] = d.Amount
 				}
 				continue
 			}
@@ -163,22 +163,19 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 			// partitioned); the flow solvers would otherwise fail the
 			// whole solve over it. Reachability is tie-independent, so the
 			// engine's trees give exactly the set a structural search
-			// would. Walking the sinks in sorted order keeps the
-			// subtraction sequence (and hence total's last bits)
-			// independent of map iteration.
+			// would. The sinks are subtracted in ascending order, which
+			// fixes total's last bits.
 			reach := opts.Engine.Reach(s.G, reps)
-			kept := ad.sorted[:0]
-			for _, v := range ad.sorted {
-				if reach[v] {
-					kept = append(kept, v)
+			kept := ad.sinks[:0]
+			for _, d := range ad.sinks {
+				if reach[d.Node] {
+					kept = append(kept, d)
 					continue
 				}
-				r := ad.sinks[v]
-				unserved[placement.Request{Item: ad.item, Node: v}] = r
-				delete(ad.sinks, v)
-				ad.total -= r
+				unserved[placement.Request{Item: ad.item, Node: d.Node}] = d.Amount
+				ad.total -= d.Amount
 			}
-			ad.sorted = kept
+			ad.sinks = kept
 			if ad.total <= 0 {
 				continue
 			}
@@ -199,41 +196,33 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 
 	// Decompose each item's flow into per-request path options.
 	type reqOptions struct {
-		rq     placement.Request
-		demand float64
-		list   []flow.PathFlow
+		rq   placement.Request
+		list []flow.PathFlow
 	}
 	var all []reqOptions
+	// Path options are grouped by requester in first-appearance order: the
+	// order of `all` fixes both the rounding Rng draw assignment and the
+	// cost summation order. at[v]-1 is the index in all of requester v's
+	// options; an index below the current item's first is an earlier
+	// item's.
+	at := make([]int, s.G.NumNodes())
 	for k, ad := range active {
 		vs := aux.VirtualSource[k]
 		pfs, err := flow.Decompose(aux.G, flows[k], vs, ad.sinks)
 		if err != nil {
 			return nil, fmt.Errorf("routing: item %d (%s flows): %w", ad.item, method, err)
 		}
-		// Group path options by requester in first-appearance order: map
-		// iteration order is randomized, and the order of `all` fixes both
-		// the rounding Rng draw assignment and the cost summation order,
-		// so it must be deterministic for bit-reproducible runs.
-		byReq := map[graph.NodeID][]flow.PathFlow{}
-		var sinkOrder []graph.NodeID
+		first := len(all)
 		for _, pf := range pfs {
-			if _, seen := byReq[pf.Sink]; !seen {
-				sinkOrder = append(sinkOrder, pf.Sink)
+			if at[pf.Sink] <= first {
+				all = append(all, reqOptions{rq: placement.Request{Item: ad.item, Node: pf.Sink}})
+				at[pf.Sink] = len(all)
 			}
-			byReq[pf.Sink] = append(byReq[pf.Sink], pf)
-		}
-		for _, sink := range sinkOrder {
 			// The options become base-graph paths once here, not once
 			// per rounding trial.
-			list := byReq[sink]
-			for j := range list {
-				list[j].Path, _ = aux.StripVirtual(list[j].Path)
-			}
-			all = append(all, reqOptions{
-				rq:     placement.Request{Item: ad.item, Node: sink},
-				demand: ad.sinks[sink],
-				list:   list,
-			})
+			pf.Path, _ = aux.StripVirtual(pf.Path)
+			ro := &all[at[pf.Sink]-1]
+			ro.list = append(ro.list, pf)
 		}
 	}
 	if opts.Fractional {
@@ -280,7 +269,7 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 					pick -= pf.Amount
 				}
 			}
-			paths = append(paths, placement.ServingPath{Req: ro.rq, Path: chosen.Path, Rate: ro.demand})
+			paths = append(paths, placement.ServingPath{Req: ro.rq, Path: chosen.Path, Rate: s.Rates[ro.rq.Item][ro.rq.Node]})
 		}
 		cost, loads, maxUtil := placement.EvaluateServing(s, paths, pl)
 		cand := &Result{Paths: paths, Cost: cost, Loads: loads, MaxUtilization: maxUtil, Method: method, Unserved: unserved}
@@ -339,44 +328,51 @@ func SolveMMSFPExact(ctx context.Context, s *placement.Spec, pl *placement.Place
 func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, opts Options) ([][]float64, string, error) {
 	g := aux.G
 	// 1. Independent per-item min-cost flows, each respecting the link
-	// capacities on its own. The items are independent here — each one
+	// capacities on its own, optimal whenever their sum fits. Each item
 	// routes on its own residual network over the shared, read-only
-	// auxiliary graph — so they fan out on the bounded pool; flows[k] is written only by item k's worker and
-	// the aggregation below runs sequentially in item order.
+	// auxiliary graph, so a wave of items fans out on the bounded pool;
+	// flows[k] is written only by item k's worker. Each wave is folded
+	// into the aggregate in item order, and the rung stops after the first
+	// wave that overflows a capacity: the flows are nonnegative, so no
+	// partial sum exceeds the full one (float addition is monotone) and
+	// the verdict is the one the full sum would give.
 	flows := make([][]float64, len(active))
-	if err := par.Do(ctx, opts.Workers, len(active), func(k int) error {
-		f, err := itemMinCostFlow(ctx, aux, k, active[k], nil, false)
-		if err != nil {
-			if ctx != nil && ctx.Err() != nil {
-				return err
-			}
-			// Even this single item exceeds some capacity: route it
-			// capacity-obliviously; the congestion check below will
-			// send us to the coupled solvers.
-			f, err = itemMinCostFlow(ctx, aux, k, active[k], nil, true)
-			if err != nil {
-				return err
-			}
-		}
-		flows[k] = f
-		return nil
-	}); err != nil {
-		return nil, "", err
-	}
 	agg := make([]float64, g.NumArcs())
-	independentOK := true
-	for k := range active {
-		for id, v := range flows[k] {
-			agg[id] += v
+	wave := par.Workers(opts.Workers, len(active))
+	overflow := false
+	for lo := 0; lo < len(active) && !overflow; lo += wave {
+		hi := min(lo+wave, len(active))
+		if err := par.Do(ctx, opts.Workers, hi-lo, func(i int) error {
+			k := lo + i
+			f, err := itemMinCostFlow(ctx, aux, k, active[k], nil, false)
+			if err != nil {
+				if ctx != nil && ctx.Err() != nil {
+					return err
+				}
+				// Even this single item exceeds some capacity: route it
+				// capacity-obliviously; the congestion check below will
+				// send us to the coupled solvers.
+				f, err = itemMinCostFlow(ctx, aux, k, active[k], nil, true)
+				if err != nil {
+					return err
+				}
+			}
+			flows[k] = f
+			return nil
+		}); err != nil {
+			return nil, "", err
+		}
+		for k := lo; k < hi && !overflow; k++ {
+			for id, v := range flows[k] {
+				agg[id] += v
+				if c := g.Arc(id).Cap; !math.IsInf(c, 1) && agg[id] > c*(1+capSlack)+capSlack {
+					overflow = true
+					break
+				}
+			}
 		}
 	}
-	for id, v := range agg {
-		if c := g.Arc(id).Cap; !math.IsInf(c, 1) && v > c*(1+capSlack)+capSlack {
-			independentOK = false
-			break
-		}
-	}
-	if independentOK {
+	if !overflow {
 		return flows, MethodIndependent, nil
 	}
 	// 2. Exact multicommodity LP when small enough.
@@ -427,16 +423,14 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 }
 
 // demandSets returns the per-item demand sets of s: every item with
-// positive total rate, its sink map, its sinks in ascending node order and
-// its total.
+// positive total rate, its sinks in ascending node order and its total.
 func demandSets(s *placement.Spec) []itemDemand {
 	var out []itemDemand
 	for i := 0; i < s.NumItems; i++ {
-		ad := itemDemand{item: i, sinks: map[graph.NodeID]float64{}}
+		ad := itemDemand{item: i}
 		for v, rate := range s.Rates[i] {
 			if rate > 0 {
-				ad.sinks[v] = rate
-				ad.sorted = append(ad.sorted, v)
+				ad.sinks = append(ad.sinks, flow.Demand{Node: v, Amount: rate})
 				ad.total += rate
 			}
 		}
@@ -447,18 +441,10 @@ func demandSets(s *placement.Spec) []itemDemand {
 	return out
 }
 
-// sinkDemands lists an item's demands in ascending sink order: the sink
-// arcs' positions influence which of several equal-cost flows the solver
-// returns, so map iteration order must not leak into the flow. The order
-// is precomputed when the demand set is built (see itemDemand.sorted);
-// this runs once per item per solve and must not re-sort.
-func (ad *itemDemand) sinkDemands() []flow.Demand {
-	out := make([]flow.Demand, len(ad.sorted))
-	for j, t := range ad.sorted {
-		out[j] = flow.Demand{Node: t, Amount: ad.sinks[t]}
-	}
-	return out
-}
+// shipObserverKey is the context key of a func() that itemMinCostFlow
+// calls once per min-cost flow it solves, so a benchmark can count the
+// flows a Route spends; only tests install one.
+type shipObserverKey struct{}
 
 // itemMinCostFlow routes one item's demands from its virtual source via a
 // super-sink min-cost flow on the auxiliary graph. residual, if non-nil,
@@ -466,6 +452,11 @@ func (ad *itemDemand) sinkDemands() []flow.Demand {
 // entirely (the capacity-oblivious last resort, whose congestion the
 // caller measures).
 func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDemand, residual []float64, unlimited bool) ([]float64, error) {
+	if ctx != nil {
+		if observe, ok := ctx.Value(shipObserverKey{}).(func()); ok {
+			observe()
+		}
+	}
 	var capOf func(graph.ArcID) float64
 	switch {
 	case unlimited:
@@ -478,7 +469,7 @@ func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDe
 			return residual[id]
 		}
 	}
-	return flow.MinCostFlowToSinks(ctx, aux.G, capOf, aux.VirtualSource[k], ad.sinkDemands())
+	return flow.MinCostFlowToSinks(ctx, aux.G, capOf, aux.VirtualSource[k], ad.sinks)
 }
 
 // multicommodityLP solves the coupled MMSFP exactly: one flow variable per
@@ -499,6 +490,7 @@ func multicommodityLP(ctx context.Context, aux *graph.Auxiliary, active []itemDe
 	row := lp.NewRowBuilder(p)
 	for k, ad := range active {
 		vs := aux.VirtualSource[k]
+		next := 0 // ad.sinks[next] is the first sink at or above node v
 		for v := 0; v < g.NumNodes(); v++ {
 			for _, e := range g.Out(v) {
 				row.Add(fIdx(k, e), 1)
@@ -507,10 +499,12 @@ func multicommodityLP(ctx context.Context, aux *graph.Auxiliary, active []itemDe
 				row.Add(fIdx(k, e), -1)
 			}
 			supply := 0.0
+			if next < len(ad.sinks) && ad.sinks[next].Node == v {
+				supply = -ad.sinks[next].Amount
+				next++
+			}
 			if v == vs {
 				supply = ad.total
-			} else if d, isSink := ad.sinks[v]; isSink {
-				supply = -d
 			}
 			if row.Len() == 0 {
 				if supply != 0 {

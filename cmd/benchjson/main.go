@@ -44,7 +44,9 @@ var rows = []struct {
 	{"BenchmarkAlternatingSequenceWarm", "alternating_sequence_warm", true},
 	{"BenchmarkAlternatingSequenceCold", "alternating_sequence_cold", false},
 	{"BenchmarkMSUFPAlg2", "msufp_alg2_k1000", false},
-	{"BenchmarkRouteSequential", "route_sequential", false},
+	{"BenchmarkRouteSequential", "route_sequential", true},
+	{"BenchmarkPartialFlow", "check_partial_flow", true},
+	{"BenchmarkCompile", "serve_compile", true},
 	{"BenchmarkDijkstra", "dijkstra_tree", true},
 	{"BenchmarkDijkstraReference", "dijkstra_tree_ref", false},
 	{"BenchmarkYenK25", "yen_k25", true},

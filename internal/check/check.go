@@ -89,17 +89,29 @@ func PartialFlow(s *placement.Spec, pl *placement.Placement, paths []placement.S
 	if err := Placement(s, pl); err != nil {
 		return err
 	}
-	served := map[placement.Request]float64{}
+	n := s.G.NumNodes()
+	// The rates index served below, so their shape is checked first.
+	if len(s.Rates) != s.NumItems {
+		return fmt.Errorf("check: spec has %d rate rows for %d items", len(s.Rates), s.NumItems)
+	}
+	for i, row := range s.Rates {
+		if len(row) != n {
+			return fmt.Errorf("check: rate row %d has %d entries for %d nodes", i, len(row), n)
+		}
+	}
+	// served[i*n+v] is the rate the paths serve request (i, v), summed in
+	// path order.
+	served := make([]float64, s.NumItems*n)
 	for k := range paths {
 		sp := &paths[k]
 		rq := sp.Req
-		if rq.Item < 0 || rq.Item >= s.NumItems || rq.Node < 0 || rq.Node >= s.G.NumNodes() {
+		if rq.Item < 0 || rq.Item >= s.NumItems || rq.Node < 0 || rq.Node >= n {
 			return fmt.Errorf("check: serving path %d references request (%d,%d) out of range", k, rq.Item, rq.Node)
 		}
 		if sp.Rate < 0 || math.IsNaN(sp.Rate) {
 			return fmt.Errorf("check: serving path %d has invalid rate %v", k, sp.Rate)
 		}
-		if len(sp.Path.Arcs) == 0 {
+		if arcs := sp.Path.Arcs; len(arcs) == 0 {
 			// Local hit: the requester itself must store the item.
 			if !pl.Stores[rq.Node][rq.Item] {
 				return fmt.Errorf("check: empty path for request (%d,%d) but requester stores no replica", rq.Item, rq.Node)
@@ -108,50 +120,58 @@ func PartialFlow(s *placement.Spec, pl *placement.Placement, paths []placement.S
 			if err := sp.Path.Validate(s.G, sp.Path.Source(s.G), rq.Node); err != nil {
 				return fmt.Errorf("check: serving path %d for request (%d,%d): %w", k, rq.Item, rq.Node, err)
 			}
-			stored := false
-			for _, v := range sp.Path.Nodes(s.G) {
-				if pl.Stores[v][rq.Item] {
-					stored = true
+			// The path's nodes are its first tail and then every head.
+			stored := pl.Stores[s.G.Arc(arcs[0]).From][rq.Item]
+			for _, id := range arcs {
+				if stored {
 					break
 				}
+				stored = pl.Stores[s.G.Arc(id).To][rq.Item]
 			}
 			if !stored {
 				return fmt.Errorf("check: serving path %d for request (%d,%d) touches no replica", k, rq.Item, rq.Node)
 			}
 		}
-		served[rq] += sp.Rate
+		served[rq.Item*n+rq.Node] += sp.Rate
 	}
 	// Full service: each positive-rate request is served at its demand
 	// (Eq. 1b aggregated over the request's paths), with declared unserved
-	// rate counted toward the demand under degraded operation.
-	for _, rq := range s.Requests() {
-		want := s.Rates[rq.Item][rq.Node]
-		got := served[rq]
-		if u, ok := unserved[rq]; ok {
-			if u < 0 || math.IsNaN(u) {
-				return fmt.Errorf("check: request (%d,%d) declares invalid unserved rate %v", rq.Item, rq.Node, u)
+	// rate counted toward the demand under degraded operation. Requests
+	// are visited by item, then node.
+	for i, row := range s.Rates {
+		for v, want := range row {
+			if !(want > 0) { // s.Requests' test, so a NaN rate is no request
+				continue
 			}
-			got += u
+			got := served[i*n+v]
+			if u, ok := unserved[placement.Request{Item: i, Node: v}]; ok {
+				if u < 0 || math.IsNaN(u) {
+					return fmt.Errorf("check: request (%d,%d) declares invalid unserved rate %v", i, v, u)
+				}
+				got += u
+			}
+			if math.Abs(got-want) > RateTol*(1+want) {
+				return fmt.Errorf("check: request (%d,%d) served at rate %.9g, demand %.9g", i, v, got, want)
+			}
 		}
-		if math.Abs(got-want) > RateTol*(1+want) {
-			return fmt.Errorf("check: request (%d,%d) served at rate %.9g, demand %.9g", rq.Item, rq.Node, got, want)
-		}
-		delete(served, rq)
 	}
 	// Iterate sorted so the reported witness (there may be several bad
 	// entries) is the same on every run.
 	for _, rq := range sortedRequests(unserved) {
 		u := unserved[rq]
-		if rq.Item < 0 || rq.Item >= s.NumItems || rq.Node < 0 || rq.Node >= s.G.NumNodes() {
+		if rq.Item < 0 || rq.Item >= s.NumItems || rq.Node < 0 || rq.Node >= n {
 			return fmt.Errorf("check: unserved entry references request (%d,%d) out of range", rq.Item, rq.Node)
 		}
 		if s.Rates[rq.Item][rq.Node] <= 0 && u > RateTol {
 			return fmt.Errorf("check: request (%d,%d) declares unserved rate %.9g but has no demand", rq.Item, rq.Node, u)
 		}
 	}
-	for _, rq := range sortedRequests(served) {
-		if got := served[rq]; got > RateTol {
-			return fmt.Errorf("check: request (%d,%d) served at rate %.9g but has no demand", rq.Item, rq.Node, got)
+	// Served requests without demand, by item, then node.
+	for i := 0; i < s.NumItems; i++ {
+		for v := 0; v < n; v++ {
+			if got := served[i*n+v]; got > RateTol && !(s.Rates[i][v] > 0) {
+				return fmt.Errorf("check: request (%d,%d) served at rate %.9g but has no demand", i, v, got)
+			}
 		}
 	}
 	if !allowCongestion {

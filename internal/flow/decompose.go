@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"sync"
 
 	"jcr/internal/graph"
 )
@@ -13,6 +14,18 @@ type PathFlow struct {
 	Amount float64
 	Sink   graph.NodeID
 }
+
+// decomposeScratch is Decompose's working memory: the residual arc flow,
+// the unserved demand per node, the walk's cycle stamps and the walk
+// itself. Routing decomposes one flow per item per Route, so the scratch
+// is pooled instead of allocated per call.
+type decomposeScratch struct {
+	res, remaining []float64
+	stamp          []int
+	arcs           []graph.ArcID
+}
+
+var decomposePool = sync.Pool{New: func() any { return new(decomposeScratch) }}
 
 // Decompose splits a single-commodity arc flow rooted at src into simple
 // paths, each ending at a sink with positive demand. sinks lists the nodes
@@ -27,9 +40,14 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, sinks []Dema
 	if len(arcFlow) != g.NumArcs() {
 		return nil, fmt.Errorf("flow: arc flow has %d entries for %d arcs", len(arcFlow), g.NumArcs())
 	}
-	res := append([]float64(nil), arcFlow...)
+	sc := decomposePool.Get().(*decomposeScratch)
+	defer decomposePool.Put(sc)
+	sc.res = append(sc.res[:0], arcFlow...)
+	res := sc.res
 	// remaining[v] is the demand still unserved at v, zero off the sinks.
-	remaining := make([]float64, g.NumNodes())
+	sc.remaining = resize(sc.remaining, g.NumNodes())
+	remaining := sc.remaining
+	clear(remaining)
 	var total float64
 	// total is summed in ascending sink order: it feeds the tolerances
 	// below, so the order fixes their last bits.
@@ -47,12 +65,17 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, sinks []Dema
 	// missing flow.
 	tol := eps * (1 + total)
 	arcTol := arcEpsRel * (1 + total)
-	var out []PathFlow
+	out := make([]PathFlow, 0, len(sinks))
 	// Every walk is built in this one buffer; a finished path is copied
-	// out once, at its final length.
-	var arcs []graph.ArcID
-	// visitStamp marks nodes on the current walk for cycle detection.
-	stamp := make([]int, g.NumNodes())
+	// out once into flat, which the returned paths share as disjoint
+	// windows (a full flat is replaced, never written over).
+	var flat []graph.ArcID
+	arcs := sc.arcs[:0]
+	defer func() { sc.arcs = arcs[:0] }()
+	// stamp marks nodes on the current walk for cycle detection.
+	sc.stamp = resize(sc.stamp, g.NumNodes())
+	stamp := sc.stamp
+	clear(stamp)
 	walkID := 0
 
 	for total > tol {
@@ -131,8 +154,13 @@ func Decompose(g *graph.Graph, arcFlow []float64, src graph.NodeID, sinks []Dema
 		}
 		remaining[v] -= amount
 		total -= amount
+		if cap(flat)-len(flat) < len(arcs) {
+			flat = make([]graph.ArcID, 0, max(2*cap(flat), 4*len(arcs)))
+		}
+		a := len(flat)
+		flat = append(flat, arcs...)
 		out = append(out, PathFlow{
-			Path:   graph.Path{Arcs: append([]graph.ArcID(nil), arcs...)},
+			Path:   graph.Path{Arcs: flat[a:len(flat):len(flat)]},
 			Amount: amount,
 			Sink:   v,
 		})

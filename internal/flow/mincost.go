@@ -259,7 +259,7 @@ func MinCostFlow(ctx context.Context, g *graph.Graph, src, dst graph.NodeID, val
 	}
 	r := newResNet(g, nil, src, nil)
 	defer resNetPool.Put(r)
-	if err := r.ship(ctx, src, dst, value); err != nil {
+	if err := r.ship(ctx, src, dst, value, src, dst); err != nil {
 		return nil, err
 	}
 	return r.extract(g, src), nil
@@ -272,32 +272,12 @@ type Demand struct {
 	Amount float64
 }
 
-// MinCostFlowToSinks ships every sink's Amount from src to its Node at
-// minimum cost and returns the arc flow, indexed like g's arcs. It solves
-// the super-sink construction (a zero-cost arc of capacity Amount from
-// each sink to one added node, in the order given) on a residual network
-// built straight from g, so g is neither copied nor mutated. capOf, when
-// non-nil, overrides g's arc capacities. The residual arcs, and hence the
-// flow, are those MinCostFlow computes on a copy of g with the same
-// capacities and the sink arcs appended. It returns
-// ErrInsufficientCapacity if the network cannot carry the total demand.
-func MinCostFlowToSinks(ctx context.Context, g *graph.Graph, capOf func(graph.ArcID) float64, src graph.NodeID, sinks []Demand) ([]float64, error) {
-	r := newResNet(g, capOf, src, sinks)
-	defer resNetPool.Put(r)
-	var total float64
-	for _, d := range sinks {
-		total += d.Amount
-	}
-	if err := r.ship(ctx, src, r.n-1, total); err != nil {
-		return nil, err
-	}
-	return r.extract(g, src).Arc, nil
-}
-
 // ship runs successive shortest paths from src to dst until value units
 // are shipped (as much as possible for an infinite value). For a finite
-// value the first iteration is the tree phase (shipTree).
-func (r *resNet) ship(ctx context.Context, src, dst int, value float64) error {
+// value the first iteration is the tree phase (shipTree). An
+// insufficient-capacity error names the endpoints srcID and dstID, the
+// caller's IDs for src and dst.
+func (r *resNet) ship(ctx context.Context, src, dst int, value float64, srcID, dstID int) error {
 	r.pot = resize(r.pot, r.n)
 	pot := r.pot
 	clear(pot)
@@ -322,7 +302,7 @@ func (r *resNet) ship(ctx context.Context, src, dst int, value float64) error {
 				break // max flow reached
 			}
 			return fmt.Errorf("%w: %.6g units unroutable from %d to %d",
-				ErrInsufficientCapacity, remaining, src, dst)
+				ErrInsufficientCapacity, remaining, srcID, dstID)
 		}
 		for v := 0; v < r.n; v++ {
 			if !math.IsInf(dist[v], 1) {
@@ -412,8 +392,8 @@ func (r *resNet) push(src, last int, parent []int, amount float64) {
 	}
 }
 
-// extract reads the flow on g's arcs off the residual network; the sink
-// arcs of MinCostFlowToSinks come after them and are left out.
+// extract reads the flow on g's arcs off the residual network; sink arcs
+// come after them and are left out.
 func (r *resNet) extract(g *graph.Graph, src graph.NodeID) *Result {
 	m := g.NumArcs()
 	res := &Result{Arc: make([]float64, m)}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,6 +20,31 @@ func sortedDemands(m map[graph.NodeID]float64) []Demand {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
 	return out
+}
+
+// MinCostFlowToSinks ships every sink's Amount from src to its Node at
+// minimum cost and returns the arc flow, indexed like g's arcs. It solves
+// the super-sink construction (a zero-cost arc of capacity Amount from
+// each sink to one added node, in the order given) on a residual network
+// built straight from g, so g is neither copied nor mutated. capOf, when
+// non-nil, overrides g's arc capacities. The residual arcs, and hence the
+// flow, are those MinCostFlow computes on a copy of g with the same
+// capacities and the sink arcs appended. It returns
+// ErrInsufficientCapacity if the network cannot carry the total demand.
+// Routing solved every per-item flow this way, on a fresh residual
+// network of the whole auxiliary graph, before the overlay network; it is
+// the overlay's oracle (overlayMatches) and the subject of checkToSinks.
+func MinCostFlowToSinks(ctx context.Context, g *graph.Graph, capOf func(graph.ArcID) float64, src graph.NodeID, sinks []Demand) ([]float64, error) {
+	r := newResNet(g, capOf, src, sinks)
+	defer resNetPool.Put(r)
+	var total float64
+	for _, d := range sinks {
+		total += d.Amount
+	}
+	if err := r.ship(ctx, src, r.n-1, total, src, r.n-1); err != nil {
+		return nil, err
+	}
+	return r.extract(g, src).Arc, nil
 }
 
 // Cost computes the total routing cost of an arc flow.

@@ -402,7 +402,8 @@ func TestInstanceEncodingRoundTrips(t *testing.T) {
 
 // FuzzMinCostFlowToSinks decodes bytes into an instance of at most
 // maxInstNodes nodes and checks MinCostFlowToSinks against the oracle
-// (see checkToSinks); neither may panic. The seed corpus is drawn from
+// (see checkToSinks) and the overlay network against fresh networks (see
+// checkOverlay); none may panic. The seed corpus is drawn from
 // randomInstance.
 func FuzzMinCostFlowToSinks(f *testing.F) {
 	rng := rand.New(rand.NewSource(8))
@@ -415,6 +416,9 @@ func FuzzMinCostFlowToSinks(f *testing.F) {
 			return
 		}
 		if _, _, err := checkToSinks(in); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkOverlay(in); err != nil {
 			t.Fatal(err)
 		}
 	})

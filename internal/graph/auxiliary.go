@@ -15,28 +15,26 @@ type Auxiliary struct {
 	// group i (a single group for the binary-cache-capacity case, one
 	// group per content item in the general case).
 	VirtualSource []NodeID
-	// VirtualArc[i][v] is the arc ID of the virtual arc
-	// VirtualSource[i] -> v, present only for real sources v of group i.
-	VirtualArc []map[NodeID]ArcID
 }
 
 // NewAuxiliary builds an auxiliary graph over base with one virtual source
 // per entry of sources; sources[i] lists the real source nodes of group i.
-// The base graph is cloned, so later mutations of base do not affect the
-// auxiliary graph.
+// The virtual arcs follow the base arcs, group by group and in the order
+// sources lists them, so VirtualSource[i]'s out-arcs are its group's
+// virtual arcs in arc-ID order. No arc enters a virtual source. The base
+// graph is cloned, so later mutations of base do not affect the auxiliary
+// graph.
 func NewAuxiliary(base *Graph, sources [][]NodeID) *Auxiliary {
 	aux := &Auxiliary{
 		G:             base.Clone(),
 		Base:          base,
 		VirtualSource: make([]NodeID, len(sources)),
-		VirtualArc:    make([]map[NodeID]ArcID, len(sources)),
 	}
 	for i, group := range sources {
 		vs := aux.G.AddNode()
 		aux.VirtualSource[i] = vs
-		aux.VirtualArc[i] = make(map[NodeID]ArcID, len(group))
 		for _, v := range group {
-			aux.VirtualArc[i][v] = aux.G.AddArc(vs, v, 0, Unlimited)
+			aux.G.AddArc(vs, v, 0, Unlimited)
 		}
 	}
 	return aux

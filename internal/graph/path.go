@@ -55,34 +55,51 @@ func (p Path) Dest(g *Graph) NodeID {
 }
 
 // Validate checks that the path is a contiguous cycle-free walk from src to
-// dst in g.
+// dst in g. The checks run in a fixed order (start, end, contiguity,
+// revisits) and the first that fails is reported; a revisit names the
+// first node, in path order, that the path has visited before. It
+// allocates nothing unless it fails.
+//
+//jcr:hotpath
 func (p Path) Validate(g *Graph, src, dst NodeID) error {
-	if len(p.Arcs) == 0 {
+	arcs := p.Arcs
+	if len(arcs) == 0 {
 		if src != dst {
 			return fmt.Errorf("graph: empty path but src %d != dst %d", src, dst)
 		}
 		return nil
 	}
-	nodes := p.Nodes(g)
-	if nodes[0] != src {
-		return fmt.Errorf("graph: path starts at %d, want %d", nodes[0], src)
+	if from := g.arcs[arcs[0]].From; from != src {
+		return fmt.Errorf("graph: path starts at %d, want %d", from, src)
 	}
-	if nodes[len(nodes)-1] != dst {
-		return fmt.Errorf("graph: path ends at %d, want %d", nodes[len(nodes)-1], dst)
+	if to := g.arcs[arcs[len(arcs)-1]].To; to != dst {
+		return fmt.Errorf("graph: path ends at %d, want %d", to, dst)
 	}
-	for k := 1; k < len(p.Arcs); k++ {
-		if g.Arc(p.Arcs[k]).From != g.Arc(p.Arcs[k-1]).To {
-			return fmt.Errorf("graph: path not contiguous at hop %d", k)
+	for k := 1; k < len(arcs); k++ {
+		if g.arcs[arcs[k]].From != g.arcs[arcs[k-1]].To {
+			return errNotContiguous(k)
 		}
 	}
-	seen := make(map[NodeID]struct{}, len(nodes))
-	for _, v := range nodes {
-		if _, dup := seen[v]; dup {
-			return fmt.Errorf("graph: path revisits node %d", v)
+	// The path is contiguous, so its node sequence is the first arc's tail
+	// followed by every arc's head, and arc k's tail is node k: each head
+	// is compared with the nodes before it.
+	for j, id := range arcs {
+		w := g.arcs[id].To
+		for _, prev := range arcs[:j+1] {
+			if g.arcs[prev].From == w {
+				return errRevisits(w)
+			}
 		}
-		seen[v] = struct{}{}
 	}
 	return nil
+}
+
+func errNotContiguous(hop int) error {
+	return fmt.Errorf("graph: path not contiguous at hop %d", hop)
+}
+
+func errRevisits(v NodeID) error {
+	return fmt.Errorf("graph: path revisits node %d", v)
 }
 
 // ShortestTree holds the result of a single-source shortest-path run.

@@ -132,9 +132,9 @@ func (inst *Instance) SplittableOptimum(ctx context.Context) (*flow.Result, erro
 			gg.AddArc(t, super, 0, d)
 		}
 	}
-	// The value is summed in commodity order: flow.MinCostFlowToSinks
-	// would sum the sink amounts in node order instead, and that last-bit
-	// difference moves Alg. 2's rounding on some instances.
+	// The value is summed in commodity order: summing the sink amounts
+	// in node order instead changes its last bits, and that moves Alg.
+	// 2's rounding on some instances.
 	res, err := flow.MinCostFlow(ctx, gg, inst.Source, super, inst.TotalDemand())
 	if err != nil {
 		return nil, fmt.Errorf("msufp: splittable optimum: %w", err)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"jcr/internal/flow"
 	"jcr/internal/graph"
 	"jcr/internal/placement"
 	"jcr/internal/topo"
@@ -63,11 +64,14 @@ func BenchmarkItemMinCostFlow(b *testing.B) {
 		groups[k] = pl.Replicas(ad.item)
 	}
 	aux := graph.NewAuxiliary(s.G, groups)
+	net := flow.NewOverlay(aux)
+	defer net.Release()
+	out := make([]float64, aux.G.NumArcs())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(active)
-		if _, err := itemMinCostFlow(nil, aux, k, active[k], nil, false); err != nil {
+		if err := itemMinCostFlow(nil, net, aux, k, active[k], nil, false, out); err != nil {
 			b.Fatal(err)
 		}
 	}

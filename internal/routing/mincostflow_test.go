@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -13,9 +15,10 @@ import (
 
 // cloneItemMinCostFlow is the clone-based per-item flow itemMinCostFlow
 // replaced: copy the auxiliary graph, override capacities arc by arc, add
-// a super sink with one arc per sink in ascending order, and solve on the
-// copy. It is the oracle for the clone-free construction.
-func cloneItemMinCostFlow(aux *graph.Auxiliary, k int, ad itemDemand, residual []float64, unlimited bool) ([]float64, error) {
+// a super sink with one arc per sink in the order given, and solve on the
+// copy. It is the oracle for the clone-free construction and, through
+// refItemMinCostFlow, for refRoute.
+func cloneItemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, sinks []flow.Demand, residual []float64, unlimited bool) ([]float64, error) {
 	gg := aux.G.Clone()
 	switch {
 	case unlimited:
@@ -31,11 +34,11 @@ func cloneItemMinCostFlow(aux *graph.Auxiliary, k int, ad itemDemand, residual [
 	}
 	super := gg.AddNode()
 	var total float64
-	for _, d := range ad.sinks {
+	for _, d := range sinks {
 		gg.AddArc(d.Node, super, 0, d.Amount)
 		total += d.Amount
 	}
-	res, err := flow.MinCostFlow(nil, gg, aux.VirtualSource[k], super, total)
+	res, err := flow.MinCostFlow(ctx, gg, aux.VirtualSource[k], super, total)
 	if err != nil {
 		return nil, err
 	}
@@ -113,6 +116,7 @@ func TestItemMinCostFlowMatchesClone(t *testing.T) {
 	var solved, refused int
 	for trial := 0; trial < 300; trial++ {
 		aux, active := randomAuxInstance(r)
+		net := flow.NewOverlay(aux)
 		residual := make([]float64, aux.G.NumArcs())
 		for id := range residual {
 			// Virtual entries are garbage on purpose: the override
@@ -125,8 +129,9 @@ func TestItemMinCostFlowMatchesClone(t *testing.T) {
 				residual  []float64
 				unlimited bool
 			}{{"own", nil, false}, {"residual", residual, false}, {"unlimited", nil, true}} {
-				want, wantErr := cloneItemMinCostFlow(aux, k, active[k], mode.residual, mode.unlimited)
-				got, gotErr := itemMinCostFlow(nil, aux, k, active[k], mode.residual, mode.unlimited)
+				want, wantErr := cloneItemMinCostFlow(nil, aux, k, active[k].sinks, mode.residual, mode.unlimited)
+				got := make([]float64, aux.G.NumArcs())
+				gotErr := itemMinCostFlow(nil, net, aux, k, active[k], mode.residual, mode.unlimited, got)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("trial %d item %d %s: error %v, clone-based %v", trial, k, mode.name, gotErr, wantErr)
 				}
@@ -143,8 +148,58 @@ func TestItemMinCostFlowMatchesClone(t *testing.T) {
 				solved++
 			}
 		}
+		net.Release()
 	}
 	if solved == 0 || refused == 0 {
 		t.Fatalf("%d solved and %d refused flows; both verdicts must occur", solved, refused)
+	}
+}
+
+// TestSplittableFlowsMatchReference compares the per-item arc flows of
+// every rung, routed on overlay networks, with refSplittableFlows, which
+// builds a fresh residual network per item, bit for bit, with Workers 1
+// and 3. Tight capacities run arcs dry in the sequential rung, and the LP
+// rung is forbidden on every other instance so the sequential rung fires.
+func TestSplittableFlowsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	methods := map[string]int{}
+	buf := new([]float64)
+	for trial := 0; trial < 200; trial++ {
+		s, pl := referenceInstance(r, trial%4 != 0, false)
+		var active []itemDemand
+		var refActive []refItemDemand
+		var groups [][]graph.NodeID
+		refSets := refDemandSets(s)
+		for j, ad := range demandSets(s) {
+			if reps := pl.Replicas(ad.item); len(reps) > 0 {
+				active = append(active, ad)
+				refActive = append(refActive, refSets[j])
+				groups = append(groups, reps)
+			}
+		}
+		aux := graph.NewAuxiliary(s.G, groups)
+		for _, workers := range []int{1, 3} {
+			opts := Options{Workers: workers, LPMaxVars: defaultLPMaxVars}
+			if trial%2 == 0 {
+				opts.LPMaxVars = 1
+			}
+			got, method, err := splittableFlows(nil, aux, active, opts, buf)
+			want, refMethod, refErr := refSplittableFlows(nil, aux, refActive, opts)
+			if fmt.Sprint(err) != fmt.Sprint(refErr) || method != refMethod {
+				t.Fatalf("trial %d workers %d: %s %v, reference %s %v", trial, workers, method, err, refMethod, refErr)
+			}
+			for k := range want {
+				if !sameFlow(got[k], want[k]) {
+					t.Fatalf("trial %d workers %d item %d (%s): flow %v, reference %v", trial, workers, k, method, got[k], want[k])
+				}
+			}
+			methods[method]++
+		}
+	}
+	t.Logf("methods %v", methods)
+	for _, m := range []string{MethodIndependent, MethodLP, MethodSequential} {
+		if methods[m] == 0 {
+			t.Errorf("no instance routed by the %s rung", m)
+		}
 	}
 }

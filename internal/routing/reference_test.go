@@ -490,7 +490,9 @@ func (ad *refItemDemand) sinkDemands() []flow.Demand {
 }
 
 // refItemMinCostFlow routes one item's demands from its virtual source via a
-// super-sink min-cost flow on the auxiliary graph. residual, if non-nil,
+// super-sink min-cost flow on a copy of the auxiliary graph
+// (cloneItemMinCostFlow), whose residual network is the fresh per-item
+// network routing built before the overlay. residual, if non-nil,
 // overrides the capacities of the real arcs; unlimited ignores capacities
 // entirely (the capacity-oblivious last resort, whose congestion the
 // caller measures).
@@ -500,19 +502,7 @@ func refItemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad ref
 			observe()
 		}
 	}
-	var capOf func(graph.ArcID) float64
-	switch {
-	case unlimited:
-		capOf = func(graph.ArcID) float64 { return graph.Unlimited }
-	case residual != nil:
-		capOf = func(id graph.ArcID) float64 {
-			if aux.IsVirtualArc(id) {
-				return aux.G.Arc(id).Cap
-			}
-			return residual[id]
-		}
-	}
-	return flow.MinCostFlowToSinks(ctx, aux.G, capOf, aux.VirtualSource[k], ad.sinkDemands())
+	return cloneItemMinCostFlow(ctx, aux, k, ad.sinkDemands(), residual, unlimited)
 }
 
 // refMulticommodityLP solves the coupled MMSFP exactly: one flow variable per

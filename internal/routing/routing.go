@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"jcr/internal/core/lputil"
 	"jcr/internal/flow"
@@ -188,8 +189,12 @@ func Route(ctx context.Context, s *placement.Spec, pl *placement.Placement, opts
 	}
 	aux := graph.NewAuxiliary(s.G, groups)
 
-	// Splittable per-item arc flows on the auxiliary graph.
-	flows, method, err := splittableFlows(ctx, aux, active, opts)
+	// Splittable per-item arc flows on the auxiliary graph. They are
+	// decomposed into paths below, so their buffer goes back to the pool
+	// when Route returns.
+	buf := flowBufs.Get().(*[]float64)
+	defer flowBufs.Put(buf)
+	flows, method, err := splittableFlows(ctx, aux, active, opts, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -322,29 +327,57 @@ func SolveMMSFPExact(ctx context.Context, s *placement.Spec, pl *placement.Place
 	return cost, nil
 }
 
+// flowBufs recycles the flat per-item arc-flow buffer across Routes.
+var flowBufs = sync.Pool{New: func() any { return new([]float64) }}
+
 // splittableFlows computes per-item arc flows (indexed like aux.G arcs)
 // satisfying each item's demands, minimizing total cost within shared real
-// link capacities when possible.
-func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, opts Options) ([][]float64, string, error) {
+// link capacities when possible. The min-cost flows are written into
+// *buf, grown to one aux.G-sized row per item; the LP rung returns flows
+// of its own.
+func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, opts Options, buf *[]float64) ([][]float64, string, error) {
 	g := aux.G
-	// 1. Independent per-item min-cost flows, each respecting the link
-	// capacities on its own, optimal whenever their sum fits. Each item
-	// routes on its own residual network over the shared, read-only
-	// auxiliary graph, so a wave of items fans out on the bounded pool;
-	// flows[k] is written only by item k's worker. Each wave is folded
-	// into the aggregate in item order, and the rung stops after the first
-	// wave that overflows a capacity: the flows are nonnegative, so no
-	// partial sum exceeds the full one (float addition is monotone) and
-	// the verdict is the one the full sum would give.
+	m := g.NumArcs()
+	if cap(*buf) < len(active)*m {
+		*buf = make([]float64, len(active)*m)
+	}
 	flows := make([][]float64, len(active))
-	agg := make([]float64, g.NumArcs())
+	for k := range flows {
+		flows[k] = (*buf)[k*m : (k+1)*m : (k+1)*m]
+	}
+	// Every flow routes on an overlay network (flow.Overlay): one per
+	// worker, built on first use and reused for each item it routes.
 	wave := par.Workers(opts.Workers, len(active))
+	nets := make([]*flow.Overlay, wave)
+	defer func() {
+		for _, o := range nets {
+			if o != nil {
+				o.Release()
+			}
+		}
+	}()
+	net := func(i int) *flow.Overlay {
+		if nets[i] == nil {
+			nets[i] = flow.NewOverlay(aux)
+		}
+		return nets[i]
+	}
+	// 1. Independent per-item min-cost flows, each respecting the link
+	// capacities on its own, optimal whenever their sum fits. The items of
+	// a wave fan out on the bounded pool, item lo+i on overlay i over the
+	// shared, read-only auxiliary graph; flows[k] is written only by item
+	// k's worker. Each wave is folded into the aggregate in item order,
+	// and the rung stops after the first wave that overflows a capacity:
+	// the flows are nonnegative, so no partial sum exceeds the full one
+	// (float addition is monotone) and the verdict is the one the full sum
+	// would give.
+	agg := make([]float64, m)
 	overflow := false
 	for lo := 0; lo < len(active) && !overflow; lo += wave {
 		hi := min(lo+wave, len(active))
 		if err := par.Do(ctx, opts.Workers, hi-lo, func(i int) error {
 			k := lo + i
-			f, err := itemMinCostFlow(ctx, aux, k, active[k], nil, false)
+			err := itemMinCostFlow(ctx, net(i), aux, k, active[k], nil, false, flows[k])
 			if err != nil {
 				if ctx != nil && ctx.Err() != nil {
 					return err
@@ -352,12 +385,8 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 				// Even this single item exceeds some capacity: route it
 				// capacity-obliviously; the congestion check below will
 				// send us to the coupled solvers.
-				f, err = itemMinCostFlow(ctx, aux, k, active[k], nil, true)
-				if err != nil {
-					return err
-				}
+				return itemMinCostFlow(ctx, net(i), aux, k, active[k], nil, true, flows[k])
 			}
-			flows[k] = f
 			return nil
 		}); err != nil {
 			return nil, "", err
@@ -394,24 +423,23 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return active[order[a]].total > active[order[b]].total })
-	residual := make([]float64, g.NumArcs())
+	residual := make([]float64, m)
 	for id := range residual {
 		residual[id] = g.Arc(id).Cap
 	}
+	o := net(0)
 	for _, k := range order {
-		f, err := itemMinCostFlow(ctx, aux, k, active[k], residual, false)
-		if err != nil {
+		f := flows[k]
+		if err := itemMinCostFlow(ctx, o, aux, k, active[k], residual, false, f); err != nil {
 			if ctx != nil && ctx.Err() != nil {
 				return nil, "", err
 			}
 			// No room left: route capacity-obliviously and absorb
 			// the congestion (measured by the caller).
-			f, err = itemMinCostFlow(ctx, aux, k, active[k], nil, true)
-			if err != nil {
+			if err := itemMinCostFlow(ctx, o, aux, k, active[k], nil, true, f); err != nil {
 				return nil, "", err
 			}
 		}
-		flows[k] = f
 		for id, v := range f {
 			residual[id] -= v
 			if residual[id] < 0 {
@@ -447,11 +475,12 @@ func demandSets(s *placement.Spec) []itemDemand {
 type shipObserverKey struct{}
 
 // itemMinCostFlow routes one item's demands from its virtual source via a
-// super-sink min-cost flow on the auxiliary graph. residual, if non-nil,
+// super-sink min-cost flow on the auxiliary graph, solved on net (an
+// overlay of aux), and writes the arc flow into out. residual, if non-nil,
 // overrides the capacities of the real arcs; unlimited ignores capacities
 // entirely (the capacity-oblivious last resort, whose congestion the
 // caller measures).
-func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDemand, residual []float64, unlimited bool) ([]float64, error) {
+func itemMinCostFlow(ctx context.Context, net *flow.Overlay, aux *graph.Auxiliary, k int, ad itemDemand, residual []float64, unlimited bool, out []float64) error {
 	if ctx != nil {
 		if observe, ok := ctx.Value(shipObserverKey{}).(func()); ok {
 			observe()
@@ -469,7 +498,7 @@ func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDe
 			return residual[id]
 		}
 	}
-	return flow.MinCostFlowToSinks(ctx, aux.G, capOf, aux.VirtualSource[k], ad.sinks)
+	return net.MinCostFlowToSinks(ctx, k, capOf, ad.sinks, out)
 }
 
 // multicommodityLP solves the coupled MMSFP exactly: one flow variable per

@@ -22,7 +22,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"jcr/internal/graph"
 	"jcr/internal/placement"
@@ -236,40 +235,35 @@ func Compile(s *placement.Spec, pl *placement.Placement, paths []placement.Servi
 		}
 	}
 	// Group paths by (node, item), keeping each request's paths in input
-	// order: stable sort on the group key only.
-	order := make([]int, len(paths))
-	for k := range order {
-		order[k] = k
-	}
-	group := func(k int) (int, error) {
+	// order: a stable counting sort on the group key node*items+item.
+	// groupOff[g+1] first counts group g's paths; the prefix sums then make
+	// groupOff[g] the group's first route.
+	key := make([]int32, len(paths))
+	p.groupOff = make([]int32, n*items+1)
+	for k := range paths {
 		rq := paths[k].Req
 		if rq.Item < 0 || rq.Item >= items || rq.Node < 0 || rq.Node >= n {
-			return 0, fmt.Errorf("serve: serving path %d references request (%d,%d) out of range", k, rq.Item, rq.Node)
+			return nil, fmt.Errorf("serve: serving path %d references request (%d,%d) out of range", k, rq.Item, rq.Node)
 		}
-		return rq.Node*items + rq.Item, nil
+		key[k] = int32(rq.Node*items + rq.Item)
+		p.groupOff[key[k]+1]++
 	}
-	for k := range paths {
-		if _, err := group(k); err != nil {
-			return nil, err
-		}
+	for g := 1; g <= n*items; g++ {
+		p.groupOff[g] += p.groupOff[g-1]
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ga, _ := group(order[a])
-		gb, _ := group(order[b])
-		return ga < gb
-	})
-	p.groupOff = make([]int32, n*items+1)
+	order := make([]int, len(paths))
+	next := append([]int32(nil), p.groupOff[:n*items]...)
+	for k, g := range key {
+		order[next[g]] = k
+		next[g]++
+	}
 	p.groupRate = make([]float64, n*items)
 	p.routeRate = make([]float64, 0, len(paths))
 	p.routeReplica = make([]int32, 0, len(paths))
 	p.routeCost = make([]float64, 0, len(paths))
-	prevGroup := 0
 	for _, k := range order {
 		sp := &paths[k]
-		g, _ := group(k)
-		for ; prevGroup < g; prevGroup++ {
-			p.groupOff[prevGroup+1] = int32(len(p.routeRate))
-		}
+		g := key[k]
 		if sp.Rate < 0 || math.IsNaN(sp.Rate) {
 			return nil, fmt.Errorf("serve: serving path %d has invalid rate %v", k, sp.Rate)
 		}
@@ -290,9 +284,6 @@ func Compile(s *placement.Spec, pl *placement.Placement, paths []placement.Servi
 		p.routeCost = append(p.routeCost, cost)
 		p.groupRate[g] += sp.Rate
 		p.paths.appendPath(sp.Path.Arcs)
-	}
-	for ; prevGroup < n*items; prevGroup++ {
-		p.groupOff[prevGroup+1] = int32(len(p.routeRate))
 	}
 	if err := p.SelfCheck(); err != nil {
 		return nil, fmt.Errorf("serve: compiled plan fails self-check: %w", err)
